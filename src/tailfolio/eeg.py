@@ -89,8 +89,6 @@ class _ColumnsView:
         vv = v * v + pv
         vv_lr = v_lr * v_lr + pv_lr
 
-        self.tau = cols.tau_ms
-        self.n = n
         # numerator: num0 - ce M^E - ci M^I - clr M-dagger
         self.num0 = (np.asarray(cols.threshold, dtype=float)
                      - (v * eff * n).sum(axis=1)
@@ -105,10 +103,19 @@ class _ColumnsView:
         self.dlr = np.full(2, 0.5 * cols.lr_gain * vv_lr)
 
 
+def _view(cols: ColumnParams) -> _ColumnsView:
+    """The coefficient arrays of cols, built on first use and kept on it."""
+    view = cols.__dict__.get("_view")
+    if view is None:
+        view = _ColumnsView(cols)
+        object.__setattr__(cols, "_view", view)
+    return view
+
+
 def threshold_factor(cols: ColumnParams, m_e, m_i, m_lr=0.0,
                      denominator_approx: bool = True):
     """Threshold factors (F^E, F^I); inputs broadcast elementwise."""
-    view = _ColumnsView(cols)
+    view = _view(cols)
     m_e = np.asarray(m_e, dtype=float)
     m_i = np.asarray(m_i, dtype=float)
     m_lr = np.asarray(m_lr, dtype=float)
@@ -140,13 +147,37 @@ def drifts_diffusions(cols: ColumnParams, f_e, f_i, m_e, m_i):
     return g_e, g_i, g_ee, g_ii
 
 
+def _transition_moments(cols: ColumnParams, denominator_approx, gain_e, gain_i,
+                        slope, m_e, m_lr):
+    """Drift m and variance rate sigma^2 of the potential at firing state m_e.
+
+    The one copy of the drift/variance block: likelihoods, innovations,
+    simulation steps and the fit's cost all come through here. The site
+    values gain_e, gain_i and slope (M^I = slope M^E) broadcast against the
+    firings m_e and summed delayed afferents m_lr.
+    """
+    m_i = slope * m_e
+    f_e, f_i = threshold_factor(cols, m_e, m_i, m_lr, denominator_approx)
+    g_e, g_i, g_ee, g_ii = drifts_diffusions(cols, f_e, f_i, m_e, m_i)
+    m = gain_e * g_e + gain_i * g_i
+    var = gain_e ** 2 * g_ee + gain_i ** 2 * g_ii
+    if np.any(var <= 0.0):
+        raise DegenerateVariance("conditional variance must be positive")
+    return m, var
+
+
+def _log_density(phidot, m, var, dt):
+    """Log density of potential rates phidot under drift m, variance rate var."""
+    return -0.5 * np.log(2.0 * _PI * var * dt) - dt * (phidot - m) ** 2 / (2.0 * var)
+
+
 def centering_shift(cols: ColumnParams) -> ColumnParams:
     """Shift B^G_E so both threshold factors vanish at the firing origin.
 
     Long-range background is left untouched. Idempotent. Raises NoSolution
     when an excitatory-source term v^G_E N^E is zero.
     """
-    view = _ColumnsView(cols)
+    view = _view(cols)
     v = np.asarray(cols.pol_mean, dtype=float)
     b = np.asarray(cols.background, dtype=float).copy()
     for g in range(2):
@@ -275,19 +306,78 @@ def apply_params(net: RegionNet, values: dict) -> RegionNet:
     return replace(net, sites=sites, couplings=couplings)
 
 
-def _site_arrays(net: RegionNet):
-    offset = np.array([s.offset for s in net.sites])
-    gain_e = np.array([s.gain_e for s in net.sites])
-    gain_i = np.array([s.gain_i for s in net.sites])
-    slope = np.array([s.trough_slope for s in net.sites])
+def _series(net: RegionNet, series, min_epochs: int = 0) -> np.ndarray:
+    phi = np.asarray(series, dtype=float)
+    if phi.ndim != 2 or phi.shape[1] != len(net.sites):
+        raise DimensionMismatch("series must be (epochs, sites)")
+    if phi.shape[0] < min_epochs:
+        raise DimensionMismatch(f"need at least {min_epochs} epochs")
+    return phi
+
+
+def _site_arrays(cols: ColumnParams, sites: np.ndarray):
+    """Per-site columns of an (n_sites, 4) SITE_FIELDS array, plus the
+    combined gain that inverts the potential map and the firing bound."""
+    offset, gain_e, gain_i, slope = sites.T
     denom = gain_e + gain_i * slope
     if np.any(np.abs(denom) < 1e-12):
         raise SingularInversion("combined electrode gain is zero")
     with np.errstate(divide="ignore"):
         bound = np.where(slope != 0.0,
-                         np.minimum(net.columns.n_e, net.columns.n_i / np.abs(slope)),
-                         net.columns.n_e)
+                         np.minimum(cols.n_e, cols.n_i / np.abs(slope)),
+                         cols.n_e)
     return offset, gain_e, gain_i, slope, denom, bound
+
+
+def _clamp_firings(phi, offset, denom, bound):
+    raw = (phi - offset) / denom
+    excess = np.maximum(np.abs(raw) - bound, 0.0)
+    clamped = int(np.count_nonzero(excess > 0.0))
+    m_e = np.clip(raw, -bound, bound)
+    return m_e, clamped, float(excess.sum())
+
+
+class _Transitions:
+    """A net's transition density with its site values and weights left open.
+
+    The columns, the coupling edges and dt are fixed when it is built. The
+    (n_sites, 4) SITE_FIELDS values and the coupling weights are passed per
+    call, so a fit varies them without rebuilding a net; the net's own are
+    kept as sites and weights.
+    """
+
+    def __init__(self, net: RegionNet):
+        self.columns = net.columns
+        self.denominator_approx = net.denominator_approx
+        self.dt = net.dt_ms
+        idx = {name: i for i, name in enumerate(net.names)}
+        self.edges = [(idx[c.source], idx[c.target], c.delay) for c in net.couplings]
+        self.sites = np.array([[getattr(s, f) for f in SITE_FIELDS] for s in net.sites],
+                              dtype=float).reshape(len(net.sites), len(SITE_FIELDS))
+        self.weights = np.array([c.weight for c in net.couplings], dtype=float)
+
+    def moments(self, phi, sites, weights):
+        """Drift and variance rate of every observed step of phi.
+
+        Returns (m, var, clamped, excess), the last two from recovering the
+        firings. Delayed afferents before the data start are zero.
+        """
+        offset, gain_e, gain_i, slope, denom, bound = _site_arrays(self.columns, sites)
+        m_e, clamped, excess = _clamp_firings(phi, offset, denom, bound)
+        aff = np.zeros_like(m_e)
+        for (src, tgt, lag), w in zip(self.edges, weights):
+            if lag == 0:
+                aff[:, tgt] += w * m_e[:, src]
+            elif lag < m_e.shape[0]:
+                aff[lag:, tgt] += w * m_e[:-lag, src]
+        m, var = _transition_moments(self.columns, self.denominator_approx, gain_e,
+                                     gain_i, slope, m_e[:-1, :], aff[:-1, :])
+        return m, var, clamped, excess
+
+    def log_terms(self, phi, phidot, sites, weights):
+        """Per (step, site) transition log-densities, clamp count, excess."""
+        m, var, clamped, excess = self.moments(phi, sites, weights)
+        return _log_density(phidot, m, var, self.dt), clamped, excess
 
 
 def recover_firings(net: RegionNet, series):
@@ -296,28 +386,9 @@ def recover_firings(net: RegionNet, series):
     Returns (m_e, clamp_count, excess_sum): clamped per-epoch firings, how
     many values hit the clamp, and the total distance out of range.
     """
-    phi = np.asarray(series, dtype=float)
-    if phi.ndim != 2 or phi.shape[1] != len(net.sites):
-        raise DimensionMismatch("series must be (epochs, sites)")
-    offset, _, _, _, denom, bound = _site_arrays(net)
-    raw = (phi - offset) / denom
-    excess = np.maximum(np.abs(raw) - bound, 0.0)
-    clamped = int(np.count_nonzero(excess > 0.0))
-    m_e = np.clip(raw, -bound, bound)
-    return m_e, clamped, float(excess.sum())
-
-
-def _afferent_totals(net: RegionNet, m_e: np.ndarray) -> np.ndarray:
-    """Summed delayed afferents per (epoch, target site); zero-padded history."""
-    out = np.zeros_like(m_e)
-    idx = {s.name: i for i, s in enumerate(net.sites)}
-    for c in net.couplings:
-        src, tgt, lag = idx[c.source], idx[c.target], c.delay
-        if lag == 0:
-            out[:, tgt] += c.weight * m_e[:, src]
-        elif lag < m_e.shape[0]:
-            out[lag:, tgt] += c.weight * m_e[:-lag, src]
-    return out
+    phi = _series(net, series)
+    offset, _, _, _, denom, bound = _site_arrays(net.columns, _Transitions(net).sites)
+    return _clamp_firings(phi, offset, denom, bound)
 
 
 def delayed_afferents(net: RegionNet, firing_history, site: str, t: int) -> np.ndarray:
@@ -343,13 +414,9 @@ def delayed_afferents(net: RegionNet, firing_history, site: str, t: int) -> np.n
 def electrode_moments(net: RegionNet, site: str, m_e, m_lr=0.0):
     """Drift m and variance rate sigma^2 of the potential at one site."""
     s = net.sites[net.site_index(site)]
-    m_i = s.trough_slope * np.asarray(m_e, dtype=float)
-    f_e, f_i = threshold_factor(net.columns, m_e, m_i, m_lr,
-                                net.denominator_approx)
-    g_e, g_i, g_ee, g_ii = drifts_diffusions(net.columns, f_e, f_i, m_e, m_i)
-    m = s.gain_e * g_e + s.gain_i * g_i
-    var = s.gain_e ** 2 * g_ee + s.gain_i ** 2 * g_ii
-    return m, var
+    return _transition_moments(net.columns, net.denominator_approx,
+                               s.gain_e, s.gain_i, s.trough_slope,
+                               np.asarray(m_e, dtype=float), m_lr)
 
 
 def conditional_logprob(net: RegionNet, site: str, phi_next, phi_cur,
@@ -359,40 +426,19 @@ def conditional_logprob(net: RegionNet, site: str, phi_next, phi_cur,
     if dt <= 0.0:
         raise OutOfDomain("dt must be positive")
     m, var = electrode_moments(net, site, m_e, m_lr)
-    var = np.asarray(var, dtype=float)
-    if np.any(var <= 0.0):
-        raise DegenerateVariance("conditional variance must be positive")
     phidot = (np.asarray(phi_next, dtype=float) - np.asarray(phi_cur, dtype=float)) / dt
-    out = -0.5 * np.log(2.0 * _PI * var * dt) - dt * (phidot - m) ** 2 / (2.0 * var)
+    out = _log_density(phidot, m, var, dt)
     return float(out) if out.ndim == 0 else out
 
 
 def loglikelihood_details(net: RegionNet, series) -> dict:
     """Joint transition log-likelihood with clamp diagnostics."""
-    phi = np.asarray(series, dtype=float)
-    if phi.ndim != 2 or phi.shape[1] != len(net.sites):
-        raise DimensionMismatch("series must be (epochs, sites)")
-    if phi.shape[0] < 2:
-        raise DimensionMismatch("need at least two epochs")
-    m_e, clamped, excess = recover_firings(net, phi)
-    aff = _afferent_totals(net, m_e)
-    _, gain_e, gain_i, slope, _, _ = _site_arrays(net)
-
-    pre_e = m_e[:-1, :]
-    pre_i = slope * pre_e
-    pre_lr = aff[:-1, :]
-    f_e, f_i = threshold_factor(net.columns, pre_e, pre_i, pre_lr,
-                                net.denominator_approx)
-    g_e, g_i, g_ee, g_ii = drifts_diffusions(net.columns, f_e, f_i, pre_e, pre_i)
-    m = gain_e * g_e + gain_i * g_i
-    var = gain_e ** 2 * g_ee + gain_i ** 2 * g_ii
-    if np.any(var <= 0.0):
-        raise DegenerateVariance("conditional variance must be positive")
-    dt = net.dt_ms
-    phidot = np.diff(phi, axis=0) / dt
-    terms = -0.5 * np.log(2.0 * _PI * var * dt) - dt * (phidot - m) ** 2 / (2.0 * var)
+    phi = _series(net, series, min_epochs=2)
+    tr = _Transitions(net)
+    terms, clamped, excess = tr.log_terms(phi, np.diff(phi, axis=0) / tr.dt,
+                                          tr.sites, tr.weights)
     total = float(np.sum(terms))
-    count = m_e.size
+    count = phi.size
     return {
         "loglik": total,
         "clamp_fraction": clamped / count if count else 0.0,
@@ -413,38 +459,39 @@ def innovation_stream(net: RegionNet, series) -> np.ndarray:
     Row t holds (Phi(t+1) - Phi(t) - m dt) / (sigma sqrt(dt)) per site; the
     potential-rate form (Phidot - m)/sigma times sqrt(dt).
     """
-    phi = np.asarray(series, dtype=float)
-    m_e, _, _ = recover_firings(net, phi)
-    aff = _afferent_totals(net, m_e)
-    _, gain_e, gain_i, slope, _, _ = _site_arrays(net)
-    pre_e = m_e[:-1, :]
-    f_e, f_i = threshold_factor(net.columns, pre_e, slope * pre_e, aff[:-1, :],
-                                net.denominator_approx)
-    g_e, g_i, g_ee, g_ii = drifts_diffusions(net.columns, f_e, f_i, pre_e, slope * pre_e)
-    m = gain_e * g_e + gain_i * g_i
-    var = gain_e ** 2 * g_ee + gain_i ** 2 * g_ii
-    if np.any(var <= 0.0):
-        raise DegenerateVariance("conditional variance must be positive")
-    dt = net.dt_ms
-    return (np.diff(phi, axis=0) - m * dt) / np.sqrt(var * dt)
+    phi = _series(net, series)
+    tr = _Transitions(net)
+    m, var, _, _ = tr.moments(phi, tr.sites, tr.weights)
+    return (np.diff(phi, axis=0) - m * tr.dt) / np.sqrt(var * tr.dt)
 
 
 def simulate(net: RegionNet, epochs: int, seed: int, initial=None) -> np.ndarray:
-    """Euler step the potential dynamics; emitted states respect firing ranges."""
+    """Euler step the potential dynamics; emitted states respect firing ranges.
+
+    initial, when given, is the (n_sites,) starting potential; it defaults to
+    the site offsets.
+    """
     epochs = int(epochs)
     if epochs < 1:
         raise OutOfDomain("epochs must be >= 1")
     n_sites = len(net.sites)
-    offset, gain_e, gain_i, slope, denom, bound = _site_arrays(net)
-    dt = net.dt_ms
-    stream = NormalStream(seed)
+    tr = _Transitions(net)
+    offset, gain_e, gain_i, slope, denom, bound = _site_arrays(tr.columns, tr.sites)
+    dt = tr.dt
 
     phi = np.empty((epochs, n_sites))
-    phi[0] = np.asarray(initial, dtype=float) if initial is not None else offset
+    if initial is None:
+        phi[0] = offset
+    else:
+        initial = np.asarray(initial, dtype=float)
+        if initial.shape != (n_sites,):
+            raise DimensionMismatch(f"initial must have shape ({n_sites},), "
+                                    f"got {initial.shape}")
+        phi[0] = initial
+    # Normals are elementwise in their uniforms, so one draw for the whole run
+    # equals one draw per epoch.
+    noise = NormalStream(seed).draw((epochs - 1) * n_sites).reshape(epochs - 1, n_sites)
     m_hist = np.empty((epochs, n_sites))
-    idx = {s.name: i for i, s in enumerate(net.sites)}
-    in_edges = [(idx[c.source], idx[c.target], c.delay, c.weight)
-                for c in net.couplings]
 
     for t in range(epochs):
         m_hist[t] = np.clip((phi[t] - offset) / denom, -bound, bound)
@@ -452,20 +499,12 @@ def simulate(net: RegionNet, epochs: int, seed: int, initial=None) -> np.ndarray
         if t == epochs - 1:
             break
         aff = np.zeros(n_sites)
-        for src, tgt, lag, w in in_edges:
+        for (src, tgt, lag), w in zip(tr.edges, tr.weights):
             if t - lag >= 0:
                 aff[tgt] += w * m_hist[t - lag, src]
-        m_e = m_hist[t]
-        f_e, f_i = threshold_factor(net.columns, m_e, slope * m_e, aff,
-                                    net.denominator_approx)
-        g_e, g_i, g_ee, g_ii = drifts_diffusions(net.columns, f_e, f_i,
-                                                 m_e, slope * m_e)
-        m = gain_e * g_e + gain_i * g_i
-        var = gain_e ** 2 * g_ee + gain_i ** 2 * g_ii
-        if np.any(var <= 0.0):
-            raise DegenerateVariance("conditional variance must be positive")
-        z = stream.draw(n_sites)
-        phi[t + 1] = phi[t] + m * dt + np.sqrt(var * dt) * z
+        m, var = _transition_moments(tr.columns, tr.denominator_approx, gain_e,
+                                     gain_i, slope, m_hist[t], aff)
+        phi[t + 1] = phi[t] + m * dt + np.sqrt(var * dt) * noise[t]
     return phi
 
 
@@ -501,6 +540,48 @@ class FitResult:
     refine_result: anneal.OptResult | None
 
 
+def _fit_cost(net: RegionNet, keys, phi, penalty_weight: float):
+    """The fit's penalized cost as a function of the free values, compiled once.
+
+    Each key becomes a slot in the (n_sites, 4) site array or the coupling
+    weights. The columns are never free, so they are centered once; the
+    coupling edges and phidot are fixed too. Unknown sites and couplings raise
+    OutOfDomain here, before any evaluation.
+    """
+    apply_params(net, dict.fromkeys(keys, 0.0))
+    site_pos, site_slot, coup_pos, coup_slot = [], [], [], []
+    for pos, key in enumerate(keys):
+        kind, ident, fieldname = parse_param_key(key)
+        if kind == "site":
+            site_pos.append(pos)
+            site_slot.append(len(SITE_FIELDS) * net.site_index(ident)
+                             + SITE_FIELDS.index(fieldname))
+        else:
+            hits = [j for j, c in enumerate(net.couplings)
+                    if (c.source, c.target) == ident]
+            coup_pos += [pos] * len(hits)
+            coup_slot += hits
+    try:
+        tr = _Transitions(replace(net, columns=centering_shift(net.columns)))
+    except NoSolution:
+        return lambda vec: np.inf
+    phidot = np.diff(phi, axis=0) / tr.dt
+
+    def cost(vec):
+        vec = np.asarray(vec, dtype=float)
+        sites = tr.sites.copy()
+        sites.flat[site_slot] = vec[site_pos]
+        weights = tr.weights.copy()
+        weights[coup_slot] = vec[coup_pos]
+        try:
+            terms, _, excess = tr.log_terms(phi, phidot, sites, weights)
+        except (SingularInversion, DegenerateVariance, NonPositiveDenominator):
+            return np.inf
+        return -float(np.sum(terms)) + penalty_weight * excess
+
+    return cost
+
+
 def fit_net(series, net: RegionNet, free, bounds,
             config: anneal.AnnealConfig | None = None,
             penalty_weight: float = 1e3, refine_calls: int = 1000,
@@ -509,10 +590,10 @@ def fit_net(series, net: RegionNet, free, bounds,
 
     free is a sequence of parameter keys ('Fz.offset', 'Fz->Cz.weight', ...);
     bounds maps each key to (lo, hi). The cost is -loglik plus penalty_weight
-    times the total out-of-range firing distance, and the columnar constants
-    are re-centered on every evaluation (the shift is a function of the
-    columns alone, so this also covers coupling-weight changes). An empty
-    free list returns the template untouched with its likelihood.
+    times the total out-of-range firing distance. The columnar constants are
+    never free, so they are centered once, before the search; the fitted net
+    carries the centered columns. An empty free list returns the template
+    untouched with its likelihood.
     """
     phi = np.asarray(series, dtype=float)
     keys = list(free)
@@ -526,20 +607,7 @@ def fit_net(series, net: RegionNet, free, bounds,
         box = [(float(bounds[k][0]), float(bounds[k][1])) for k in keys]
     except KeyError as exc:
         raise OutOfDomain(f"missing bounds for parameter {exc.args[0]!r}") from exc
-    for k in keys:
-        parse_param_key(k)
-
-    def build(vec):
-        candidate = apply_params(net, dict(zip(keys, vec)))
-        return replace(candidate, columns=centering_shift(candidate.columns))
-
-    def cost(vec):
-        try:
-            det = loglikelihood_details(build(vec), phi)
-        except (NoSolution, SingularInversion, DegenerateVariance,
-                NonPositiveDenominator):
-            return np.inf
-        return -det["loglik"] + penalty_weight * det["excess"]
+    cost = _fit_cost(net, keys, _series(net, phi, min_epochs=2), penalty_weight)
 
     res = anneal.minimize(cost, box, config, trace_path=trace_path)
     refine = None
@@ -548,7 +616,8 @@ def fit_net(series, net: RegionNet, free, bounds,
         refine = anneal.local_refine(cost, res.x, box, max_calls=refine_calls)
         if refine.cost < best.cost:
             best = refine
-    fitted = build(best.x)
+    fitted = apply_params(net, dict(zip(keys, best.x)))
+    fitted = replace(fitted, columns=centering_shift(fitted.columns))
     det = loglikelihood_details(fitted, phi)
     return FitResult(net=fitted, loglik=det["loglik"],
                      clamp_fraction=det["clamp_fraction"],

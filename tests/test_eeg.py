@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from tailfolio import eeg
@@ -11,11 +15,12 @@ from tailfolio.eeg import (ColumnParams, Coupling, ElectrodeSite, RegionNet,
                            innovation_stream, joint_loglikelihood,
                            loglikelihood_details, parse_param_key,
                            recover_firings, simulate, threshold_factor)
-from tailfolio.errors import (DegenerateVariance, DimensionMismatch,
-                              NonPositiveDenominator, NoSolution, OutOfDomain,
-                              SingularInversion)
+from tailfolio.errors import (CostNotFinite, DegenerateVariance,
+                              DimensionMismatch, NonPositiveDenominator,
+                              NoSolution, OutOfDomain, SingularInversion)
+from tailfolio.rng import NormalStream
 
-from helpers import centered_columns, two_site_net
+from helpers import centered_columns, p300_free_params, p300_net, two_site_net
 
 
 def hand_columns(**overrides) -> ColumnParams:
@@ -338,3 +343,119 @@ def test_fit_net_single_parameter_recovers():
     assert res.net.sites[0].offset == pytest.approx(1.0, abs=0.5)
     assert not res.out_of_range
     assert res.anneal_result is not None
+
+
+def test_simulate_rejects_misshaped_initial_state():
+    net = two_site_net()
+    for bad in ([1.0], [[1.0], [2.0]], 1.0, [1.0, 2.0, 3.0]):
+        with pytest.raises(DimensionMismatch, match="initial"):
+            simulate(net, 5, seed=1, initial=bad)
+    simulate(net, 5, seed=1, initial=[1.0, 2.0])
+
+
+def per_epoch_simulate(net, epochs, seed, initial=None):
+    """Reference simulation: one normal draw per epoch, public kernels only."""
+    offset = np.array([s.offset for s in net.sites])
+    gain_e = np.array([s.gain_e for s in net.sites])
+    gain_i = np.array([s.gain_i for s in net.sites])
+    slope = np.array([s.trough_slope for s in net.sites])
+    denom = gain_e + gain_i * slope
+    bound = np.minimum(net.columns.n_e, net.columns.n_i / np.abs(slope))
+    stream = NormalStream(seed)
+    idx = {name: i for i, name in enumerate(net.names)}
+    phi = np.empty((epochs, len(net.sites)))
+    phi[0] = offset if initial is None else initial
+    m_hist = np.empty_like(phi)
+    for t in range(epochs):
+        m_hist[t] = np.clip((phi[t] - offset) / denom, -bound, bound)
+        phi[t] = offset + denom * m_hist[t]
+        if t == epochs - 1:
+            break
+        aff = np.zeros(len(net.sites))
+        for c in net.couplings:
+            if t - c.delay >= 0:
+                aff[idx[c.target]] += c.weight * m_hist[t - c.delay, idx[c.source]]
+        m_e = m_hist[t]
+        f_e, f_i = threshold_factor(net.columns, m_e, slope * m_e, aff,
+                                    net.denominator_approx)
+        g_e, g_i, g_ee, g_ii = drifts_diffusions(net.columns, f_e, f_i,
+                                                 m_e, slope * m_e)
+        m = gain_e * g_e + gain_i * g_i
+        var = gain_e ** 2 * g_ee + gain_i ** 2 * g_ii
+        phi[t + 1] = phi[t] + m * net.dt_ms + np.sqrt(var * net.dt_ms) * stream.draw(
+            len(net.sites))
+    return phi
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 60), k=st.integers(1, 60), seed=st.integers(0, 2 ** 32),
+       start=st.none() | st.tuples(st.floats(-200.0, 200.0), st.floats(-200.0, 200.0)))
+def test_simulate_prefix_and_per_epoch_reference(n, k, seed, start):
+    net = two_site_net(delay=2)
+    k = min(k, n)
+    initial = None if start is None else np.array(start)
+    full = simulate(net, n, seed, initial=initial)
+    assert np.array_equal(full[:k], simulate(net, k, seed, initial=initial))
+    assert full.tobytes() == per_epoch_simulate(net, n, seed, initial).tobytes()
+
+
+def reference_fit_cost(net, keys, phi, vec, penalty_weight=1e3):
+    """The fit's cost as rebuild-and-evaluate: -loglik + penalty * excess."""
+    candidate = apply_params(net, dict(zip(keys, vec)))
+    candidate = replace(candidate, columns=centering_shift(candidate.columns))
+    try:
+        det = loglikelihood_details(candidate, phi)
+    except (SingularInversion, DegenerateVariance, NonPositiveDenominator):
+        return np.inf
+    return -det["loglik"] + penalty_weight * det["excess"]
+
+
+def test_compiled_fit_cost_equals_rebuild_reference():
+    truth = p300_net()
+    phi = simulate(truth, 300, seed=101)
+    # an uncentered template: the compiled cost must center it exactly once
+    template = replace(truth, columns=ColumnParams())
+    keys, bounds = p300_free_params(truth)
+    cost = eeg._fit_cost(template, keys, phi, 1e3)
+    lo = np.array([bounds[k][0] for k in keys])
+    hi = np.array([bounds[k][1] for k in keys])
+    rng = np.random.default_rng(20)
+    points = list(lo + (hi - lo) * rng.random((200, len(keys))))
+    # small combined gains push recovered firings past their bounds
+    for scale in (0.05, 0.2):
+        clamp = points[0].copy()
+        for i, key in enumerate(keys):
+            if key.endswith((".gain_e", ".gain_i")):
+                clamp[i] *= scale
+        points.append(clamp)
+    singular = points[1].copy()
+    for key, val in (("Pz.gain_e", 0.5), ("Pz.gain_i", 1.0), ("Pz.trough_slope", -0.5)):
+        singular[keys.index(key)] = val
+    points.append(singular)
+
+    clamped = 0
+    for vec in points:
+        want = reference_fit_cost(template, keys, phi, vec)
+        assert cost(vec) == want
+        clamped += np.isfinite(want) and want != reference_fit_cost(
+            template, keys, phi, vec, penalty_weight=0.0)
+    assert clamped >= 2
+    assert cost(singular) == np.inf
+
+
+def test_fit_net_error_parity(monkeypatch):
+    net = two_site_net()
+    phi = simulate(net, 50, seed=8)
+    uncenterable = replace(net, columns=ColumnParams(pol_mean=((0.0, -0.1), (0.1, -0.1))))
+    with pytest.raises(CostNotFinite, match="initial point"):
+        fit_net(phi, uncenterable, free=["Fz.offset"], bounds={"Fz.offset": (0.0, 2.0)})
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("cost evaluated before the keys were checked")
+
+    monkeypatch.setattr(eeg.anneal, "minimize", no_search)
+    for key in ("Qz.offset", "Cz->Fz.weight"):
+        with pytest.raises(OutOfDomain, match="unknown"):
+            fit_net(phi, net, free=[key], bounds={key: (0.0, 1.0)})
+    with pytest.raises(DimensionMismatch):
+        fit_net(phi[:1], net, free=["Fz.offset"], bounds={"Fz.offset": (0.0, 2.0)})
