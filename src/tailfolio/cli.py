@@ -22,8 +22,8 @@ import numpy as np
 from . import eeg, indicators
 from .anneal import AnnealConfig
 from .copula import CopulaModel, estimate_correlation, to_gaussian
-from .errors import (ConstraintUnsatisfiable, DegenerateData, DegenerateVariance,
-                     EngineError, IllConditioned, InvalidBounds, LengthMismatch,
+from .errors import (DegenerateData, DegenerateVariance, EngineError,
+                     IllConditioned, InvalidBounds, LengthMismatch,
                      NotPositiveDefinite, OutOfDomain, ParseError, WindowTooShort)
 from .events import sample_events
 from .marginals import fit_exponential
@@ -50,8 +50,6 @@ def exit_code_for(exc: Exception) -> int:
         return EXIT_DEGENERATE
     if isinstance(exc, (IllConditioned, NotPositiveDefinite)):
         return EXIT_ILL_CONDITIONED
-    if isinstance(exc, ConstraintUnsatisfiable):
-        return EXIT_INFEASIBLE
     return EXIT_INTERNAL
 
 

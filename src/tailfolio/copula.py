@@ -2,9 +2,11 @@
 
 Each channel's increment dx is mapped to a standard normal coordinate
 
-    dy = sqrt(2) sgn(dx - m) erfinv(1 - exp(-|dx - m|/chi))
+    dy = -sgn(dx - m) ndtri(exp(-|dx - m|/chi) / 2)
 
-which is the normal quantile of the marginal's cdf. The inverse map is
+which is the normal quantile of the marginal's cdf, taken on the side of the
+smaller tail mass so it never forms 1 - exp(-a) and stays exact in the tail.
+The inverse map is
 
     dx = m - sgn(dy) chi ln(1 - erf(|dy|/sqrt 2))
 
@@ -13,7 +15,8 @@ entirely in the correlation matrix of the dy coordinates: the joint density is
 the copula factor det(G)^{-1/2} exp(-1/2 dy' (G^{-1} - I) dy) times the
 product of marginal densities. The same quadratic form defines an effective
 action A = L dt + 1/2 ln det G + (N/2) ln(2 pi dt) with
-L = dy' G^{-1} dy / (2 dt^2).
+L = dy' G^{-1} dy / (2 dt^2). ln det G is kept as a log, so neither factor
+underflows at high dimension.
 
 Correlation is estimated from trailing moving-average pre-smoothed dy series,
 normalized to unit diagonal.
@@ -24,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import erf, erfc
+from scipy.linalg import lapack, solve_triangular
+from scipy.special import erfc, ndtri
 
 from .errors import (DimensionMismatch, IllConditioned, NotPositiveDefinite,
                      OutOfDomain, WindowTooShort)
 from .marginals import ExponentialMarginal
-from .rng import erfinv
 
 Y_MAX = 8.0
 EPS_PD = 1e-10
@@ -40,14 +42,13 @@ _SQRT2 = float(np.sqrt(2.0))
 def to_gaussian(marginal: ExponentialMarginal, dx, y_max: float = Y_MAX):
     """Map increments to standard normal coordinates, clamped to |dy| <= y_max.
 
-    The erfinv argument is formed as -expm1(-t) so the complement survives in
-    the tail; arguments within one ulp of 1 would otherwise lose everything.
+    dy = -sgn(t) ndtri(exp(-|t|/chi) / 2) with t = dx - m: the quantile of the
+    tail mass beyond |t|, which keeps full relative accuracy however small
+    that mass is.
     """
     t = np.asarray(dx, dtype=float) - marginal.m
-    sign = np.sign(t)
     chi = np.where(t < 0.0, marginal.width_below(), marginal.width_above())
-    z = -np.expm1(-np.abs(t) / chi)
-    dy = _SQRT2 * sign * erfinv(z)
+    dy = np.sign(-t) * ndtri(0.5 * np.exp(-np.abs(t) / chi))
     dy = np.clip(dy, -y_max, y_max)
     return float(dy) if dy.ndim == 0 else dy
 
@@ -64,22 +65,24 @@ def from_gaussian(marginal: ExponentialMarginal, dy):
 def cholesky_lower(matrix, pivot_floor: float = 0.0) -> np.ndarray:
     """Lower-triangular Cholesky factor with explicit pivot control.
 
-    Raises NotPositiveDefinite as soon as a pivot (the remaining diagonal
-    element before its square root) fails to exceed pivot_floor.
+    Raises NotPositiveDefinite at the first pivot (the remaining diagonal
+    element before its square root) that fails to exceed pivot_floor: where
+    LAPACK stops on a non-positive pivot, or where diag(C)^2 is at or below
+    the floor.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("matrix must be square")
-    n = a.shape[0]
-    c = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - c[j, :j] @ c[j, :j]
-        if not (d > pivot_floor):
-            raise NotPositiveDefinite(
-                f"pivot {d:.6e} at index {j} not above floor {pivot_floor:.3e}")
-        c[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            c[j + 1:, j] = (a[j + 1:, j] - c[j + 1:, :j] @ c[j, :j]) / c[j, j]
+    c, info = lapack.dpotrf(a, lower=1, clean=1)
+    pivots = np.diag(c) ** 2
+    if info > 0:
+        # LAPACK stops at a non-positive pivot and leaves it, unrooted, in place
+        pivots = np.append(pivots[:info - 1], c[info - 1, info - 1])
+    low = np.flatnonzero(~(pivots > pivot_floor))
+    if low.size or info > 0:
+        j = int(low[0]) if low.size else info - 1
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.6e} at index {j} not above floor {pivot_floor:.3e}")
     return c
 
 
@@ -90,7 +93,7 @@ class CorrelationMatrix:
     matrix: np.ndarray      # G, the correlation entries
     cholesky: np.ndarray    # lower C with C C' = G
     inverse: np.ndarray     # G^{-1}
-    det: float              # det G
+    logdet: float           # ln det G
 
     @property
     def dim(self) -> int:
@@ -113,12 +116,18 @@ class CorrelationMatrix:
         c = cholesky_lower(g, pivot_floor=floor)
         c_inv = solve_triangular(c, np.eye(g.shape[0]), lower=True)
         inverse = c_inv.T @ c_inv
-        det = float(np.exp(2.0 * np.sum(np.log(np.diag(c)))))
-        return cls(matrix=g, cholesky=c, inverse=inverse, det=det)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+        return cls(matrix=g, cholesky=c, inverse=inverse, logdet=logdet)
 
 
 def identity_correlation(n: int) -> CorrelationMatrix:
     return CorrelationMatrix.from_matrix(np.eye(n))
+
+
+def pre_average(y: np.ndarray, window: int) -> np.ndarray:
+    """Trailing moving average of each row of y; output length T - window + 1."""
+    kernel = np.ones(window) / window
+    return np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="valid"), 1, y)
 
 
 def estimate_correlation(y_series, pre_average_window: int = 3,
@@ -138,9 +147,7 @@ def estimate_correlation(y_series, pre_average_window: int = 3,
         raise OutOfDomain("pre-average window must be >= 1")
     if t < w:
         raise WindowTooShort(f"{t} epochs cannot support window {w}")
-    if w > 1:
-        kernel = np.ones(w) / w
-        y = np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="valid"), 1, y)
+    y = pre_average(y, w)
     t_eff = y.shape[1]
     if t_eff <= n:
         raise WindowTooShort(
@@ -199,7 +206,7 @@ def copula_density(corr: CorrelationMatrix, dy):
         raise DimensionMismatch("dy last axis must match correlation dimension")
     excess = corr.inverse - np.eye(corr.dim)
     q = np.einsum("...i,ij,...j->...", dy, excess, dy)
-    out = corr.det ** -0.5 * np.exp(-0.5 * q)
+    out = np.exp(-0.5 * (q + corr.logdet))
     return float(out) if out.ndim == 0 else out
 
 
@@ -223,5 +230,5 @@ def effective_action(corr: CorrelationMatrix, dy, dt: float):
     if dy.shape[-1] != corr.dim:
         raise DimensionMismatch("dy last axis must match correlation dimension")
     lagr = np.einsum("...i,ij,...j->...", dy, corr.inverse, dy) / (2.0 * dt * dt)
-    out = lagr * dt + 0.5 * np.log(corr.det) + 0.5 * corr.dim * np.log(2.0 * np.pi * dt)
+    out = lagr * dt + 0.5 * corr.logdet + 0.5 * corr.dim * np.log(2.0 * np.pi * dt)
     return float(out) if out.ndim == 0 else out

@@ -42,14 +42,6 @@ class ZeroCapital(EngineError):
     """Portfolio value at the anchor epoch is zero."""
 
 
-class ConstraintUnsatisfiable(EngineError):
-    """No sampled position satisfied the tail-probability constraint."""
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 class InvalidBounds(EngineError):
     """Search bounds are non-finite or inverted."""
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import CopulaModel, cholesky_lower  # noqa: F401  (cholesky re-export)
-from .copula import from_gaussian
+from .copula import CopulaModel, from_gaussian
 from .errors import OutOfDomain
-from .rng import NormalStream, standard_normal_stream  # noqa: F401
+from .rng import NormalStream
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import anneal
-from .copula import CopulaModel, estimate_correlation, to_gaussian
+from .copula import CopulaModel, estimate_correlation, pre_average, to_gaussian
 from .eeg import RegionNet, innovation_stream
 from .errors import DegenerateData, IllConditioned, LengthMismatch
 from .marginals import fit_exponential
@@ -151,8 +151,8 @@ def indicator_report(streams, holdout_fraction: float = 0.25,
         corr = estimate_correlation(y, pre_average_window=pre_average_window)
     except IllConditioned:
         pairs = []
-        smoothed = y
-        sample = np.corrcoef(smoothed)
+        with np.errstate(invalid="ignore"):
+            sample = np.corrcoef(pre_average(y, pre_average_window))
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 rho = float(sample[i, j])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from tailfolio import copula, marginals
@@ -45,6 +48,36 @@ def test_round_trip_increments():
     assert np.max(np.abs(back - x)) < 1e-10
 
 
+@settings(max_examples=200, deadline=None)
+@given(m=st.floats(-5.0, 5.0), chi_minus=st.floats(0.01, 20.0),
+       chi_plus=st.floats(0.01, 20.0), symmetric=st.booleans(),
+       widths=st.floats(-30.0, 30.0))
+def test_round_trip_out_to_30_widths(m, chi_minus, chi_plus, symmetric, widths):
+    if symmetric:
+        mg = ExponentialMarginal(m=m, chi=chi_minus)
+    else:
+        mg = ExponentialMarginal(m=m, chi=chi_minus, chi_minus=chi_minus,
+                                 chi_plus=chi_plus)
+    x = m + widths * (mg.width_below() if widths < 0.0 else mg.width_above())
+    back = from_gaussian(mg, to_gaussian(mg, x, y_max=np.inf))
+    assert abs(back - x) < 1e-10
+
+
+@pytest.mark.parametrize("mg", [
+    ExponentialMarginal(m=0.4, chi=0.7),
+    ExponentialMarginal(m=-1.2, chi=1.0, chi_minus=0.05, chi_plus=3.0),
+])
+def test_to_gaussian_tail_mass_identity(mg):
+    # log P(Y < -|dy|) must equal the marginal's log tail mass ln(1/2) - |t|/chi
+    x = np.concatenate([mg.m - mg.width_below() * np.linspace(30.0, 0.0, 3001),
+                        mg.m + mg.width_above() * np.linspace(0.0, 30.0, 3001)])
+    t = x - mg.m
+    chi = np.where(t < 0.0, mg.width_below(), mg.width_above())
+    expected = np.log(0.5) - np.abs(t) / chi
+    got = log_ndtr(-np.abs(to_gaussian(mg, x, y_max=np.inf)))
+    assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-13
+
+
 def test_cholesky_matches_numpy():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(6, 6))
@@ -60,6 +93,19 @@ def test_cholesky_rejects_indefinite():
         cholesky_lower(g)
     with pytest.raises(DimensionMismatch):
         cholesky_lower(np.ones((2, 3)))
+
+
+def test_cholesky_names_first_pivot_below_floor():
+    # rows 0 and 1 are nearly collinear: LAPACK factors it, but the pivot at
+    # index 1 is about 2e-13, positive and below the floor
+    g = np.array([[1.0, 1.0 - 1e-13, 0.0],
+                  [1.0 - 1e-13, 1.0, 0.0],
+                  [0.0, 0.0, 1.0]])
+    np.linalg.cholesky(g)
+    with pytest.raises(NotPositiveDefinite, match="pivot .* at index 1 not above"):
+        cholesky_lower(g, pivot_floor=1e-10)
+    with pytest.raises(NotPositiveDefinite, match="pivot .* at index 2 not above"):
+        cholesky_lower([[4.0, 0.0, 2.0], [0.0, 1.0, 3.0], [2.0, 3.0, 1.0]])
 
 
 def test_correlation_matrix_validation():
@@ -80,15 +126,32 @@ def test_correlation_matrix_factors_consistent():
     corr = CorrelationMatrix.from_matrix(g)
     assert np.allclose(corr.cholesky @ corr.cholesky.T, g, atol=1e-12)
     assert np.allclose(corr.inverse, np.linalg.inv(g), atol=1e-12)
-    assert corr.det == pytest.approx(np.linalg.det(g), rel=1e-12)
+    assert corr.logdet == pytest.approx(np.linalg.slogdet(g)[1], rel=1e-12)
     # factor orientation: C' G^{-1} C = I
     ident = corr.cholesky.T @ corr.inverse @ corr.cholesky
     assert np.allclose(ident, np.eye(3), atol=1e-10)
 
 
+def test_correlation_high_dimension_stays_finite():
+    rng = np.random.default_rng(800)
+    a = rng.normal(size=(800, 810))
+    cov = a @ a.T
+    d = np.sqrt(np.diag(cov))
+    g = cov / np.outer(d, d)
+    corr = CorrelationMatrix.from_matrix(g)
+    sign, logdet = np.linalg.slogdet(g)
+    assert sign == 1.0 and logdet < -745.0   # det G underflows a double
+    assert corr.logdet == pytest.approx(logdet, rel=1e-12)
+    dy = corr.cholesky @ rng.normal(size=800)
+    dens = copula_density(corr, dy)
+    action = effective_action(corr, dy, 0.5)
+    assert np.isfinite(dens) and dens > 0.0
+    assert np.isfinite(action)
+
+
 def test_identity_correlation():
     corr = identity_correlation(4)
-    assert corr.det == pytest.approx(1.0)
+    assert corr.logdet == pytest.approx(0.0)
     assert np.allclose(corr.inverse, np.eye(4))
 
 

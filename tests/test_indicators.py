@@ -135,3 +135,15 @@ def test_fit_weights_prefers_informative_direction():
                                     AnnealConfig(seed=4, max_trials=2000))
     # the tight channel should dominate the mix
     assert abs(w[0]) > abs(w[1])
+
+
+def test_degenerate_pairing_names_stream_flat_after_pre_averaging():
+    # a period-3 stream averages to a constant over the 3-epoch window
+    a = np.tile([0.0, 1.0, -1.0], 134)[:400]
+    b = np.random.default_rng(3).normal(size=400)
+    report, model = indicator_report([stream_from_values("a", a),
+                                      stream_from_values("b", b)])
+    assert model is None
+    assert report["status"] == "degenerate_pairing"
+    assert report["degenerate_pairs"]
+    assert all("a" in pair[:2] for pair in report["degenerate_pairs"])
