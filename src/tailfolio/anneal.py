@@ -25,6 +25,7 @@ function calls) that never returns a point worse than its start.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,8 @@ class OptResult:
     acceptances: int
     exit_reason: str                   # converged | trial-limit | acceptance-repeat
     window_best: tuple[float, ...] = field(default_factory=tuple)
+    # per trial, in trial order: cost, acceptance temperature (interleaved)
+    trace: array = field(default_factory=lambda: array("d"), repr=False)
 
 
 def _check_bounds(bounds):
@@ -110,7 +113,7 @@ def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
 
 
 def minimize(cost, bounds, config: AnnealConfig | None = None,
-             trace_path=None, record_accepted: list | None = None,
+             record_accepted: list | None = None,
              max_acceptances: int | None = None) -> OptResult:
     """Anneal cost over the box; returns the best point ever evaluated."""
     cfg = config or AnnealConfig()
@@ -156,7 +159,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
     next_window = cfg.acceptance_window
     next_reanneal = cfg.reanneal_interval
     window_best: list[float] = []
-    trace_rows: list[str] | None = [] if trace_path is not None else None
+    trace = array("d")
     exit_reason = "trial-limit"
 
     def reanneal():
@@ -194,8 +197,8 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
         k_gen += 1.0
 
         t_acc = max(accept_t0 * math.exp(-cfg.accept_c * k_acc ** inv_d), _T_FLOOR)
-        if trace_rows is not None:
-            trace_rows.append(f"{trials},{fc:.17g},{t_acc:.17g}")
+        trace.append(fc)
+        trace.append(t_acc)
 
         delta = fc - fx
         accepted = delta <= 0.0
@@ -225,15 +228,9 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
                 reanneal()
                 next_reanneal += cfg.reanneal_interval
 
-    if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("trial,cost,accept_temp\n")
-            fh.write("\n".join(trace_rows))
-            if trace_rows:
-                fh.write("\n")
-
     return OptResult(x=best_x, cost=best_f, trials=trials, acceptances=acceptances,
-                     exit_reason=exit_reason, window_best=tuple(window_best))
+                     exit_reason=exit_reason, window_best=tuple(window_best),
+                     trace=trace)
 
 
 def local_refine(cost, x0, bounds, max_calls: int = 1000,

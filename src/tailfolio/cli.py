@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -30,9 +31,9 @@ from .marginals import fit_exponential
 from .modelfile import (anneal_config_from_dict, ensure_out_dir, fmt, load_json,
                         load_model, load_net, read_series_csv, save_json,
                         save_model, save_net, write_bins_csv, write_events_csv,
-                        write_series_csv)
-from .risk import (ContractPortfolio, LinearPortfolio, RiskConfig,
-                   optimize_positions, portfolio_returns, risk_report)
+                        write_series_csv, write_trace_csv)
+from .risk import (Q_TARGET, VAR_LEVEL, ContractPortfolio, LinearPortfolio,
+                   RiskConfig, optimize_positions, portfolio_returns, risk_report)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -65,7 +66,7 @@ def _config_of(args) -> dict:
 def _anneal_config(block: dict | None, seed: int) -> AnnealConfig:
     cfg = anneal_config_from_dict(block or {})
     if block is None or "seed" not in block:
-        cfg = AnnealConfig(**{**cfg.__dict__, "seed": seed})
+        cfg = replace(cfg, seed=seed)
     return cfg
 
 
@@ -196,18 +197,15 @@ def cmd_optimize(args) -> int:
     if len(bounds) != dim:
         raise ParseError(f"bounds need {dim} pair(s), got {len(bounds)}")
     risk_block = cfg.get("risk", {})
-    risk_cfg = RiskConfig(
-        var_level=float(risk_block.get("var_level", 0.05)),
-        q_target=float(risk_block.get("q_target", 0.01)),
-        q_tolerance=float(risk_block.get("q_tolerance", 0.002)),
-        penalty_weight=float(risk_block.get("penalty_weight", 1e3)))
+    risk_cfg = RiskConfig(**{f.name: float(risk_block[f.name])
+                             for f in fields(RiskConfig) if f.name in risk_block})
     n = int(cfg.get("n", 10000))
     batch = sample_events(model, n, args.seed)
     acfg = _anneal_config(cfg.get("anneal"), args.seed)
-    trace = os.path.join(out, "trace_optimize.csv") if args.verbose else None
     opt = optimize_positions(batch, template, bounds, risk_cfg, acfg,
-                             refine_calls=int(cfg.get("refine_calls", 1000)),
-                             trace_path=trace)
+                             refine_calls=int(cfg.get("refine_calls", 1000)))
+    if args.verbose:
+        write_trace_csv(os.path.join(out, "trace_optimize.csv"), opt.result)
     values = (opt.portfolio.weights if isinstance(opt.portfolio, LinearPortfolio)
               else opt.portfolio.counts)
     save_json(os.path.join(out, "positions.json"), {
@@ -258,11 +256,11 @@ def cmd_eeg(args) -> int:
         except (TypeError, ValueError, IndexError) as exc:
             raise ParseError(f"bad bounds block: {exc}") from exc
         acfg = _anneal_config(cfg.get("anneal"), args.seed)
-        trace = os.path.join(out, "trace_fit.csv") if args.verbose else None
         fit = eeg.fit_net(data, net, free, bounds, acfg,
                           penalty_weight=float(cfg.get("penalty_weight", 1e3)),
-                          refine_calls=int(cfg.get("refine_calls", 1000)),
-                          trace_path=trace)
+                          refine_calls=int(cfg.get("refine_calls", 1000)))
+        if args.verbose and fit.anneal_result is not None:
+            write_trace_csv(os.path.join(out, "trace_fit.csv"), fit.anneal_result)
         save_net(os.path.join(out, "net.json"), fit.net)
         save_json(os.path.join(out, "fit_report.json"), {
             "kind": "fit_report",
@@ -384,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model JSON")
     p.add_argument("--weights", default=None,
                    help="comma-separated channel weights (default all 1)")
-    p.add_argument("--var", type=float, default=0.05, help="VaR level")
-    p.add_argument("--q", type=float, default=0.01, help="target tail mass")
+    p.add_argument("--var", type=float, default=VAR_LEVEL, help="VaR level")
+    p.add_argument("--q", type=float, default=Q_TARGET, help="target tail mass")
     p.add_argument("--n", type=int, default=100000, help="number of events")
     p.set_defaults(handler=cmd_risk)
 

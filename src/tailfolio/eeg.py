@@ -37,6 +37,7 @@ M-dagger(t) = weight * M^E_source(t - delay), zero before the data start.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
@@ -231,31 +232,16 @@ class RegionNet:
             raise OutOfDomain("site names must be unique")
         if not (self.dt_ms > 0.0):
             raise OutOfDomain("dt must be positive")
-        index = {n: i for i, n in enumerate(names)}
+        instantaneous = TopologicalSorter()
         for c in self.couplings:
-            if c.source not in index or c.target not in index:
+            if c.source not in names or c.target not in names:
                 raise OutOfDomain(f"coupling {c.source}->{c.target} names unknown site")
-        self._check_zero_delay_acyclic(index)
-
-    def _check_zero_delay_acyclic(self, index):
-        adj = {i: [] for i in range(len(self.sites))}
-        for c in self.couplings:
             if c.delay == 0:
-                adj[index[c.source]].append(index[c.target])
-        state = {}
-
-        def visit(node):
-            state[node] = 1
-            for nxt in adj[node]:
-                if state.get(nxt) == 1:
-                    raise OutOfDomain("zero-delay couplings must not form a cycle")
-                if nxt not in state:
-                    visit(nxt)
-            state[node] = 2
-
-        for i in adj:
-            if i not in state:
-                visit(i)
+                instantaneous.add(c.target, c.source)
+        try:
+            instantaneous.prepare()
+        except CycleError:
+            raise OutOfDomain("zero-delay couplings must not form a cycle") from None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -584,8 +570,7 @@ def _fit_cost(net: RegionNet, keys, phi, penalty_weight: float):
 
 def fit_net(series, net: RegionNet, free, bounds,
             config: anneal.AnnealConfig | None = None,
-            penalty_weight: float = 1e3, refine_calls: int = 1000,
-            trace_path=None) -> FitResult:
+            penalty_weight: float = 1e3, refine_calls: int = 1000) -> FitResult:
     """Fit the keyed free parameters by annealing the penalized likelihood.
 
     free is a sequence of parameter keys ('Fz.offset', 'Fz->Cz.weight', ...);
@@ -609,7 +594,7 @@ def fit_net(series, net: RegionNet, free, bounds,
         raise OutOfDomain(f"missing bounds for parameter {exc.args[0]!r}") from exc
     cost = _fit_cost(net, keys, _series(net, phi, min_epochs=2), penalty_weight)
 
-    res = anneal.minimize(cost, box, config, trace_path=trace_path)
+    res = anneal.minimize(cost, box, config)
     refine = None
     best = res
     if refine_calls > 0:

@@ -69,8 +69,8 @@ def sample_events(model: CopulaModel, n: int, seed: int, lanes: int = 1,
     else:
         parts = [_lane_chunk(model, counts[i], seed, i) for i in range(lanes)]
 
-    dz = np.concatenate([p[0] for p in parts], axis=0) if parts else np.empty((0, model.dim))
-    dy = np.concatenate([p[1] for p in parts], axis=0) if parts else np.empty((0, model.dim))
-    dx = np.concatenate([p[2] for p in parts], axis=0) if parts else np.empty((0, model.dim))
+    dz = np.concatenate([p[0] for p in parts], axis=0)
+    dy = np.concatenate([p[1] for p in parts], axis=0)
+    dx = np.concatenate([p[2] for p in parts], axis=0)
     return EventBatch(dz=dz, dy=dy, dx=dx, seed=int(seed), lanes=lanes,
                       channels=model.channels)

@@ -158,7 +158,7 @@ def indicator_report(streams, holdout_fraction: float = 0.25,
                 rho = float(sample[i, j])
                 if not np.isfinite(rho) or abs(rho) >= DEGENERATE_RHO:
                     pairs.append([names[i], names[j],
-                                  rho if np.isfinite(rho) else 1.0])
+                                  rho if np.isfinite(rho) else None])
         report["status"] = "degenerate_pairing"
         report["degenerate_pairs"] = pairs
         return report, None

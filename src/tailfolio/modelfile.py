@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -58,42 +60,61 @@ def load_json(path) -> dict:
 
 # ---------------------------------------------------------------- CSV tables
 
-def write_table(path, header, rows) -> None:
-    """Write a numeric table; rows iterate over sequences matching header."""
-    width = len(header)
+def write_table(path, header, values) -> None:
+    """Write a (rows, len(header)) numeric array under a one-line header."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(header):
+        raise ParseError("row width does not match header")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            if len(row) != width:
-                raise ParseError("row width does not match header")
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        np.savetxt(fh, values, fmt="%.17g", delimiter=",")
 
 
 def read_table(path):
-    """Read a numeric CSV into (header tuple, float array (rows, cols))."""
+    """Read a numeric CSV into (header tuple, float array (rows, cols)).
+
+    Blank lines are skipped. np.loadtxt parses the rows; when it fails, the
+    rows are parsed again one by one to name the line at fault.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            first = fh.readline()
+            if not first.strip():
+                raise ParseError(f"{path}: no data rows")
+            header = tuple(name.strip() for name in first.split(","))
+            try:
+                with warnings.catch_warnings():
+                    # an empty body warns; it is reported below as no data rows
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                data = None
+            if data is None or data.shape[1] != len(header):
+                fh.seek(0)
+                data = _parse_rows(path, fh.read().splitlines(), len(header))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not lines or not lines[0].strip():
+    if data.size == 0:
         raise ParseError(f"{path}: no data rows")
-    header = tuple(name.strip() for name in lines[0].split(","))
-    data = []
+    return header, data
+
+
+def _parse_rows(path, lines, width):
+    """The data rows of lines, line by line, or a ParseError naming the line."""
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, "
+        if len(parts) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields, "
                              f"got {len(parts)}")
         try:
-            data.append([float(p) for p in parts])
+            [float(p) for p in parts]   # Python's message for a non-number
+            rows.append(np.loadtxt([line], delimiter=",", comments=None, ndmin=1))
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    if not data:
-        raise ParseError(f"{path}: no data rows")
-    return header, np.asarray(data, dtype=float)
+    return np.array(rows).reshape(-1, width)
 
 
 def write_series_csv(path, values, columns, index_name: str = "epoch") -> None:
@@ -101,9 +122,8 @@ def write_series_csv(path, values, columns, index_name: str = "epoch") -> None:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(columns):
         raise ParseError("values must be (rows, len(columns))")
-    header = (index_name, *columns)
-    rows = ([float(i), *values[i]] for i in range(values.shape[0]))
-    write_table(path, header, rows)
+    write_table(path, (index_name, *columns),
+                np.column_stack([np.arange(values.shape[0]), values]))
 
 
 def read_series_csv(path):
@@ -123,21 +143,18 @@ def write_events_csv(path, batch) -> None:
 
 def write_bins_csv(path, distribution) -> None:
     edges = distribution.bin_edges
-    counts = distribution.bin_counts
-    rows = ([edges[i], edges[i + 1], float(counts[i])] for i in range(len(counts)))
-    write_table(path, ("edge_low", "edge_high", "count"), rows)
+    write_table(path, ("edge_low", "edge_high", "count"),
+                np.column_stack([edges[:-1], edges[1:], distribution.bin_counts]))
+
+
+def write_trace_csv(path, result) -> None:
+    """Annealer trace of an OptResult: trial number, cost, acceptance temperature."""
+    trace = np.asarray(result.trace).reshape(-1, 2)
+    write_table(path, ("trial", "cost", "accept_temp"),
+                np.column_stack([np.arange(1, len(trace) + 1), trace]))
 
 
 # ----------------------------------------------------------- copula model IO
-
-def marginal_to_dict(marginal: ExponentialMarginal) -> dict:
-    return {
-        "m": marginal.m,
-        "chi": marginal.chi,
-        "chi_minus": marginal.chi_minus,
-        "chi_plus": marginal.chi_plus,
-    }
-
 
 def marginal_from_dict(d: dict) -> ExponentialMarginal:
     try:
@@ -154,7 +171,7 @@ def save_model(path, model: CopulaModel) -> None:
     payload = {
         "kind": "copula_model",
         "channels": list(model.channels),
-        "marginals": [{"channel": ch, **marginal_to_dict(mg)}
+        "marginals": [{"channel": ch, **asdict(mg)}
                       for ch, mg in zip(model.channels, model.marginals)],
         "correlation": model.correlation.matrix,
     }
@@ -179,19 +196,6 @@ def load_model(path) -> CopulaModel:
 
 # -------------------------------------------------------------- region net IO
 
-def columns_to_dict(cols: ColumnParams) -> dict:
-    return {
-        "n_e": cols.n_e, "n_i": cols.n_i, "tau_ms": cols.tau_ms,
-        "threshold": list(cols.threshold),
-        "gain": [list(r) for r in cols.gain],
-        "background": [list(r) for r in cols.background],
-        "pol_mean": [list(r) for r in cols.pol_mean],
-        "pol_var": [list(r) for r in cols.pol_var],
-        "lr_count": cols.lr_count, "lr_gain": cols.lr_gain,
-        "lr_background": cols.lr_background,
-    }
-
-
 def _pair(x):
     a, b = x
     return (float(a), float(b))
@@ -210,21 +214,6 @@ def columns_from_dict(d: dict) -> ColumnParams:
             lr_background=float(d["lr_background"]))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"malformed columns block ({exc})") from exc
-
-
-def net_to_dict(net: RegionNet) -> dict:
-    return {
-        "kind": "region_net",
-        "dt_ms": net.dt_ms,
-        "denominator_approx": net.denominator_approx,
-        "columns": columns_to_dict(net.columns),
-        "sites": [{"name": s.name, "offset": s.offset, "gain_e": s.gain_e,
-                   "gain_i": s.gain_i, "trough_slope": s.trough_slope}
-                  for s in net.sites],
-        "couplings": [{"source": c.source, "target": c.target,
-                       "weight": c.weight, "delay": c.delay}
-                      for c in net.couplings],
-    }
 
 
 def net_from_dict(d: dict) -> RegionNet:
@@ -247,7 +236,14 @@ def net_from_dict(d: dict) -> RegionNet:
 
 
 def save_net(path, net: RegionNet) -> None:
-    save_json(path, net_to_dict(net))
+    save_json(path, {
+        "kind": "region_net",
+        "dt_ms": net.dt_ms,
+        "denominator_approx": net.denominator_approx,
+        "columns": asdict(net.columns),
+        "sites": [asdict(s) for s in net.sites],
+        "couplings": [asdict(c) for c in net.couplings],
+    })
 
 
 def load_net(path) -> RegionNet:
@@ -259,11 +255,7 @@ def load_net(path) -> RegionNet:
 
 # ------------------------------------------------------------- config blocks
 
-_ANNEAL_KEYS = {
-    "t0", "c", "accept_t0", "accept_c", "reanneal_interval",
-    "acceptance_window", "window_repeat_tol", "max_trials", "k_max",
-    "regen_attempts", "sensitivity_step", "seed", "x0",
-}
+_ANNEAL_KEYS = {f.name for f in fields(AnnealConfig)}
 
 
 def anneal_config_from_dict(d: dict) -> AnnealConfig:

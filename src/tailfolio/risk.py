@@ -278,8 +278,7 @@ class PositionOptimization:
 
 def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig(),
                        config: anneal.AnnealConfig | None = None,
-                       objective=None, refine_calls: int = 1000,
-                       trace_path=None) -> PositionOptimization:
+                       objective=None, refine_calls: int = 1000) -> PositionOptimization:
     """Anneal free positions on a fixed event batch under the tail constraint.
 
     template is a LinearPortfolio (weights free) or ContractPortfolio (counts
@@ -311,15 +310,13 @@ def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig()
         q = q_empirical(dm, risk.var_level)
         return objective(dm) + risk.penalty_weight * cost_q(q, risk.q_target)
 
-    res = anneal.minimize(cost, bounds, config, trace_path=trace_path)
+    res = anneal.minimize(cost, bounds, config)
     if refine_calls > 0:
         res_ref = anneal.local_refine(cost, res.x, bounds, max_calls=refine_calls)
         if res_ref.cost < res.cost:
-            res = anneal.OptResult(x=res_ref.x, cost=res_ref.cost,
-                                   trials=res.trials + res_ref.trials,
-                                   acceptances=res.acceptances,
-                                   exit_reason=res_ref.exit_reason,
-                                   window_best=res.window_best)
+            res = replace(res, x=res_ref.x, cost=res_ref.cost,
+                          trials=res.trials + res_ref.trials,
+                          exit_reason=res_ref.exit_reason)
 
     dm = returns(res.x)
     q = q_empirical(dm, risk.var_level)

@@ -4,6 +4,7 @@ import pytest
 from tailfolio.anneal import (AnnealConfig, generation_delta, importance_sample,
                               local_refine, minimize, temperature)
 from tailfolio.errors import CostNotFinite, InvalidBounds
+from tailfolio.modelfile import write_trace_csv
 from tailfolio.rng import UniformStream
 
 
@@ -107,7 +108,8 @@ def test_minimize_reanneal_anisotropic():
 def test_trace_file_format(tmp_path):
     path = tmp_path / "trace.csv"
     res = minimize(lambda p: float(np.sum(p ** 2)), [(-1.0, 1.0)],
-                   AnnealConfig(seed=1, max_trials=200), trace_path=path)
+                   AnnealConfig(seed=1, max_trials=200))
+    write_trace_csv(path, res)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,cost,accept_temp"
     assert len(lines) == res.trials + 1

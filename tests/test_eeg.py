@@ -105,6 +105,8 @@ def test_region_net_validations():
     with pytest.raises(OutOfDomain, match="cycle"):
         RegionNet(sites=(a, b), couplings=(Coupling("A", "B", 0.1, 0),
                                            Coupling("B", "A", 0.1, 0)))
+    with pytest.raises(OutOfDomain, match="cycle"):
+        RegionNet(sites=(a, b), couplings=(Coupling("A", "A", 0.1, 0),))
     # a delayed edge breaks the instantaneous cycle
     net = RegionNet(sites=(a, b), couplings=(Coupling("A", "B", 0.1, 0),
                                              Coupling("B", "A", 0.1, 1)))

@@ -147,3 +147,5 @@ def test_degenerate_pairing_names_stream_flat_after_pre_averaging():
     assert report["status"] == "degenerate_pairing"
     assert report["degenerate_pairs"]
     assert all("a" in pair[:2] for pair in report["degenerate_pairs"])
+    # a has no variance left, so its correlation with b is undefined
+    assert report["degenerate_pairs"] == [["a", "b", None]]

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from tailfolio import modelfile
-from tailfolio.anneal import AnnealConfig
+from tailfolio.anneal import AnnealConfig, minimize
 from tailfolio.copula import CopulaModel, CorrelationMatrix
 from tailfolio.errors import ParseError
 from tailfolio.marginals import ExponentialMarginal
 from tailfolio.modelfile import (anneal_config_from_dict, fmt, load_json,
                                  load_model, load_net, read_series_csv,
                                  read_table, save_json, save_model, save_net,
-                                 write_bins_csv, write_series_csv, write_table)
+                                 write_bins_csv, write_series_csv, write_table,
+                                 write_trace_csv)
 from tailfolio.risk import fit_bins
 
 from helpers import two_site_net
@@ -33,6 +34,72 @@ def test_table_round_trip_exact(tmp_path):
     text = path.read_text()
     assert "\r" not in text
     assert text.endswith("\n")
+
+
+def test_write_table_matches_per_value_format(tmp_path):
+    # the bytes of the former writer: "%.17g" per value, joined by commas
+    special = [-0.0, 5e-324, 2.0 ** 53, 1.0 / 3.0, np.inf, -np.inf, np.nan,
+               -1e-300, 1e308, 0.1]
+    values = np.column_stack([np.arange(len(special)), special,
+                              -np.asarray(special[::-1])])
+    path = tmp_path / "t.csv"
+    write_table(path, ("index", "a", "b"), values)
+    expected = "index,a,b\n" + "".join(
+        ",".join("%.17g" % float(v) for v in row) + "\n" for row in values)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert "-0," in expected and ",inf," in expected and "nan" in expected
+
+    empty = tmp_path / "empty.csv"
+    write_table(empty, ("a", "b"), np.empty((0, 2)))
+    assert empty.read_bytes() == b"a,b\n"
+    with pytest.raises(ParseError, match="width"):
+        write_table(empty, ("a", "b"), np.zeros((2, 3)))
+
+
+def test_trace_csv_matches_former_annealer_format(tmp_path):
+    res = minimize(lambda p: float(np.sum(p ** 2)), [(-1.0, 1.0)] * 2,
+                   AnnealConfig(seed=2, max_trials=300))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, res)
+    costs, temps = res.trace[0::2], res.trace[1::2]
+    assert len(costs) == res.trials
+    expected = "trial,cost,accept_temp\n" + "".join(
+        f"{i},{c:.17g},{t:.17g}\n" for i, (c, t) in enumerate(zip(costs, temps), 1))
+    assert path.read_text() == expected
+
+
+def test_read_table_names_the_file_line(tmp_path):
+    late = tmp_path / "late.csv"
+    late.write_text("a,b\n1.0,2.0\n\n3.0,oops\n")
+    with pytest.raises(ParseError, match=r"late\.csv:4: .*'oops'"):
+        read_table(late)
+
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("a,b,c\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(ParseError, match=r"narrow\.csv:2: expected 3 fields, got 2"):
+        read_table(narrow)
+
+    # Python's float() takes digit separators; the table format does not
+    underscore = tmp_path / "underscore.csv"
+    underscore.write_text("a\n1.0\n1_000\n")
+    with pytest.raises(ParseError, match=r"underscore\.csv:3"):
+        read_table(underscore)
+
+    blank_only = tmp_path / "blank.csv"
+    blank_only.write_text("a,b\n\n  \n")
+    with pytest.raises(ParseError, match="no data rows"):
+        read_table(blank_only)
+
+
+def test_read_table_skips_blank_and_whitespace_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("a,b\n1.0,2.0\n\n   \n3.0, 4.0 \n")
+    header, data = read_table(path)
+    assert header == ("a", "b")
+    assert np.array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
+    single = tmp_path / "single.csv"
+    single.write_text("x\n5.0\n")
+    assert read_table(single)[1].shape == (1, 1)
 
 
 def test_read_table_errors(tmp_path):
@@ -153,6 +220,27 @@ def test_net_round_trip(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["kind"] == "region_net"
     assert payload["couplings"][0]["delay"] == 2
+
+
+def test_json_key_order_pinned(tmp_path):
+    net_path = tmp_path / "net.json"
+    save_net(net_path, two_site_net(weight=0.07, delay=2))
+    net = json.loads(net_path.read_text())
+    assert list(net) == ["kind", "dt_ms", "denominator_approx", "columns",
+                         "sites", "couplings"]
+    assert list(net["columns"]) == [
+        "n_e", "n_i", "tau_ms", "threshold", "gain", "background", "pol_mean",
+        "pol_var", "lr_count", "lr_gain", "lr_background"]
+    assert list(net["sites"][0]) == ["name", "offset", "gain_e", "gain_i",
+                                     "trough_slope"]
+    assert list(net["couplings"][0]) == ["source", "target", "weight", "delay"]
+
+    model_path = tmp_path / "model.json"
+    save_model(model_path, make_model())
+    model = json.loads(model_path.read_text())
+    assert list(model) == ["kind", "channels", "marginals", "correlation"]
+    assert list(model["marginals"][0]) == ["channel", "m", "chi", "chi_minus",
+                                           "chi_plus"]
 
 
 def test_load_net_kind_guard(tmp_path):
