@@ -19,7 +19,8 @@ directions the cost barely feels are re-heated relative to sensitive ones.
 The run stops when two consecutive windows of 100 acceptances leave the best
 cost unchanged within tolerance, or at the trial budget (default 20000).
 `local_refine` is a bounded quasi-Newton polish (numerical gradients, capped
-function calls) that never returns a point worse than its start.
+function calls) that never returns a point worse than its start; `search`
+anneals and then polishes.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
         s_max = sens.max()
         if s_max <= 0.0:
             return
-        cur_t = t0v * np.exp(-cv * np.maximum(k_gen, 0.0) ** inv_d)
+        cur_t = temperature(np.maximum(k_gen, 0.0), t0v, cv, d)
         active = free & (sens > 0.0)
         t_new = cur_t[active] * (s_max / sens[active])
         arg = np.maximum(np.log(t0v[active] / np.maximum(t_new, _T_FLOOR)) / cv[active], 0.0)
@@ -191,7 +192,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
 
     while trials < cfg.max_trials:
         trials += 1
-        temps = np.maximum(t0v * np.exp(-cv * k_gen ** inv_d), _T_FLOOR)
+        temps = np.maximum(temperature(k_gen, t0v, cv, d), _T_FLOOR)
         cand = generate_candidate(x, temps, lo, hi, uniforms, cfg.regen_attempts)
         fc = evaluate(cand)
         k_gen += 1.0
@@ -266,6 +267,22 @@ def local_refine(cost, x0, bounds, max_calls: int = 1000,
     reason = "converged" if res.status == 0 else "trial-limit"
     return OptResult(x=x_best, cost=f_best, trials=calls, acceptances=0,
                      exit_reason=reason)
+
+
+def search(cost, bounds, config: AnnealConfig | None = None,
+           refine_calls: int = 1000):
+    """Anneal, then polish the annealed point with local_refine.
+
+    Returns (anneal result, refine result or None, the better of the two).
+    The polish is skipped when refine_calls is 0 or the annealed cost is not
+    below the 1e30 sentinel.
+    """
+    res = minimize(cost, bounds, config)
+    refine = None
+    if refine_calls > 0 and res.cost < _BIG:
+        refine = local_refine(cost, res.x, bounds, max_calls=refine_calls)
+    best = refine if refine is not None and refine.cost < res.cost else res
+    return res, refine, best
 
 
 @dataclass(frozen=True)

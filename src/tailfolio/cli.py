@@ -27,7 +27,7 @@ from .errors import (DegenerateData, DegenerateVariance, EngineError,
                      IllConditioned, InvalidBounds, LengthMismatch,
                      NotPositiveDefinite, OutOfDomain, ParseError, WindowTooShort)
 from .events import sample_events
-from .marginals import fit_exponential
+from .marginals import fit_channels
 from .modelfile import (anneal_config_from_dict, ensure_out_dir, fmt, load_json,
                         load_model, load_net, read_series_csv, save_json,
                         save_model, save_net, write_bins_csv, write_events_csv,
@@ -63,6 +63,12 @@ def _config_of(args) -> dict:
     return cfg
 
 
+def _present(cfg: dict, **casts) -> dict:
+    """The keys of cfg named in casts, each cast; a key cfg lacks stays out,
+    so the callee keeps its own default."""
+    return {key: cast(cfg[key]) for key, cast in casts.items() if key in cfg}
+
+
 def _anneal_config(block: dict | None, seed: int) -> AnnealConfig:
     cfg = anneal_config_from_dict(block or {})
     if block is None or "seed" not in block:
@@ -82,18 +88,11 @@ def cmd_fit_marginals(args) -> int:
         if window < 2:
             raise ParseError("marginal_window must be >= 2")
         data = data[-window:]
-    asymmetric = bool(cfg.get("asymmetric", False))
-    marginals = []
-    for i, name in enumerate(names):
-        try:
-            marginals.append(fit_exponential(data[:, i], asymmetric=asymmetric))
-        except DegenerateData as exc:
-            raise DegenerateData(f"channel {name!r}: {exc}") from exc
+    marginals = fit_channels(names, data, **_present(cfg, asymmetric=bool))
     y = np.stack([to_gaussian(mg, data[:, i]) for i, mg in enumerate(marginals)],
                  axis=0)
-    corr = estimate_correlation(
-        y, pre_average_window=int(cfg.get("pre_average_window", 3)))
-    model = CopulaModel(marginals=tuple(marginals), correlation=corr,
+    corr = estimate_correlation(y, **_present(cfg, pre_average_window=int))
+    model = CopulaModel(marginals=marginals, correlation=corr,
                         channels=tuple(names))
     save_model(os.path.join(out, "model.json"), model)
     print(f"fitted {len(names)} channel(s) from {data.shape[0]} rows")
@@ -108,8 +107,7 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     if args.n < 1:
         raise ParseError("--n must be >= 1")
-    batch = sample_events(model, args.n, args.seed, lanes=args.lanes,
-                          parallel=args.lanes > 1)
+    batch = sample_events(model, args.n, args.seed, lanes=args.lanes)
     path = os.path.join(out, "events.csv")
     write_events_csv(path, batch)
     print(f"sampled {batch.n} events x {len(model.channels)} channel(s)")
@@ -197,13 +195,13 @@ def cmd_optimize(args) -> int:
     if len(bounds) != dim:
         raise ParseError(f"bounds need {dim} pair(s), got {len(bounds)}")
     risk_block = cfg.get("risk", {})
-    risk_cfg = RiskConfig(**{f.name: float(risk_block[f.name])
-                             for f in fields(RiskConfig) if f.name in risk_block})
+    risk_cfg = RiskConfig(**_present(risk_block,
+                                     **{f.name: float for f in fields(RiskConfig)}))
     n = int(cfg.get("n", 10000))
     batch = sample_events(model, n, args.seed)
     acfg = _anneal_config(cfg.get("anneal"), args.seed)
     opt = optimize_positions(batch, template, bounds, risk_cfg, acfg,
-                             refine_calls=int(cfg.get("refine_calls", 1000)))
+                             **_present(cfg, refine_calls=int))
     if args.verbose:
         write_trace_csv(os.path.join(out, "trace_optimize.csv"), opt.result)
     values = (opt.portfolio.weights if isinstance(opt.portfolio, LinearPortfolio)
@@ -257,8 +255,7 @@ def cmd_eeg(args) -> int:
             raise ParseError(f"bad bounds block: {exc}") from exc
         acfg = _anneal_config(cfg.get("anneal"), args.seed)
         fit = eeg.fit_net(data, net, free, bounds, acfg,
-                          penalty_weight=float(cfg.get("penalty_weight", 1e3)),
-                          refine_calls=int(cfg.get("refine_calls", 1000)))
+                          **_present(cfg, penalty_weight=float, refine_calls=int))
         if args.verbose and fit.anneal_result is not None:
             write_trace_csv(os.path.join(out, "trace_fit.csv"), fit.anneal_result)
         save_net(os.path.join(out, "net.json"), fit.net)
@@ -330,12 +327,10 @@ def cmd_indicators(args) -> int:
         else None
     report, model = indicators.indicator_report(
         streams,
-        holdout_fraction=float(cfg.get("holdout_fraction", 0.25)),
-        fit_weights=bool(cfg.get("fit_weights", False)),
         weights=None if weights is None else [float(v) for v in weights],
-        state_labels=cfg.get("state_labels"),
-        pre_average_window=int(cfg.get("pre_average_window", 3)),
-        config=acfg)
+        state_labels=cfg.get("state_labels"), config=acfg,
+        **_present(cfg, holdout_fraction=float, fit_weights=bool,
+                   pre_average_window=int))
     save_json(os.path.join(out, "indicators.json"), report)
     if model is not None:
         save_model(os.path.join(out, "indicator_model.json"), model)

@@ -47,7 +47,7 @@ def to_gaussian(marginal: ExponentialMarginal, dx, y_max: float = Y_MAX):
     that mass is.
     """
     t = np.asarray(dx, dtype=float) - marginal.m
-    chi = np.where(t < 0.0, marginal.width_below(), marginal.width_above())
+    chi = marginal.side_width(t)
     dy = np.sign(-t) * ndtri(0.5 * np.exp(-np.abs(t) / chi))
     dy = np.clip(dy, -y_max, y_max)
     return float(dy) if dy.ndim == 0 else dy
@@ -57,7 +57,7 @@ def from_gaussian(marginal: ExponentialMarginal, dy):
     """Inverse of to_gaussian (for unclamped |dy|)."""
     y = np.asarray(dy, dtype=float)
     sign = np.sign(y)
-    chi = np.where(y < 0.0, marginal.width_below(), marginal.width_above())
+    chi = marginal.side_width(y)
     dx = marginal.m - sign * chi * np.log(erfc(np.abs(y) / _SQRT2))
     return float(dx) if dx.ndim == 0 else dx
 

@@ -269,27 +269,42 @@ def parse_param_key(key: str):
     return ("site", base, fieldname)
 
 
-def apply_params(net: RegionNet, values: dict) -> RegionNet:
-    """Return a net with the keyed site/coupling parameters replaced."""
-    site_upd: dict[str, dict] = {}
-    coup_upd: dict[tuple[str, str], float] = {}
-    for key, val in values.items():
+def _param_slots(net: RegionNet, keys):
+    """Where each key lives: key position site_pos[j] sets flat slot
+    site_slot[j] of the (n_sites, 4) SITE_FIELDS array, and coup_pos[j] sets
+    coupling coup_slot[j]. Malformed keys and unknown sites raise OutOfDomain
+    in key order, then the first unknown coupling does."""
+    site_pos, site_slot, coup_pos, coup_slot = [], [], [], []
+    unknown = None
+    for pos, key in enumerate(keys):
         kind, ident, fieldname = parse_param_key(key)
         if kind == "site":
-            net.site_index(ident)
-            site_upd.setdefault(ident, {})[fieldname] = float(val)
+            site_pos.append(pos)
+            site_slot.append(len(SITE_FIELDS) * net.site_index(ident)
+                             + SITE_FIELDS.index(fieldname))
         else:
-            coup_upd[ident] = float(val)
-    sites = tuple(replace(s, **site_upd[s.name]) if s.name in site_upd else s
-                  for s in net.sites)
-    pairs = {(c.source, c.target) for c in net.couplings}
-    for pair in coup_upd:
-        if pair not in pairs:
-            raise OutOfDomain(f"unknown coupling {pair[0]}->{pair[1]}")
-    couplings = tuple(replace(c, weight=coup_upd[(c.source, c.target)])
-                      if (c.source, c.target) in coup_upd else c
-                      for c in net.couplings)
-    return replace(net, sites=sites, couplings=couplings)
+            hits = [j for j, c in enumerate(net.couplings)
+                    if (c.source, c.target) == ident]
+            if not hits and unknown is None:
+                unknown = ident
+            coup_pos += [pos] * len(hits)
+            coup_slot += hits
+    if unknown is not None:
+        raise OutOfDomain(f"unknown coupling {unknown[0]}->{unknown[1]}")
+    return site_pos, site_slot, coup_pos, coup_slot
+
+
+def apply_params(net: RegionNet, values: dict) -> RegionNet:
+    """Return a net with the keyed site/coupling parameters replaced."""
+    site_pos, site_slot, coup_pos, coup_slot = _param_slots(net, values)
+    vals = [float(v) for v in values.values()]
+    sites, couplings = list(net.sites), list(net.couplings)
+    for pos, slot in zip(site_pos, site_slot):
+        i, f = divmod(slot, len(SITE_FIELDS))
+        sites[i] = replace(sites[i], **{SITE_FIELDS[f]: vals[pos]})
+    for pos, j in zip(coup_pos, coup_slot):
+        couplings[j] = replace(couplings[j], weight=vals[pos])
+    return replace(net, sites=tuple(sites), couplings=tuple(couplings))
 
 
 def _series(net: RegionNet, series, min_epochs: int = 0) -> np.ndarray:
@@ -534,19 +549,7 @@ def _fit_cost(net: RegionNet, keys, phi, penalty_weight: float):
     coupling edges and phidot are fixed too. Unknown sites and couplings raise
     OutOfDomain here, before any evaluation.
     """
-    apply_params(net, dict.fromkeys(keys, 0.0))
-    site_pos, site_slot, coup_pos, coup_slot = [], [], [], []
-    for pos, key in enumerate(keys):
-        kind, ident, fieldname = parse_param_key(key)
-        if kind == "site":
-            site_pos.append(pos)
-            site_slot.append(len(SITE_FIELDS) * net.site_index(ident)
-                             + SITE_FIELDS.index(fieldname))
-        else:
-            hits = [j for j, c in enumerate(net.couplings)
-                    if (c.source, c.target) == ident]
-            coup_pos += [pos] * len(hits)
-            coup_slot += hits
+    site_pos, site_slot, coup_pos, coup_slot = _param_slots(net, keys)
     try:
         tr = _Transitions(replace(net, columns=centering_shift(net.columns)))
     except NoSolution:
@@ -594,13 +597,7 @@ def fit_net(series, net: RegionNet, free, bounds,
         raise OutOfDomain(f"missing bounds for parameter {exc.args[0]!r}") from exc
     cost = _fit_cost(net, keys, _series(net, phi, min_epochs=2), penalty_weight)
 
-    res = anneal.minimize(cost, box, config)
-    refine = None
-    best = res
-    if refine_calls > 0:
-        refine = anneal.local_refine(cost, res.x, box, max_calls=refine_calls)
-        if refine.cost < best.cost:
-            best = refine
+    res, refine, best = anneal.search(cost, box, config, refine_calls)
     fitted = apply_params(net, dict(zip(keys, best.x)))
     fitted = replace(fitted, columns=centering_shift(fitted.columns))
     det = loglikelihood_details(fitted, phi)

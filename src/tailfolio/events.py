@@ -4,8 +4,8 @@ Whitened draws dz come from the deterministic normal stream, are colored by
 the Cholesky factor (dy rows = dz rows times C'), and each dy column is pushed
 through the inverse marginal map to produce increments dx. Batches are
 reproducible bit for bit from (model, n, seed, lanes): lane j consumes stream
-index j of the seed, and lanes are merged in lane order, so a thread pool and
-a serial loop produce identical batches.
+index j of the seed, and lanes run on a thread pool but are merged in lane
+order, so the batch equals a serial loop's.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ def _lane_chunk(model: CopulaModel, count: int, seed: int, lane: int):
     return dz, dy, dx
 
 
-def sample_events(model: CopulaModel, n: int, seed: int, lanes: int = 1,
-                  parallel: bool = False) -> EventBatch:
+def sample_events(model: CopulaModel, n: int, seed: int, lanes: int = 1) -> EventBatch:
     """Draw n correlated events; identical output for any execution schedule."""
     n = int(n)
     lanes = int(lanes)
@@ -62,7 +61,7 @@ def sample_events(model: CopulaModel, n: int, seed: int, lanes: int = 1,
     base = n // lanes
     counts = [base + (1 if i < n % lanes else 0) for i in range(lanes)]
 
-    if parallel and lanes > 1:
+    if lanes > 1:
         with ThreadPoolExecutor(max_workers=min(lanes, 8)) as pool:
             parts = list(pool.map(
                 lambda i: _lane_chunk(model, counts[i], seed, i), range(lanes)))

@@ -11,7 +11,7 @@ distribution overlaps between epoch groups as Bhattacharyya coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from . import anneal
 from .copula import CopulaModel, estimate_correlation, pre_average, to_gaussian
 from .eeg import RegionNet, innovation_stream
 from .errors import DegenerateData, IllConditioned, LengthMismatch
-from .marginals import fit_exponential
-from .risk import bhattacharyya_overlap, fit_bins
+from .marginals import fit_channels, fit_exponential
+from .risk import bhattacharyya_overlap
 
 FLATNESS_TOL = 1e-9
 DEGENERATE_RHO = 0.999
@@ -79,22 +79,16 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
             marg = fit_exponential(train @ wn)
         except DegenerateData:
             return _BIG
-        held = holdout @ wn
-        t = np.abs(held - marg.m)
-        widths = np.where(held < marg.m, marg.width_below(), marg.width_above())
-        ll = float(np.sum(-np.log(2.0 * widths) - t / widths))
+        t = holdout @ wn - marg.m
+        widths = marg.side_width(t)
+        ll = float(np.sum(-np.log(2.0 * widths) - np.abs(t) / widths))
         return -ll
 
     if config is None:
         config = anneal.AnnealConfig(max_trials=4000, seed=7)
     x0 = np.full(k, 1.0 / np.sqrt(k))
-    config = anneal.AnnealConfig(**{**config.__dict__, "x0": tuple(x0)})
-    res = anneal.minimize(cost, [(-1.0, 1.0)] * k, config)
-    best = res
-    if res.cost < _BIG:
-        refine = anneal.local_refine(cost, res.x, [(-1.0, 1.0)] * k, max_calls=500)
-        if refine.cost < res.cost:
-            best = refine
+    res, _, best = anneal.search(cost, [(-1.0, 1.0)] * k,
+                                 replace(config, x0=tuple(x0)), refine_calls=500)
     w = np.asarray(best.x)
     norm = float(np.linalg.norm(w))
     w = x0 if norm < 1e-12 else w / norm
@@ -109,8 +103,8 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
 
 
 def _shape_params(values):
-    dist = fit_bins(values)
-    return {"mean": dist.mean, "width": dist.width, "n": int(dist.count)}
+    shape = fit_exponential(values)
+    return {"mean": shape.m, "width": shape.chi, "n": len(values)}
 
 
 def indicator_report(streams, holdout_fraction: float = 0.25,
@@ -141,7 +135,7 @@ def indicator_report(streams, holdout_fraction: float = 0.25,
         "holdout_epochs": int(t_total - t_train),
     }
 
-    marginals = tuple(fit_exponential(train[:, i]) for i in range(len(names)))
+    marginals = fit_channels(names, train)
     report["marginals"] = {name: {"m": mg.m, "chi": mg.chi}
                            for name, mg in zip(names, marginals)}
 

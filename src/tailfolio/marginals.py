@@ -56,11 +56,9 @@ class ExponentialMarginal:
     def width_above(self) -> float:
         return self.chi_plus if self.chi_plus is not None else self.chi
 
-
-def _side_widths(marginal, dx):
-    t = np.asarray(dx, dtype=float) - marginal.m
-    chi = np.where(t < 0.0, marginal.width_below(), marginal.width_above())
-    return t, chi
+    def side_width(self, t):
+        """Width on the side of m where each offset t = dx - m (or dy) lies."""
+        return np.where(t < 0.0, self.width_below(), self.width_above())
 
 
 def fit_exponential(samples, eps_var: float = EPS_VAR,
@@ -94,16 +92,29 @@ def fit_exponential(samples, eps_var: float = EPS_VAR,
     return ExponentialMarginal(m=m, chi=chi, chi_minus=chi_minus, chi_plus=chi_plus)
 
 
+def fit_channels(names, data, asymmetric: bool = False) -> tuple[ExponentialMarginal, ...]:
+    """Fit each column of data; a degenerate column's error names its channel."""
+    marginals = []
+    for i, name in enumerate(names):
+        try:
+            marginals.append(fit_exponential(data[:, i], asymmetric=asymmetric))
+        except DegenerateData as exc:
+            raise DegenerateData(f"channel {name!r}: {exc}") from exc
+    return tuple(marginals)
+
+
 def pdf(marginal: ExponentialMarginal, dx):
     """Density at dx; vectorized."""
-    t, chi = _side_widths(marginal, dx)
+    t = np.asarray(dx, dtype=float) - marginal.m
+    chi = marginal.side_width(t)
     out = np.exp(-np.abs(t) / chi) / (2.0 * chi)
     return float(out) if out.ndim == 0 else out
 
 
 def cdf(marginal: ExponentialMarginal, dx):
     """Distribution function, sgn(0) = 0 convention; vectorized."""
-    t, chi = _side_widths(marginal, dx)
+    t = np.asarray(dx, dtype=float) - marginal.m
+    chi = marginal.side_width(t)
     tail = np.exp(-np.abs(t) / chi)
     out = 0.5 * (1.0 + np.sign(t) * (1.0 - tail))
     return float(out) if out.ndim == 0 else out

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import anneal
 from .errors import (DegenerateData, DimensionMismatch, OutOfDomain, ZeroCapital)
-from .marginals import EPS_VAR, ExponentialMarginal
+from .marginals import fit_exponential
 
 PENALTY_WEIGHT = 1e3
 Q_TARGET = 0.01
@@ -126,49 +126,25 @@ class PortfolioDistribution:
     count: int
     bin_edges: np.ndarray
     bin_counts: np.ndarray
-    samples_sorted: np.ndarray
-    width_minus: float | None = None
-    width_plus: float | None = None
-
-    @property
-    def shape(self) -> ExponentialMarginal:
-        return ExponentialMarginal(m=self.mean, chi=self.width,
-                                   chi_minus=self.width_minus,
-                                   chi_plus=self.width_plus)
 
 
-def fit_bins(samples, bin_count: int = BIN_COUNT, asymmetric: bool = False,
-             eps_var: float = EPS_VAR) -> PortfolioDistribution:
+def fit_bins(samples, bin_count: int = BIN_COUNT) -> PortfolioDistribution:
     """Moment fit of the return shape; histogram spans mean +- 12 widths.
 
-    Samples beyond the span are clipped into the end bins so counts always sum
-    to the sample count. Moments come from the raw samples, never the bins.
+    The shape is fit_exponential's. Samples beyond the span are clipped into
+    the end bins so counts always sum to the sample count. Moments come from
+    the raw samples, never the bins.
     """
-    x = np.asarray(samples, dtype=float).ravel()
-    if x.size < 2:
-        raise DegenerateData("need at least two samples")
-    mean = float(np.mean(x))
-    var = float(np.mean((x - mean) ** 2))
-    if var < eps_var:
-        raise DegenerateData(f"return variance {var:.3e} below floor")
-    width = float(np.sqrt(var / 2.0))
-    w_minus = w_plus = None
-    if asymmetric:
-        below = x[x < mean] - mean
-        above = x[x > mean] - mean
-        if below.size and above.size:
-            w_minus = float(np.sqrt(np.mean(below ** 2) / 2.0))
-            w_plus = float(np.sqrt(np.mean(above ** 2) / 2.0))
+    shape = fit_exponential(samples)
     if int(bin_count) < 1:
         raise OutOfDomain("bin_count must be >= 1")
-    span = BIN_HALF_WIDTH * width
-    edges = np.linspace(mean - span, mean + span, int(bin_count) + 1)
+    x = np.asarray(samples, dtype=float).ravel()
+    span = BIN_HALF_WIDTH * shape.chi
+    edges = np.linspace(shape.m - span, shape.m + span, int(bin_count) + 1)
     clipped = np.clip(x, edges[0], edges[-1])
     counts, _ = np.histogram(clipped, bins=edges)
-    return PortfolioDistribution(mean=mean, width=width, count=x.size,
-                                 bin_edges=edges, bin_counts=counts,
-                                 samples_sorted=np.sort(x),
-                                 width_minus=w_minus, width_plus=w_plus)
+    return PortfolioDistribution(mean=shape.m, width=shape.chi, count=x.size,
+                                 bin_edges=edges, bin_counts=counts)
 
 
 def q_analytic(width: float, mean: float, var_level: float) -> float:
@@ -197,12 +173,13 @@ def q_empirical(samples, var_level: float) -> float:
 
 
 def expected_tail_loss(samples, var_level: float) -> float | None:
-    """Mean of returns below -|VaR|; None when that tail is empty."""
+    """Mean of returns below -|VaR|, summed in ascending order; None when that
+    tail is empty."""
     x = np.asarray(samples, dtype=float).ravel()
     tail = x[x < -abs(var_level)]
     if tail.size == 0:
         return None
-    return float(np.mean(tail))
+    return float(np.mean(np.sort(tail)))
 
 
 def cost_q(q: float, q_target: float = Q_TARGET) -> float:
@@ -233,12 +210,11 @@ def risk_report(samples, config: RiskConfig = RiskConfig(),
                 bin_count: int = BIN_COUNT):
     """Fit the return shape and assemble the standard tail-risk summary."""
     dist = fit_bins(samples, bin_count=bin_count)
-    x = dist.samples_sorted
     return RiskReport(
         mean=dist.mean, width=dist.width,
         q_analytic=q_analytic(dist.width, dist.mean, config.var_level),
-        q_empirical=q_empirical(x, config.var_level),
-        expected_tail_loss=expected_tail_loss(x, config.var_level),
+        q_empirical=q_empirical(samples, config.var_level),
+        expected_tail_loss=expected_tail_loss(samples, config.var_level),
         var_level=config.var_level, q_target=config.q_target, n=dist.count,
     ), dist
 
@@ -310,13 +286,11 @@ def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig()
         q = q_empirical(dm, risk.var_level)
         return objective(dm) + risk.penalty_weight * cost_q(q, risk.q_target)
 
-    res = anneal.minimize(cost, bounds, config)
-    if refine_calls > 0:
-        res_ref = anneal.local_refine(cost, res.x, bounds, max_calls=refine_calls)
-        if res_ref.cost < res.cost:
-            res = replace(res, x=res_ref.x, cost=res_ref.cost,
-                          trials=res.trials + res_ref.trials,
-                          exit_reason=res_ref.exit_reason)
+    res, refine, best = anneal.search(cost, bounds, config, refine_calls)
+    if best is refine:
+        res = replace(res, x=refine.x, cost=refine.cost,
+                      trials=res.trials + refine.trials,
+                      exit_reason=refine.exit_reason)
 
     dm = returns(res.x)
     q = q_empirical(dm, risk.var_level)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tailfolio.anneal import (AnnealConfig, generation_delta, importance_sample,
-                              local_refine, minimize, temperature)
+                              local_refine, minimize, search, temperature)
 from tailfolio.errors import CostNotFinite, InvalidBounds
 from tailfolio.modelfile import write_trace_csv
 from tailfolio.rng import UniformStream
@@ -189,3 +189,34 @@ def test_multiwell_with_refine_hits_global():
         if res.cost <= 1e-4:
             hits += 1
     assert hits >= 7
+
+
+def _bowl(p):
+    return float(np.sum((p - 0.3) ** 2))
+
+
+def test_search_without_refine_calls_skips_the_polish():
+    res, refine, best = search(_bowl, [(-2.0, 2.0)] * 2,
+                               AnnealConfig(seed=1, max_trials=300), refine_calls=0)
+    assert refine is None
+    assert best is res
+
+
+def test_search_polish_never_returns_a_worse_point():
+    res, refine, best = search(_bowl, [(-2.0, 2.0)] * 2,
+                               AnnealConfig(seed=1, max_trials=300), refine_calls=200)
+    assert refine.cost <= res.cost
+    assert best is refine and best.cost < 1e-12
+    # a flat cost gives the polish nothing to gain: the annealed point stays
+    res, refine, best = search(lambda p: 2.0, [(-2.0, 2.0)] * 2,
+                               AnnealConfig(seed=1, max_trials=50), refine_calls=200)
+    assert refine.cost == res.cost
+    assert best is res
+
+
+def test_search_skips_the_polish_at_the_sentinel():
+    res, refine, best = search(lambda p: 1e30, [(-1.0, 1.0)] * 2,
+                               AnnealConfig(seed=1, max_trials=50), refine_calls=200)
+    assert res.cost == 1e30
+    assert refine is None
+    assert best is res

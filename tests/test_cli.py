@@ -5,8 +5,9 @@ import subprocess
 import numpy as np
 import pytest
 
-from tailfolio import cli
+from tailfolio import cli, eeg
 from tailfolio.copula import CopulaModel, CorrelationMatrix
+from tailfolio.errors import OutOfDomain
 from tailfolio.marginals import ExponentialMarginal, sample
 from tailfolio.modelfile import (load_json, load_net, read_series_csv,
                                  save_json, save_model, save_net,
@@ -356,6 +357,20 @@ def test_indicators_degenerate_pairing(tmp_path, capsys):
     assert not (out / "indicator_model.json").exists()
 
 
+def test_indicators_names_the_flat_stream(tmp_path, capsys):
+    pa = tmp_path / "a.csv"
+    pb = tmp_path / "b.csv"
+    write_series_csv(pa, np.full((200, 1), 2.0), ("value",))
+    write_series_csv(pb, np.random.default_rng(4).laplace(0, 1, (200, 1)), ("value",))
+    cfg = write_config(tmp_path, {
+        "methods": [{"name": "stuck", "csv": str(pa)},
+                    {"name": "live", "csv": str(pb)}],
+    })
+    code = cli.main(["indicators", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "'stuck'" in capsys.readouterr().err
+
+
 def test_indicators_net_method(tmp_path):
     net = two_site_net()
     net_path = tmp_path / "net.json"
@@ -436,3 +451,49 @@ def test_console_script(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sampled 10 events" in proc.stdout
+
+
+def _capture_kwargs(monkeypatch, owner, name):
+    seen = {}
+
+    def fake(*args, **kwargs):
+        seen.update(kwargs)
+        raise OutOfDomain("captured")
+
+    monkeypatch.setattr(owner, name, fake)
+    return seen
+
+
+@pytest.mark.parametrize("extra, expected", [
+    ({}, {}),
+    ({"refine_calls": 7.0}, {"refine_calls": 7}),
+])
+def test_optimize_passes_only_configured_keys(tmp_path, monkeypatch, extra, expected):
+    seen = _capture_kwargs(monkeypatch, cli, "optimize_positions")
+    cfg = write_config(tmp_path, {"bounds": [[0.0, 1.0]], "n": 10, **extra})
+    code = cli.main(["optimize", make_model_json(tmp_path), "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert seen == expected
+    assert [type(v) for v in seen.values()] == [type(v) for v in expected.values()]
+
+
+@pytest.mark.parametrize("extra, expected", [
+    ({}, {}),
+    ({"penalty_weight": 10, "refine_calls": 3.0},
+     {"penalty_weight": 10.0, "refine_calls": 3}),
+])
+def test_eeg_fit_passes_only_configured_keys(tmp_path, monkeypatch, extra, expected):
+    seen = _capture_kwargs(monkeypatch, eeg, "fit_net")
+    net_path = tmp_path / "net.json"
+    save_net(net_path, two_site_net())
+    series = tmp_path / "series.csv"
+    write_series_csv(series, np.random.default_rng(2).normal(size=(20, 2)),
+                     ("Fz", "Cz"))
+    cfg = write_config(tmp_path, {"free": ["Fz.offset"],
+                                  "bounds": {"Fz.offset": [-1.0, 1.0]}, **extra})
+    code = cli.main(["eeg", "fit", str(net_path), str(series), "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert seen == expected
+    assert [type(v) for v in seen.values()] == [type(v) for v in expected.values()]

@@ -3,7 +3,7 @@ import pytest
 
 from tailfolio.copula import CopulaModel, CorrelationMatrix
 from tailfolio.errors import OutOfDomain
-from tailfolio.events import sample_events
+from tailfolio.events import _lane_chunk, sample_events
 from tailfolio.marginals import ExponentialMarginal
 from tailfolio.modelfile import read_series_csv
 
@@ -36,11 +36,14 @@ def test_batch_deterministic():
 
 def test_serial_matches_parallel():
     model = make_model()
-    serial = sample_events(model, 10007, seed=3, lanes=3, parallel=False)
-    pooled = sample_events(model, 10007, seed=3, lanes=3, parallel=True)
-    assert np.array_equal(serial.dz, pooled.dz)
-    assert np.array_equal(serial.dy, pooled.dy)
-    assert np.array_equal(serial.dx, pooled.dx)
+    pooled = sample_events(model, 10007, seed=3, lanes=3)
+    # lanes take 3336, 3336 and 3335 rows, merged in lane order
+    parts = [_lane_chunk(model, count, 3, lane)
+             for lane, count in enumerate((3336, 3336, 3335))]
+    serial = [np.concatenate([p[k] for p in parts], axis=0) for k in range(3)]
+    assert np.array_equal(serial[0], pooled.dz)
+    assert np.array_equal(serial[1], pooled.dy)
+    assert np.array_equal(serial[2], pooled.dx)
 
 
 def test_lane_zero_is_prefix_of_single_lane_run():

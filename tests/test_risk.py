@@ -70,16 +70,20 @@ def test_fit_bins_counts_and_clipping():
 
 
 def test_fit_bins_asymmetric_and_guards():
-    x = np.concatenate([np.full(10, -1.0), np.full(30, 0.5)])
-    dist = fit_bins(x, asymmetric=True)
-    assert dist.width_minus is not None and dist.width_plus is not None
-    assert dist.shape.is_asymmetric
     with pytest.raises(DegenerateData):
         fit_bins(np.array([1.0]))
     with pytest.raises(DegenerateData):
         fit_bins(np.zeros(100))
     with pytest.raises(OutOfDomain):
         fit_bins(np.array([0.0, 1.0]), bin_count=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_bins_rejects_non_finite_samples(bad):
+    x = np.random.default_rng(3).laplace(0.0, 0.02, size=100)
+    x[17] = bad
+    with pytest.raises(OutOfDomain):
+        fit_bins(x)
 
 
 def test_q_analytic_frozen():
