@@ -30,7 +30,6 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import CostNotFinite, InvalidBounds
 from .rng import UniformStream
@@ -242,6 +241,9 @@ def local_refine(cost, x0, bounds, max_calls: int = 1000,
     evaluations; convergence is a projected-gradient norm below
     grad_tol * (1 + |start cost|).
     """
+    # Imported here so that commands which never refine skip its import time.
+    from scipy.optimize import minimize as _scipy_minimize
+
     lo, hi = _check_bounds(bounds)
     x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
     calls = 0

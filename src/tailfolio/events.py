@@ -58,18 +58,13 @@ def sample_events(model: CopulaModel, n: int, seed: int, lanes: int = 1) -> Even
         raise OutOfDomain("n must be non-negative")
     if lanes < 1:
         raise OutOfDomain("lanes must be >= 1")
-    base = n // lanes
-    counts = [base + (1 if i < n % lanes else 0) for i in range(lanes)]
-
-    if lanes > 1:
+    if lanes == 1:
+        dz, dy, dx = _lane_chunk(model, n, seed, 0)
+    else:
+        counts = [n // lanes + (1 if i < n % lanes else 0) for i in range(lanes)]
         with ThreadPoolExecutor(max_workers=min(lanes, 8)) as pool:
             parts = list(pool.map(
                 lambda i: _lane_chunk(model, counts[i], seed, i), range(lanes)))
-    else:
-        parts = [_lane_chunk(model, counts[i], seed, i) for i in range(lanes)]
-
-    dz = np.concatenate([p[0] for p in parts], axis=0)
-    dy = np.concatenate([p[1] for p in parts], axis=0)
-    dx = np.concatenate([p[2] for p in parts], axis=0)
+        dz, dy, dx = (np.concatenate(arrays, axis=0) for arrays in zip(*parts))
     return EventBatch(dz=dz, dy=dy, dx=dx, seed=int(seed), lanes=lanes,
                       channels=model.channels)

@@ -16,7 +16,10 @@ and is reported as absent (None) when the tail holds no samples.
 Position optimization anneals the free position vector against
 objective + penalty * |q_empirical - q_target| on a fixed event batch (common
 random numbers), flagging the result infeasible when the best point misses
-the tail-probability tolerance.
+the tail-probability tolerance. The contract form is affine in dx, so the
+optimizer compiles it once per call into a kernel that costs one (n, D)
+matvec per evaluation; returns_from_contracts is the reference it is
+tested against.
 """
 
 from __future__ import annotations
@@ -115,6 +118,36 @@ def returns_from_contracts(events, portfolio: ContractPortfolio) -> np.ndarray:
     slip = -portfolio.slippage * float(np.sum(np.abs(nc - prev)))
     k_next = portfolio.cash + exposure.sum(axis=1) + slip
     return (k_next - k_prev) / k_prev
+
+
+def _contract_kernel(dx: np.ndarray, template: ContractPortfolio):
+    """returns_from_contracts(dx, replace(template, counts=nc)) as a function
+    of nc, evaluated as dM = (dx @ (|nc| p) + base) / K_prev with
+    base = cash + sum |nc| (p - pe) - s sum |nc - prev| - K_prev. It raises
+    DimensionMismatch and ZeroCapital where the reference does."""
+    if dx.shape[1] != len(template.counts):
+        raise DimensionMismatch("contract dimension must match event channels")
+    p = np.asarray(template.prices, dtype=float)
+    gain = p - np.asarray(template.entry_prices, dtype=float)
+    cash, s = template.cash, template.slippage
+    fixed = template.prev_counts is not None
+    if fixed:
+        prev_fixed = np.asarray(template.prev_counts, dtype=float)
+        k_fixed = cash + float(np.sum(np.sign(prev_fixed) * prev_fixed * gain))
+
+    def returns(nc):
+        nc = np.asarray(nc, dtype=float)
+        if nc.shape != p.shape:
+            raise DimensionMismatch("contract arrays must share one length")
+        held = np.sign(nc) * nc
+        value = cash + float(np.sum(held * gain))
+        k_prev = k_fixed if fixed else value
+        if k_prev == 0.0:
+            raise ZeroCapital("portfolio value at the anchor epoch is zero")
+        slip = s * float(np.sum(np.abs(nc - prev_fixed))) if fixed else 0.0
+        return (dx @ (held * p) + (value - slip - k_prev)) / k_prev
+
+    return returns
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,17 +300,12 @@ def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig()
         objective = lambda dm: -float(np.mean(dm))
 
     if isinstance(template, LinearPortfolio):
-        def build(vec):
-            return replace(template, weights=tuple(vec))
+        free, offset = "weights", float(np.sum(template.offsets))
 
         def returns(vec):
-            return dx @ vec + float(np.sum(template.offsets))
+            return dx @ vec + offset
     elif isinstance(template, ContractPortfolio):
-        def build(vec):
-            return replace(template, counts=tuple(vec))
-
-        def returns(vec):
-            return returns_from_contracts(dx, replace(template, counts=tuple(vec)))
+        free, returns = "counts", _contract_kernel(dx, template)
     else:
         raise OutOfDomain("template must be a LinearPortfolio or ContractPortfolio")
 
@@ -296,5 +324,6 @@ def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig()
     q = q_empirical(dm, risk.var_level)
     cq = cost_q(q, risk.q_target)
     return PositionOptimization(
-        portfolio=build(res.x), objective_value=objective(dm), q=q, cost_q=cq,
+        portfolio=replace(template, **{free: tuple(res.x)}),
+        objective_value=objective(dm), q=q, cost_q=cq,
         feasible=bool(cq < risk.q_tolerance), result=res)

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tailfolio import risk
@@ -52,6 +56,73 @@ def test_contract_zero_capital():
                              cash=0.0)
     with pytest.raises(ZeroCapital):
         returns_from_contracts(np.array([[0.0]]), port)
+
+
+def _vector(dim, lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=dim, max_size=dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 8), fixed_prev=st.booleans(),
+       slippage=st.one_of(st.just(0.0), st.floats(1e-4, 5.0)))
+def test_contract_kernel_matches_reference(data, dim, fixed_prev, slippage):
+    # The compiled kernel regroups the same sums, so it may differ from
+    # returns_from_contracts only by rounding: a few ulps of the largest
+    # operand, over |K_prev|.
+    counts = np.array(data.draw(_vector(dim, -50.0, 50.0)))
+    prices = np.array(data.draw(_vector(dim, 1.0, 200.0)))
+    entry = np.array(data.draw(_vector(dim, 1.0, 200.0)))
+    prev = np.array(data.draw(_vector(dim, -50.0, 50.0))) if fixed_prev else counts
+    cash = data.draw(st.floats(-1e4, 1e4))
+    dx = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=5 * dim,
+                                     max_size=5 * dim))).reshape(5, dim)
+    template = ContractPortfolio(counts=(0.0,) * dim, prices=tuple(prices),
+                                 entry_prices=tuple(entry), cash=cash,
+                                 prev_counts=tuple(prev) if fixed_prev else None,
+                                 slippage=slippage)
+    kernel = risk._contract_kernel(dx, template)
+    try:
+        want = returns_from_contracts(dx, replace(template, counts=tuple(counts)))
+    except ZeroCapital:
+        with pytest.raises(ZeroCapital):
+            kernel(counts)
+        return
+    got = kernel(counts)
+
+    held = np.abs(counts)
+    k_prev = cash + float(np.sum(np.abs(prev) * (prices - entry)))
+    magnitude = (abs(cash) + abs(k_prev) + slippage * np.sum(np.abs(counts - prev))
+                 + (held * (prices * (1.0 + np.abs(dx)) + entry)).sum(axis=1))
+    tol = 8.0 * np.finfo(float).eps * magnitude / abs(k_prev)
+    # equality covers the infinities a near-zero K_prev gives both forms
+    assert np.all((got == want) | (np.abs(got - want) <= tol))
+
+
+@pytest.mark.parametrize("prev", [None, (2.0,)])
+def test_contract_kernel_error_parity(prev):
+    # K_prev is exactly zero: 0 + 1*(10-10) with prev None, -4 + 2*(12-10)
+    # with prev fixed; the kernel raises where the reference does.
+    cash, price = (0.0, 10.0) if prev is None else (-4.0, 12.0)
+    template = ContractPortfolio(counts=(0.0,), prices=(price,),
+                                 entry_prices=(10.0,), cash=cash,
+                                 prev_counts=prev, slippage=0.5)
+    dx = np.array([[0.01], [-0.02]])
+    counts = (1.0,) if prev is None else (3.0,)
+    with pytest.raises(ZeroCapital):
+        returns_from_contracts(dx, replace(template, counts=counts))
+    kernel = risk._contract_kernel(dx, template)
+    with pytest.raises(ZeroCapital):
+        kernel(np.array(counts))
+
+    wide = np.zeros((2, 2))
+    with pytest.raises(DimensionMismatch):
+        returns_from_contracts(wide, template)
+    with pytest.raises(DimensionMismatch):
+        risk._contract_kernel(wide, template)
+    with pytest.raises(DimensionMismatch):
+        replace(template, counts=(1.0, 1.0))
+    with pytest.raises(DimensionMismatch):
+        kernel(np.array([1.0, 1.0]))
 
 
 def test_fit_bins_counts_and_clipping():
