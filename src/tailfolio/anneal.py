@@ -205,8 +205,6 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
         if not accepted and math.isfinite(fc):
             ratio = delta / t_acc
             accepted = ratio < 700.0 and uniforms.one() < math.exp(-ratio)
-        elif not accepted:
-            pass
         if accepted:
             x = cand
             fx = fc

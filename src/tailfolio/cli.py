@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -137,14 +137,8 @@ def cmd_risk(args) -> int:
     dm = portfolio_returns(batch, LinearPortfolio(weights=weights,
                                                   offsets=(0.0,) * dim))
     report, dist = risk_report(dm, config)
-    save_json(os.path.join(out, "risk.json"), {
-        "kind": "risk_report",
-        "mean": report.mean, "width": report.width,
-        "q_analytic": report.q_analytic, "q_empirical": report.q_empirical,
-        "expected_tail_loss": report.expected_tail_loss,
-        "var_level": report.var_level, "q_target": report.q_target,
-        "n": report.n, "weights": list(weights),
-    })
+    save_json(os.path.join(out, "risk.json"),
+              {"kind": "risk_report", **asdict(report), "weights": list(weights)})
     write_bins_csv(os.path.join(out, "bins.csv"), dist)
     print(f"portfolio over {report.n} events: mean={fmt(report.mean)} "
           f"width={fmt(report.width)}")
@@ -369,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model JSON")
     p.add_argument("--n", type=int, default=1000, help="number of events")
     p.add_argument("--lanes", type=int, default=1,
-                   help="deterministic parallel lanes")
+                   help="threads for the per-channel maps; bytes do not change")
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("risk", parents=[common],

@@ -1,11 +1,12 @@
 """Correlated event sampling through the copula.
 
-Whitened draws dz come from the deterministic normal stream, are colored by
-the Cholesky factor (dy rows = dz rows times C'), and each dy column is pushed
-through the inverse marginal map to produce increments dx. Batches are
-reproducible bit for bit from (model, n, seed, lanes): lane j consumes stream
-index j of the seed, and lanes run on a thread pool but are merged in lane
-order, so the batch equals a serial loop's.
+A batch of n events over N channels takes n·N whitened draws dz, row by row,
+from one deterministic normal stream of the seed, colors them by the Cholesky
+factor (dy rows = dz rows times C'), and pushes each dy column through the
+inverse marginal map to produce increments dx. The batch is a pure function
+of (model, n, seed). The per-channel maps are elementwise and run on up to
+`lanes` threads, so the lane count never changes a byte. A batch keeps only
+dx; dz and dy are recomputed from the seed when asked for.
 """
 
 from __future__ import annotations
@@ -24,47 +25,49 @@ from .rng import NormalStream
 class EventBatch:
     """One batch of sampled events with its provenance."""
 
-    dz: np.ndarray            # whitened draws, shape (n, N)
-    dy: np.ndarray            # correlated normals, dz @ C'
-    dx: np.ndarray            # increments per channel
+    dx: np.ndarray            # increments per channel, shape (n, N)
+    model: CopulaModel
     seed: int
-    lanes: int
-    channels: tuple[str, ...]
 
     @property
     def n(self) -> int:
-        return self.dz.shape[0]
+        return self.dx.shape[0]
 
-    def write_csv(self, path) -> None:
-        from .modelfile import write_events_csv
-        write_events_csv(path, self)
+    @property
+    def channels(self) -> tuple[str, ...]:
+        return self.model.channels
+
+    @property
+    def dz(self) -> np.ndarray:
+        """Whitened draws, recomputed from the seed."""
+        return _whitened(self.model, self.n, self.seed)
+
+    @property
+    def dy(self) -> np.ndarray:
+        """Correlated normals dz @ C', recomputed from the seed."""
+        return self.dz @ self.model.correlation.cholesky.T
 
 
-def _lane_chunk(model: CopulaModel, count: int, seed: int, lane: int):
-    dim = model.dim
-    dz = NormalStream(seed, stream=lane).draw(count * dim).reshape(count, dim)
-    dy = dz @ model.correlation.cholesky.T
-    dx = np.empty_like(dy)
-    for j, marg in enumerate(model.marginals):
-        dx[:, j] = from_gaussian(marg, dy[:, j])
-    return dz, dy, dx
+def _whitened(model: CopulaModel, n: int, seed: int) -> np.ndarray:
+    return NormalStream(seed).draw(n * model.dim).reshape(n, model.dim)
 
 
 def sample_events(model: CopulaModel, n: int, seed: int, lanes: int = 1) -> EventBatch:
-    """Draw n correlated events; identical output for any execution schedule."""
-    n = int(n)
-    lanes = int(lanes)
+    """Draw n correlated events, fixed by (model, n, seed).
+
+    lanes sets how many threads run the per-channel marginal maps; it never
+    changes the batch.
+    """
+    n, lanes, seed = int(n), int(lanes), int(seed)
     if n < 0:
         raise OutOfDomain("n must be non-negative")
     if lanes < 1:
         raise OutOfDomain("lanes must be >= 1")
-    if lanes == 1:
-        dz, dy, dx = _lane_chunk(model, n, seed, 0)
-    else:
-        counts = [n // lanes + (1 if i < n % lanes else 0) for i in range(lanes)]
-        with ThreadPoolExecutor(max_workers=min(lanes, 8)) as pool:
-            parts = list(pool.map(
-                lambda i: _lane_chunk(model, counts[i], seed, i), range(lanes)))
-        dz, dy, dx = (np.concatenate(arrays, axis=0) for arrays in zip(*parts))
-    return EventBatch(dz=dz, dy=dy, dx=dx, seed=int(seed), lanes=lanes,
-                      channels=model.channels)
+    dx = _whitened(model, n, seed) @ model.correlation.cholesky.T
+
+    def to_marginal(j: int) -> None:
+        dx[:, j] = from_gaussian(model.marginals[j], dx[:, j])
+
+    with ThreadPoolExecutor(max_workers=min(lanes, model.dim)) as pool:
+        list(pool.map(to_marginal, range(model.dim)))
+    return EventBatch(dx=dx, model=model, seed=seed)

@@ -317,8 +317,7 @@ def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig()
     res, refine, best = anneal.search(cost, bounds, config, refine_calls)
     if best is refine:
         res = replace(res, x=refine.x, cost=refine.cost,
-                      trials=res.trials + refine.trials,
-                      exit_reason=refine.exit_reason)
+                      trials=res.trials + refine.trials)
 
     dm = returns(res.x)
     q = q_empirical(dm, risk.var_level)

@@ -130,6 +130,16 @@ def test_risk_report_consistent(tmp_path):
     assert int(bins[:, 2].sum()) == 20000
 
 
+def test_risk_json_key_order_pinned(tmp_path):
+    model = make_model_json(tmp_path)
+    out = tmp_path / "risk"
+    assert cli.main(["risk", model, "--n", "1000", "--out", str(out)]) == 0
+    payload = json.loads((out / "risk.json").read_text())
+    assert list(payload) == ["kind", "mean", "width", "q_analytic",
+                             "q_empirical", "expected_tail_loss", "var_level",
+                             "q_target", "n", "weights"]
+
+
 def test_risk_weights_scale_width(tmp_path):
     model = make_model_json(tmp_path)
     out1 = tmp_path / "w1"

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tailfolio.copula import CopulaModel, CorrelationMatrix
+from tailfolio.copula import CopulaModel, CorrelationMatrix, from_gaussian
 from tailfolio.errors import OutOfDomain
-from tailfolio.events import _lane_chunk, sample_events
+from tailfolio.events import sample_events
 from tailfolio.marginals import ExponentialMarginal
-from tailfolio.modelfile import read_series_csv
+from tailfolio.modelfile import read_series_csv, write_events_csv
+from tailfolio.rng import NormalStream
 
 
 def make_model():
@@ -34,16 +37,45 @@ def test_batch_deterministic():
     assert not np.array_equal(a.dx, c.dx)
 
 
-def test_serial_matches_parallel():
-    model = make_model()
-    pooled = sample_events(model, 10007, seed=3, lanes=3)
-    # lanes take 3336, 3336 and 3335 rows, merged in lane order
-    parts = [_lane_chunk(model, count, 3, lane)
-             for lane, count in enumerate((3336, 3336, 3335))]
-    serial = [np.concatenate([p[k] for p in parts], axis=0) for k in range(3)]
-    assert np.array_equal(serial[0], pooled.dz)
-    assert np.array_equal(serial[1], pooled.dy)
-    assert np.array_equal(serial[2], pooled.dx)
+@st.composite
+def copula_models(draw):
+    dim = draw(st.integers(1, 8))
+    marginals = []
+    for _ in range(dim):
+        m = draw(st.floats(-2.0, 2.0))
+        chi = draw(st.floats(0.05, 3.0))
+        if draw(st.booleans()):
+            sides = (draw(st.floats(0.05, 3.0)), draw(st.floats(0.05, 3.0)))
+            marginals.append(ExponentialMarginal(m, chi, *sides))
+        else:
+            marginals.append(ExponentialMarginal(m, chi))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(
+        size=(dim, dim + 1))
+    cov = g @ g.T + 0.1 * np.eye(dim)
+    scale = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(scale, scale)
+    corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    return CopulaModel(marginals=tuple(marginals),
+                       correlation=CorrelationMatrix.from_matrix(corr),
+                       channels=tuple(f"c{j}" for j in range(dim)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=copula_models(), n=st.integers(0, 3000),
+       seed=st.integers(0, 2 ** 63 - 1), lanes=st.integers(1, 8))
+def test_lanes_never_change_the_batch(model, n, seed, lanes):
+    single = sample_events(model, n, seed, lanes=1)
+    batch = sample_events(model, n, seed, lanes=lanes)
+    assert batch.dx.shape == (n, model.dim)
+    assert batch.dx.tobytes() == single.dx.tobytes()
+    # one stream, row by row: dz is the seed's first n*N normals
+    dz = batch.dz
+    assert np.array_equal(dz.ravel(), NormalStream(seed).draw(n * model.dim))
+    dy = batch.dy
+    assert np.array_equal(dy, dz @ model.correlation.cholesky.T)
+    for j, marg in enumerate(model.marginals):
+        assert np.array_equal(batch.dx[:, j], from_gaussian(marg, dy[:, j]))
 
 
 def test_lane_zero_is_prefix_of_single_lane_run():
@@ -95,7 +127,7 @@ def test_csv_round_trip(tmp_path):
     model = make_model()
     batch = sample_events(model, 50, seed=13)
     path = tmp_path / "events.csv"
-    batch.write_csv(path)
+    write_events_csv(path, batch)
     first = path.read_text().splitlines()[0]
     assert first == "event_index,alpha,beta,gamma"
     header, data = read_series_csv(path)

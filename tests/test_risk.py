@@ -284,6 +284,21 @@ def test_optimize_positions_infeasible_flag():
     assert opt.cost_q == pytest.approx(0.01)
 
 
+def test_optimize_positions_keeps_the_anneal_exit_reason():
+    batch = make_events(n=2000, seed=7)
+    template = LinearPortfolio(weights=(0.0,), offsets=(0.0,))
+    kwargs = dict(risk=RiskConfig(penalty_weight=0.0),
+                  config=AnnealConfig(seed=4, max_trials=30),
+                  objective=lambda dm: float(np.mean((dm - 0.01) ** 2)))
+    plain = optimize_positions(batch, template, [(-5.0, 5.0)], refine_calls=0,
+                               **kwargs)
+    polished = optimize_positions(batch, template, [(-5.0, 5.0)], **kwargs)
+    assert polished.result.cost < plain.result.cost      # the polish won
+    assert polished.result.trials > plain.result.trials  # and its calls count
+    assert plain.result.exit_reason == "trial-limit"
+    assert polished.result.exit_reason == plain.result.exit_reason
+
+
 def test_optimize_positions_contract_template():
     batch = make_events(n=4000, seed=5, m=0.001, chi=0.012)
     template = ContractPortfolio(counts=(0.0,), prices=(50.0,),
