@@ -19,15 +19,16 @@ directions the cost barely feels are re-heated relative to sensitive ones.
 The run stops when two consecutive windows of 100 acceptances leave the best
 cost unchanged within tolerance, or at the trial budget (default 20000).
 `local_refine` is a bounded quasi-Newton polish (numerical gradients, capped
-function calls) that never returns a point worse than its start; `search`
-anneals and then polishes.
+function calls) that never returns a point worse than its start. `search`
+anneals and then polishes, and returns one result: the polished point and
+cost, with trials counting the anneal's trials and the polish's calls.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import CostNotFinite, InvalidBounds
 from .rng import UniformStream
 
 _T_FLOOR = 1e-300
-_BIG = 1e30
+SENTINEL = 1e30      # stands in for a non-finite cost where one must be finite
 
 
 def temperature(k, t0=1.0, c=1.0, d: int = 1):
@@ -79,7 +80,7 @@ class OptResult:
     cost: float
     trials: int
     acceptances: int
-    exit_reason: str                   # converged | trial-limit | acceptance-repeat
+    exit_reason: str    # converged | trial-limit | acceptance-repeat | acceptance-limit
     window_best: tuple[float, ...] = field(default_factory=tuple)
     # per trial, in trial order: cost, acceptance temperature (interleaved)
     trace: array = field(default_factory=lambda: array("d"), repr=False)
@@ -220,7 +221,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
                     exit_reason = "acceptance-repeat"
                     break
             if max_acceptances is not None and acceptances >= max_acceptances:
-                exit_reason = "acceptance-repeat"
+                exit_reason = "acceptance-limit"
                 break
             if acceptances >= next_reanneal:
                 reanneal()
@@ -250,10 +251,10 @@ def local_refine(cost, x0, bounds, max_calls: int = 1000,
         nonlocal calls
         calls += 1
         v = cost(pt)
-        return float(v) if v is not None and np.isfinite(v) else _BIG
+        return float(v) if v is not None and np.isfinite(v) else SENTINEL
 
     f0 = wrapped(x0)
-    if f0 >= _BIG:
+    if f0 >= SENTINEL:
         raise CostNotFinite("cost is not finite at the refine start")
     iter_budget = max(1, int(max_calls) // (x0.size + 1))
     res = _scipy_minimize(
@@ -270,19 +271,22 @@ def local_refine(cost, x0, bounds, max_calls: int = 1000,
 
 
 def search(cost, bounds, config: AnnealConfig | None = None,
-           refine_calls: int = 1000):
+           refine_calls: int = 1000) -> OptResult:
     """Anneal, then polish the annealed point with local_refine.
 
-    Returns (anneal result, refine result or None, the better of the two).
-    The polish is skipped when refine_calls is 0 or the annealed cost is not
-    below the 1e30 sentinel.
+    Returns one OptResult. When the polish runs, its point and cost replace
+    the anneal's (local_refine never returns a point worse than its start)
+    and trials counts the anneal's trials plus the polish's cost calls;
+    acceptances, exit_reason, window_best and trace stay the anneal's. When
+    refine_calls is 0 or the annealed cost is not below SENTINEL, the polish
+    is skipped and the anneal's result is returned unchanged.
     """
     res = minimize(cost, bounds, config)
-    refine = None
-    if refine_calls > 0 and res.cost < _BIG:
-        refine = local_refine(cost, res.x, bounds, max_calls=refine_calls)
-    best = refine if refine is not None and refine.cost < res.cost else res
-    return res, refine, best
+    if refine_calls <= 0 or res.cost >= SENTINEL:
+        return res
+    polish = local_refine(cost, res.x, bounds, max_calls=refine_calls)
+    return replace(res, x=polish.x, cost=polish.cost,
+                   trials=res.trials + polish.trials)
 
 
 @dataclass(frozen=True)

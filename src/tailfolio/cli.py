@@ -250,20 +250,22 @@ def cmd_eeg(args) -> int:
         acfg = _anneal_config(cfg.get("anneal"), args.seed)
         fit = eeg.fit_net(data, net, free, bounds, acfg,
                           **_present(cfg, penalty_weight=float, refine_calls=int))
-        if args.verbose and fit.anneal_result is not None:
-            write_trace_csv(os.path.join(out, "trace_fit.csv"), fit.anneal_result)
+        res = fit.result
+        if args.verbose and res is not None:
+            write_trace_csv(os.path.join(out, "trace_fit.csv"), res)
+        # the penalized cost the search minimized; -loglik when nothing is free
+        final_cost = -fit.loglik if res is None else res.cost
         save_net(os.path.join(out, "net.json"), fit.net)
         save_json(os.path.join(out, "fit_report.json"), {
             "kind": "fit_report",
             "loglik": fit.loglik,
             "clamp_fraction": fit.clamp_fraction,
             "out_of_range": fit.out_of_range,
-            "final_cost": -fit.loglik,
-            "trials": 0 if fit.anneal_result is None else fit.anneal_result.trials,
-            "exit_reason": (None if fit.anneal_result is None
-                            else fit.anneal_result.exit_reason),
+            "final_cost": final_cost,
+            "trials": 0 if res is None else res.trials,
+            "exit_reason": None if res is None else res.exit_reason,
         })
-        print(f"fitted {len(free)} parameter(s): final cost {fmt(-fit.loglik)}")
+        print(f"fitted {len(free)} parameter(s): final cost {fmt(final_cost)}")
         print(f"wrote {os.path.join(out, 'net.json')} and "
               f"{os.path.join(out, 'fit_report.json')}")
         return EXIT_OK

@@ -537,8 +537,7 @@ class FitResult:
     loglik: float
     clamp_fraction: float
     out_of_range: bool
-    anneal_result: anneal.OptResult | None
-    refine_result: anneal.OptResult | None
+    result: anneal.OptResult | None    # the search's; None when nothing is free
 
 
 def _fit_cost(net: RegionNet, keys, phi, penalty_weight: float):
@@ -585,23 +584,17 @@ def fit_net(series, net: RegionNet, free, bounds,
     """
     phi = np.asarray(series, dtype=float)
     keys = list(free)
-    if not keys:
-        det = loglikelihood_details(net, phi)
-        return FitResult(net=net, loglik=det["loglik"],
-                         clamp_fraction=det["clamp_fraction"],
-                         out_of_range=det["out_of_range"],
-                         anneal_result=None, refine_result=None)
-    try:
-        box = [(float(bounds[k][0]), float(bounds[k][1])) for k in keys]
-    except KeyError as exc:
-        raise OutOfDomain(f"missing bounds for parameter {exc.args[0]!r}") from exc
-    cost = _fit_cost(net, keys, _series(net, phi, min_epochs=2), penalty_weight)
-
-    res, refine, best = anneal.search(cost, box, config, refine_calls)
-    fitted = apply_params(net, dict(zip(keys, best.x)))
-    fitted = replace(fitted, columns=centering_shift(fitted.columns))
+    fitted, res = net, None
+    if keys:
+        try:
+            box = [(float(bounds[k][0]), float(bounds[k][1])) for k in keys]
+        except KeyError as exc:
+            raise OutOfDomain(f"missing bounds for parameter {exc.args[0]!r}") from exc
+        cost = _fit_cost(net, keys, _series(net, phi, min_epochs=2), penalty_weight)
+        res = anneal.search(cost, box, config, refine_calls)
+        fitted = apply_params(net, dict(zip(keys, res.x)))
+        fitted = replace(fitted, columns=centering_shift(fitted.columns))
     det = loglikelihood_details(fitted, phi)
     return FitResult(net=fitted, loglik=det["loglik"],
                      clamp_fraction=det["clamp_fraction"],
-                     out_of_range=det["out_of_range"],
-                     anneal_result=res, refine_result=refine)
+                     out_of_range=det["out_of_range"], result=res)

@@ -24,7 +24,6 @@ from .risk import bhattacharyya_overlap
 
 FLATNESS_TOL = 1e-9
 DEGENERATE_RHO = 0.999
-_BIG = 1e30
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
                           config: anneal.AnnealConfig | None = None):
     """Weights maximizing held-out log-likelihood of the combined stream.
 
-    Returns (unit weights, flat flag, anneal result). The flat flag marks a
+    Returns (unit weights, flat flag, search result). The flat flag marks a
     likelihood surface where no acceptance window after the first improved
     the best cost beyond 1e-9 relative.
     """
@@ -73,12 +72,12 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
     def cost(w):
         norm = float(np.linalg.norm(w))
         if norm < 1e-12:
-            return _BIG
+            return anneal.SENTINEL
         wn = np.asarray(w) / norm
         try:
             marg = fit_exponential(train @ wn)
         except DegenerateData:
-            return _BIG
+            return anneal.SENTINEL
         t = holdout @ wn - marg.m
         widths = marg.side_width(t)
         ll = float(np.sum(-np.log(2.0 * widths) - np.abs(t) / widths))
@@ -87,9 +86,9 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
     if config is None:
         config = anneal.AnnealConfig(max_trials=4000, seed=7)
     x0 = np.full(k, 1.0 / np.sqrt(k))
-    res, _, best = anneal.search(cost, [(-1.0, 1.0)] * k,
-                                 replace(config, x0=tuple(x0)), refine_calls=500)
-    w = np.asarray(best.x)
+    res = anneal.search(cost, [(-1.0, 1.0)] * k,
+                        replace(config, x0=tuple(x0)), refine_calls=500)
+    w = np.asarray(res.x)
     norm = float(np.linalg.norm(w))
     w = x0 if norm < 1e-12 else w / norm
 
@@ -99,7 +98,7 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
     else:
         improvement = 0.0
     flat = improvement < FLATNESS_TOL * max(1.0, abs(window_best[0]) if window_best else 1.0)
-    return w, bool(flat), best
+    return w, bool(flat), res
 
 
 def _shape_params(values):

@@ -28,22 +28,15 @@ def fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+def _numpy_to_json(obj):
+    """json.dumps hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def save_json(path, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), indent=2)
+    text = json.dumps(payload, indent=2, default=_numpy_to_json)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 

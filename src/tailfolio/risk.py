@@ -314,10 +314,7 @@ def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig()
         q = q_empirical(dm, risk.var_level)
         return objective(dm) + risk.penalty_weight * cost_q(q, risk.q_target)
 
-    res, refine, best = anneal.search(cost, bounds, config, refine_calls)
-    if best is refine:
-        res = replace(res, x=refine.x, cost=refine.cost,
-                      trials=res.trials + refine.trials)
+    res = anneal.search(cost, bounds, config, refine_calls)
 
     dm = returns(res.x)
     q = q_empirical(dm, risk.var_level)

@@ -17,11 +17,12 @@ from scipy import special
 
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
+_BLOCK = 8192        # uniforms a stream buffers per refill
 
 
-def _philox(seed: int, stream: int = 0) -> np.random.Generator:
+def _philox(seed: int, stream: int = 0) -> np.random.Philox:
     key = np.array([seed & _U64_MASK, stream & _U64_MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=key)
 
 
 def erfinv(z):
@@ -40,34 +41,39 @@ class UniformStream:
     draw index alone.
     """
 
-    def __init__(self, seed: int, stream: int = 0, block: int = 8192):
-        self._gen = _philox(seed, stream)
-        self._block = int(block)
+    def __init__(self, seed: int, stream: int = 0):
+        self._bitgen = _philox(seed, stream)
         self._buf = np.empty(0)
         self._pos = 0
 
-    def _refill(self, need: int) -> None:
-        n = max(self._block, need)
-        raw = self._gen.integers(0, np.iinfo(np.uint64).max, size=n,
-                                 dtype=np.uint64, endpoint=True)
-        self._buf = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-        self._pos = 0
+    def _draw(self, n: int) -> np.ndarray:
+        """The next n uniforms of the stream, converted in place from raw words."""
+        raw = self._bitgen.random_raw(n)
+        raw >>= np.uint64(11)
+        out = raw.astype(np.float64)
+        out += 0.5
+        out *= _INV_2_53
+        return out
 
     def take(self, n: int) -> np.ndarray:
-        if self._pos + n > self._buf.size:
-            left = self._buf[self._pos:]
-            self._refill(n - left.size)
-            if left.size:
-                out = np.concatenate([left, self._buf[:n - left.size]])
-                self._pos = n - left.size
-                return out
-        out = self._buf[self._pos:self._pos + n]
-        self._pos += n
-        return out.copy()
+        end = self._pos + n
+        if end <= self._buf.size:
+            out = self._buf[self._pos:end]
+            self._pos = end
+            return out.copy()
+        left = self._buf[self._pos:]
+        need = n - left.size
+        if need < _BLOCK:
+            self._buf, self._pos = self._draw(_BLOCK), need
+            return np.concatenate([left, self._buf[:need]])
+        # a block or more: hand the fresh array over instead of buffering it
+        self._buf, self._pos = np.empty(0), 0
+        fresh = self._draw(need)
+        return np.concatenate([left, fresh]) if left.size else fresh
 
     def one(self) -> float:
         if self._pos >= self._buf.size:
-            self._refill(1)
+            self._buf, self._pos = self._draw(_BLOCK), 0
         v = self._buf[self._pos]
         self._pos += 1
         return float(v)
@@ -82,5 +88,6 @@ class NormalStream:
         self._uniforms = UniformStream(seed, stream)
 
     def draw(self, n: int) -> np.ndarray:
-        return special.ndtri(self._uniforms.take(int(n)))
+        u = self._uniforms.take(int(n))
+        return special.ndtri(u, out=u)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tailfolio.anneal import (AnnealConfig, generation_delta, importance_sample,
-                              local_refine, minimize, search, temperature)
+from tailfolio.anneal import (SENTINEL, AnnealConfig, generation_delta,
+                              importance_sample, local_refine, minimize, search,
+                              temperature)
 from tailfolio.errors import CostNotFinite, InvalidBounds
 from tailfolio.modelfile import write_trace_csv
 from tailfolio.rng import UniformStream
@@ -171,6 +172,7 @@ def test_importance_sample_trajectory():
     assert sample.points.shape == (50, 2)
     assert sample.neg_log_density.shape == (50,)
     assert sample.result.acceptances == 50
+    assert sample.result.exit_reason == "acceptance-limit"
     k = 20
     assert sample.neg_log_density[k] == pytest.approx(
         float(np.sum((sample.points[k] - 0.7) ** 2)))
@@ -195,28 +197,79 @@ def _bowl(p):
     return float(np.sum((p - 0.3) ** 2))
 
 
+class _Counted:
+    """A cost that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, p):
+        self.calls += 1
+        return self.fn(p)
+
+
+def _anneal_and_search(fn, bounds, config, refine_calls):
+    """minimize's result, search's result and the calls search made beyond
+    the anneal's, which are the polish's."""
+    plain, searched = _Counted(fn), _Counted(fn)
+    anneal = minimize(plain, bounds, config)
+    res = search(searched, bounds, config, refine_calls)
+    return anneal, res, searched.calls - plain.calls
+
+
+def _assert_anneal_record(res, anneal):
+    assert res.acceptances == anneal.acceptances
+    assert res.exit_reason == anneal.exit_reason
+    assert res.window_best == anneal.window_best
+    assert res.trace == anneal.trace
+
+
 def test_search_without_refine_calls_skips_the_polish():
-    res, refine, best = search(_bowl, [(-2.0, 2.0)] * 2,
-                               AnnealConfig(seed=1, max_trials=300), refine_calls=0)
-    assert refine is None
-    assert best is res
+    anneal, res, polish_calls = _anneal_and_search(
+        _bowl, [(-2.0, 2.0)] * 2, AnnealConfig(seed=1, max_trials=300), 0)
+    assert polish_calls == 0
+    assert np.array_equal(res.x, anneal.x)
+    assert (res.cost, res.trials) == (anneal.cost, anneal.trials)
+    _assert_anneal_record(res, anneal)
+
+
+def test_search_winning_polish_gives_its_point_and_counts_its_calls():
+    bounds, cfg = [(-2.0, 2.0)] * 2, AnnealConfig(seed=1, max_trials=300)
+    anneal, res, polish_calls = _anneal_and_search(_bowl, bounds, cfg, 200)
+    polish = local_refine(_bowl, anneal.x, bounds, max_calls=200)
+    assert polish.cost < anneal.cost
+    assert np.array_equal(res.x, polish.x)
+    assert res.cost == polish.cost < 1e-12
+    assert polish_calls > 0
+    assert res.trials == anneal.trials + polish_calls
+    _assert_anneal_record(res, anneal)
+
+
+def test_search_flat_cost_keeps_the_annealed_point_and_counts_the_polish():
+    anneal, res, polish_calls = _anneal_and_search(
+        lambda p: 2.0, [(-2.0, 2.0)] * 2, AnnealConfig(seed=1, max_trials=50), 200)
+    assert np.array_equal(res.x, anneal.x)
+    assert res.cost == anneal.cost
+    assert polish_calls > 0
+    assert res.trials == anneal.trials + polish_calls
+    _assert_anneal_record(res, anneal)
 
 
 def test_search_polish_never_returns_a_worse_point():
-    res, refine, best = search(_bowl, [(-2.0, 2.0)] * 2,
-                               AnnealConfig(seed=1, max_trials=300), refine_calls=200)
-    assert refine.cost <= res.cost
-    assert best is refine and best.cost < 1e-12
-    # a flat cost gives the polish nothing to gain: the annealed point stays
-    res, refine, best = search(lambda p: 2.0, [(-2.0, 2.0)] * 2,
-                               AnnealConfig(seed=1, max_trials=50), refine_calls=200)
-    assert refine.cost == res.cost
-    assert best is res
+    def wells(p):
+        return float(np.sum(p * p) + np.sum(1.0 - np.cos(7.0 * p)))
+
+    for seed in range(4):
+        anneal, res, _ = _anneal_and_search(
+            wells, [(-1.0, 1.0)] * 3, AnnealConfig(seed=seed, max_trials=200), 60)
+        assert res.cost <= anneal.cost
 
 
 def test_search_skips_the_polish_at_the_sentinel():
-    res, refine, best = search(lambda p: 1e30, [(-1.0, 1.0)] * 2,
-                               AnnealConfig(seed=1, max_trials=50), refine_calls=200)
-    assert res.cost == 1e30
-    assert refine is None
-    assert best is res
+    anneal, res, polish_calls = _anneal_and_search(
+        lambda p: SENTINEL, [(-1.0, 1.0)] * 2, AnnealConfig(seed=1, max_trials=50), 200)
+    assert anneal.cost == SENTINEL == 1e30
+    assert polish_calls == 0
+    assert np.array_equal(res.x, anneal.x)
+    assert (res.cost, res.trials) == (anneal.cost, anneal.trials)
+    _assert_anneal_record(res, anneal)

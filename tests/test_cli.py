@@ -258,7 +258,7 @@ def test_eeg_fit_all_frozen_returns_template(tmp_path):
     assert payload["trials"] == 0
 
 
-def test_eeg_fit_one_parameter(tmp_path):
+def test_eeg_fit_one_parameter(tmp_path, monkeypatch, capsys):
     net_path = tmp_path / "net.json"
     net = two_site_net()
     save_net(net_path, net)
@@ -275,6 +275,11 @@ def test_eeg_fit_one_parameter(tmp_path):
         "anneal": {"max_trials": 500},
         "refine_calls": 100,
     })
+    fits = []
+    fit_net = eeg.fit_net
+    monkeypatch.setattr(eeg, "fit_net",
+                        lambda *a, **k: fits.append(fit_net(*a, **k)) or fits[-1])
+    capsys.readouterr()
     code = cli.main(["eeg", "fit", str(start_path),
                      str(out_sim / "series.csv"), "--config", cfg,
                      "--out", str(out_fit), "--verbose"])
@@ -287,6 +292,13 @@ def test_eeg_fit_one_parameter(tmp_path):
     trace = (out_fit / "trace_fit.csv").read_text().splitlines()
     assert trace[0] == "trial,cost,accept_temp"
     assert len(trace) > 1
+    # the report reads the one search result: the trace has a row per anneal
+    # trial, and trials also counts the polish's calls
+    res = fits[0].result
+    assert payload["trials"] == res.trials > len(trace) - 1
+    assert payload["exit_reason"] == res.exit_reason
+    assert payload["final_cost"] == res.cost
+    assert f"final cost {cli.fmt(res.cost)}" in capsys.readouterr().out
 
 
 def test_eeg_check_centered_series(tmp_path, capsys):

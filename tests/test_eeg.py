@@ -322,7 +322,7 @@ def test_fit_net_all_frozen_returns_template():
     res = fit_net(phi, net, free=[], bounds={})
     assert res.net is net
     assert res.loglik == joint_loglikelihood(net, phi)
-    assert res.anneal_result is None and res.refine_result is None
+    assert res.result is None
 
 
 def test_fit_net_missing_bounds():
@@ -344,7 +344,7 @@ def test_fit_net_single_parameter_recovers():
     assert res.loglik > start
     assert res.net.sites[0].offset == pytest.approx(1.0, abs=0.5)
     assert not res.out_of_range
-    assert res.anneal_result is not None
+    assert res.result is not None
 
 
 def test_simulate_rejects_misshaped_initial_state():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
@@ -80,3 +82,40 @@ def test_normal_stream_is_inverse_cdf_of_uniforms():
     u = UniformStream(11, stream=2).take(1000)
     z = NormalStream(11, stream=2).draw(1000)
     assert np.allclose(z, scipy.special.ndtri(u), rtol=0, atol=0)
+
+
+def _philox_uniforms(seed, stream, n):
+    """The UniformStream docstring formula on numpy's raw Philox words."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    words = np.random.Philox(key=key).random_raw(n)
+    # the same words as a full-range Generator.integers draw
+    same = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True)
+    assert np.array_equal(words, same)
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+@pytest.mark.parametrize("sizes", [
+    (5000, 5000, 1, 8191, 3),            # takes across the 8 192-value block
+    (100, 20000, 7),                     # a large take after a partial buffer
+    (0, 8192, 8192, 1, 16384, 2, 30000), # whole blocks from an empty buffer
+])
+def test_uniform_stream_matches_philox_formula(sizes):
+    s = UniformStream(2024, stream=3)
+    parts = []
+    for n in sizes:
+        parts.append(s.take(n))
+        parts.append(np.array([s.one()]))
+    got = np.concatenate(parts)
+    assert np.array_equal(got, _philox_uniforms(2024, 3, got.size))
+
+
+def test_normal_draw_peak_memory_near_its_result():
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        z = NormalStream(1).draw(2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * z.nbytes
