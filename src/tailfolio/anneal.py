@@ -12,9 +12,13 @@ clamped. Acceptance is Metropolis on a separate temperature annealed by the
 same law with its own counter that advances once per accepted point.
 
 Every reanneal interval (counted in acceptances) the parameter counters are
-rescaled from cost sensitivities s_i = |dC/dx_i| at the best point: the new
-k_i solves T_i(k_i) = T_i(old) * s_max/s_i, clamped to [1, k_max], so
-directions the cost barely feels are re-heated relative to sensitive ones.
+rescaled from cost sensitivities at the best point (x, C) of that moment.
+As in ASA, each is a one-sided tangent, s_i = |C(x + h_i e_i) - C| / |h_i|,
+one evaluation per free parameter: h_i is sensitivity_step times the range,
+negated where x_i + h_i would pass the upper bound. Only cost differences
+enter, so a constant offset in the cost does not move them. The new k_i solves
+T_i(k_i) = T_i(old) * s_max/s_i, clamped to [1, k_max], so directions the
+cost barely feels are re-heated relative to sensitive ones.
 
 The run stops when two consecutive windows of 100 acceptances leave the best
 cost unchanged within tolerance, or at the trial budget (default 20000).
@@ -113,6 +117,27 @@ def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
     return np.clip(cand, lo, hi)
 
 
+def tangents(cost, x, fx, step, lo, hi, free) -> np.ndarray:
+    """One-sided cost sensitivities s_i = |C(x + h_i e_i) - C(x)| / |h_i|.
+
+    Each free coordinate is probed once from the base point (x, fx), with
+    h_i = step_i, or h_i = -step_i when x_i + step_i would pass hi_i; a probe
+    is kept inside [lo, hi] and h_i is the step it actually took. Fixed
+    coordinates are never probed. cost returns a float; a non-finite probe
+    cost gives s_i = 0.
+    """
+    sens = np.zeros(x.size)
+    for i in np.flatnonzero(free):
+        probe = x.copy()
+        up = x[i] + step[i]
+        probe[i] = up if up <= hi[i] else max(x[i] - step[i], lo[i])
+        h = probe[i] - x[i]
+        fp = cost(probe)
+        if h != 0.0 and math.isfinite(fp):
+            sens[i] = abs(fp - fx) / abs(h)
+    return sens
+
+
 def minimize(cost, bounds, config: AnnealConfig | None = None,
              record_accepted: list | None = None,
              max_acceptances: int | None = None) -> OptResult:
@@ -164,23 +189,8 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
     exit_reason = "trial-limit"
 
     def reanneal():
-        nonlocal k_gen
-        step = cfg.sensitivity_step * rangev
-        sens = np.zeros(d)
-        for i in range(d):
-            if not free[i]:
-                continue
-            up = best_x.copy()
-            dn = best_x.copy()
-            up[i] = min(up[i] + step[i], hi[i])
-            dn[i] = max(dn[i] - step[i], lo[i])
-            span = up[i] - dn[i]
-            if span <= 0.0:
-                continue
-            fu = evaluate(up)
-            fd = evaluate(dn)
-            if math.isfinite(fu) and math.isfinite(fd):
-                sens[i] = abs(fu - fd) / span
+        sens = tangents(evaluate, best_x.copy(), best_f,
+                        cfg.sensitivity_step * rangev, lo, hi, free)
         s_max = sens.max()
         if s_max <= 0.0:
             return

@@ -102,6 +102,12 @@ class _ColumnsView:
         self.de = 0.5 * gain_a[:, 0] * vv[:, 0]
         self.di = 0.5 * gain_a[:, 1] * vv[:, 1]
         self.dlr = np.full(2, 0.5 * cols.lr_gain * vv_lr)
+        # the same terms as (2, 1, 1) columns, [E, I], for the stacked kernel
+        self.stacked = tuple(a.reshape(2, 1, 1) for a in (
+            self.num0, self.ce, self.ci, self.clr, self.den0, self.de, self.di,
+            self.dlr, n))
+        self.den0_ok = not np.any(self.den0 <= 0.0)
+        self.root_den0 = np.sqrt(_PI * self.stacked[4])
 
 
 def _view(cols: ColumnParams) -> _ColumnsView:
@@ -148,20 +154,67 @@ def drifts_diffusions(cols: ColumnParams, f_e, f_i, m_e, m_i):
     return g_e, g_i, g_ee, g_ii
 
 
-def _transition_moments(cols: ColumnParams, denominator_approx, gain_e, gain_i,
-                        slope, m_e, m_lr):
-    """Drift m and variance rate sigma^2 of the potential at firing state m_e.
+def _transition_moments(cols: ColumnParams, denominator_approx, gains, slope,
+                        m_e, m_lr):
+    """Drift m and variance rate sigma^2 of the potential at firing states m_e.
 
     The one copy of the drift/variance block: likelihoods, innovations,
-    simulation steps and the fit's cost all come through here. The site
-    values gain_e, gain_i and slope (M^I = slope M^E) broadcast against the
-    firings m_e and summed delayed afferents m_lr.
+    simulation steps and the fit's cost all come through here. m_e and the
+    summed delayed afferents m_lr are (sites, steps) arrays, slope the
+    (sites, 1) column with M^I = slope M^E, and gains the (2, sites, 1)
+    stack of gain_e over gain_i. The excitatory and inhibitory halves are
+    stacked on a leading axis of one work array, and every step writes in
+    place. Elementwise these are the operations of threshold_factor and
+    drifts_diffusions, in their order, so the values are theirs to the bit.
     """
-    m_i = slope * m_e
-    f_e, f_i = threshold_factor(cols, m_e, m_i, m_lr, denominator_approx)
-    g_e, g_i, g_ee, g_ii = drifts_diffusions(cols, f_e, f_i, m_e, m_i)
-    m = gain_e * g_e + gain_i * g_i
-    var = gain_e ** 2 * g_ee + gain_i ** 2 * g_ii
+    view = _view(cols)
+    num0, ce, ci, clr, den0, de, di, dlr, n = view.stacked
+    own, f, g, out = np.empty((4, 2, *m_e.shape))
+    own[0] = m_e
+    np.multiply(slope, m_e, out=own[1])
+    m_i = own[1]
+    # F^G = num / sqrt(pi den), as threshold_factor
+    np.multiply(ce, m_e, out=f)
+    np.subtract(num0, f, out=f)
+    np.multiply(ci, m_i, out=g)
+    f -= g
+    np.multiply(clr, m_lr, out=g)
+    f -= g
+    if denominator_approx:
+        if not view.den0_ok:
+            raise NonPositiveDenominator("variance aggregate must be positive")
+        f /= view.root_den0
+    else:
+        den = out
+        np.multiply(de, m_e, out=den)
+        np.add(den0, den, out=den)
+        np.multiply(di, m_i, out=g)
+        den += g
+        np.multiply(dlr, m_lr, out=g)
+        den += g
+        if np.any(den <= 0.0):
+            raise NonPositiveDenominator("variance aggregate must be positive")
+        f /= np.sqrt(_PI * den)
+    # g^G = -(M^G + N^G tanh F^G) / tau, g^GG = N^G sech^2(F^G) / tau
+    tau = cols.tau_ms
+    np.tanh(f, out=g)
+    g *= n
+    g += own
+    np.negative(g, out=g)
+    g /= tau
+    np.abs(f, out=f)
+    np.minimum(f, 350.0, out=f)
+    np.cosh(f, out=f)
+    np.square(f, out=f)
+    np.divide(1.0, f, out=f)
+    f *= n
+    f /= tau
+    # m = gain_e g^E + gain_i g^I, var = gain_e^2 g^EE + gain_i^2 g^II
+    g *= gains
+    f *= np.square(gains)
+    m, var = out
+    np.add(g[0], g[1], out=m)
+    np.add(f[0], f[1], out=var)
     if np.any(var <= 0.0):
         raise DegenerateVariance("conditional variance must be positive")
     return m, var
@@ -317,9 +370,10 @@ def _series(net: RegionNet, series, min_epochs: int = 0) -> np.ndarray:
 
 
 def _site_arrays(cols: ColumnParams, sites: np.ndarray):
-    """Per-site columns of an (n_sites, 4) SITE_FIELDS array, plus the
-    combined gain that inverts the potential map and the firing bound."""
-    offset, gain_e, gain_i, slope = sites.T
+    """The fields of an (n_sites, 4) SITE_FIELDS array as (n_sites, 1)
+    columns, plus the combined gain that inverts the potential map and the
+    firing bound."""
+    offset, gain_e, gain_i, slope = sites.T[:, :, None]
     denom = gain_e + gain_i * slope
     if np.any(np.abs(denom) < 1e-12):
         raise SingularInversion("combined electrode gain is zero")
@@ -334,7 +388,8 @@ def _clamp_firings(phi, offset, denom, bound):
     raw = (phi - offset) / denom
     excess = np.maximum(np.abs(raw) - bound, 0.0)
     clamped = int(np.count_nonzero(excess > 0.0))
-    m_e = np.clip(raw, -bound, bound)
+    # np.clip's values, at about half its call overhead
+    m_e = np.minimum(np.maximum(raw, -bound), bound)
     return m_e, clamped, float(excess.sum())
 
 
@@ -344,7 +399,9 @@ class _Transitions:
     The columns, the coupling edges and dt are fixed when it is built. The
     (n_sites, 4) SITE_FIELDS values and the coupling weights are passed per
     call, so a fit varies them without rebuilding a net; the net's own are
-    kept as sites and weights.
+    kept as sites and weights. Series are passed site-major, as made by
+    site_major, and every sum runs in that order: each site's steps in time
+    order, sites in net order, whatever the caller's memory layout.
     """
 
     def __init__(self, net: RegionNet):
@@ -357,26 +414,32 @@ class _Transitions:
                               dtype=float).reshape(len(net.sites), len(SITE_FIELDS))
         self.weights = np.array([c.weight for c in net.couplings], dtype=float)
 
+    def site_major(self, phi):
+        """An (epochs, sites) series as a C-contiguous (sites, epochs) array,
+        and its (sites, epochs - 1) potential rates phidot."""
+        phi = np.ascontiguousarray(phi.T)
+        return phi, np.diff(phi, axis=1) / self.dt
+
     def moments(self, phi, sites, weights):
-        """Drift and variance rate of every observed step of phi.
+        """Drift and variance rate of every observed step of a site-major phi.
 
         Returns (m, var, clamped, excess), the last two from recovering the
         firings. Delayed afferents before the data start are zero.
         """
         offset, gain_e, gain_i, slope, denom, bound = _site_arrays(self.columns, sites)
         m_e, clamped, excess = _clamp_firings(phi, offset, denom, bound)
-        aff = np.zeros_like(m_e)
+        steps = max(phi.shape[1] - 1, 0)
+        aff = np.zeros((phi.shape[0], steps))
         for (src, tgt, lag), w in zip(self.edges, weights):
-            if lag == 0:
-                aff[:, tgt] += w * m_e[:, src]
-            elif lag < m_e.shape[0]:
-                aff[lag:, tgt] += w * m_e[:-lag, src]
-        m, var = _transition_moments(self.columns, self.denominator_approx, gain_e,
-                                     gain_i, slope, m_e[:-1, :], aff[:-1, :])
+            if lag < steps:
+                aff[tgt, lag:] += w * m_e[src, :steps - lag]
+        m, var = _transition_moments(self.columns, self.denominator_approx,
+                                     np.stack((gain_e, gain_i)), slope,
+                                     m_e[:, :steps], aff)
         return m, var, clamped, excess
 
     def log_terms(self, phi, phidot, sites, weights):
-        """Per (step, site) transition log-densities, clamp count, excess."""
+        """Per (site, step) transition log-densities, clamp count, excess."""
         m, var, clamped, excess = self.moments(phi, sites, weights)
         return _log_density(phidot, m, var, self.dt), clamped, excess
 
@@ -389,55 +452,16 @@ def recover_firings(net: RegionNet, series):
     """
     phi = _series(net, series)
     offset, _, _, _, denom, bound = _site_arrays(net.columns, _Transitions(net).sites)
-    return _clamp_firings(phi, offset, denom, bound)
-
-
-def delayed_afferents(net: RegionNet, firing_history, site: str, t: int) -> np.ndarray:
-    """Per incoming edge, weight times the source's M^E at t - delay.
-
-    firing_history is an (epochs, sites) array of excitatory firings; epochs
-    before the data start contribute zero.
-    """
-    hist = np.asarray(firing_history, dtype=float)
-    if hist.ndim != 2 or hist.shape[1] != len(net.sites):
-        raise DimensionMismatch("firing_history must be (epochs, sites)")
-    tgt = net.site_index(site)
-    vals = []
-    for c in net.couplings:
-        if net.site_index(c.target) != tgt:
-            continue
-        past = t - c.delay
-        vals.append(c.weight * hist[past, net.site_index(c.source)]
-                    if 0 <= past < hist.shape[0] else 0.0)
-    return np.asarray(vals, dtype=float)
-
-
-def electrode_moments(net: RegionNet, site: str, m_e, m_lr=0.0):
-    """Drift m and variance rate sigma^2 of the potential at one site."""
-    s = net.sites[net.site_index(site)]
-    return _transition_moments(net.columns, net.denominator_approx,
-                               s.gain_e, s.gain_i, s.trough_slope,
-                               np.asarray(m_e, dtype=float), m_lr)
-
-
-def conditional_logprob(net: RegionNet, site: str, phi_next, phi_cur,
-                        m_e, m_lr=0.0, dt: float | None = None):
-    """Log density of one potential step given the prepoint firing state."""
-    dt = net.dt_ms if dt is None else float(dt)
-    if dt <= 0.0:
-        raise OutOfDomain("dt must be positive")
-    m, var = electrode_moments(net, site, m_e, m_lr)
-    phidot = (np.asarray(phi_next, dtype=float) - np.asarray(phi_cur, dtype=float)) / dt
-    out = _log_density(phidot, m, var, dt)
-    return float(out) if out.ndim == 0 else out
+    m_e, clamped, excess = _clamp_firings(np.ascontiguousarray(phi.T), offset,
+                                          denom, bound)
+    return m_e.T, clamped, excess
 
 
 def loglikelihood_details(net: RegionNet, series) -> dict:
     """Joint transition log-likelihood with clamp diagnostics."""
     phi = _series(net, series, min_epochs=2)
     tr = _Transitions(net)
-    terms, clamped, excess = tr.log_terms(phi, np.diff(phi, axis=0) / tr.dt,
-                                          tr.sites, tr.weights)
+    terms, clamped, excess = tr.log_terms(*tr.site_major(phi), tr.sites, tr.weights)
     total = float(np.sum(terms))
     count = phi.size
     return {
@@ -445,7 +469,7 @@ def loglikelihood_details(net: RegionNet, series) -> dict:
         "clamp_fraction": clamped / count if count else 0.0,
         "excess": excess,
         "out_of_range": clamped / count > CLAMP_FLAG_FRACTION if count else False,
-        "per_site": {s.name: float(np.sum(terms[:, i]))
+        "per_site": {s.name: float(np.sum(terms[i]))
                      for i, s in enumerate(net.sites)},
     }
 
@@ -460,10 +484,10 @@ def innovation_stream(net: RegionNet, series) -> np.ndarray:
     Row t holds (Phi(t+1) - Phi(t) - m dt) / (sigma sqrt(dt)) per site; the
     potential-rate form (Phidot - m)/sigma times sqrt(dt).
     """
-    phi = _series(net, series)
+    phi = np.ascontiguousarray(_series(net, series).T)
     tr = _Transitions(net)
     m, var, _, _ = tr.moments(phi, tr.sites, tr.weights)
-    return (np.diff(phi, axis=0) - m * tr.dt) / np.sqrt(var * tr.dt)
+    return ((np.diff(phi, axis=1) - m * tr.dt) / np.sqrt(var * tr.dt)).T
 
 
 def simulate(net: RegionNet, epochs: int, seed: int, initial=None) -> np.ndarray:
@@ -478,6 +502,9 @@ def simulate(net: RegionNet, epochs: int, seed: int, initial=None) -> np.ndarray
     n_sites = len(net.sites)
     tr = _Transitions(net)
     offset, gain_e, gain_i, slope, denom, bound = _site_arrays(tr.columns, tr.sites)
+    gains = np.stack((gain_e, gain_i))
+    # an epoch's potentials and firings are rows; the kernel takes columns
+    offset, denom, bound = offset[:, 0], denom[:, 0], bound[:, 0]
     dt = tr.dt
 
     phi = np.empty((epochs, n_sites))
@@ -493,19 +520,20 @@ def simulate(net: RegionNet, epochs: int, seed: int, initial=None) -> np.ndarray
     # equals one draw per epoch.
     noise = NormalStream(seed).draw((epochs - 1) * n_sites).reshape(epochs - 1, n_sites)
     m_hist = np.empty((epochs, n_sites))
+    aff = np.empty((n_sites, 1))
 
     for t in range(epochs):
         m_hist[t] = np.clip((phi[t] - offset) / denom, -bound, bound)
         phi[t] = offset + denom * m_hist[t]
         if t == epochs - 1:
             break
-        aff = np.zeros(n_sites)
+        aff.fill(0.0)
         for (src, tgt, lag), w in zip(tr.edges, tr.weights):
             if t - lag >= 0:
-                aff[tgt] += w * m_hist[t - lag, src]
-        m, var = _transition_moments(tr.columns, tr.denominator_approx, gain_e,
-                                     gain_i, slope, m_hist[t], aff)
-        phi[t + 1] = phi[t] + m * dt + np.sqrt(var * dt) * noise[t]
+                aff[tgt, 0] += w * m_hist[t - lag, src]
+        m, var = _transition_moments(tr.columns, tr.denominator_approx, gains,
+                                     slope, m_hist[t, :, None], aff)
+        phi[t + 1] = phi[t] + m[:, 0] * dt + np.sqrt(var[:, 0] * dt) * noise[t]
     return phi
 
 
@@ -545,15 +573,16 @@ def _fit_cost(net: RegionNet, keys, phi, penalty_weight: float):
 
     Each key becomes a slot in the (n_sites, 4) site array or the coupling
     weights. The columns are never free, so they are centered once; the
-    coupling edges and phidot are fixed too. Unknown sites and couplings raise
-    OutOfDomain here, before any evaluation.
+    coupling edges, the site-major series and its phidot are fixed too.
+    Unknown sites and couplings raise OutOfDomain here, before any
+    evaluation.
     """
     site_pos, site_slot, coup_pos, coup_slot = _param_slots(net, keys)
     try:
         tr = _Transitions(replace(net, columns=centering_shift(net.columns)))
     except NoSolution:
         return lambda vec: np.inf
-    phidot = np.diff(phi, axis=0) / tr.dt
+    phi, phidot = tr.site_major(phi)
 
     def cost(vec):
         vec = np.asarray(vec, dtype=float)

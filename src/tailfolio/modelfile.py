@@ -53,14 +53,24 @@ def load_json(path) -> dict:
 
 # ---------------------------------------------------------------- CSV tables
 
+_BLOCK_ROWS = 4096
+
+
 def write_table(path, header, values) -> None:
-    """Write a (rows, len(header)) numeric array under a one-line header."""
+    """Write a (rows, len(header)) numeric array under a one-line header.
+
+    Rows are formatted 4096 at a time, with one % on a repeated
+    "%.17g,...\\n" row template.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(header):
         raise ParseError("row width does not match header")
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, values, fmt="%.17g", delimiter=",")
+        for start in range(0, values.shape[0], _BLOCK_ROWS):
+            block = values[start:start + _BLOCK_ROWS]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def read_table(path):

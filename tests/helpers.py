@@ -4,8 +4,10 @@ import json
 import os
 
 import jsonschema
+import numpy as np
 
 from tailfolio import eeg
+from tailfolio.errors import DegenerateVariance, DimensionMismatch, OutOfDomain
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
 
@@ -62,3 +64,54 @@ def p300_free_params(net: eeg.RegionNet):
         free.append(key)
         bounds[key] = (0.0, 0.3)
     return free, bounds
+
+
+# Test-only oracles of the transition density, built from the public formulas
+# threshold_factor and drifts_diffusions, so they stay independent of the
+# package's in-place kernel.
+
+def delayed_afferents(net: eeg.RegionNet, firing_history, site: str, t: int) -> np.ndarray:
+    """Per incoming edge, weight times the source's M^E at t - delay.
+
+    firing_history is an (epochs, sites) array of excitatory firings; epochs
+    before the data start contribute zero.
+    """
+    hist = np.asarray(firing_history, dtype=float)
+    if hist.ndim != 2 or hist.shape[1] != len(net.sites):
+        raise DimensionMismatch("firing_history must be (epochs, sites)")
+    tgt = net.site_index(site)
+    vals = []
+    for c in net.couplings:
+        if net.site_index(c.target) != tgt:
+            continue
+        past = t - c.delay
+        vals.append(c.weight * hist[past, net.site_index(c.source)]
+                    if 0 <= past < hist.shape[0] else 0.0)
+    return np.asarray(vals, dtype=float)
+
+
+def electrode_moments(net: eeg.RegionNet, site: str, m_e, m_lr=0.0):
+    """Drift m and variance rate sigma^2 of the potential at one site."""
+    s = net.sites[net.site_index(site)]
+    m_e = np.asarray(m_e, dtype=float)
+    m_i = s.trough_slope * m_e
+    f_e, f_i = eeg.threshold_factor(net.columns, m_e, m_i, m_lr,
+                                    net.denominator_approx)
+    g_e, g_i, g_ee, g_ii = eeg.drifts_diffusions(net.columns, f_e, f_i, m_e, m_i)
+    m = s.gain_e * g_e + s.gain_i * g_i
+    var = s.gain_e ** 2 * g_ee + s.gain_i ** 2 * g_ii
+    if np.any(var <= 0.0):
+        raise DegenerateVariance("conditional variance must be positive")
+    return m, var
+
+
+def conditional_logprob(net: eeg.RegionNet, site: str, phi_next, phi_cur,
+                        m_e, m_lr=0.0, dt: float | None = None):
+    """Log density of one potential step given the prepoint firing state."""
+    dt = net.dt_ms if dt is None else float(dt)
+    if dt <= 0.0:
+        raise OutOfDomain("dt must be positive")
+    m, var = electrode_moments(net, site, m_e, m_lr)
+    phidot = (np.asarray(phi_next, dtype=float) - np.asarray(phi_cur, dtype=float)) / dt
+    out = -0.5 * np.log(2.0 * np.pi * var * dt) - dt * (phidot - m) ** 2 / (2.0 * var)
+    return float(out) if out.ndim == 0 else out

@@ -19,8 +19,7 @@ from tailfolio.anneal import AnnealConfig, local_refine, minimize, temperature
 from tailfolio.copula import (CopulaModel, CorrelationMatrix, cholesky_lower,
                               from_gaussian, to_gaussian)
 from tailfolio.eeg import (ElectrodeSite, RegionNet, apply_params,
-                           centering_check, conditional_logprob,
-                           electrode_moments, fit_net, joint_loglikelihood,
+                           centering_check, fit_net, joint_loglikelihood,
                            simulate)
 from tailfolio.events import sample_events
 from tailfolio.marginals import ExponentialMarginal, sample
@@ -28,7 +27,8 @@ from tailfolio.modelfile import save_model, save_net, write_series_csv
 from tailfolio.risk import (LinearPortfolio, implied_width,
                             optimize_positions, q_empirical)
 
-from helpers import centered_columns, p300_free_params, p300_net, two_site_net
+from helpers import (centered_columns, conditional_logprob, electrode_moments,
+                     p300_free_params, p300_net, two_site_net)
 
 
 def _line(num: int, ok: bool, detail: str) -> None:

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from tailfolio.anneal import (SENTINEL, AnnealConfig, generation_delta,
                               importance_sample, local_refine, minimize, search,
-                              temperature)
+                              tangents, temperature)
 from tailfolio.errors import CostNotFinite, InvalidBounds
 from tailfolio.modelfile import write_trace_csv
 from tailfolio.rng import UniformStream
@@ -273,3 +275,59 @@ def test_search_skips_the_polish_at_the_sentinel():
     assert np.array_equal(res.x, anneal.x)
     assert (res.cost, res.trials) == (anneal.cost, anneal.trials)
     _assert_anneal_record(res, anneal)
+
+
+def test_reanneal_probes_each_free_dimension_once():
+    bounds = [(-1.0, 1.0), (0.4, 0.4), (-2.0, 1.0), (0.0, 3.0)]
+    for interval in (10, 25):
+        cost = _Counted(lambda p: float(np.sum((p - 0.3) ** 2) + np.sin(4.0 * p).sum()))
+        # no convergence exit, so every multiple of the interval reanneals
+        res = minimize(cost, bounds, AnnealConfig(seed=3, max_trials=1500,
+                                                  reanneal_interval=interval,
+                                                  window_repeat_tol=-1.0))
+        reanneals = res.acceptances // interval
+        assert reanneals >= 5
+        # the start point, one call per trial, one probe per free dimension
+        assert cost.calls == 1 + res.trials + 3 * reanneals
+
+
+def test_tangents_probe_one_side_and_skip_fixed_dimensions():
+    seen = []
+
+    def f(p):
+        seen.append(p.copy())
+        return float(p @ np.array([1.0, -2.0, 4.0, 8.0]))
+
+    lo, hi = np.zeros(4), np.ones(4)
+    step = np.full(4, 1e-3)
+    x = np.array([0.5, 1.0 - 4e-4, 0.0, 0.25])
+    sens = tangents(f, x, f(x), step, lo, hi, np.array([True, True, True, False]))
+    probes = seen[1:]
+    assert len(probes) == 3
+    for i, probe in enumerate(probes):
+        moved = np.flatnonzero(probe != x)
+        assert list(moved) == [i]
+    assert probes[0][0] == 0.5 + 1e-3
+    assert probes[1][1] == x[1] - 1e-3      # within one step of hi: downward
+    assert probes[2][2] == 1e-3
+    assert sens[3] == 0.0
+    assert sens[:3] == pytest.approx([1.0, 2.0, 4.0], rel=1e-9)
+
+
+def test_minimize_is_offset_invariant_with_explicit_accept_t0():
+    # costs on a 2^-20 grid plus an offset exact in binary: every cost
+    # difference the annealer takes is the same with and without it
+    def f(p):
+        return math.floor(float(np.sum((p - 0.3) ** 2) + np.sin(5.0 * p).sum())
+                          * 2.0 ** 20) / 2.0 ** 20
+
+    bounds = [(-1.0, 1.0)] * 4
+    for seed in (1, 2):
+        cfg = AnnealConfig(seed=seed, max_trials=4000, accept_t0=1.0,
+                           reanneal_interval=40)
+        a = minimize(f, bounds, cfg)
+        b = minimize(lambda p: f(p) + 1024.0, bounds, cfg)
+        assert np.array_equal(a.x, b.x)
+        assert (a.trials, a.acceptances, a.exit_reason) == (
+            b.trials, b.acceptances, b.exit_reason)
+        assert b.cost == a.cost + 1024.0

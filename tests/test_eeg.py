@@ -10,17 +10,17 @@ from tailfolio import eeg
 from tailfolio.anneal import AnnealConfig
 from tailfolio.eeg import (ColumnParams, Coupling, ElectrodeSite, RegionNet,
                            apply_params, centering_check, centering_shift,
-                           conditional_logprob, delayed_afferents,
-                           drifts_diffusions, electrode_moments, fit_net,
-                           innovation_stream, joint_loglikelihood,
-                           loglikelihood_details, parse_param_key,
-                           recover_firings, simulate, threshold_factor)
+                           drifts_diffusions, fit_net, innovation_stream,
+                           joint_loglikelihood, loglikelihood_details,
+                           parse_param_key, recover_firings, simulate,
+                           threshold_factor)
 from tailfolio.errors import (CostNotFinite, DegenerateVariance,
                               DimensionMismatch, NonPositiveDenominator,
                               NoSolution, OutOfDomain, SingularInversion)
 from tailfolio.rng import NormalStream
 
-from helpers import centered_columns, p300_free_params, p300_net, two_site_net
+from helpers import (centered_columns, conditional_logprob, delayed_afferents,
+                     electrode_moments, p300_free_params, p300_net, two_site_net)
 
 
 def hand_columns(**overrides) -> ColumnParams:
@@ -202,6 +202,23 @@ def test_electrode_moments_composition():
     m, var = electrode_moments(net, "Fz", m_e, 0.3)
     assert m == pytest.approx(s.gain_e * g_e + s.gain_i * g_i, rel=1e-14)
     assert var == pytest.approx(s.gain_e ** 2 * g_ee + s.gain_i ** 2 * g_ii, rel=1e-14)
+
+
+def test_kernel_moments_equal_the_public_formulas_bitwise():
+    # the in-place kernel performs threshold_factor's and drifts_diffusions'
+    # operations in their order, so it matches the oracle to the bit
+    for net in (two_site_net(delay=2),
+                replace(two_site_net(), denominator_approx=False)):
+        phi = simulate(net, 80, seed=4)
+        tr = eeg._Transitions(net)
+        m, var, _, _ = tr.moments(tr.site_major(phi)[0], tr.sites, tr.weights)
+        m_e, _, _ = recover_firings(net, phi)
+        for i, s in enumerate(net.sites):
+            aff = np.array([np.sum(delayed_afferents(net, m_e, s.name, t))
+                            for t in range(phi.shape[0] - 1)])
+            want_m, want_var = electrode_moments(net, s.name, m_e[:-1, i], aff)
+            assert m[i].tobytes() == want_m.tobytes()
+            assert var[i].tobytes() == want_var.tobytes()
 
 
 def test_conditional_logprob_is_gaussian():
@@ -461,3 +478,33 @@ def test_fit_net_error_parity(monkeypatch):
             fit_net(phi, net, free=[key], bounds={key: (0.0, 1.0)})
     with pytest.raises(DimensionMismatch):
         fit_net(phi[:1], net, free=["Fz.offset"], bounds={"Fz.offset": (0.0, 2.0)})
+
+
+def test_results_do_not_depend_on_the_series_memory_layout():
+    truth = p300_net()
+    phi = simulate(truth, 950, seed=101)
+    c_order, f_order = np.ascontiguousarray(phi), np.asfortranarray(phi)
+    assert c_order.flags.c_contiguous and f_order.flags.f_contiguous
+    keys, bounds = p300_free_params(truth)
+    lo = np.array([bounds[k][0] for k in keys])
+    hi = np.array([bounds[k][1] for k in keys])
+    points = lo + (hi - lo) * np.random.default_rng(21).random((200, len(keys)))
+    c_cost = eeg._fit_cost(truth, keys, c_order, 1e3)
+    f_cost = eeg._fit_cost(truth, keys, f_order, 1e3)
+    assert [c_cost(v) for v in points] == [f_cost(v) for v in points]
+
+    assert loglikelihood_details(truth, c_order) == loglikelihood_details(truth, f_order)
+    outside = [recover_firings(truth, 3.0 * series) for series in (c_order, f_order)]
+    assert outside[0][1] > 0
+    assert outside[0][2] == outside[1][2]
+    assert (innovation_stream(truth, c_order).tobytes()
+            == innovation_stream(truth, f_order).tobytes())
+
+    template = apply_params(truth, dict.fromkeys(keys[:4], 0.4))
+    fits = [fit_net(series, template, keys, bounds,
+                    AnnealConfig(seed=5, max_trials=300), refine_calls=100)
+            for series in (c_order, f_order)]
+    assert fits[0].net == fits[1].net
+    assert fits[0].loglik == fits[1].loglik
+    assert fits[0].result.x.tobytes() == fits[1].result.x.tobytes()
+    assert fits[0].result.trace == fits[1].result.trace

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -52,6 +53,22 @@ def test_write_table_matches_per_value_format(tmp_path):
     empty = tmp_path / "empty.csv"
     write_table(empty, ("a", "b"), np.empty((0, 2)))
     assert empty.read_bytes() == b"a,b\n"
+
+    # 4097 rows cross a 4096-row block; specials sit on both sides of it
+    rng = np.random.default_rng(5)
+    many = rng.standard_normal((4097, 3)) * 10.0 ** rng.integers(-300, 300, (4097, 3))
+    cells = [(0, 0), (1, 1), (4094, 2), (4095, 0), (4095, 1), (4095, 2),
+             (4096, 0), (4096, 1), (4096, 2), (2000, 1)]
+    for (row, col), v in zip(cells, special):
+        many[row, col] = v
+    big = tmp_path / "big.csv"
+    write_table(big, ("x", "y", "z"), many)
+    expected = "x,y,z\n" + "".join(
+        ",".join("%.17g" % float(v) for v in row) + "\n" for row in many)
+    assert big.read_bytes() == expected.encode("utf-8")
+    former = io.StringIO()
+    np.savetxt(former, many, fmt="%.17g", delimiter=",", header="x,y,z", comments="")
+    assert big.read_text() == former.getvalue()
     with pytest.raises(ParseError, match="width"):
         write_table(empty, ("a", "b"), np.zeros((2, 3)))
 
