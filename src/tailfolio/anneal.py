@@ -41,6 +41,7 @@ from .rng import UniformStream
 
 _T_FLOOR = 1e-300
 SENTINEL = 1e30      # stands in for a non-finite cost where one must be finite
+GRAD_TOL = 1e-8      # local_refine's gradient tolerance, times 1 + |start cost|
 
 
 def temperature(k, t0=1.0, c=1.0, d: int = 1):
@@ -242,13 +243,12 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
                      trace=trace)
 
 
-def local_refine(cost, x0, bounds, max_calls: int = 1000,
-                 grad_tol: float = 1e-8) -> OptResult:
+def local_refine(cost, x0, bounds, max_calls: int = 1000) -> OptResult:
     """Bounded quasi-Newton polish; never worse than the starting point.
 
     Gradients are numerical, so the call budget is spent in blocks of D + 1
     evaluations; convergence is a projected-gradient norm below
-    grad_tol * (1 + |start cost|).
+    GRAD_TOL * (1 + |start cost|).
     """
     # Imported here so that commands which never refine skip its import time.
     from scipy.optimize import minimize as _scipy_minimize
@@ -270,7 +270,7 @@ def local_refine(cost, x0, bounds, max_calls: int = 1000,
     res = _scipy_minimize(
         wrapped, x0, method="L-BFGS-B", bounds=list(zip(lo, hi)),
         options={"maxfun": max(1, int(max_calls)), "maxiter": iter_budget,
-                 "ftol": 1e-17, "gtol": grad_tol * (1.0 + abs(f0))})
+                 "ftol": 1e-17, "gtol": GRAD_TOL * (1.0 + abs(f0))})
     if np.isfinite(res.fun) and res.fun < f0:
         x_best, f_best = np.clip(res.x, lo, hi), float(res.fun)
     else:

@@ -100,7 +100,7 @@ class CorrelationMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def from_matrix(cls, matrix, eps_pd: float = EPS_PD) -> "CorrelationMatrix":
+    def from_matrix(cls, matrix) -> "CorrelationMatrix":
         g = np.array(matrix, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DimensionMismatch("correlation matrix must be square")
@@ -112,7 +112,7 @@ class CorrelationMatrix:
             raise OutOfDomain("correlation entries must lie in [-1, 1]")
         g = 0.5 * (g + g.T)
         np.fill_diagonal(g, 1.0)
-        floor = eps_pd * float(np.max(np.diag(g)))
+        floor = EPS_PD * float(np.max(np.diag(g)))
         c = cholesky_lower(g, pivot_floor=floor)
         c_inv = solve_triangular(c, np.eye(g.shape[0]), lower=True)
         inverse = c_inv.T @ c_inv
@@ -130,8 +130,7 @@ def pre_average(y: np.ndarray, window: int) -> np.ndarray:
     return np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="valid"), 1, y)
 
 
-def estimate_correlation(y_series, pre_average_window: int = 3,
-                         eps_pd: float = EPS_PD) -> CorrelationMatrix:
+def estimate_correlation(y_series, pre_average_window: int = 3) -> CorrelationMatrix:
     """Correlation of pre-averaged normal coordinates.
 
     y_series has shape (channels, epochs). Each channel is smoothed with a
@@ -162,7 +161,7 @@ def estimate_correlation(y_series, pre_average_window: int = 3,
     np.fill_diagonal(corr, 1.0)
     corr = np.clip(corr, -1.0, 1.0)
     try:
-        return CorrelationMatrix.from_matrix(corr, eps_pd=eps_pd)
+        return CorrelationMatrix.from_matrix(corr)
     except NotPositiveDefinite as exc:
         raise IllConditioned(str(exc)) from exc
 

@@ -37,6 +37,7 @@ M-dagger(t) = weight * M^E_source(t - delay), zero before the data start.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
@@ -74,6 +75,15 @@ class ColumnParams:
     lr_gain: float = 0.5
     lr_background: float = 0.1
 
+    def __post_init__(self):
+        if not 0.0 < self.tau_ms < np.inf:
+            raise OutOfDomain("tau_ms must be positive and finite")
+
+    @cached_property
+    def _view(self) -> _ColumnsView:
+        """The coefficient arrays of the threshold factor, built on first use."""
+        return _ColumnsView(self)
+
 
 class _ColumnsView:
     """Precomputed coefficient arrays for the threshold factor."""
@@ -107,22 +117,13 @@ class _ColumnsView:
             self.num0, self.ce, self.ci, self.clr, self.den0, self.de, self.di,
             self.dlr, n))
         self.den0_ok = not np.any(self.den0 <= 0.0)
-        self.root_den0 = np.sqrt(_PI * self.stacked[4])
-
-
-def _view(cols: ColumnParams) -> _ColumnsView:
-    """The coefficient arrays of cols, built on first use and kept on it."""
-    view = cols.__dict__.get("_view")
-    if view is None:
-        view = _ColumnsView(cols)
-        object.__setattr__(cols, "_view", view)
-    return view
+        self.root_den0 = np.sqrt(_PI * self.stacked[4]) if self.den0_ok else None
 
 
 def threshold_factor(cols: ColumnParams, m_e, m_i, m_lr=0.0,
                      denominator_approx: bool = True):
     """Threshold factors (F^E, F^I); inputs broadcast elementwise."""
-    view = _view(cols)
+    view = cols._view
     m_e = np.asarray(m_e, dtype=float)
     m_i = np.asarray(m_i, dtype=float)
     m_lr = np.asarray(m_lr, dtype=float)
@@ -163,58 +164,35 @@ def _transition_moments(cols: ColumnParams, denominator_approx, gains, slope,
     summed delayed afferents m_lr are (sites, steps) arrays, slope the
     (sites, 1) column with M^I = slope M^E, and gains the (2, sites, 1)
     stack of gain_e over gain_i. The excitatory and inhibitory halves are
-    stacked on a leading axis of one work array, and every step writes in
-    place. Elementwise these are the operations of threshold_factor and
-    drifts_diffusions, in their order, so the values are theirs to the bit.
+    stacked on a leading axis. Elementwise these are the operations of
+    threshold_factor and drifts_diffusions, in their order, so the values
+    are theirs to the bit.
     """
-    view = _view(cols)
+    view = cols._view
     num0, ce, ci, clr, den0, de, di, dlr, n = view.stacked
-    own, f, g, out = np.empty((4, 2, *m_e.shape))
+    own = np.empty((2, *m_e.shape))
     own[0] = m_e
-    np.multiply(slope, m_e, out=own[1])
-    m_i = own[1]
+    own[1] = m_i = slope * m_e
     # F^G = num / sqrt(pi den), as threshold_factor
-    np.multiply(ce, m_e, out=f)
-    np.subtract(num0, f, out=f)
-    np.multiply(ci, m_i, out=g)
-    f -= g
-    np.multiply(clr, m_lr, out=g)
-    f -= g
     if denominator_approx:
         if not view.den0_ok:
             raise NonPositiveDenominator("variance aggregate must be positive")
-        f /= view.root_den0
+        root_den = view.root_den0
     else:
-        den = out
-        np.multiply(de, m_e, out=den)
-        np.add(den0, den, out=den)
-        np.multiply(di, m_i, out=g)
-        den += g
-        np.multiply(dlr, m_lr, out=g)
-        den += g
+        den = den0 + de * m_e + di * m_i + dlr * m_lr
         if np.any(den <= 0.0):
             raise NonPositiveDenominator("variance aggregate must be positive")
-        f /= np.sqrt(_PI * den)
-    # g^G = -(M^G + N^G tanh F^G) / tau, g^GG = N^G sech^2(F^G) / tau
+        root_den = np.sqrt(_PI * den)
+    f = (num0 - ce * m_e - ci * m_i - clr * m_lr) / root_den
+    # g^G = -(M^G + N^G tanh F^G) / tau and g^GG = N^G sech^2(F^G) / tau,
+    # each times its gain, squared for g^GG
     tau = cols.tau_ms
-    np.tanh(f, out=g)
-    g *= n
-    g += own
-    np.negative(g, out=g)
-    g /= tau
-    np.abs(f, out=f)
-    np.minimum(f, 350.0, out=f)
-    np.cosh(f, out=f)
-    np.square(f, out=f)
-    np.divide(1.0, f, out=f)
-    f *= n
-    f /= tau
+    drift = -(own + n * np.tanh(f)) / tau * gains
+    diffusion = (n * (1.0 / np.square(np.cosh(np.minimum(np.abs(f), 350.0))))
+                 / tau * np.square(gains))
     # m = gain_e g^E + gain_i g^I, var = gain_e^2 g^EE + gain_i^2 g^II
-    g *= gains
-    f *= np.square(gains)
-    m, var = out
-    np.add(g[0], g[1], out=m)
-    np.add(f[0], f[1], out=var)
+    m = drift[0] + drift[1]
+    var = diffusion[0] + diffusion[1]
     if np.any(var <= 0.0):
         raise DegenerateVariance("conditional variance must be positive")
     return m, var
@@ -231,7 +209,7 @@ def centering_shift(cols: ColumnParams) -> ColumnParams:
     Long-range background is left untouched. Idempotent. Raises NoSolution
     when an excitatory-source term v^G_E N^E is zero.
     """
-    view = _view(cols)
+    view = cols._view
     v = np.asarray(cols.pol_mean, dtype=float)
     b = np.asarray(cols.background, dtype=float).copy()
     for g in range(2):
@@ -371,17 +349,18 @@ def _series(net: RegionNet, series, min_epochs: int = 0) -> np.ndarray:
 
 def _site_arrays(cols: ColumnParams, sites: np.ndarray):
     """The fields of an (n_sites, 4) SITE_FIELDS array as (n_sites, 1)
-    columns, plus the combined gain that inverts the potential map and the
-    firing bound."""
-    offset, gain_e, gain_i, slope = sites.T[:, :, None]
-    denom = gain_e + gain_i * slope
+    columns, gain_e over gain_i as one (2, n_sites, 1) view, plus the
+    combined gain that inverts the potential map and the firing bound."""
+    columns = sites.T[:, :, None]
+    offset, gains, slope = columns[0], columns[1:3], columns[3]
+    denom = gains[0] + gains[1] * slope
     if np.any(np.abs(denom) < 1e-12):
         raise SingularInversion("combined electrode gain is zero")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         bound = np.where(slope != 0.0,
                          np.minimum(cols.n_e, cols.n_i / np.abs(slope)),
                          cols.n_e)
-    return offset, gain_e, gain_i, slope, denom, bound
+    return offset, gains, slope, denom, bound
 
 
 def _clamp_firings(phi, offset, denom, bound):
@@ -426,7 +405,7 @@ class _Transitions:
         Returns (m, var, clamped, excess), the last two from recovering the
         firings. Delayed afferents before the data start are zero.
         """
-        offset, gain_e, gain_i, slope, denom, bound = _site_arrays(self.columns, sites)
+        offset, gains, slope, denom, bound = _site_arrays(self.columns, sites)
         m_e, clamped, excess = _clamp_firings(phi, offset, denom, bound)
         steps = max(phi.shape[1] - 1, 0)
         aff = np.zeros((phi.shape[0], steps))
@@ -434,8 +413,7 @@ class _Transitions:
             if lag < steps:
                 aff[tgt, lag:] += w * m_e[src, :steps - lag]
         m, var = _transition_moments(self.columns, self.denominator_approx,
-                                     np.stack((gain_e, gain_i)), slope,
-                                     m_e[:, :steps], aff)
+                                     gains, slope, m_e[:, :steps], aff)
         return m, var, clamped, excess
 
     def log_terms(self, phi, phidot, sites, weights):
@@ -451,7 +429,7 @@ def recover_firings(net: RegionNet, series):
     many values hit the clamp, and the total distance out of range.
     """
     phi = _series(net, series)
-    offset, _, _, _, denom, bound = _site_arrays(net.columns, _Transitions(net).sites)
+    offset, _, _, denom, bound = _site_arrays(net.columns, _Transitions(net).sites)
     m_e, clamped, excess = _clamp_firings(np.ascontiguousarray(phi.T), offset,
                                           denom, bound)
     return m_e.T, clamped, excess
@@ -501,8 +479,7 @@ def simulate(net: RegionNet, epochs: int, seed: int, initial=None) -> np.ndarray
         raise OutOfDomain("epochs must be >= 1")
     n_sites = len(net.sites)
     tr = _Transitions(net)
-    offset, gain_e, gain_i, slope, denom, bound = _site_arrays(tr.columns, tr.sites)
-    gains = np.stack((gain_e, gain_i))
+    offset, gains, slope, denom, bound = _site_arrays(tr.columns, tr.sites)
     # an epoch's potentials and firings are rows; the kernel takes columns
     offset, denom, bound = offset[:, 0], denom[:, 0], bound[:, 0]
     dt = tr.dt

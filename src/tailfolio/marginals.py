@@ -61,11 +61,10 @@ class ExponentialMarginal:
         return np.where(t < 0.0, self.width_below(), self.width_above())
 
 
-def fit_exponential(samples, eps_var: float = EPS_VAR,
-                    asymmetric: bool = False) -> ExponentialMarginal:
+def fit_exponential(samples, asymmetric: bool = False) -> ExponentialMarginal:
     """Moment fit of the two-tailed exponential to increment samples.
 
-    Raises DegenerateData when the population variance falls below eps_var,
+    Raises DegenerateData when the population variance falls below EPS_VAR,
     or when an asymmetric fit finds an empty side.
     """
     x = np.asarray(samples, dtype=float).ravel()
@@ -75,8 +74,8 @@ def fit_exponential(samples, eps_var: float = EPS_VAR,
         raise OutOfDomain("samples must be finite")
     m = float(np.mean(x))
     var = float(np.mean((x - m) ** 2))
-    if var < eps_var:
-        raise DegenerateData(f"variance {var:.3e} below floor {eps_var:.3e}")
+    if var < EPS_VAR:
+        raise DegenerateData(f"variance {var:.3e} below floor {EPS_VAR:.3e}")
     chi = float(np.sqrt(var / 2.0))
     if not asymmetric:
         return ExponentialMarginal(m=m, chi=chi)
@@ -87,7 +86,7 @@ def fit_exponential(samples, eps_var: float = EPS_VAR,
         raise DegenerateData("asymmetric fit needs samples on both sides of m")
     chi_minus = float(np.sqrt(np.mean(below ** 2) / 2.0))
     chi_plus = float(np.sqrt(np.mean(above ** 2) / 2.0))
-    if min(chi_minus, chi_plus) ** 2 < eps_var / 2.0:
+    if min(chi_minus, chi_plus) ** 2 < EPS_VAR / 2.0:
         raise DegenerateData("one-sided width below floor")
     return ExponentialMarginal(m=m, chi=chi, chi_minus=chi_minus, chi_plus=chi_plus)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .anneal import AnnealConfig
 from .copula import CopulaModel, CorrelationMatrix
 from .eeg import ColumnParams, Coupling, ElectrodeSite, RegionNet
-from .errors import ParseError
+from .errors import OutOfDomain, ParseError
 from .marginals import ExponentialMarginal
 
 INDEX_NAMES = ("epoch", "event_index", "index", "t")
@@ -227,15 +227,17 @@ def net_from_dict(d: dict) -> RegionNet:
                                     gain_i=float(s["gain_i"]),
                                     trough_slope=float(s["trough_slope"]))
                       for s in d["sites"])
+        # Coupling rejects a delay that is not a non-negative integer
         couplings = tuple(Coupling(source=str(c["source"]), target=str(c["target"]),
-                                   weight=float(c["weight"]), delay=int(c["delay"]))
+                                   weight=float(c["weight"]), delay=c["delay"])
                           for c in d.get("couplings", ()))
-        return RegionNet(sites=sites, couplings=couplings,
-                         columns=columns_from_dict(d["columns"]),
-                         dt_ms=float(d.get("dt_ms", 5.2)),
-                         denominator_approx=bool(d.get("denominator_approx", True)))
-    except (KeyError, TypeError, ValueError) as exc:
+        columns = d["columns"]
+        dt_ms = float(d.get("dt_ms", 5.2))
+    except (KeyError, TypeError, ValueError, OverflowError, OutOfDomain) as exc:
         raise ParseError(f"malformed net block ({exc})") from exc
+    return RegionNet(sites=sites, couplings=couplings,
+                     columns=columns_from_dict(columns), dt_ms=dt_ms,
+                     denominator_approx=bool(d.get("denominator_approx", True)))
 
 
 def save_net(path, net: RegionNet) -> None:
@@ -271,7 +273,17 @@ def anneal_config_from_dict(d: dict) -> AnnealConfig:
     for key in ("reanneal_interval", "acceptance_window", "max_trials",
                 "regen_attempts", "seed"):
         if key in kwargs:
-            kwargs[key] = int(kwargs[key])
+            value = kwargs[key]
+            try:
+                integral = int(value) == value
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise ParseError(f"annealer option {key!r} must be an integer, "
+                                 f"got {value!r}")
+            kwargs[key] = int(value)
+    if not 0 <= kwargs.get("seed", 0) < 2 ** 64:
+        raise ParseError("annealer seed must fit in u64")
     return AnnealConfig(**kwargs)
 
 

@@ -239,10 +239,9 @@ class RiskReport:
     n: int
 
 
-def risk_report(samples, config: RiskConfig = RiskConfig(),
-                bin_count: int = BIN_COUNT):
+def risk_report(samples, config: RiskConfig = RiskConfig()):
     """Fit the return shape and assemble the standard tail-risk summary."""
-    dist = fit_bins(samples, bin_count=bin_count)
+    dist = fit_bins(samples)
     return RiskReport(
         mean=dist.mean, width=dist.width,
         q_analytic=q_analytic(dist.width, dist.mean, config.var_level),

@@ -99,7 +99,9 @@ def electrode_moments(net: eeg.RegionNet, site: str, m_e, m_lr=0.0):
                                     net.denominator_approx)
     g_e, g_i, g_ee, g_ii = eeg.drifts_diffusions(net.columns, f_e, f_i, m_e, m_i)
     m = s.gain_e * g_e + s.gain_i * g_i
-    var = s.gain_e ** 2 * g_ee + s.gain_i ** 2 * g_ii
+    # np.square rounds once; a Python float's ** 2 is libm pow, which can be
+    # one ulp off
+    var = np.square(s.gain_e) * g_ee + np.square(s.gain_i) * g_ii
     if np.any(var <= 0.0):
         raise DegenerateVariance("conditional variance must be positive")
     return m, var

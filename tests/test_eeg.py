@@ -204,21 +204,54 @@ def test_electrode_moments_composition():
     assert var == pytest.approx(s.gain_e ** 2 * g_ee + s.gain_i ** 2 * g_ii, rel=1e-14)
 
 
-def test_kernel_moments_equal_the_public_formulas_bitwise():
-    # the in-place kernel performs threshold_factor's and drifts_diffusions'
-    # operations in their order, so it matches the oracle to the bit
-    for net in (two_site_net(delay=2),
-                replace(two_site_net(), denominator_approx=False)):
-        phi = simulate(net, 80, seed=4)
-        tr = eeg._Transitions(net)
-        m, var, _, _ = tr.moments(tr.site_major(phi)[0], tr.sites, tr.weights)
-        m_e, _, _ = recover_firings(net, phi)
-        for i, s in enumerate(net.sites):
-            aff = np.array([np.sum(delayed_afferents(net, m_e, s.name, t))
-                            for t in range(phi.shape[0] - 1)])
-            want_m, want_var = electrode_moments(net, s.name, m_e[:-1, i], aff)
-            assert m[i].tobytes() == want_m.tobytes()
-            assert var[i].tobytes() == want_var.tobytes()
+site_values = st.tuples(st.floats(-2.0, 2.0), st.floats(0.3, 2.0),
+                        st.floats(0.1, 1.5), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sites=st.lists(site_values, min_size=1, max_size=4),
+       edges=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                st.floats(-0.3, 0.3), st.integers(0, 4)),
+                      max_size=4),
+       approx=st.booleans(), seed=st.integers(0, 2 ** 32))
+def test_kernel_moments_equal_the_public_formulas_bitwise(sites, edges, approx, seed):
+    # the kernel performs threshold_factor's and drifts_diffusions' operations
+    # in their order, so it matches the oracle to the bit
+    names = [f"S{i}" for i in range(len(sites))]
+    net = RegionNet(
+        sites=tuple(ElectrodeSite(name, *vals) for name, vals in zip(names, sites)),
+        couplings=tuple(Coupling(names[src % len(names)], names[tgt % len(names)],
+                                 w, delay)
+                        for src, tgt, w, delay in edges
+                        if delay > 0 or src % len(names) < tgt % len(names)),
+        columns=centered_columns(), denominator_approx=approx)
+    phi = (np.array([s[0] for s in sites])
+           + 30.0 * NormalStream(seed).draw(40 * len(sites)).reshape(40, -1))
+    tr = eeg._Transitions(net)
+    m, var, _, _ = tr.moments(tr.site_major(phi)[0], tr.sites, tr.weights)
+    m_e, _, _ = recover_firings(net, phi)
+    for i, s in enumerate(net.sites):
+        aff = np.array([np.sum(delayed_afferents(net, m_e, s.name, t))
+                        for t in range(phi.shape[0] - 1)])
+        want_m, want_var = electrode_moments(net, s.name, m_e[:-1, i], aff)
+        assert m[i].tobytes() == want_m.tobytes()
+        assert var[i].tobytes() == want_var.tobytes()
+
+
+@pytest.mark.parametrize("approx", [True, False])
+@pytest.mark.parametrize("cols", [
+    # zero efficacy: the aggregate vanishes
+    ColumnParams(gain=((0.0, 0.0), (0.0, 0.0)),
+                 background=((0.0, 0.0), (0.0, 0.0)), lr_count=0.0),
+    # negative polarization variance: the aggregate is negative
+    ColumnParams(pol_var=((-0.02, -0.02), (-0.02, -0.02)))])
+def test_nonpositive_variance_aggregate_raises_in_both_modes(cols, approx):
+    net = replace(two_site_net(), columns=cols, denominator_approx=approx)
+    phi = np.tile([s.offset for s in net.sites], (6, 1))
+    with pytest.raises(NonPositiveDenominator):
+        threshold_factor(cols, 0.0, 0.0, denominator_approx=approx)
+    with pytest.raises(NonPositiveDenominator):
+        loglikelihood_details(net, phi)
 
 
 def test_conditional_logprob_is_gaussian():

@@ -7,7 +7,9 @@ import pytest
 from tailfolio import modelfile
 from tailfolio.anneal import AnnealConfig, minimize
 from tailfolio.copula import CopulaModel, CorrelationMatrix
-from tailfolio.errors import ParseError
+from tailfolio.cli import exit_code_for
+from tailfolio.eeg import ColumnParams
+from tailfolio.errors import OutOfDomain, ParseError
 from tailfolio.marginals import ExponentialMarginal
 from tailfolio.modelfile import (anneal_config_from_dict, fmt, load_json,
                                  load_model, load_net, read_series_csv,
@@ -260,6 +262,35 @@ def test_json_key_order_pinned(tmp_path):
                                            "chi_plus"]
 
 
+def edited_net_file(tmp_path, edit):
+    """A saved two-site net with edit applied to its JSON payload."""
+    path = tmp_path / "net.json"
+    save_net(path, two_site_net(weight=0.07, delay=2))
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("tau", [0.0, -5.0, float("inf"), float("nan")])
+def test_columns_reject_nonpositive_or_nonfinite_tau(tmp_path, tau):
+    with pytest.raises(OutOfDomain, match="tau_ms"):
+        ColumnParams(tau_ms=tau)
+    path = edited_net_file(tmp_path, lambda d: d["columns"].update(tau_ms=tau))
+    with pytest.raises(OutOfDomain, match="tau_ms") as info:
+        load_net(path)
+    assert exit_code_for(info.value) == 2
+
+
+@pytest.mark.parametrize("delay", [1.7, -1, "2", float("inf")])
+def test_load_net_rejects_a_delay_it_would_truncate(tmp_path, delay):
+    path = edited_net_file(tmp_path, lambda d: d["couplings"][0].update(delay=delay))
+    with pytest.raises(ParseError, match="malformed net block"):
+        load_net(path)
+    path = edited_net_file(tmp_path, lambda d: d["couplings"][0].update(delay=2.0))
+    assert load_net(path).couplings[0].delay == 2
+
+
 def test_load_net_kind_guard(tmp_path):
     path = tmp_path / "net.json"
     save_json(path, {"kind": "copula_model"})
@@ -274,6 +305,14 @@ def test_anneal_config_from_dict():
     assert isinstance(cfg.max_trials, int)
     with pytest.raises(ParseError, match="unknown annealer option"):
         anneal_config_from_dict({"temperature": 1.0})
+    for bad in ({"max_trials": 2.9}, {"regen_attempts": "5"},
+                {"acceptance_window": float("nan")}, {"seed": float("inf")}):
+        with pytest.raises(ParseError, match="must be an integer"):
+            anneal_config_from_dict(bad)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ParseError, match="u64"):
+            anneal_config_from_dict({"seed": seed})
+    assert anneal_config_from_dict({"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
 
 
 def test_ensure_out_dir(tmp_path):
