@@ -7,7 +7,7 @@ streams for the same machinery.
 """
 
 from . import anneal, copula, eeg, events, indicators, marginals, modelfile, risk, rng
-from .anneal import AnnealConfig, ImportanceSample, OptResult, importance_sample, local_refine, minimize
+from .anneal import AnnealConfig, OptResult, local_refine, minimize
 from .copula import (CopulaModel, CorrelationMatrix, cholesky_lower, copula_density,
                      effective_action, estimate_correlation, from_gaussian,
                      identity_correlation, joint_density, to_gaussian,
@@ -30,18 +30,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealConfig", "ColumnParams", "ContractPortfolio", "CopulaModel",
     "CorrelationMatrix", "Coupling", "ElectrodeSite", "EngineError",
-    "EventBatch", "ExponentialMarginal", "FitResult", "ImportanceSample",
-    "LinearPortfolio", "MethodStream", "OptResult", "PortfolioDistribution",
+    "EventBatch", "ExponentialMarginal", "FitResult", "LinearPortfolio",
+    "MethodStream", "OptResult", "PortfolioDistribution",
     "PositionOptimization", "RegionNet", "RiskConfig", "RiskReport",
     "anneal", "bhattacharyya_overlap", "centering_check", "centering_shift",
     "cholesky_lower", "copula", "copula_density", "eeg", "effective_action",
     "estimate_correlation", "events", "expected_tail_loss", "fit_bins",
     "fit_exponential", "fit_net", "from_gaussian", "identity_correlation",
-    "implied_width", "importance_sample", "indicator_report", "indicators",
-    "innovation_stream", "joint_density", "joint_loglikelihood",
-    "local_refine", "marginals", "minimize", "modelfile",
-    "optimize_positions", "portfolio_returns", "q_analytic", "q_empirical",
-    "returns_from_contracts", "risk", "risk_report", "rng", "sample_events",
-    "simulate", "stream_from_net", "stream_from_values", "threshold_factor",
-    "to_gaussian", "transform_to_gaussian",
+    "implied_width", "indicator_report", "indicators", "innovation_stream",
+    "joint_density", "joint_loglikelihood", "local_refine", "marginals",
+    "minimize", "modelfile", "optimize_positions", "portfolio_returns",
+    "q_analytic", "q_empirical", "returns_from_contracts", "risk",
+    "risk_report", "rng", "sample_events", "simulate", "stream_from_net",
+    "stream_from_values", "threshold_factor", "to_gaussian",
+    "transform_to_gaussian",
 ]

@@ -8,8 +8,12 @@ k_i. Candidate steps use the heavy-tailed generating law
 
 whose occasional full-range jumps are what lets the schedule cool this fast.
 Out-of-bounds coordinates are re-drawn (up to a retry cap) and finally
-clamped. Acceptance is Metropolis on a separate temperature annealed by the
-same law with its own counter that advances once per accepted point.
+clamped, using uniforms in round-major order (see generate_candidate); that
+order, and computing the law and the generation temperatures with numpy's
+array power and exp (scalar math can differ in the last bit), are part of
+the byte contract. Acceptance is Metropolis on a separate temperature
+annealed by the same law with its own counter that advances once per
+accepted point.
 
 Every reanneal interval (counted in acceptances) the parameter counters are
 rescaled from cost sensitivities at the best point (x, C) of that moment.
@@ -51,12 +55,21 @@ def temperature(k, t0=1.0, c=1.0, d: int = 1):
     return float(out) if out.ndim == 0 else out
 
 
+def _delta(u, t, base):
+    """The generating law at floored temperatures t with bases 1 + 1/t.
+
+    copysign(t, w) is sgn(w) t to the bit, and w + w is 2u - 1 (doubling
+    is exact); at w = 0 both forms give delta = 0.
+    """
+    w = u - 0.5
+    return np.copysign(t, w) * (base ** np.abs(w + w) - 1.0)
+
+
 def generation_delta(u, temp):
     """Heavy-tailed generating law; u in [0, 1] maps to delta in [-1, 1]."""
     u = np.asarray(u, dtype=float)
     t = np.maximum(np.asarray(temp, dtype=float), _T_FLOOR)
-    v = np.abs(2.0 * u - 1.0)
-    out = np.sign(u - 0.5) * t * ((1.0 + 1.0 / t) ** v - 1.0)
+    out = _delta(u, t, 1.0 + 1.0 / t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -85,7 +98,7 @@ class OptResult:
     cost: float
     trials: int
     acceptances: int
-    exit_reason: str    # converged | trial-limit | acceptance-repeat | acceptance-limit
+    exit_reason: str    # converged | trial-limit | acceptance-repeat
     window_best: tuple[float, ...] = field(default_factory=tuple)
     # per trial, in trial order: cost, acceptance temperature (interleaved)
     trace: array = field(default_factory=lambda: array("d"), repr=False)
@@ -105,17 +118,67 @@ def _check_bounds(bounds):
 
 def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
                        regen_attempts: int = 100) -> np.ndarray:
-    """One candidate from the generating law, re-drawing out-of-bounds dims."""
-    rangev = hi - lo
-    cand = x + generation_delta(uniforms.take(x.size), temps) * rangev
-    bad = (cand < lo) | (cand > hi)
+    """One candidate from the generating law, redrawing out-of-bounds dims.
+
+    Uniforms are used round-major: round 0 draws every coordinate once, in
+    index order; each later round redraws, in index order, the coordinates
+    still outside [lo, hi], for at most regen_attempts rounds; whatever is
+    still outside is then clipped. A coordinate's value is
+    x_i + generation_delta(u, temps_i) * (hi_i - lo_i) for the last u it drew.
+
+    The law is evaluated in one broadcast pass per pool of peeked uniforms:
+    each pool uniform against each coordinate still to draw (the first pool's
+    row 0 is round 0, the first d uniforms one per coordinate). Replaying the
+    rounds on the out-of-bounds flags then consumes just the uniforms they
+    used; a new pool is peeked only when a round would outrun this one. A
+    pool of 2k + 8 for k coordinates covers round 0 and k + 8 redraws, which
+    few trials exceed, while keeping the pass small.
+    """
+    t = np.maximum(temps, _T_FLOOR)
+    base = 1.0 + 1.0 / t
+    span = hi - lo
+    d = x.size
+    size = 2 * d + 8
+    pool = uniforms.peek(size)
+    u = np.empty((size - d + 1, d))
+    u[0] = pool[:d]             # round 0: uniform i for coordinate i
+    u[1:] = pool[d:, None]      # row r >= 1: uniform d + r - 1, for all
+    vals = x + _delta(u, t, base) * span
+    flags = ((vals < lo) | (vals > hi)).tobytes()
+    todo = [i for i in range(d) if flags[i]]
+    # sel: the pool's coordinates (None: all); col: a coordinate's column;
+    # last: the flat index in vals of each column's latest draw; off: the
+    # row offset of uniform p, the pool's next unused one
+    sel, col, last = None, range(d), list(range(d))
+    k, off, p = d, d - 1, d
     tries = 0
-    while bad.any() and tries < regen_attempts:
-        idx = np.nonzero(bad)[0]
-        cand[idx] = x[idx] + generation_delta(uniforms.take(idx.size), temps[idx]) * rangev[idx]
-        bad = (cand < lo) | (cand > hi)
-        tries += 1
-    return np.clip(cand, lo, hi)
+    while True:
+        while todo and tries < regen_attempts and p + len(todo) <= size:
+            redo = []
+            for c in todo:
+                j = col[c]
+                last[j] = f = (p - off) * k + j
+                if flags[f]:
+                    redo.append(c)
+                p += 1
+            todo = redo
+            tries += 1
+        uniforms.consume(p)
+        drawn = vals.ravel().take(last)
+        if sel is None:
+            cand = drawn
+        else:
+            cand[sel] = drawn
+        if not todo or tries >= regen_attempts:
+            return cand.clip(lo, hi)
+        # the next round would outrun this pool: a new one for its coordinates
+        sel, k = todo, len(todo)
+        size = 2 * k + 8
+        pool = uniforms.peek(size)
+        vals = x[sel] + _delta(pool[:, None], t[sel], base[sel]) * span[sel]
+        flags = ((vals < lo[sel]) | (vals > hi[sel])).tobytes()
+        col, last = {c: j for j, c in enumerate(sel)}, list(range(k))
+        off = p = 0
 
 
 def tangents(cost, x, fx, step, lo, hi, free) -> np.ndarray:
@@ -139,9 +202,7 @@ def tangents(cost, x, fx, step, lo, hi, free) -> np.ndarray:
     return sens
 
 
-def minimize(cost, bounds, config: AnnealConfig | None = None,
-             record_accepted: list | None = None,
-             max_acceptances: int | None = None) -> OptResult:
+def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     """Anneal cost over the box; returns the best point ever evaluated."""
     cfg = config or AnnealConfig()
     lo, hi = _check_bounds(bounds)
@@ -166,7 +227,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
     def evaluate(point):
         nonlocal best_f, best_x
         v = cost(point)
-        v = float(v) if v is not None and np.isfinite(v) else math.inf
+        v = float(v) if v is not None and math.isfinite(v) else math.inf
         if v < best_f:
             best_f = v
             best_x = np.array(point, dtype=float)
@@ -179,6 +240,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
     accept_t0 = cfg.accept_t0 if cfg.accept_t0 is not None else max(abs(fx), 1.0)
 
     uniforms = UniformStream(cfg.seed, stream=0)
+    neg_c = -cv
     k_gen = np.zeros(d)
     k_acc = 0.0
     trials = 0
@@ -203,7 +265,13 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
 
     while trials < cfg.max_trials:
         trials += 1
-        temps = np.maximum(temperature(k_gen, t0v, cv, d), _T_FLOOR)
+        # temperature(k_gen, t0v, cv, d) in its operation order, in place;
+        # the ** operator keeps numpy's sqrt for d = 2, and
+        # generate_candidate applies the floor
+        temps = k_gen ** inv_d
+        np.multiply(neg_c, temps, out=temps)
+        np.exp(temps, out=temps)
+        np.multiply(t0v, temps, out=temps)
         cand = generate_candidate(x, temps, lo, hi, uniforms, cfg.regen_attempts)
         fc = evaluate(cand)
         k_gen += 1.0
@@ -222,8 +290,6 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
             fx = fc
             acceptances += 1
             k_acc += 1.0
-            if record_accepted is not None:
-                record_accepted.append((x.copy(), fx))
             if acceptances >= next_window:
                 window_best.append(best_f)
                 next_window += cfg.acceptance_window
@@ -231,9 +297,6 @@ def minimize(cost, bounds, config: AnnealConfig | None = None,
                         abs(window_best[-1] - window_best[-2]) <= cfg.window_repeat_tol):
                     exit_reason = "acceptance-repeat"
                     break
-            if max_acceptances is not None and acceptances >= max_acceptances:
-                exit_reason = "acceptance-limit"
-                break
             if acceptances >= next_reanneal:
                 reanneal()
                 next_reanneal += cfg.reanneal_interval
@@ -297,29 +360,3 @@ def search(cost, bounds, config: AnnealConfig | None = None,
     polish = local_refine(cost, res.x, bounds, max_calls=refine_calls)
     return replace(res, x=polish.x, cost=polish.cost,
                    trials=res.trials + polish.trials)
-
-
-@dataclass(frozen=True)
-class ImportanceSample:
-    points: np.ndarray       # accepted trajectory, shape (k, D)
-    neg_log_density: np.ndarray
-    acceptance_rate: float
-    result: OptResult
-
-
-def importance_sample(log_density, bounds, config: AnnealConfig | None = None,
-                      n: int | None = None) -> ImportanceSample:
-    """Accepted trajectory of an annealing run over cost = -log_density."""
-    record: list = []
-    res = minimize(lambda p: -log_density(p), bounds, config,
-                   record_accepted=record, max_acceptances=n)
-    if record:
-        pts = np.stack([p for p, _ in record])
-        vals = np.array([v for _, v in record])
-    else:
-        lo, hi = _check_bounds(bounds)
-        pts = np.empty((0, lo.size))
-        vals = np.empty(0)
-    rate = res.acceptances / res.trials if res.trials else 0.0
-    return ImportanceSample(points=pts, neg_log_density=vals,
-                            acceptance_rate=rate, result=res)

@@ -235,9 +235,13 @@ def net_from_dict(d: dict) -> RegionNet:
         dt_ms = float(d.get("dt_ms", 5.2))
     except (KeyError, TypeError, ValueError, OverflowError, OutOfDomain) as exc:
         raise ParseError(f"malformed net block ({exc})") from exc
+    approx = d.get("denominator_approx", True)
+    if not isinstance(approx, bool):
+        raise ParseError(f"net option 'denominator_approx' must be a boolean, "
+                         f"got {approx!r}")
     return RegionNet(sites=sites, couplings=couplings,
                      columns=columns_from_dict(columns), dt_ms=dt_ms,
-                     denominator_approx=bool(d.get("denominator_approx", True)))
+                     denominator_approx=approx)
 
 
 def save_net(path, net: RegionNet) -> None:

@@ -71,6 +71,25 @@ class UniformStream:
         fresh = self._draw(need)
         return np.concatenate([left, fresh]) if left.size else fresh
 
+    def peek(self, n: int) -> np.ndarray:
+        """The next n uniforms as a read-only view, without consuming them.
+
+        When the buffer holds fewer than n, its unread tail and a fresh draw
+        of at least a block become the new buffer; the old block is freed
+        before the draw, so no second block is kept.
+        """
+        if self._buf.size - self._pos < n:
+            self._buf, self._pos = self._buf[self._pos:].copy(), 0
+            fresh = self._draw(max(n - self._buf.size, _BLOCK))
+            self._buf = np.concatenate([self._buf, fresh])
+        out = self._buf[self._pos:self._pos + n]
+        out.flags.writeable = False
+        return out
+
+    def consume(self, n: int) -> None:
+        """Skip n uniforms that a preceding peek of at least n returned."""
+        self._pos += n
+
     def one(self) -> float:
         if self._pos >= self._buf.size:
             self._buf, self._pos = self._draw(_BLOCK), 0

@@ -117,3 +117,33 @@ def conditional_logprob(net: eeg.RegionNet, site: str, phi_next, phi_cur,
     phidot = (np.asarray(phi_next, dtype=float) - np.asarray(phi_cur, dtype=float)) / dt
     out = -0.5 * np.log(2.0 * np.pi * var * dt) - dt * (phidot - m) ** 2 / (2.0 * var)
     return float(out) if out.ndim == 0 else out
+
+
+# Test-only oracle of the candidate law in its first, round-major form: all
+# coordinates drawn once, then each round one numpy pass over the coordinates
+# still out of bounds, then a clip. Kept frozen, so that the pooled
+# generate_candidate is held to it bit for bit.
+
+_T_FLOOR = 1e-300
+
+
+def oracle_generation_delta(u, temp):
+    u = np.asarray(u, dtype=float)
+    t = np.maximum(np.asarray(temp, dtype=float), _T_FLOOR)
+    v = np.abs(2.0 * u - 1.0)
+    out = np.sign(u - 0.5) * t * ((1.0 + 1.0 / t) ** v - 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def oracle_generate_candidate(x, temps, lo, hi, uniforms, regen_attempts=100):
+    rangev = hi - lo
+    cand = x + oracle_generation_delta(uniforms.take(x.size), temps) * rangev
+    bad = (cand < lo) | (cand > hi)
+    tries = 0
+    while bad.any() and tries < regen_attempts:
+        idx = np.nonzero(bad)[0]
+        cand[idx] = x[idx] + oracle_generation_delta(uniforms.take(idx.size),
+                                                     temps[idx]) * rangev[idx]
+        bad = (cand < lo) | (cand > hi)
+        tries += 1
+    return np.clip(cand, lo, hi)

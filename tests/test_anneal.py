@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tailfolio.anneal import (SENTINEL, AnnealConfig, generation_delta,
-                              importance_sample, local_refine, minimize, search,
+from tailfolio import anneal
+from tailfolio.anneal import (_T_FLOOR, SENTINEL, AnnealConfig, generate_candidate,
+                              generation_delta, local_refine, minimize, search,
                               tangents, temperature)
 from tailfolio.errors import CostNotFinite, InvalidBounds
 from tailfolio.modelfile import write_trace_csv
 from tailfolio.rng import UniformStream
+
+from helpers import oracle_generate_candidate, oracle_generation_delta
 
 
 def test_temperature_closed_form():
@@ -164,23 +169,6 @@ def test_local_refine_handles_nan_region():
     assert abs(res.x[0] - 0.2) < 1e-4
 
 
-def test_importance_sample_trajectory():
-    def log_density(p):
-        return -float(np.sum((p - 0.7) ** 2))
-
-    # n = 50 sits below the first acceptance window, so the cap is what stops it
-    sample = importance_sample(log_density, [(-2.0, 2.0)] * 2,
-                               AnnealConfig(seed=3, max_trials=3000), n=50)
-    assert sample.points.shape == (50, 2)
-    assert sample.neg_log_density.shape == (50,)
-    assert sample.result.acceptances == 50
-    assert sample.result.exit_reason == "acceptance-limit"
-    k = 20
-    assert sample.neg_log_density[k] == pytest.approx(
-        float(np.sum((sample.points[k] - 0.7) ** 2)))
-    assert sample.acceptance_rate == pytest.approx(50.0 / sample.result.trials)
-
-
 def test_multiwell_with_refine_hits_global():
     def f(p):
         x, y = p
@@ -331,3 +319,131 @@ def test_minimize_is_offset_invariant_with_explicit_accept_t0():
         assert (a.trials, a.acceptances, a.exit_reason) == (
             b.trials, b.acceptances, b.exit_reason)
         assert b.cost == a.cost + 1024.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+       temp=st.one_of(st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 10.0]),
+                      st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e)))
+def test_generation_delta_matches_the_oracle_law_bitwise(u, temp):
+    assert generation_delta(u[0], temp) == oracle_generation_delta(u[0], temp)
+    got = generation_delta(np.array(u), temp)
+    assert got.tobytes() == oracle_generation_delta(np.array(u), temp).tobytes()
+
+
+# 1e-300 to 10, and below the floor (zero and subnormal)
+_TEMPS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1e-3,
+                                    1.0, 10.0]),
+                   st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def candidate_cases(draw):
+    """x in a box (on bounds, corners and degenerate dimensions included),
+    per-coordinate temperatures, a retry cap and a stream offset that puts
+    the draws near or across a buffer refill."""
+    d = draw(st.integers(1, 24))
+    lo = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)))
+    span = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+                                  min_size=d, max_size=d)))
+    hi = lo + span
+    frac = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                            st.floats(0.0, 1.0)),
+                                  min_size=d, max_size=d)))
+    x = np.where(frac == 0.0, lo, np.where(frac == 1.0, hi, lo + frac * span))
+    x = np.clip(x, lo, hi)
+    temps = np.array(draw(st.lists(_TEMPS, min_size=d, max_size=d)))
+    regen = draw(st.sampled_from([0, 1, 2, 3, 100]))
+    skip = draw(st.one_of(st.integers(0, 64), st.integers(8100, 8192)))
+    return x, temps, lo, hi, regen, draw(st.integers(0, 2 ** 32)), skip
+
+
+def _assert_same_candidate(x, temps, lo, hi, regen, seed, skip):
+    pooled, oracle = UniformStream(seed), UniformStream(seed)
+    pooled.take(skip)
+    oracle.take(skip)
+    x_before = x.copy()
+    got = generate_candidate(x, temps, lo, hi, pooled, regen)
+    want = oracle_generate_candidate(x, temps, lo, hi, oracle, regen)
+    assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == x_before.tobytes()
+    # the same uniforms were consumed
+    assert pooled.take(5).tobytes() == oracle.take(5).tobytes()
+    assert pooled.one() == oracle.one()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=candidate_cases())
+def test_generate_candidate_matches_the_round_major_oracle_bitwise(case):
+    _assert_same_candidate(*case)
+
+
+def test_generate_candidate_takes_another_pool_when_a_round_would_outrun_it(
+        monkeypatch):
+    # from the upper corner every draw with u > 1/2 leaves the box, so about
+    # half of all draws are redrawn and some trials outrun the first pool
+    peeks = []
+    peek = UniformStream.peek
+
+    def counting(self, n):
+        peeks.append(n)
+        return peek(self, n)
+
+    monkeypatch.setattr(UniformStream, "peek", counting)
+    d = 8
+    lo, hi = np.zeros(d), np.ones(d)
+    pooled, oracle = UniformStream(5), UniformStream(5)
+    refills = 0
+    for trial in range(300):
+        peeks.clear()
+        temps = np.full(d, 10.0 ** (1 - trial % 7))
+        got = generate_candidate(hi, temps, lo, hi, pooled)
+        want = oracle_generate_candidate(hi, temps, lo, hi, oracle)
+        assert got.tobytes() == want.tobytes()
+        refills += len(peeks) > 1
+    assert refills >= 5
+    assert pooled.take(5).tobytes() == oracle.take(5).tobytes()
+
+
+def _corner_linear(p):
+    return float(p @ np.linspace(-1.0, 1.5, p.size))
+
+
+def _interior(p):
+    return float(np.sum((p - np.linspace(-0.4, 0.6, p.size)) ** 2)
+                 + 0.1 * np.sin(5.0 * p).sum())
+
+
+@pytest.mark.parametrize("d, cost", [(8, _corner_linear), (24, _interior)])
+def test_minimize_matches_minimize_on_the_oracle_candidate(monkeypatch, d, cost):
+    bounds = [(-1.0, 1.0)] * d
+    bounds[1] = (0.25, 0.25)
+    cfg = AnnealConfig(seed=d, max_trials=3000, reanneal_interval=40)
+    pooled = minimize(cost, bounds, cfg)
+    monkeypatch.setattr(anneal, "generate_candidate", oracle_generate_candidate)
+    oracle = minimize(cost, bounds, cfg)
+    assert pooled.x.tobytes() == oracle.x.tobytes()
+    assert (pooled.cost, pooled.trials, pooled.acceptances, pooled.exit_reason) == (
+        oracle.cost, oracle.trials, oracle.acceptances, oracle.exit_reason)
+    assert pooled.trace.tobytes() == oracle.trace.tobytes()
+    assert pooled.acceptances >= 2 * cfg.reanneal_interval
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 24])
+def test_minimize_trial_temperatures_are_the_schedule_bitwise(monkeypatch, d):
+    seen = []
+
+    def recording(x, temps, lo, hi, uniforms, regen_attempts=100):
+        seen.append(temps.copy())
+        return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts)
+
+    monkeypatch.setattr(anneal, "generate_candidate", recording)
+    t0, c = np.linspace(0.5, 2.0, d), np.linspace(0.3, 1.7, d)
+    # no reanneal, so trial k runs at annealing time k in every dimension
+    minimize(_interior, [(-1.0, 1.0)] * d,
+             AnnealConfig(seed=1, max_trials=200, t0=t0, c=c,
+                          reanneal_interval=10 ** 6))
+    assert len(seen) == 200
+    for k, temps in enumerate(seen):
+        want = np.maximum(temperature(np.full(d, float(k)), t0, c, d), _T_FLOOR)
+        assert np.maximum(temps, _T_FLOOR).tobytes() == want.tobytes()

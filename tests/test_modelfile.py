@@ -291,6 +291,18 @@ def test_load_net_rejects_a_delay_it_would_truncate(tmp_path, delay):
     assert load_net(path).couplings[0].delay == 2
 
 
+@pytest.mark.parametrize("approx", ["false", 0.5])
+def test_load_net_reads_denominator_approx_as_a_json_boolean(tmp_path, approx):
+    path = edited_net_file(tmp_path, lambda d: d.update(denominator_approx=approx))
+    with pytest.raises(ParseError, match="denominator_approx") as info:
+        load_net(path)
+    assert exit_code_for(info.value) == 2
+    path = edited_net_file(tmp_path, lambda d: d.update(denominator_approx=False))
+    assert load_net(path).denominator_approx is False
+    path = edited_net_file(tmp_path, lambda d: d.pop("denominator_approx"))
+    assert load_net(path).denominator_approx is True
+
+
 def test_load_net_kind_guard(tmp_path):
     path = tmp_path / "net.json"
     save_json(path, {"kind": "copula_model"})

@@ -1,8 +1,11 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailfolio.rng import NormalStream, UniformStream, erfinv
 
@@ -119,3 +122,44 @@ def test_normal_draw_peak_memory_near_its_result():
     finally:
         tracemalloc.stop()
     assert peak < 2.2 * z.nbytes
+
+
+# request sizes: small, around the 8 192-value block, and over a block
+_SIZES = st.one_of(st.integers(0, 40), st.integers(8150, 8250),
+                   st.integers(16000, 20000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32),
+       ops=st.lists(st.tuples(st.sampled_from(["take", "one", "peek", "consume"]),
+                              _SIZES, st.floats(0.0, 1.0)), max_size=12))
+def test_peek_and_consume_interleave_with_take_and_one(seed, ops):
+    ref = UniformStream(seed, stream=1).take(12 * 20001)
+    s = UniformStream(seed, stream=1)
+    pos = 0
+    for op, n, part in ops:
+        if op == "take":
+            assert s.take(n).tobytes() == ref[pos:pos + n].tobytes()
+            pos += n
+        elif op == "one":
+            assert s.one() == ref[pos]
+            pos += 1
+        else:
+            view = s.peek(n)
+            assert not view.flags.writeable
+            assert view.tobytes() == ref[pos:pos + n].tobytes()
+            if op == "consume":     # any part of what was peeked
+                used = int(part * n)
+                s.consume(used)
+                pos += used
+    assert s.take(3).tobytes() == ref[pos:pos + 3].tobytes()
+
+
+def test_peek_across_a_block_keeps_one_buffer():
+    s = UniformStream(3)
+    s.take(8000)
+    old = weakref.ref(s._buf)
+    s.peek(500)
+    assert old() is None
+    # the unread tail of the old block and one fresh block
+    assert s._buf.size == 192 + 8192
