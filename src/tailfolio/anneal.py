@@ -83,7 +83,7 @@ class AnnealConfig:
     accept_c: float = 1.0
     reanneal_interval: int = 100       # acceptances between sensitivity rescales
     acceptance_window: int = 100
-    window_repeat_tol: float = 1e-12
+    window_repeat_tol: float = 1e-12    # negative: the two-window exit is off
     max_trials: int = 20000
     k_max: float = 1e12
     regen_attempts: int = 100
@@ -213,8 +213,12 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
 
     t0v = np.broadcast_to(np.asarray(cfg.t0, dtype=float), (d,)).copy()
     cv = np.broadcast_to(np.asarray(cfg.c, dtype=float), (d,)).copy()
-    if np.any(t0v <= 0.0) or np.any(cv <= 0.0):
-        raise InvalidBounds("t0 and c must be positive")
+    if not (np.all(np.isfinite(t0v) & (t0v > 0.0))
+            and np.all(np.isfinite(cv) & (cv > 0.0))):
+        raise InvalidBounds("t0 and c must be positive and finite")
+    if not (math.isfinite(cfg.accept_c) and (cfg.accept_t0 is None
+                                            or math.isfinite(cfg.accept_t0))):
+        raise InvalidBounds("accept_t0 and accept_c must be finite")
 
     x = np.clip(np.asarray(cfg.x0, dtype=float), lo, hi) if cfg.x0 is not None \
         else 0.5 * (lo + hi)

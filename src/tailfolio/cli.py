@@ -63,10 +63,32 @@ def _config_of(args) -> dict:
     return cfg
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"must be a JSON boolean, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    """An integral JSON number (7 or 7.0) as an int; no booleans."""
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _present(cfg: dict, **casts) -> dict:
     """The keys of cfg named in casts, each cast; a key cfg lacks stays out,
-    so the callee keeps its own default."""
-    return {key: cast(cfg[key]) for key, cast in casts.items() if key in cfg}
+    so the callee keeps its own default. A value its cast rejects raises
+    ParseError naming the key."""
+    out = {}
+    for key, cast in casts.items():
+        if key in cfg:
+            try:
+                out[key] = cast(cfg[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"config option {key!r}: {exc}") from exc
+    return out
 
 
 def _anneal_config(block: dict | None, seed: int) -> AnnealConfig:
@@ -82,16 +104,15 @@ def cmd_fit_marginals(args) -> int:
     cfg = _config_of(args)
     out = ensure_out_dir(args.out)
     names, data = read_series_csv(args.csv)
-    window = cfg.get("marginal_window")
-    if window is not None:
-        window = int(window)
+    if cfg.get("marginal_window") is not None:
+        window = _present(cfg, marginal_window=_integer)["marginal_window"]
         if window < 2:
             raise ParseError("marginal_window must be >= 2")
         data = data[-window:]
-    marginals = fit_channels(names, data, **_present(cfg, asymmetric=bool))
+    marginals = fit_channels(names, data, **_present(cfg, asymmetric=_boolean))
     y = np.stack([to_gaussian(mg, data[:, i]) for i, mg in enumerate(marginals)],
                  axis=0)
-    corr = estimate_correlation(y, **_present(cfg, pre_average_window=int))
+    corr = estimate_correlation(y, **_present(cfg, pre_average_window=_integer))
     model = CopulaModel(marginals=marginals, correlation=corr,
                         channels=tuple(names))
     save_model(os.path.join(out, "model.json"), model)
@@ -191,11 +212,11 @@ def cmd_optimize(args) -> int:
     risk_block = cfg.get("risk", {})
     risk_cfg = RiskConfig(**_present(risk_block,
                                      **{f.name: float for f in fields(RiskConfig)}))
-    n = int(cfg.get("n", 10000))
+    n = _present(cfg, n=_integer).get("n", 10000)
     batch = sample_events(model, n, args.seed)
     acfg = _anneal_config(cfg.get("anneal"), args.seed)
     opt = optimize_positions(batch, template, bounds, risk_cfg, acfg,
-                             **_present(cfg, refine_calls=int))
+                             **_present(cfg, refine_calls=_integer))
     if args.verbose:
         write_trace_csv(os.path.join(out, "trace_optimize.csv"), opt.result)
     values = (opt.portfolio.weights if isinstance(opt.portfolio, LinearPortfolio)
@@ -249,7 +270,7 @@ def cmd_eeg(args) -> int:
             raise ParseError(f"bad bounds block: {exc}") from exc
         acfg = _anneal_config(cfg.get("anneal"), args.seed)
         fit = eeg.fit_net(data, net, free, bounds, acfg,
-                          **_present(cfg, penalty_weight=float, refine_calls=int))
+                          **_present(cfg, penalty_weight=float, refine_calls=_integer))
         res = fit.result
         if args.verbose and res is not None:
             write_trace_csv(os.path.join(out, "trace_fit.csv"), res)
@@ -325,8 +346,8 @@ def cmd_indicators(args) -> int:
         streams,
         weights=None if weights is None else [float(v) for v in weights],
         state_labels=cfg.get("state_labels"), config=acfg,
-        **_present(cfg, holdout_fraction=float, fit_weights=bool,
-                   pre_average_window=int))
+        **_present(cfg, holdout_fraction=float, fit_weights=_boolean,
+                   pre_average_window=_integer))
     save_json(os.path.join(out, "indicators.json"), report)
     if model is not None:
         save_model(os.path.join(out, "indicator_model.json"), model)

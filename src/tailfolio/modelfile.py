@@ -4,12 +4,21 @@ CSV dialect: comma separated, one header row, '.' decimal point, UTF-8,
 LF line endings, numbers printed with 17 significant digits. JSON files
 carry a "kind" tag; floats keep full precision through Python's shortest
 round-trip repr.
+
+A large table is written and read in contiguous parts, one per CPU this
+process may run on: the first part here, each other one in an os.fork
+child that ends in os._exit. The part count never changes a byte written
+or a bit read, and any failure of a part redoes the table as one part, so
+errors and their messages are those of the one-part path. Without fork and
+sched_getaffinity a table is always one part.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import signal
 import warnings
 from dataclasses import asdict, fields
 
@@ -54,30 +63,143 @@ def load_json(path) -> dict:
 # ---------------------------------------------------------------- CSV tables
 
 _BLOCK_ROWS = 4096
+# A large table is written and read in parts, one per CPU this process may
+# run on, each part in its own process (see _run_parts). A written part
+# holds at least _PART_VALUES values and a read part at least _PART_BYTES
+# bytes of text (a %.17g value takes 16-24 bytes). Smaller tables save less
+# than about 30 ms a part, so they stay one part.
+_PART_VALUES = 1 << 18
+_PART_BYTES = 1 << 22
+
+
+class _PartFailed(Exception):
+    """A forked part did not finish; the table is redone as one part."""
+
+
+def _part_count(size, part_size) -> int:
+    """Parts for a table of size units: one per CPU this process may run on,
+    each of at least part_size units. Where os.fork or os.sched_getaffinity
+    is missing (Windows, macOS), a table is one part."""
+    if size < 2 * part_size or not hasattr(os, "fork") \
+            or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), size // part_size)
+
+
+def _reap(pids, kill=False) -> bool:
+    """Wait for every child in pids, killing each first when kill is set;
+    True when all of them exited with status 0."""
+    ok = True
+    for pid in pids:
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        ok = os.waitpid(pid, 0)[1] == 0 and ok
+    return ok
+
+
+def _run_parts(parts, child, own):
+    """Run child(i) for i = 1 .. parts - 1, each in a forked child, and own()
+    here; return what own() returns once every child has exited with 0.
+
+    A child ends in os._exit, with status 1 when child(i) raised, so it
+    never unwinds into the caller's frames or flushes the parent's buffers.
+    Every child is reaped before this returns or raises, and killed first
+    when own() raises. A child's nonzero exit raises _PartFailed.
+    """
+    pids = []
+    try:
+        for i in range(1, parts):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    child(i)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        result = own()
+    except BaseException:
+        _reap(pids, kill=True)
+        raise
+    if not _reap(pids):
+        raise _PartFailed
+    return result
 
 
 def write_table(path, header, values) -> None:
     """Write a (rows, len(header)) numeric array under a one-line header.
 
     Rows are formatted 4096 at a time, with one % on a repeated
-    "%.17g,...\\n" row template.
+    "%.17g,...\\n" row template. A large table is split into contiguous row
+    ranges: the first is written here and each other one by a forked child
+    into an unlinked file beside path, appended in order once all are done.
+    The part count never changes a byte; when a part fails, the table is
+    written again from the start as one part.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(header):
         raise ParseError("row width does not match header")
+    parts = _part_count(values.size, _PART_VALUES)
+    if parts > 1:
+        try:
+            return _write_parts(path, header, values, parts)
+        except (OSError, _PartFailed):
+            pass
+    _write_parts(path, header, values, 1)
+
+
+def _write_parts(path, header, values, parts) -> None:
     row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    cuts = [values.shape[0] * i // parts for i in range(parts + 1)]
+    spills = []     # one unlinked file per child, opened before the fork
+
+    def write_rows(fh, i):
+        for start in range(cuts[i], cuts[i + 1], _BLOCK_ROWS):
+            block = values[start:min(start + _BLOCK_ROWS, cuts[i + 1])]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+
+    def child(i):
+        with open(spills[i - 1], "w", encoding="utf-8", newline="\n",
+                  closefd=False) as fh:
+            write_rows(fh, i)
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, values.shape[0], _BLOCK_ROWS):
-            block = values[start:start + _BLOCK_ROWS]
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+        try:
+            for i in range(1, parts):
+                name = f"{os.fspath(path)}.part{i}.{os.getpid()}"
+                spills.append(os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL,
+                                      0o600))
+                os.unlink(name)
+            _run_parts(parts, child, lambda: write_rows(fh, 0))
+            fh.flush()
+            for fd in spills:
+                _append(fh.fileno(), fd)
+        finally:
+            for fd in spills:
+                os.close(fd)
+
+
+def _append(out_fd, in_fd) -> None:
+    """Append all of file in_fd at out_fd's position."""
+    size, offset = os.fstat(in_fd).st_size, 0
+    while offset < size:
+        sent = os.sendfile(out_fd, in_fd, offset, size - offset)
+        if sent == 0:
+            raise _PartFailed
+        offset += sent
 
 
 def read_table(path):
     """Read a numeric CSV into (header tuple, float array (rows, cols)).
 
     Blank lines are skipped. np.loadtxt parses the rows; when it fails, the
-    rows are parsed again one by one to name the line at fault.
+    rows are parsed again one by one to name the line at fault. A large file
+    is cut at newlines into contiguous byte ranges, each parsed by the same
+    np.loadtxt call: the first here, each other one in a forked child that
+    sends its rows back through a pipe. The part count never changes a bit;
+    when a part fails, the file is parsed again from the start as one part.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -85,21 +207,139 @@ def read_table(path):
             if not first.strip():
                 raise ParseError(f"{path}: no data rows")
             header = tuple(name.strip() for name in first.split(","))
-            try:
-                with warnings.catch_warnings():
-                    # an empty body warns; it is reported below as no data rows
-                    warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                data = None
-            if data is None or data.shape[1] != len(header):
-                fh.seek(0)
-                data = _parse_rows(path, fh.read().splitlines(), len(header))
+            data = None
+            parts = _part_count(os.fstat(fh.fileno()).st_size, _PART_BYTES)
+            if parts > 1:
+                try:
+                    data = _read_parts(fh.fileno(), first, len(header), parts)
+                except (OSError, ValueError, _PartFailed):
+                    pass
+            if data is None:
+                try:
+                    data = _load_rows(fh, len(header))
+                except ValueError:
+                    fh.seek(0)
+                    data = _parse_rows(path, fh.read().splitlines(), len(header))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if data.size == 0:
         raise ParseError(f"{path}: no data rows")
     return header, data
+
+
+def _load_rows(stream, width):
+    """The rows of a text stream as a (rows, width) array; ValueError when
+    np.loadtxt rejects them or a row is not width wide."""
+    with warnings.catch_warnings():
+        # an empty body warns; read_table reports it as no data rows
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
+    if data.size == 0:
+        return data.reshape(0, width)
+    if data.shape[1] != width:
+        raise ValueError("row width does not match header")
+    return data
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes [pos, end) of an open file, read with preadv."""
+
+    def __init__(self, fd, pos, end):
+        super().__init__()
+        self.fd, self.pos, self.end = fd, pos, end
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = os.preadv(self.fd, [memoryview(buf)[:self.end - self.pos]], self.pos)
+        self.pos += n
+        return n
+
+
+def _line_start(fd, pos, end) -> int:
+    """The offset just past the first newline at or after pos, or end."""
+    while pos < end:
+        chunk = os.pread(fd, 1 << 16, pos)
+        if not chunk:
+            break
+        i = chunk.find(b"\n")
+        if i >= 0:
+            return min(pos + i + 1, end)
+        pos += len(chunk)
+    return end
+
+
+def _read_parts(fd, first, width, parts):
+    """The rows after the header line first of file fd, parsed in parts byte
+    ranges cut just past newlines. Each range is decoded with universal
+    newlines, as open() decodes the whole file: a cut after "\n" never
+    falls inside a line, nor between the "\r" and "\n" of one break."""
+    end = os.fstat(fd).st_size
+    start = len(first.encode("utf-8"))
+    if first.endswith("\n") and os.pread(fd, 2, start - 1) == b"\r\n":
+        start += 1      # text mode read the header's "\r\n" as one "\n"
+    cuts = [start] + [_line_start(fd, start + (end - start) * i // parts, end)
+                      for i in range(1, parts)] + [end]
+    readers, writers = [], []
+
+    def rows(i):
+        raw = io.BufferedReader(_ByteRange(fd, cuts[i], cuts[i + 1]), 1 << 20)
+        with io.TextIOWrapper(raw, encoding="utf-8") as stream:
+            return _load_rows(stream, width)
+
+    def child(i):
+        # keep only this part's write end, so every other pipe sees EOF
+        # as soon as its own child exits
+        out = writers[i - 1]
+        for pipe_fd in readers + writers:
+            if pipe_fd != out:
+                os.close(pipe_fd)
+        data = np.ascontiguousarray(rows(i))
+        _write_all(out, data.shape[0].to_bytes(8, "little"))
+        _write_all(out, data.view(np.uint8).reshape(-1))
+
+    def own():
+        while writers:
+            os.close(writers.pop())
+        head = rows(0)
+        counts = [int.from_bytes(_read_exact(r, bytearray(8)), "little")
+                  for r in readers]
+        data = np.empty((head.shape[0] + sum(counts), width))
+        data[:head.shape[0]] = head
+        raw, at = data.view(np.uint8).reshape(-1), head.nbytes
+        for r, n in zip(readers, counts):
+            size = n * width * data.itemsize
+            _read_exact(r, raw[at:at + size])
+            at += size
+        return data
+
+    try:
+        for _ in range(1, parts):
+            r, w = os.pipe()
+            readers.append(r)
+            writers.append(w)
+        return _run_parts(parts, child, own)
+    finally:
+        for pipe_fd in readers + writers:
+            os.close(pipe_fd)
+
+
+def _write_all(fd, buf) -> None:
+    view = memoryview(buf)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exact(fd, buf):
+    """Fill buf from fd; _PartFailed if the writer closed the pipe first."""
+    view, got = memoryview(buf), 0
+    while got < len(view):
+        n = os.readv(fd, [view[got:]])
+        if n == 0:
+            raise _PartFailed
+        got += n
+    return buf
 
 
 def _parse_rows(path, lines, width):
@@ -286,6 +526,17 @@ def anneal_config_from_dict(d: dict) -> AnnealConfig:
                 raise ParseError(f"annealer option {key!r} must be an integer, "
                                  f"got {value!r}")
             kwargs[key] = int(value)
+    for key in ("t0", "c", "accept_t0", "accept_c"):
+        value = kwargs.get(key, 1.0)
+        if key == "accept_t0" and value is None:
+            continue        # None picks the default, max(|cost(x0)|, 1)
+        try:
+            finite = bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ParseError(f"annealer option {key!r} must be a finite number, "
+                             f"got {value!r}")
     if not 0 <= kwargs.get("seed", 0) < 2 ** 64:
         raise ParseError("annealer seed must fit in u64")
     return AnnealConfig(**kwargs)

@@ -98,6 +98,12 @@ def test_minimize_guards():
         minimize(lambda p: 0.0, [(0.0, np.inf)])
     with pytest.raises(InvalidBounds):
         minimize(lambda p: 0.0, [(0.0, 1.0)], AnnealConfig(t0=-1.0))
+    # an infinite t0 would make every candidate NaN and return the start point
+    for bad in ({"t0": np.inf}, {"t0": np.nan}, {"c": np.inf},
+                {"t0": np.array([1.0, np.inf])}, {"accept_t0": np.inf},
+                {"accept_t0": np.nan}, {"accept_c": np.inf}, {"accept_c": np.nan}):
+        with pytest.raises(InvalidBounds, match="finite"):
+            minimize(lambda p: 0.0, [(0.0, 1.0)] * 2, AnnealConfig(**bad))
     with pytest.raises(CostNotFinite):
         minimize(lambda p: np.nan, [(0.0, 1.0)])
 

@@ -2,12 +2,16 @@
 
 bench/trace_child.py wraps functions at the paths in its _PLAN, and
 bench/workloads.py builds the P300 nets through the eeg API; a deleted or
-renamed name fails here rather than in a benchmark run.
+renamed name fails here rather than in a benchmark run. The config files the
+workloads write must validate against docs/schemas/config.schema.json.
 """
 
 import importlib.util
+import json
 import os
 import sys
+
+from helpers import validate_schema
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
@@ -41,3 +45,21 @@ def test_workloads_build_the_p300_nets():
     assert template.names == truth.names
     from tailfolio import eeg
     assert callable(eeg.joint_loglikelihood) and callable(eeg.simulate)
+
+
+def test_workload_configs_validate_against_the_schema(tmp_path):
+    workloads = _load("workloads")
+    configs = []
+    for name, build in workloads.WORKLOADS.items():
+        inputs, pass_dir = tmp_path / name / "inputs", tmp_path / name / "pass"
+        inputs.mkdir(parents=True)
+        pass_dir.mkdir()
+        for step in build(str(inputs), 1, smoke=True).steps(str(pass_dir)):
+            if "--config" in step.args:
+                configs.append(step.args[step.args.index("--config") + 1])
+    # linear, contracts and indicators of position_sizing; fit and indicators
+    # of eeg_fit; sample_refit runs without a config
+    assert len(set(configs)) == 5
+    for path in configs:
+        with open(path, encoding="utf-8") as fh:
+            validate_schema(json.load(fh), "config.schema.json")

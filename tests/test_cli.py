@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -475,6 +477,18 @@ def test_console_script(tmp_path):
     assert "sampled 10 events" in proc.stdout
 
 
+def test_cli_import_does_not_load_multiprocessing():
+    # multiprocessing costs about 0.1 s of start-up; the table codec forks
+    # with os primitives instead
+    script = ("import sys, tailfolio.cli; "
+              "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _capture_kwargs(monkeypatch, owner, name):
     seen = {}
 
@@ -519,3 +533,66 @@ def test_eeg_fit_passes_only_configured_keys(tmp_path, monkeypatch, extra, expec
     assert code == 2
     assert seen == expected
     assert [type(v) for v in seen.values()] == [type(v) for v in expected.values()]
+
+
+def _config_case(tmp_path, command, extra):
+    """argv for command with a config holding extra over a valid base."""
+    out = str(tmp_path / "o")
+    if command == "fit-marginals":
+        cfg = write_config(tmp_path, extra)
+        return ["fit-marginals", make_series_csv(tmp_path), "--config", cfg,
+                "--out", out]
+    if command == "optimize":
+        cfg = write_config(tmp_path, {"bounds": [[0.0, 1.0]], "n": 10,
+                                      "anneal": {"max_trials": 20}, **extra})
+        return ["optimize", make_model_json(tmp_path), "--config", cfg,
+                "--out", out]
+    rng = np.random.default_rng(6)
+    paths = []
+    for name in ("a", "b"):
+        paths.append(tmp_path / f"{name}.csv")
+        write_series_csv(paths[-1], rng.laplace(size=(50, 1)), (name,))
+    cfg = write_config(tmp_path, {"methods": [{"name": p.stem, "csv": str(p)}
+                                              for p in paths], **extra})
+    return ["indicators", "--config", cfg, "--out", out]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("fit-marginals", "asymmetric", "false"),
+    ("fit-marginals", "asymmetric", 0),
+    ("indicators", "fit_weights", "true"),
+    ("fit-marginals", "pre_average_window", 2.7),
+    ("indicators", "pre_average_window", True),
+    ("fit-marginals", "marginal_window", 100.9),
+    ("fit-marginals", "marginal_window", "100"),
+    ("optimize", "refine_calls", 2.5),
+    ("optimize", "n", 100.5),
+    ("optimize", "n", True),
+])
+def test_config_casts_are_strict(tmp_path, capsys, command, key, value):
+    code = cli.main(_config_case(tmp_path, command, {key: value}))
+    assert code == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_integral_config_values_keep_their_bytes(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = _config_case(tmp_path / "a", "fit-marginals",
+                     {"marginal_window": 100, "pre_average_window": 3})
+    b = _config_case(tmp_path / "b", "fit-marginals",
+                     {"marginal_window": 100.0, "pre_average_window": 3.0,
+                      "asymmetric": False})
+    assert cli.main(a) == 0 and cli.main(b) == 0
+    assert (tmp_path / "a" / "o" / "model.json").read_bytes() == \
+        (tmp_path / "b" / "o" / "model.json").read_bytes()
+
+
+def test_optimize_rejects_an_infinite_anneal_t0(tmp_path, capsys):
+    # JSON 1e400 loads as inf; without the check every candidate is NaN
+    cfg = tmp_path / "inf.json"
+    cfg.write_text('{"bounds": [[0.0, 1.0]], "n": 10, "anneal": {"t0": 1e400}}\n')
+    code = cli.main(["optimize", make_model_json(tmp_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "'t0' must be a finite number" in capsys.readouterr().err

@@ -1,8 +1,14 @@
+import builtins
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tailfolio import modelfile
 from tailfolio.anneal import AnnealConfig, minimize
@@ -19,6 +25,8 @@ from tailfolio.modelfile import (anneal_config_from_dict, fmt, load_json,
 from tailfolio.risk import fit_bins
 
 from helpers import two_site_net
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def test_fmt_round_trips_doubles():
@@ -144,6 +152,227 @@ def test_read_table_errors(tmp_path):
 
     with pytest.raises(ParseError, match="cannot read"):
         read_table(tmp_path / "missing.csv")
+
+
+# ------------------------------------------------- tables split across parts
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="tables are split only where os.fork and sched_getaffinity exist")
+
+
+def split_into(mp, cpus, part=1):
+    """Split tables across up to cpus parts of at least part values when
+    written, or part bytes when read; cpus=1 is the one-part path."""
+    mp.setattr(modelfile, "_PART_VALUES", part)
+    mp.setattr(modelfile, "_PART_BYTES", part)
+    mp.setattr(modelfile.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+               raising=False)
+
+
+def counted_forks(mp):
+    """A list that collects the pid of every child forked from now on."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(modelfile.os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def read_outcome(path):
+    try:
+        header, data = read_table(path)
+    except ParseError as exc:
+        return str(exc)
+    return header, data.shape, data.tobytes()
+
+
+SPECIALS = [-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e308, 2.0 ** 53]
+
+
+@st.composite
+def split_cases(draw):
+    cols = draw(st.integers(1, 4))
+    # rows on, around and between 4096-row blocks and the part cuts they make
+    rows = draw(st.sampled_from([0, 1, 2, 3, 4095, 4096, 4097, 8191, 8192, 8193,
+                                 12287, 12289]) | st.integers(0, 200))
+    cpus = draw(st.integers(2, 4))
+    part = draw(st.integers(1, max(1, rows * cols // 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-30, 30, (rows, cols))
+    for v in SPECIALS if rows else ():
+        values[rng.integers(rows), rng.integers(cols)] = v
+    blanks = draw(st.lists(st.tuples(st.floats(0.0, 1.0),
+                                     st.sampled_from(["", "  ", "\r"])),
+                           max_size=4))
+    return values, cpus, part, blanks, draw(st.booleans()), draw(st.booleans())
+
+
+@needs_fork
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=split_cases())
+def test_split_tables_match_the_one_part_path(tmp_path, case):
+    values, cpus, part, blanks, crlf, no_final_newline = case
+    header = tuple(f"c{j}" for j in range(values.shape[1]))
+    one, split = tmp_path / "one.csv", tmp_path / "split.csv"
+    parts = min(cpus, values.size // part) if values.size >= 2 * part else 1
+    with pytest.MonkeyPatch.context() as mp:
+        split_into(mp, 1)
+        write_table(one, header, values)
+        split_into(mp, cpus, part)
+        pids = counted_forks(mp)
+        write_table(split, header, values)
+    assert split.read_bytes() == one.read_bytes()
+    assert len(pids) == parts - 1
+    assert_reaped(pids)
+
+    lines = one.read_bytes().split(b"\n")[:-1]
+    one.unlink()
+    for at, blank in blanks:
+        lines.insert(1 + int(at * (len(lines) - 1)), blank.encode())
+    newline = b"\r\n" if crlf else b"\n"
+    text = newline.join(lines) + (b"" if no_final_newline else newline)
+    one.write_bytes(text)
+    with pytest.MonkeyPatch.context() as mp:
+        split_into(mp, 1)
+        want = read_outcome(one)
+        split_into(mp, cpus, part)
+        pids = counted_forks(mp)
+        got = read_outcome(one)
+    assert got == want
+    assert len(pids) <= cpus - 1
+    assert_reaped(pids)
+    assert sorted(os.listdir(tmp_path)) == ["one.csv", "split.csv"]
+    for path in (one, split):
+        path.unlink()       # rewriting a file in place can stall on writeback
+
+
+@needs_fork
+def test_a_bad_value_in_a_later_part_names_its_line(tmp_path, monkeypatch):
+    path = tmp_path / "late.csv"
+    write_table(path, ("a", "b", "c", "d"), np.arange(40000.0).reshape(-1, 4))
+    lines = path.read_text().splitlines()
+    lines[9000] = "1,2,oops,4"
+    path.write_text("\n".join(lines) + "\n")
+    split_into(monkeypatch, 1)
+    with pytest.raises(ParseError) as one:
+        read_table(path)
+    split_into(monkeypatch, 4, 1000)
+    pids = counted_forks(monkeypatch)
+    with pytest.raises(ParseError) as split:
+        read_table(path)
+    assert str(split.value) == str(one.value)
+    assert "late.csv:9001: " in str(one.value) and "'oops'" in str(one.value)
+    assert len(pids) == 3
+    assert_reaped(pids)
+
+
+def _fail_in_children(mp, name, error):
+    """modelfile's name raises error in forked children only."""
+    parent = os.getpid()
+    real = getattr(modelfile, name, None) or getattr(builtins, name)
+
+    def flaky(*args, **kwargs):
+        if os.getpid() != parent:
+            raise error
+        return real(*args, **kwargs)
+
+    mp.setattr(modelfile, name, flaky, raising=False)
+
+
+def _fail_once_in_parent(mp, name, error):
+    """modelfile's name raises error on its first call in this process."""
+    parent, real, calls = os.getpid(), getattr(modelfile, name), []
+
+    def flaky(*args, **kwargs):
+        if os.getpid() == parent and not calls:
+            calls.append(1)
+            raise error
+        return real(*args, **kwargs)
+
+    mp.setattr(modelfile, name, flaky)
+
+
+def _fork_twice(mp):
+    """os.fork works twice, then fails as it does when out of processes."""
+    forks = [os.fork, os.fork]
+
+    def fork():
+        if forks:
+            return forks.pop()()
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    mp.setattr(modelfile.os, "fork", fork)
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["child", "fork", "parent"])
+def test_a_failed_part_redoes_the_table_as_one_part(tmp_path, monkeypatch, failure):
+    values = np.random.default_rng(3).standard_normal((9000, 3))
+    header = ("x", "y", "z")
+    want, path = tmp_path / "want.csv", tmp_path / "t.csv"
+    write_table(want, header, values)
+    fds = len(os.listdir("/proc/self/fd"))
+    split_into(monkeypatch, 4, 1000)
+    pids = counted_forks(monkeypatch)
+    if failure == "child":
+        _fail_in_children(monkeypatch, "open", OSError("no room"))
+        _fail_in_children(monkeypatch, "_load_rows", ValueError("bad"))
+    elif failure == "fork":
+        _fork_twice(monkeypatch)
+    else:
+        # after the children exit when writing, while they run when reading
+        _fail_once_in_parent(monkeypatch, "_append", OSError("disk full"))
+        _fail_once_in_parent(monkeypatch, "_load_rows", ValueError("bad"))
+    write_table(path, header, values)
+    header_back, data = read_table(path)
+    assert path.read_bytes() == want.read_bytes()
+    assert header_back == header and data.tobytes() == values.tobytes()
+    assert len(pids) == {"child": 6, "fork": 2, "parent": 6}[failure]
+    assert_reaped(pids)
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "want.csv"]
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@needs_fork
+def test_sample_prints_its_stdout_once(tmp_path):
+    # stdout to a pipe is block-buffered: a child that flushed the parent's
+    # buffer on exit would print "before" twice
+    model = tmp_path / "model.json"
+    save_model(model, CopulaModel(marginals=(ExponentialMarginal(m=0.0, chi=1.0),) * 2,
+                                  correlation=CorrelationMatrix.from_matrix(np.eye(2)),
+                                  channels=("a", "b")))
+    script = (
+        "import os, sys\n"
+        "from tailfolio import cli, modelfile\n"
+        "modelfile._PART_VALUES = modelfile._PART_BYTES = 1000\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
+        "forks, real = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or real()\n"
+        "print('before')\n"
+        f"code = cli.main(['sample', {str(model)!r}, '--n', '5000', '--out', {str(tmp_path / 'o')!r}])\n"
+        "print('forks', len(forks), 'exit', code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stderr == ""
+    assert proc.stdout.count("before") == 1
+    assert proc.stdout.count("sampled 5000 events") == 1
+    # the forked count includes children that exited before printing
+    assert proc.stdout.splitlines()[-1] == "forks 3 exit 0"
+    assert os.listdir(tmp_path / "o") == ["events.csv"]
 
 
 def test_series_csv_index_column(tmp_path):
@@ -325,6 +554,14 @@ def test_anneal_config_from_dict():
         with pytest.raises(ParseError, match="u64"):
             anneal_config_from_dict({"seed": seed})
     assert anneal_config_from_dict({"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+    for key in ("t0", "c", "accept_t0", "accept_c"):
+        for bad in ("1e400", "-1e400", "NaN", "null", '"hot"'):
+            if key == "accept_t0" and bad == "null":
+                continue        # null keeps the default acceptance temperature
+            block = json.loads(f'{{"{key}": {bad}}}')
+            with pytest.raises(ParseError, match=f"'{key}' must be a finite number"):
+                anneal_config_from_dict(block)
+    assert anneal_config_from_dict({"accept_t0": None}).accept_t0 is None
 
 
 def test_ensure_out_dir(tmp_path):
