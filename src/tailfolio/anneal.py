@@ -105,7 +105,10 @@ class OptResult:
 
 
 def _check_bounds(bounds):
-    arr = np.asarray(bounds, dtype=float)
+    try:
+        arr = np.asarray(bounds, dtype=float)
+    except (TypeError, ValueError):     # not numbers, or ragged
+        arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidBounds("bounds must be a sequence of (lo, hi) pairs")
     lo, hi = arr[:, 0].copy(), arr[:, 1].copy()
@@ -213,17 +216,23 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
 
     t0v = np.broadcast_to(np.asarray(cfg.t0, dtype=float), (d,)).copy()
     cv = np.broadcast_to(np.asarray(cfg.c, dtype=float), (d,)).copy()
-    if not (np.all(np.isfinite(t0v) & (t0v > 0.0))
-            and np.all(np.isfinite(cv) & (cv > 0.0))):
-        raise InvalidBounds("t0 and c must be positive and finite")
-    if not (math.isfinite(cfg.accept_c) and (cfg.accept_t0 is None
-                                            or math.isfinite(cfg.accept_t0))):
-        raise InvalidBounds("accept_t0 and accept_c must be finite")
+    # the bounds of docs/schemas; NaN fails every one
+    for key, value in (("t0", t0v), ("c", cv), ("accept_c", cfg.accept_c),
+                       ("accept_t0", 1.0 if cfg.accept_t0 is None else cfg.accept_t0)):
+        if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
+            raise InvalidBounds(f"{key!r} must be positive and finite, got {value!r}")
+    if not cfg.sensitivity_step > 0.0:
+        raise InvalidBounds(f"'sensitivity_step' must be positive, "
+                            f"got {cfg.sensitivity_step!r}")
+    for key in ("reanneal_interval", "acceptance_window", "max_trials",
+                "regen_attempts", "k_max"):
+        if not getattr(cfg, key) >= 1:
+            raise InvalidBounds(f"{key!r} must be >= 1, got {getattr(cfg, key)!r}")
 
-    x = np.clip(np.asarray(cfg.x0, dtype=float), lo, hi) if cfg.x0 is not None \
-        else 0.5 * (lo + hi)
-    if x.size != d:
-        raise InvalidBounds("x0 dimension must match bounds")
+    x = 0.5 * (lo + hi) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
+    if x.shape != (d,):
+        raise InvalidBounds(f"'x0' needs one value per bound, got shape {x.shape}")
+    x = np.clip(x, lo, hi)
 
     best_f = math.inf
     best_x = x.copy()

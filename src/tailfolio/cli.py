@@ -16,22 +16,23 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict
 
 import numpy as np
 
 from . import eeg, indicators
 from .anneal import AnnealConfig
 from .copula import CopulaModel, estimate_correlation, to_gaussian
-from .errors import (DegenerateData, DegenerateVariance, EngineError,
-                     IllConditioned, InvalidBounds, LengthMismatch,
-                     NotPositiveDefinite, OutOfDomain, ParseError, WindowTooShort)
+from .errors import (DegenerateData, DegenerateVariance, DimensionMismatch,
+                     EngineError, IllConditioned, InvalidBounds, LengthMismatch,
+                     NotPositiveDefinite, OutOfDomain, ParseError, WindowTooShort,
+                     ZeroCapital)
 from .events import sample_events
 from .marginals import fit_channels
-from .modelfile import (anneal_config_from_dict, ensure_out_dir, fmt, load_json,
-                        load_model, load_net, read_series_csv, save_json,
-                        save_model, save_net, write_bins_csv, write_events_csv,
-                        write_series_csv, write_trace_csv)
+from .modelfile import (ensure_out_dir, fmt, load_model, load_net, read_config,
+                        read_series_csv, save_json, save_model, save_net,
+                        write_bins_csv, write_events_csv, write_series_csv,
+                        write_trace_csv)
 from .risk import (Q_TARGET, VAR_LEVEL, ContractPortfolio, LinearPortfolio,
                    RiskConfig, optimize_positions, portfolio_returns, risk_report)
 
@@ -44,8 +45,8 @@ EXIT_INTERNAL = 10
 
 
 def exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (ParseError, WindowTooShort, LengthMismatch,
-                        OutOfDomain, InvalidBounds)):
+    if isinstance(exc, (ParseError, WindowTooShort, LengthMismatch, OutOfDomain,
+                        InvalidBounds, DimensionMismatch, ZeroCapital)):
         return EXIT_PARSE
     if isinstance(exc, (DegenerateData, DegenerateVariance)):
         return EXIT_DEGENERATE
@@ -54,65 +55,31 @@ def exit_code_for(exc: Exception) -> int:
     return EXIT_INTERNAL
 
 
-def _config_of(args) -> dict:
-    if args.config is None:
-        return {}
-    cfg = load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ParseError(f"{args.config}: config must be a JSON object")
-    return cfg
+def _present(cfg: dict, *keys) -> dict:
+    """cfg's entries among keys; an absent key keeps the callee's default."""
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"must be a JSON boolean, got {value!r}")
-    return value
-
-
-def _integer(value) -> int:
-    """An integral JSON number (7 or 7.0) as an int; no booleans."""
-    if not (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer()):
-        raise TypeError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _present(cfg: dict, **casts) -> dict:
-    """The keys of cfg named in casts, each cast; a key cfg lacks stays out,
-    so the callee keeps its own default. A value its cast rejects raises
-    ParseError naming the key."""
-    out = {}
-    for key, cast in casts.items():
-        if key in cfg:
-            try:
-                out[key] = cast(cfg[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"config option {key!r}: {exc}") from exc
-    return out
-
-
-def _anneal_config(block: dict | None, seed: int) -> AnnealConfig:
-    cfg = anneal_config_from_dict(block or {})
-    if block is None or "seed" not in block:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+def _anneal_config(cfg: dict, seed: int) -> AnnealConfig:
+    """The config's anneal block, seeded by --seed unless it sets its own."""
+    return AnnealConfig(**{"seed": seed, **cfg.get("anneal", {})})
 
 
 # ------------------------------------------------------------------ commands
 
 def cmd_fit_marginals(args) -> int:
-    cfg = _config_of(args)
+    cfg = read_config(args.config)
     out = ensure_out_dir(args.out)
     names, data = read_series_csv(args.csv)
-    if cfg.get("marginal_window") is not None:
-        window = _present(cfg, marginal_window=_integer)["marginal_window"]
+    window = cfg.get("marginal_window")
+    if window is not None:
         if window < 2:
             raise ParseError("marginal_window must be >= 2")
         data = data[-window:]
-    marginals = fit_channels(names, data, **_present(cfg, asymmetric=_boolean))
+    marginals = fit_channels(names, data, **_present(cfg, "asymmetric"))
     y = np.stack([to_gaussian(mg, data[:, i]) for i, mg in enumerate(marginals)],
                  axis=0)
-    corr = estimate_correlation(y, **_present(cfg, pre_average_window=_integer))
+    corr = estimate_correlation(y, **_present(cfg, "pre_average_window"))
     model = CopulaModel(marginals=marginals, correlation=corr,
                         channels=tuple(names))
     save_model(os.path.join(out, "model.json"), model)
@@ -171,52 +138,37 @@ def cmd_risk(args) -> int:
 
 
 def _template_of(cfg: dict, dim: int):
-    block = cfg.get("template", {"type": "linear"})
-    kind = block.get("type", "linear")
+    block = cfg.get("template", {})
+    kind = block.pop("type", "linear")
+    offsets = block.pop("offsets", (0.0,) * dim)
     if kind == "linear":
-        offsets = block.get("offsets", [0.0] * dim)
         if len(offsets) != dim:
             raise ParseError(f"template offsets need {dim} value(s)")
-        return LinearPortfolio(weights=(0.0,) * dim,
-                               offsets=tuple(float(v) for v in offsets))
+        return LinearPortfolio(weights=(0.0,) * dim, offsets=offsets)
     if kind == "contracts":
-        try:
-            counts = (0.0,) * dim
-            prices = tuple(float(v) for v in block["prices"])
-            entry = tuple(float(v) for v in block["entry_prices"])
-            cash = float(block["cash"])
-        except KeyError as exc:
-            raise ParseError(f"contracts template missing {exc.args[0]!r}") from exc
-        prev = block.get("prev_counts")
-        return ContractPortfolio(
-            counts=counts, prices=prices, entry_prices=entry, cash=cash,
-            prev_counts=None if prev is None else tuple(float(v) for v in prev),
-            slippage=float(block.get("slippage", 0.0)))
+        for key in ("prices", "entry_prices", "cash"):
+            if key not in block:
+                raise ParseError(f"contracts template missing {key!r}")
+        return ContractPortfolio(counts=(0.0,) * dim, **block)
     raise ParseError(f"unknown template type {kind!r}")
 
 
 def cmd_optimize(args) -> int:
-    cfg = _config_of(args)
+    cfg = read_config(args.config)
     out = ensure_out_dir(args.out)
     model = load_model(args.model)
     dim = len(model.channels)
     template = _template_of(cfg, dim)
-    try:
-        bounds = [(float(lo), float(hi)) for lo, hi in cfg["bounds"]]
-    except KeyError:
-        raise ParseError("optimize config must provide 'bounds'") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad bounds block: {exc}") from exc
+    bounds = cfg.get("bounds", ())
     if len(bounds) != dim:
-        raise ParseError(f"bounds need {dim} pair(s), got {len(bounds)}")
-    risk_block = cfg.get("risk", {})
-    risk_cfg = RiskConfig(**_present(risk_block,
-                                     **{f.name: float for f in fields(RiskConfig)}))
-    n = _present(cfg, n=_integer).get("n", 10000)
+        raise ParseError(f"optimize config needs {dim} 'bounds' pair(s), "
+                         f"got {len(bounds)}")
+    n = cfg.get("n", 10000)
     batch = sample_events(model, n, args.seed)
-    acfg = _anneal_config(cfg.get("anneal"), args.seed)
-    opt = optimize_positions(batch, template, bounds, risk_cfg, acfg,
-                             **_present(cfg, refine_calls=_integer))
+    opt = optimize_positions(batch, template, bounds,
+                             RiskConfig(**cfg.get("risk", {})),
+                             _anneal_config(cfg, args.seed),
+                             **_present(cfg, "refine_calls"))
     if args.verbose:
         write_trace_csv(os.path.join(out, "trace_optimize.csv"), opt.result)
     values = (opt.portfolio.weights if isinstance(opt.portfolio, LinearPortfolio)
@@ -250,7 +202,7 @@ def _series_for_net(net, csv_path):
 
 
 def cmd_eeg(args) -> int:
-    cfg = _config_of(args)
+    cfg = read_config(args.config)
     out = ensure_out_dir(args.out)
     net = load_net(args.net)
     if args.mode == "simulate":
@@ -262,15 +214,10 @@ def cmd_eeg(args) -> int:
         return EXIT_OK
     data = _series_for_net(net, args.series)
     if args.mode == "fit":
-        free = list(cfg.get("free", []))
-        bounds_block = cfg.get("bounds", {})
-        try:
-            bounds = {k: (float(v[0]), float(v[1])) for k, v in bounds_block.items()}
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ParseError(f"bad bounds block: {exc}") from exc
-        acfg = _anneal_config(cfg.get("anneal"), args.seed)
-        fit = eeg.fit_net(data, net, free, bounds, acfg,
-                          **_present(cfg, penalty_weight=float, refine_calls=_integer))
+        free = cfg.get("free", ())
+        fit = eeg.fit_net(data, net, free, cfg.get("bounds", {}),
+                          _anneal_config(cfg, args.seed),
+                          **_present(cfg, "penalty_weight", "refine_calls"))
         res = fit.result
         if args.verbose and res is not None:
             write_trace_csv(os.path.join(out, "trace_fit.csv"), res)
@@ -304,50 +251,36 @@ def cmd_eeg(args) -> int:
 
 
 def cmd_indicators(args) -> int:
-    cfg = _config_of(args)
+    cfg = read_config(args.config)
     out = ensure_out_dir(args.out)
     methods = cfg.get("methods")
     if not methods or len(methods) < 2:
         raise ParseError("indicators config needs >= 2 'methods'")
     streams = []
     for block in methods:
-        try:
-            name = str(block["name"])
-            csv_path = block["csv"]
-        except KeyError as exc:
-            raise ParseError(f"method block missing {exc.args[0]!r}") from exc
+        name, csv_path = block["name"], block["csv"]
         kind = block.get("kind", "values")
         if kind == "values":
             names, data = read_series_csv(csv_path)
-            col = block.get("column")
-            if col is None:
-                if data.shape[1] != 1:
-                    raise ParseError(f"{csv_path}: pick one of {list(names)} "
-                                     f"with 'column'")
-                idx = 0
-            else:
-                if col not in names:
-                    raise ParseError(f"{csv_path}: no column {col!r}")
-                idx = names.index(col)
-            streams.append(indicators.stream_from_values(name, data[:, idx]))
+            col = block.get("column", names[0] if len(names) == 1 else None)
+            if col not in names:
+                raise ParseError(f"{csv_path}: pick one of {list(names)} "
+                                 f"with 'column'")
+            streams.append(indicators.stream_from_values(
+                name, data[:, names.index(col)]))
         elif kind == "net":
-            try:
-                net = load_net(block["net"])
-            except KeyError as exc:
-                raise ParseError(f"method {name!r} missing {exc.args[0]!r}") from exc
+            if "net" not in block:
+                raise ParseError(f"method {name!r} missing 'net'")
+            net = load_net(block["net"])
             data = _series_for_net(net, csv_path)
             streams.append(indicators.stream_from_net(name, net, data))
         else:
             raise ParseError(f"unknown method kind {kind!r}")
-    weights = cfg.get("weights")
-    acfg = _anneal_config(cfg.get("anneal"), args.seed) if cfg.get("anneal") \
-        else None
+    acfg = _anneal_config(cfg, args.seed) if cfg.get("anneal") else None
     report, model = indicators.indicator_report(
-        streams,
-        weights=None if weights is None else [float(v) for v in weights],
-        state_labels=cfg.get("state_labels"), config=acfg,
-        **_present(cfg, holdout_fraction=float, fit_weights=_boolean,
-                   pre_average_window=_integer))
+        streams, weights=cfg.get("weights"), state_labels=cfg.get("state_labels"),
+        config=acfg, **_present(cfg, "holdout_fraction", "fit_weights",
+                                "pre_average_window"))
     save_json(os.path.join(out, "indicators.json"), report)
     if model is not None:
         save_model(os.path.join(out, "indicator_model.json"), model)

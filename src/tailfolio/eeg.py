@@ -596,6 +596,8 @@ def fit_net(series, net: RegionNet, free, bounds,
             box = [(float(bounds[k][0]), float(bounds[k][1])) for k in keys]
         except KeyError as exc:
             raise OutOfDomain(f"missing bounds for parameter {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise OutOfDomain("bounds must map each free key to (lo, hi)") from exc
         cost = _fit_cost(net, keys, _series(net, phi, min_epochs=2), penalty_weight)
         res = anneal.search(cost, box, config, refine_calls)
         fitted = apply_params(net, dict(zip(keys, res.x)))

@@ -5,6 +5,12 @@ LF line endings, numbers printed with 17 significant digits. JSON files
 carry a "kind" tag; floats keep full precision through Python's shortest
 round-trip repr.
 
+Config, model and net files are read against one key -> cast table per
+block of docs/schemas, with one cast per JSON type (number, integer,
+boolean, string, array, nullable). A block must be a JSON object; a key
+its table does not list, a missing required key and a value of the wrong
+type raise a ParseError naming the key.
+
 A large table is written and read in contiguous parts, one per CPU this
 process may run on: the first part here, each other one in an os.fork
 child that ends in os._exit. The part count never changes a byte written
@@ -20,7 +26,7 @@ import json
 import os
 import signal
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,11 +59,13 @@ def save_json(path, payload: dict) -> None:
 def load_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return _dict(json.load(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except TypeError as exc:    # not a JSON object, or path is not a path
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- CSV tables
@@ -397,18 +405,146 @@ def write_trace_csv(path, result) -> None:
                 np.column_stack([np.arange(1, len(trace) + 1), trace]))
 
 
+# -------------------------------------------------------------- typed reader
+#
+# A cast returns one JSON value as the program holds it, or raises TypeError
+# or ValueError; _object names the key in the ParseError. Casts check JSON
+# types only; domain checks stay with the types and functions that own them.
+
+def _plain(kinds, name):
+    """Cast: a JSON value whose type is one of kinds, as it is; a boolean
+    only where kinds holds bool, though bool subclasses int."""
+    def cast(v):
+        if not isinstance(v, kinds) or isinstance(v, bool) and bool not in kinds:
+            raise TypeError(f"must be {name}, got {v!r}")
+        return v
+    return cast
+
+
+_boolean, _string = _plain((bool,), "a JSON boolean"), _plain((str,), "a string")
+_dict = _plain((dict,), "a JSON object")
+_label = _plain((str, int, float), "a string or a number")
+
+
+def _number(v, finite=False) -> float:
+    """A JSON number as a float; with finite, not inf or NaN (JSON's 1e400
+    loads as inf)."""
+    name = "a finite number" if finite else "a number"
+    x = float(_plain((int, float), name)(v))
+    if finite and not np.isfinite(x):
+        raise TypeError(f"must be {name}, got {v!r}")
+    return x
+
+
+def _finite(v) -> float:
+    return _number(v, finite=True)
+
+
+def _integer(v) -> int:
+    """An integral JSON number, 7 or 7.0, as an int; never a boolean."""
+    if not float(_plain((int, float), "an integer")(v)).is_integer():
+        raise TypeError(f"must be an integer, got {v!r}")
+    return int(v)
+
+
+def _u64(v) -> int:
+    if not 0 <= (v := _integer(v)) < 2 ** 64:
+        raise ValueError(f"must fit in u64, got {v}")
+    return v
+
+
+def _array(item, length=None):
+    """Cast: a JSON array, of length items when given, as a tuple of item(x)."""
+    def cast(v):
+        if not isinstance(v, (list, tuple)) or length not in (None, len(v)):
+            raise TypeError(f"must be an array{f' of {length}' if length else ''}"
+                            f", got {v!r}")
+        return tuple(map(item, v))
+    return cast
+
+
+def _nullable(cast):
+    return lambda v: None if v is None else cast(v)
+
+
+def _object(table, what, required=()):
+    """Cast: a JSON object as a dict, each value read by its key's cast in
+    table; ParseError names an unlisted, missing required or rejected key."""
+    def cast(d):
+        unknown = sorted(_dict(d).keys() - table.keys())
+        missing = [key for key in required if key not in d]
+        if unknown or missing:
+            raise ParseError(f"unknown {what}(s): {unknown}" if unknown
+                             else f"missing {what} {missing[0]!r}")
+        out = {}
+        for key, value in d.items():
+            try:
+                out[key] = table[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"{what} {key!r} {exc}") from exc
+        return out
+    return cast
+
+
+def _bounds(v):
+    """[lo, hi] pairs by parameter key (eeg fit) or in order (optimize)."""
+    try:    # a table of v's own keys; _object raises TypeError on a non-object
+        return _object(dict.fromkeys(v, _PAIR), "bound")(v)
+    except TypeError:
+        return _array(_PAIR)(v)
+
+
+# One table per block of docs/schemas, in the schemas' key order.
+_PAIR, _NUMBERS = _array(_number, 2), _array(_number)
+_ANNEAL = _object({
+    "t0": _finite, "c": _finite, "accept_t0": _nullable(_finite), "accept_c": _finite,
+    "reanneal_interval": _integer, "acceptance_window": _integer,
+    "window_repeat_tol": _number, "max_trials": _integer, "k_max": _number,
+    "regen_attempts": _integer, "sensitivity_step": _number, "seed": _u64,
+    "x0": _nullable(_NUMBERS)}, "annealer option")
+_CONFIG = _object({
+    "marginal_window": _nullable(_integer), "asymmetric": _boolean,
+    "pre_average_window": _integer,
+    "template": _object({"type": _string, "offsets": _NUMBERS, "prices": _NUMBERS,
+                         "entry_prices": _NUMBERS, "cash": _number,
+                         "prev_counts": _nullable(_NUMBERS), "slippage": _number},
+                        "template option"),
+    "bounds": _bounds,
+    "risk": _object({"var_level": _number, "q_target": _number,
+                     "q_tolerance": _number, "penalty_weight": _number}, "risk option"),
+    "n": _integer, "refine_calls": _integer, "penalty_weight": _number,
+    "free": _array(_string), "anneal": _ANNEAL,
+    "methods": _array(_object({"name": _string, "csv": _string, "column": _string,
+                               "kind": _string, "net": _string},
+                              "method option", required=("name", "csv"))),
+    "holdout_fraction": _number, "fit_weights": _boolean,
+    "weights": _nullable(_NUMBERS), "state_labels": _nullable(_array(_label)),
+}, "config option")
+_MODEL = _object({
+    "kind": _string, "channels": _array(_string),
+    "marginals": _array(_object({"channel": _string, "m": _number, "chi": _number,
+                                 "chi_minus": _nullable(_number),
+                                 "chi_plus": _nullable(_number)},
+                                "marginal field", required=("channel", "m", "chi"))),
+    "correlation": _array(_NUMBERS),
+}, "model field", required=("kind", "channels", "marginals", "correlation"))
+_COLUMNS = {"n_e": _number, "n_i": _number, "tau_ms": _number, "threshold": _PAIR,
+            **dict.fromkeys(("gain", "background", "pol_mean", "pol_var"),
+                            _array(_PAIR, 2)),
+            "lr_count": _number, "lr_gain": _number, "lr_background": _number}
+_SITE = {"name": _string, "offset": _number, "gain_e": _number, "gain_i": _number,
+         "trough_slope": _number}
+_COUPLING = {"source": _string, "target": _string, "weight": _number,
+             "delay": _integer}
+_NET = _object({
+    "kind": _string, "dt_ms": _number, "denominator_approx": _boolean,
+    "columns": _object(_COLUMNS, "columns field", required=_COLUMNS),
+    "sites": _array(_object(_SITE, "site field", required=_SITE)),
+    "couplings": _array(_object(_COUPLING, "coupling field", required=_COUPLING)),
+}, "net field", required=("kind", "dt_ms", "columns", "sites"))
+
+
 # ----------------------------------------------------------- copula model IO
-
-def marginal_from_dict(d: dict) -> ExponentialMarginal:
-    try:
-        return ExponentialMarginal(m=float(d["m"]), chi=float(d["chi"]),
-                                   chi_minus=(None if d.get("chi_minus") is None
-                                              else float(d["chi_minus"])),
-                                   chi_plus=(None if d.get("chi_plus") is None
-                                             else float(d["chi_plus"])))
-    except KeyError as exc:
-        raise ParseError(f"marginal entry missing field {exc.args[0]!r}") from exc
-
 
 def save_model(path, model: CopulaModel) -> None:
     payload = {
@@ -424,65 +560,22 @@ def save_model(path, model: CopulaModel) -> None:
 def load_model(path) -> CopulaModel:
     d = load_json(path)
     if d.get("kind") != "copula_model":
-        raise ParseError(f"{path}: expected kind 'copula_model'")
+        raise ParseError(f"{path}: 'kind' must be 'copula_model'")
     try:
-        channels = tuple(str(c) for c in d["channels"])
-        marginals = tuple(marginal_from_dict(e) for e in d["marginals"])
-        matrix = np.asarray(d["correlation"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        m = _MODEL(d)
+        matrix = np.asarray(m["correlation"], dtype=float)  # ValueError if ragged
+    except (ParseError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file ({exc})") from exc
+    marginals = tuple(ExponentialMarginal(**{k: v for k, v in e.items()
+                                             if k != "channel"})
+                      for e in m["marginals"])
     corr = CorrelationMatrix.from_matrix(matrix)
-    if len(marginals) != len(channels) or corr.dim != len(channels):
+    if len(marginals) != len(m["channels"]) or corr.dim != len(marginals):
         raise ParseError(f"{path}: channel count mismatch")
-    return CopulaModel(marginals=marginals, correlation=corr, channels=channels)
+    return CopulaModel(marginals=marginals, correlation=corr, channels=m["channels"])
 
 
 # -------------------------------------------------------------- region net IO
-
-def _pair(x):
-    a, b = x
-    return (float(a), float(b))
-
-
-def columns_from_dict(d: dict) -> ColumnParams:
-    try:
-        return ColumnParams(
-            n_e=float(d["n_e"]), n_i=float(d["n_i"]), tau_ms=float(d["tau_ms"]),
-            threshold=_pair(d["threshold"]),
-            gain=(_pair(d["gain"][0]), _pair(d["gain"][1])),
-            background=(_pair(d["background"][0]), _pair(d["background"][1])),
-            pol_mean=(_pair(d["pol_mean"][0]), _pair(d["pol_mean"][1])),
-            pol_var=(_pair(d["pol_var"][0]), _pair(d["pol_var"][1])),
-            lr_count=float(d["lr_count"]), lr_gain=float(d["lr_gain"]),
-            lr_background=float(d["lr_background"]))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"malformed columns block ({exc})") from exc
-
-
-def net_from_dict(d: dict) -> RegionNet:
-    try:
-        sites = tuple(ElectrodeSite(name=str(s["name"]),
-                                    offset=float(s["offset"]),
-                                    gain_e=float(s["gain_e"]),
-                                    gain_i=float(s["gain_i"]),
-                                    trough_slope=float(s["trough_slope"]))
-                      for s in d["sites"])
-        # Coupling rejects a delay that is not a non-negative integer
-        couplings = tuple(Coupling(source=str(c["source"]), target=str(c["target"]),
-                                   weight=float(c["weight"]), delay=c["delay"])
-                          for c in d.get("couplings", ()))
-        columns = d["columns"]
-        dt_ms = float(d.get("dt_ms", 5.2))
-    except (KeyError, TypeError, ValueError, OverflowError, OutOfDomain) as exc:
-        raise ParseError(f"malformed net block ({exc})") from exc
-    approx = d.get("denominator_approx", True)
-    if not isinstance(approx, bool):
-        raise ParseError(f"net option 'denominator_approx' must be a boolean, "
-                         f"got {approx!r}")
-    return RegionNet(sites=sites, couplings=couplings,
-                     columns=columns_from_dict(columns), dt_ms=dt_ms,
-                     denominator_approx=approx)
-
 
 def save_net(path, net: RegionNet) -> None:
     save_json(path, {
@@ -498,48 +591,29 @@ def save_net(path, net: RegionNet) -> None:
 def load_net(path) -> RegionNet:
     d = load_json(path)
     if d.get("kind") != "region_net":
-        raise ParseError(f"{path}: expected kind 'region_net'")
-    return net_from_dict(d)
+        raise ParseError(f"{path}: 'kind' must be 'region_net'")
+    try:
+        n = _NET(d)
+        # Coupling's OutOfDomain (a negative delay) reads as a malformed
+        # block; ColumnParams and RegionNet raise theirs below, unwrapped
+        couplings = tuple(Coupling(**c) for c in n.pop("couplings", ()))
+    except (ParseError, OutOfDomain) as exc:
+        raise ParseError(f"malformed net block ({exc})") from exc
+    del n["kind"]
+    return RegionNet(sites=tuple(ElectrodeSite(**s) for s in n.pop("sites")),
+                     couplings=couplings, columns=ColumnParams(**n.pop("columns")),
+                     **n)
 
 
 # ------------------------------------------------------------- config blocks
 
-_ANNEAL_KEYS = {f.name for f in fields(AnnealConfig)}
+def read_config(path) -> dict:
+    """A --config file's keys, each read to its schema type; {} for None."""
+    return {} if path is None else _CONFIG(load_json(path))
 
 
 def anneal_config_from_dict(d: dict) -> AnnealConfig:
-    unknown = set(d) - _ANNEAL_KEYS
-    if unknown:
-        raise ParseError(f"unknown annealer option(s): {sorted(unknown)}")
-    kwargs = dict(d)
-    if "x0" in kwargs and kwargs["x0"] is not None:
-        kwargs["x0"] = tuple(float(v) for v in kwargs["x0"])
-    for key in ("reanneal_interval", "acceptance_window", "max_trials",
-                "regen_attempts", "seed"):
-        if key in kwargs:
-            value = kwargs[key]
-            try:
-                integral = int(value) == value
-            except (TypeError, ValueError, OverflowError):
-                integral = False
-            if not integral:
-                raise ParseError(f"annealer option {key!r} must be an integer, "
-                                 f"got {value!r}")
-            kwargs[key] = int(value)
-    for key in ("t0", "c", "accept_t0", "accept_c"):
-        value = kwargs.get(key, 1.0)
-        if key == "accept_t0" and value is None:
-            continue        # None picks the default, max(|cost(x0)|, 1)
-        try:
-            finite = bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            raise ParseError(f"annealer option {key!r} must be a finite number, "
-                             f"got {value!r}")
-    if not 0 <= kwargs.get("seed", 0) < 2 ** 64:
-        raise ParseError("annealer seed must fit in u64")
-    return AnnealConfig(**kwargs)
+    return AnnealConfig(**_ANNEAL(d))
 
 
 def ensure_out_dir(path) -> str:

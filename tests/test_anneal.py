@@ -104,6 +104,18 @@ def test_minimize_guards():
                 {"accept_t0": np.nan}, {"accept_c": np.inf}, {"accept_c": np.nan}):
         with pytest.raises(InvalidBounds, match="finite"):
             minimize(lambda p: 0.0, [(0.0, 1.0)] * 2, AnnealConfig(**bad))
+    # the schema's bounds on the other knobs; NaN fails each of them
+    for key, bad in (("reanneal_interval", 0), ("acceptance_window", 0),
+                     ("max_trials", 0), ("regen_attempts", 0), ("k_max", 0.5),
+                     ("k_max", np.nan), ("sensitivity_step", 0.0),
+                     ("sensitivity_step", np.nan), ("accept_t0", -1.0),
+                     ("accept_t0", 0.0), ("accept_c", 0.0)):
+        with pytest.raises(InvalidBounds, match=f"'{key}'"):
+            minimize(lambda p: 0.0, [(0.0, 1.0)] * 2, AnnealConfig(**{key: bad}))
+    # x0 must hold one value per bound, before any clipping could broadcast it
+    for x0 in ([0.5], [0.1, 0.2, 0.3, 0.4], [[0.5, 0.5]]):
+        with pytest.raises(InvalidBounds, match="x0"):
+            minimize(lambda p: 0.0, [(0.0, 1.0)] * 2, AnnealConfig(x0=x0))
     with pytest.raises(CostNotFinite):
         minimize(lambda p: np.nan, [(0.0, 1.0)])
 

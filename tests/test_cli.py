@@ -568,6 +568,9 @@ def _config_case(tmp_path, command, extra):
     ("optimize", "refine_calls", 2.5),
     ("optimize", "n", 100.5),
     ("optimize", "n", True),
+    ("fit-marginals", "asymetric", True),
+    ("optimize", "risk", [1]),
+    ("optimize", "template", [1]),
 ])
 def test_config_casts_are_strict(tmp_path, capsys, command, key, value):
     code = cli.main(_config_case(tmp_path, command, {key: value}))
@@ -596,3 +599,109 @@ def test_optimize_rejects_an_infinite_anneal_t0(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert "'t0' must be a finite number" in capsys.readouterr().err
+
+
+def test_eeg_fit_on_one_epoch_exits_2(tmp_path, capsys):
+    net_path = tmp_path / "net.json"
+    save_net(net_path, two_site_net())
+    series = tmp_path / "one.csv"
+    write_series_csv(series, [[1.0, 0.5]], ("Fz", "Cz"))
+    cfg = write_config(tmp_path, {"free": ["Fz.offset"],
+                                  "bounds": {"Fz.offset": [-1.0, 1.0]}})
+    code = cli.main(["eeg", "fit", str(net_path), str(series), "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "need at least 2 epochs" in capsys.readouterr().err
+
+
+def test_optimize_on_zero_capital_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "template": {"type": "contracts", "prices": [50.0],
+                     "entry_prices": [50.0], "cash": 0},
+        "bounds": [[0.0, 4.0]], "n": 100, "anneal": {"max_trials": 20}})
+    code = cli.main(["optimize", make_model_json(tmp_path), "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "zero" in capsys.readouterr().err
+
+
+def _two_channel_model(tmp_path):
+    path = tmp_path / "model2.json"
+    save_model(path, CopulaModel(
+        marginals=(ExponentialMarginal(m=0.0, chi=0.01),) * 2,
+        correlation=CorrelationMatrix.from_matrix(np.eye(2)), channels=("a", "b")))
+    return path
+
+
+def _edited(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _optimize_case(tmp_path, **extra):
+    cfg = write_config(tmp_path, {"bounds": [[0.0, 1.0]] * 2, "n": 10,
+                                  "anneal": {"max_trials": 20}, **extra})
+    return ["optimize", str(_two_channel_model(tmp_path)), "--config", cfg,
+            "--out", str(tmp_path / "o")]
+
+
+def _net_case(tmp_path, edit):
+    net_path = tmp_path / "net.json"
+    save_net(net_path, two_site_net())
+    return ["eeg", "simulate", _edited(net_path, edit), "--epochs", "5",
+            "--out", str(tmp_path / "o")]
+
+
+def _model_case(tmp_path, edit):
+    return ["sample", _edited(_two_channel_model(tmp_path), edit), "--n", "5",
+            "--out", str(tmp_path / "o")]
+
+
+def _anneal(**block):
+    return {"anneal": {"max_trials": 20, **block}}
+
+
+SCHEMA_FAULTS = [
+    ("max_trials", lambda t: _optimize_case(t, **_anneal(max_trials=True))),
+    ("sensitivity_step", lambda t: _optimize_case(t, **_anneal(sensitivity_step="x"))),
+    ("k_max", lambda t: _optimize_case(t, **_anneal(k_max="7"))),
+    ("window_repeat_tol", lambda t: _optimize_case(t, **_anneal(window_repeat_tol="a"))),
+    ("reanneal_interval", lambda t: _optimize_case(t, **_anneal(reanneal_interval=0))),
+    ("accept_t0", lambda t: _optimize_case(t, **_anneal(accept_t0=-1))),
+    ("x0", lambda t: _optimize_case(t, **_anneal(x0=[0.5]))),
+    ("x0", lambda t: _optimize_case(t, **_anneal(x0=[0.1, 0.2, 0.3, 0.4]))),
+    ("var_levle", lambda t: _optimize_case(t, risk={"var_levle": 0.01})),
+    ("ofsets", lambda t: _optimize_case(t, template={"ofsets": [0.0, 0.0]})),
+    ("delay", lambda t: _net_case(t, lambda d: d["couplings"][0].update(delay=True))),
+    ("offset", lambda t: _net_case(t, lambda d: d["sites"][0].update(offset="0.5"))),
+    ("dt_ms", lambda t: _net_case(t, lambda d: d.update(dt_ms="5.2"))),
+    ("dt", lambda t: _net_case(t, lambda d: d.update(dt=5.2))),
+    ("m", lambda t: _model_case(t, lambda d: d["marginals"][0].update(m="0.1"))),
+    ("sigma", lambda t: _model_case(t, lambda d: d["marginals"][1].update(sigma=1))),
+]
+
+
+@pytest.mark.parametrize("key, case", SCHEMA_FAULTS,
+                         ids=[f"{k}-{i}" for i, (k, _) in enumerate(SCHEMA_FAULTS)])
+def test_schema_faults_exit_2_naming_the_key(tmp_path, capsys, key, case):
+    assert cli.main(case(tmp_path)) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_bounds_of_the_other_command_shape_exit_2(tmp_path, capsys):
+    # optimize takes [lo, hi] pairs in order, eeg fit takes them by key
+    cfg = write_config(tmp_path, {"bounds": {"a": [0.0, 1.0]}, "n": 10})
+    assert cli.main(["optimize", make_model_json(tmp_path), "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "bounds" in capsys.readouterr().err
+    net_path = tmp_path / "net.json"
+    save_net(net_path, two_site_net())
+    series = tmp_path / "series.csv"
+    write_series_csv(series, np.random.default_rng(2).normal(size=(20, 2)),
+                     ("Fz", "Cz"))
+    cfg = write_config(tmp_path, {"free": ["Fz.offset"], "bounds": [[-1.0, 1.0]]})
+    assert cli.main(["eeg", "fit", str(net_path), str(series), "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "bounds" in capsys.readouterr().err

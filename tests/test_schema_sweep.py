@@ -1,0 +1,171 @@
+"""The config, model and net readers against docs/schemas.
+
+Cases are generated from the schemas: a document that sets every listed key
+to a schema-valid value must load, and one fault at a time (an unknown key,
+a non-object where an object belongs, a value of the wrong JSON type, a
+non-integral integer, an annealer knob out of its bound) must raise a
+ParseError, or InvalidBounds from minimize, that names the key.
+"""
+
+import copy
+import json
+import math
+import os
+
+import jsonschema
+import numpy as np
+import pytest
+
+from tailfolio.anneal import minimize
+from tailfolio.copula import CopulaModel
+from tailfolio.eeg import RegionNet
+from tailfolio.errors import InvalidBounds, ParseError
+from tailfolio.modelfile import (anneal_config_from_dict, load_model, load_net,
+                                 read_config)
+
+from helpers import SCHEMA_DIR
+
+READERS = {"config.schema.json": read_config, "model.schema.json": load_model,
+           "net.schema.json": load_net}
+WRONG = ("x", True, 1.5, [1], None)     # one value of each other JSON type
+
+
+def _schema(name):
+    with open(os.path.join(SCHEMA_DIR, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _resolve(node, root):
+    """node with its $ref followed and a oneOf replaced by its first branch."""
+    while "$ref" in node or "oneOf" in node:
+        node = (root["definitions"][node["$ref"].rsplit("/", 1)[1]]
+                if "$ref" in node else node["oneOf"][0])
+    return node
+
+
+def _types(node):
+    """The JSON types node allows; a const or enum here is always a string."""
+    if "const" in node or "enum" in node:
+        return ["string"]
+    return node["type"] if isinstance(node["type"], list) else [node["type"]]
+
+
+def _kind(node):
+    return next(t for t in _types(node) if t != "null")
+
+
+def _valid(node, root):
+    """A schema-valid value for node, with every listed key of an object set."""
+    node = _resolve(node, root)
+    if "const" in node or "enum" in node:
+        return node.get("const", node.get("enum", [None])[0])
+    kind = _kind(node)
+    if kind == "object":
+        return {k: _valid(v, root) for k, v in node["properties"].items()}
+    if kind == "array":
+        return [_valid(node["items"], root) for _ in range(node.get("minItems", 1))]
+    candidates = {"string": ["a"], "boolean": [True], "integer": [1, 2, 3],
+                  "number": [1.0, 0.5, 2.0]}[kind]
+    return next(v for v in candidates
+                if jsonschema.Draft7Validator({**node, "type": kind}).is_valid(v))
+
+
+def _nodes(node, root, path=()):
+    """(path, schema) of every value the full document holds."""
+    node = _resolve(node, root)
+    yield path, node
+    if _kind(node) == "object":
+        for key, sub in node["properties"].items():
+            yield from _nodes(sub, root, path + (key,))
+    elif _kind(node) == "array":
+        yield from _nodes(node["items"], root, path + (0,))
+
+
+def _set(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return doc
+
+
+def _faults():
+    for name in READERS:
+        root = _schema(name)
+        doc = _valid(root, root)
+        for path, node in _nodes(root, root):
+            key = next((p for p in reversed(path) if isinstance(p, str)), None)
+            where = name.split(".")[0] + ":" + ("/".join(map(str, path)) or "<root>")
+            if _kind(node) == "object":
+                inner = _valid(node, root)
+                yield (f"{where} unknown key", name,
+                       _set(doc, path, {**inner, "zz_unknown": 1}), "zz_unknown")
+                yield f"{where}=1", name, _set(doc, path, 1), key
+                continue
+            allowed = jsonschema.Draft7Validator({"type": _types(node)})
+            for bad in WRONG:
+                if not allowed.is_valid(bad):
+                    yield f"{where}={bad!r}", name, _set(doc, path, bad), key
+
+
+def _load(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return READERS[name](str(path))
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_a_document_with_every_schema_key_loads(tmp_path, name):
+    root = _schema(name)
+    doc = _valid(root, root)
+    jsonschema.validate(doc, root)
+    loaded = _load(tmp_path, name, doc)
+    if name == "config.schema.json":
+        assert sorted(loaded) == sorted(root["properties"])
+        assert sorted(loaded["anneal"]) == sorted(
+            root["properties"]["anneal"]["properties"])
+    else:
+        assert isinstance(loaded, CopulaModel if name == "model.schema.json"
+                          else RegionNet)
+
+
+FAULTS = list(_faults())
+
+
+@pytest.mark.parametrize("name, doc, key", [f[1:] for f in FAULTS],
+                         ids=[f[0] for f in FAULTS])
+def test_a_schema_fault_raises_parse_error_naming_the_key(tmp_path, name, doc, key):
+    with pytest.raises(ParseError) as info:
+        _load(tmp_path, name, doc)
+    if key is not None:
+        assert f"'{key}'" in str(info.value)
+
+
+def _out_of_bounds(node):
+    if "minimum" in node:
+        yield node["minimum"] - 1
+    if "exclusiveMinimum" in node:
+        yield node["exclusiveMinimum"]
+    if "minimum" in node or "exclusiveMinimum" in node:
+        yield math.nan
+
+
+ANNEAL = _schema("config.schema.json")["properties"]["anneal"]["properties"]
+
+
+@pytest.mark.parametrize("key, bad", [(k, v) for k, node in ANNEAL.items()
+                                      for v in _out_of_bounds(node)])
+def test_an_annealer_knob_out_of_its_bound_is_refused(key, bad):
+    with pytest.raises((ParseError, InvalidBounds), match=f"'{key}'"):
+        cfg = anneal_config_from_dict(json.loads(json.dumps(
+            {"max_trials": 5, key: bad})))
+        minimize(lambda p: float(np.sum(p * p)), [(0.0, 1.0)] * 2, cfg)
+
+
+def test_the_sweep_covers_every_reader():
+    names = {name for _, name, _, _ in FAULTS}
+    assert names == set(READERS)
+    assert len(FAULTS) > 100
