@@ -365,8 +365,11 @@ def search(cost, bounds, config: AnnealConfig | None = None,
     and trials counts the anneal's trials plus the polish's cost calls;
     acceptances, exit_reason, window_best and trace stay the anneal's. When
     refine_calls is 0 or the annealed cost is not below SENTINEL, the polish
-    is skipped and the anneal's result is returned unchanged.
+    is skipped and the anneal's result is returned unchanged; a negative or
+    NaN refine_calls raises InvalidBounds.
     """
+    if not refine_calls >= 0:   # NaN fails too
+        raise InvalidBounds(f"'refine_calls' must be >= 0, got {refine_calls!r}")
     res = minimize(cost, bounds, config)
     if refine_calls <= 0 or res.cost >= SENTINEL:
         return res

@@ -164,6 +164,8 @@ def cmd_optimize(args) -> int:
         raise ParseError(f"optimize config needs {dim} 'bounds' pair(s), "
                          f"got {len(bounds)}")
     n = cfg.get("n", 10000)
+    if n < 2:
+        raise ParseError(f"'n' must be >= 2, got {n!r}")
     batch = sample_events(model, n, args.seed)
     opt = optimize_positions(batch, template, bounds,
                              RiskConfig(**cfg.get("risk", {})),

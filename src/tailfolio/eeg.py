@@ -78,6 +78,12 @@ class ColumnParams:
     def __post_init__(self):
         if not 0.0 < self.tau_ms < np.inf:
             raise OutOfDomain("tau_ms must be positive and finite")
+        # the bounds of docs/schemas; NaN fails every one
+        for key, bound, ok in (("n_e", "> 0", self.n_e > 0.0),
+                               ("n_i", "> 0", self.n_i > 0.0),
+                               ("lr_count", ">= 0", self.lr_count >= 0.0)):
+            if not ok:
+                raise OutOfDomain(f"{key!r} must be {bound}, got {getattr(self, key)!r}")
 
     @cached_property
     def _view(self) -> _ColumnsView:
@@ -588,6 +594,8 @@ def fit_net(series, net: RegionNet, free, bounds,
     carries the centered columns. An empty free list returns the template
     untouched with its likelihood.
     """
+    if not penalty_weight >= 0.0:   # NaN fails too
+        raise OutOfDomain(f"'penalty_weight' must be >= 0, got {penalty_weight!r}")
     phi = np.asarray(series, dtype=float)
     keys = list(free)
     fitted, res = net, None

@@ -13,10 +13,12 @@ type raise a ParseError naming the key.
 
 A large table is written and read in contiguous parts, one per CPU this
 process may run on: the first part here, each other one in an os.fork
-child that ends in os._exit. The part count never changes a byte written
-or a bit read, and any failure of a part redoes the table as one part, so
-errors and their messages are those of the one-part path. Without fork and
-sched_getaffinity a table is always one part.
+child that ends in os._exit and returns its result through its own
+in-memory file (os.memfd_create), never a file on disk. The part count
+never changes a byte written or a bit read, and any failure of a part
+redoes the table as one part, so errors and their messages are those of
+the one-part path. Without fork, sched_getaffinity and memfd_create a
+table is always one part.
 """
 
 from __future__ import annotations
@@ -86,10 +88,10 @@ class _PartFailed(Exception):
 
 def _part_count(size, part_size) -> int:
     """Parts for a table of size units: one per CPU this process may run on,
-    each of at least part_size units. Where os.fork or os.sched_getaffinity
-    is missing (Windows, macOS), a table is one part."""
-    if size < 2 * part_size or not hasattr(os, "fork") \
-            or not hasattr(os, "sched_getaffinity"):
+    each of at least part_size units. Where os.fork, os.sched_getaffinity or
+    os.memfd_create is missing (Windows, macOS), a table is one part."""
+    if size < 2 * part_size or not all(
+            hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create")):
         return 1
     return min(len(os.sched_getaffinity(0)), size // part_size)
 
@@ -105,34 +107,42 @@ def _reap(pids, kill=False) -> bool:
     return ok
 
 
-def _run_parts(parts, child, own):
-    """Run child(i) for i = 1 .. parts - 1, each in a forked child, and own()
-    here; return what own() returns once every child has exited with 0.
+def _run_parts(parts, child, own, gather):
+    """Run child(i, fd) for i = 1 .. parts - 1, each in a forked child that
+    writes its whole result to fd, an in-memory file (os.memfd_create) made
+    for it before its fork, and own() here; once every child has exited with
+    0, return gather(own's result, the part files in order).
 
-    A child ends in os._exit, with status 1 when child(i) raised, so it
+    A child ends in os._exit, with status 1 when child(i, fd) raised, so it
     never unwinds into the caller's frames or flushes the parent's buffers.
     Every child is reaped before this returns or raises, and killed first
-    when own() raises. A child's nonzero exit raises _PartFailed.
+    when own() raises. A child's nonzero exit raises _PartFailed. Every part
+    file is closed here, on every path.
     """
-    pids = []
+    files, pids = [], []
     try:
-        for i in range(1, parts):
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    child(i)
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        result = own()
-    except BaseException:
-        _reap(pids, kill=True)
-        raise
-    if not _reap(pids):
-        raise _PartFailed
-    return result
+        try:
+            for i in range(1, parts):
+                files.append(os.memfd_create(f"part{i}"))
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        child(i, files[-1])
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+            result = own()
+        except BaseException:
+            _reap(pids, kill=True)
+            raise
+        if not _reap(pids):
+            raise _PartFailed
+        return gather(result, files)
+    finally:
+        for fd in files:
+            os.close(fd)
 
 
 def write_table(path, header, values) -> None:
@@ -141,9 +151,9 @@ def write_table(path, header, values) -> None:
     Rows are formatted 4096 at a time, with one % on a repeated
     "%.17g,...\\n" row template. A large table is split into contiguous row
     ranges: the first is written here and each other one by a forked child
-    into an unlinked file beside path, appended in order once all are done.
-    The part count never changes a byte; when a part fails, the table is
-    written again from the start as one part.
+    into its own in-memory file, appended to path in order once all are
+    done; no other file is created. The part count never changes a byte;
+    when a part fails, the table is written again from the start as one part.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(header):
@@ -160,33 +170,23 @@ def write_table(path, header, values) -> None:
 def _write_parts(path, header, values, parts) -> None:
     row = ",".join(["%.17g"] * values.shape[1]) + "\n"
     cuts = [values.shape[0] * i // parts for i in range(parts + 1)]
-    spills = []     # one unlinked file per child, opened before the fork
 
-    def write_rows(fh, i):
-        for start in range(cuts[i], cuts[i + 1], _BLOCK_ROWS):
-            block = values[start:min(start + _BLOCK_ROWS, cuts[i + 1])]
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
-
-    def child(i):
-        with open(spills[i - 1], "w", encoding="utf-8", newline="\n",
-                  closefd=False) as fh:
-            write_rows(fh, i)
+    def write_rows(i, fd):
+        with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
+            for start in range(cuts[i], cuts[i + 1], _BLOCK_ROWS):
+                block = values[start:min(start + _BLOCK_ROWS, cuts[i + 1])]
+                fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        try:
-            for i in range(1, parts):
-                name = f"{os.fspath(path)}.part{i}.{os.getpid()}"
-                spills.append(os.open(name, os.O_RDWR | os.O_CREAT | os.O_EXCL,
-                                      0o600))
-                os.unlink(name)
-            _run_parts(parts, child, lambda: write_rows(fh, 0))
-            fh.flush()
-            for fd in spills:
-                _append(fh.fileno(), fd)
-        finally:
-            for fd in spills:
-                os.close(fd)
+        fh.flush()
+        out = fh.fileno()
+
+        def append(_, files):
+            for fd in files:
+                _append(out, fd)
+
+        _run_parts(parts, write_rows, lambda: write_rows(0, out), append)
 
 
 def _append(out_fd, in_fd) -> None:
@@ -206,8 +206,9 @@ def read_table(path):
     rows are parsed again one by one to name the line at fault. A large file
     is cut at newlines into contiguous byte ranges, each parsed by the same
     np.loadtxt call: the first here, each other one in a forked child that
-    sends its rows back through a pipe. The part count never changes a bit;
-    when a part fails, the file is parsed again from the start as one part.
+    writes its float64 rows to its own in-memory file. The part count never
+    changes a bit; when a part fails, the file is parsed again from the
+    start as one part.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -289,65 +290,33 @@ def _read_parts(fd, first, width, parts):
         start += 1      # text mode read the header's "\r\n" as one "\n"
     cuts = [start] + [_line_start(fd, start + (end - start) * i // parts, end)
                       for i in range(1, parts)] + [end]
-    readers, writers = [], []
 
     def rows(i):
         raw = io.BufferedReader(_ByteRange(fd, cuts[i], cuts[i + 1]), 1 << 20)
         with io.TextIOWrapper(raw, encoding="utf-8") as stream:
             return _load_rows(stream, width)
 
-    def child(i):
-        # keep only this part's write end, so every other pipe sees EOF
-        # as soon as its own child exits
-        out = writers[i - 1]
-        for pipe_fd in readers + writers:
-            if pipe_fd != out:
-                os.close(pipe_fd)
-        data = np.ascontiguousarray(rows(i))
-        _write_all(out, data.shape[0].to_bytes(8, "little"))
-        _write_all(out, data.view(np.uint8).reshape(-1))
+    def child(i, part):
+        with open(part, "wb", closefd=False) as out:
+            out.write(np.ascontiguousarray(rows(i)))
 
-    def own():
-        while writers:
-            os.close(writers.pop())
-        head = rows(0)
-        counts = [int.from_bytes(_read_exact(r, bytearray(8)), "little")
-                  for r in readers]
-        data = np.empty((head.shape[0] + sum(counts), width))
+    def gather(head, files):
+        # head, then each part file's float64 rows, whole rows only
+        row = width * head.itemsize
+        sizes = [os.fstat(part).st_size for part in files]
+        if any(size % row for size in sizes):
+            raise _PartFailed
+        data = np.empty((head.shape[0] + sum(sizes) // row, width))
         data[:head.shape[0]] = head
         raw, at = data.view(np.uint8).reshape(-1), head.nbytes
-        for r, n in zip(readers, counts):
-            size = n * width * data.itemsize
-            _read_exact(r, raw[at:at + size])
+        for part, size in zip(files, sizes):
+            # one read; a short one (a part over 2 GiB) redoes the table
+            if os.preadv(part, [raw[at:at + size]], 0) != size:
+                raise _PartFailed
             at += size
         return data
 
-    try:
-        for _ in range(1, parts):
-            r, w = os.pipe()
-            readers.append(r)
-            writers.append(w)
-        return _run_parts(parts, child, own)
-    finally:
-        for pipe_fd in readers + writers:
-            os.close(pipe_fd)
-
-
-def _write_all(fd, buf) -> None:
-    view = memoryview(buf)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_exact(fd, buf):
-    """Fill buf from fd; _PartFailed if the writer closed the pipe first."""
-    view, got = memoryview(buf), 0
-    while got < len(view):
-        n = os.readv(fd, [view[got:]])
-        if n == 0:
-            raise _PartFailed
-        got += n
-    return buf
+    return _run_parts(parts, child, lambda: rows(0), gather)
 
 
 def _parse_rows(path, lines, width):
@@ -566,11 +535,15 @@ def load_model(path) -> CopulaModel:
         matrix = np.asarray(m["correlation"], dtype=float)  # ValueError if ragged
     except (ParseError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file ({exc})") from exc
-    marginals = tuple(ExponentialMarginal(**{k: v for k, v in e.items()
-                                             if k != "channel"})
-                      for e in m["marginals"])
+    if len(m["marginals"]) != len(m["channels"]):
+        raise ParseError(f"{path}: channel count mismatch")
+    for i, (e, name) in enumerate(zip(m["marginals"], m["channels"])):
+        if (got := e.pop("channel")) != name:
+            raise ParseError(f"{path}: marginal {i} names channel {got!r}, "
+                             f"expected {name!r} from 'channels'")
+    marginals = tuple(ExponentialMarginal(**e) for e in m["marginals"])
     corr = CorrelationMatrix.from_matrix(matrix)
-    if len(marginals) != len(m["channels"]) or corr.dim != len(marginals):
+    if corr.dim != len(marginals):
         raise ParseError(f"{path}: channel count mismatch")
     return CopulaModel(marginals=marginals, correlation=corr, channels=m["channels"])
 

@@ -91,6 +91,8 @@ class ContractPortfolio:
             raise DimensionMismatch("contract arrays must share one length")
         if self.prev_counts is not None and len(self.prev_counts) != n:
             raise DimensionMismatch("prev_counts length must match counts")
+        if not self.slippage >= 0.0:    # NaN fails too
+            raise OutOfDomain(f"'slippage' must be >= 0, got {self.slippage!r}")
 
     def value_now(self) -> float:
         nc = np.asarray(self.counts, dtype=float)
@@ -225,6 +227,15 @@ class RiskConfig:
     q_target: float = Q_TARGET
     q_tolerance: float = Q_TOLERANCE
     penalty_weight: float = PENALTY_WEIGHT
+
+    def __post_init__(self):
+        # the bounds of docs/schemas; NaN fails every one
+        for key, bound, ok in (("var_level", "> 0", self.var_level > 0.0),
+                               ("q_target", "in (0, 1]", 0.0 < self.q_target <= 1.0),
+                               ("q_tolerance", "> 0", self.q_tolerance > 0.0),
+                               ("penalty_weight", ">= 0", self.penalty_weight >= 0.0)):
+            if not ok:
+                raise OutOfDomain(f"{key!r} must be {bound}, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)

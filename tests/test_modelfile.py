@@ -157,8 +157,9 @@ def test_read_table_errors(tmp_path):
 # ------------------------------------------------- tables split across parts
 
 needs_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-    reason="tables are split only where os.fork and sched_getaffinity exist")
+    not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create")),
+    reason="tables are split only where os.fork, sched_getaffinity and "
+           "memfd_create exist")
 
 
 def split_into(mp, cpus, part=1):
@@ -182,6 +183,21 @@ def counted_forks(mp):
 
     mp.setattr(modelfile.os, "fork", fork)
     return pids
+
+
+def counted_runs(mp):
+    """A list that collects (parts, whether it finished) for every
+    _run_parts call from now on; a failed split is redone as one part."""
+    runs, real = [], modelfile._run_parts
+
+    def run(parts, *args):
+        runs.append([parts, False])
+        result = real(parts, *args)
+        runs[-1][1] = True
+        return result
+
+    mp.setattr(modelfile, "_run_parts", run)
+    return runs
 
 
 def assert_reaped(pids):
@@ -232,10 +248,11 @@ def test_split_tables_match_the_one_part_path(tmp_path, case):
         split_into(mp, 1)
         write_table(one, header, values)
         split_into(mp, cpus, part)
-        pids = counted_forks(mp)
+        pids, runs = counted_forks(mp), counted_runs(mp)
         write_table(split, header, values)
     assert split.read_bytes() == one.read_bytes()
     assert len(pids) == parts - 1
+    assert runs == [[parts, True]]
     assert_reaped(pids)
 
     lines = one.read_bytes().split(b"\n")[:-1]
@@ -249,9 +266,11 @@ def test_split_tables_match_the_one_part_path(tmp_path, case):
         split_into(mp, 1)
         want = read_outcome(one)
         split_into(mp, cpus, part)
-        pids = counted_forks(mp)
+        pids, runs = counted_forks(mp), counted_runs(mp)
         got = read_outcome(one)
     assert got == want
+    # a blank line of spaces fails np.loadtxt, and so the part holding it
+    assert blanks or all(done for _, done in runs)
     assert len(pids) <= cpus - 1
     assert_reaped(pids)
     assert sorted(os.listdir(tmp_path)) == ["one.csv", "split.csv"]
@@ -346,6 +365,66 @@ def test_a_failed_part_redoes_the_table_as_one_part(tmp_path, monkeypatch, failu
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
+def test_a_table_is_one_part_without_memfd_create(tmp_path, monkeypatch):
+    split_into(monkeypatch, 4)
+    monkeypatch.delattr(os, "memfd_create", raising=False)
+    assert modelfile._part_count(10 ** 9, 1) == 1
+    pids = counted_forks(monkeypatch) if hasattr(os, "fork") else []
+    path = tmp_path / "t.csv"
+    write_table(path, ("x", "y"), np.arange(20000.0).reshape(-1, 2))
+    assert read_table(path)[1].tobytes() == np.arange(20000.0).reshape(-1, 2).tobytes()
+    assert pids == []
+
+
+@needs_fork
+def test_a_failed_second_part_file_leaves_one_part(tmp_path, monkeypatch):
+    values = np.random.default_rng(4).standard_normal((9000, 3))
+    header = ("x", "y", "z")
+    want, path = tmp_path / "want.csv", tmp_path / "t.csv"
+    write_table(want, header, values)
+    fds = len(os.listdir("/proc/self/fd"))
+    split_into(monkeypatch, 4, 1000)
+    pids = counted_forks(monkeypatch)
+    real, calls = os.memfd_create, []
+
+    def memfd_create(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("out of memory")
+        return real(*args)
+
+    monkeypatch.setattr(modelfile.os, "memfd_create", memfd_create)
+    write_table(path, header, values)
+    assert path.read_bytes() == want.read_bytes()
+    calls.clear()
+    header_back, data = read_table(path)
+    assert header_back == header and data.tobytes() == values.tobytes()
+    assert len(calls) == 2 and len(pids) == 2
+    assert_reaped(pids)
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "want.csv"]
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+@needs_fork
+def test_a_part_file_of_partial_rows_is_refused(tmp_path, monkeypatch):
+    values = np.random.default_rng(5).standard_normal((9000, 3))
+    path = tmp_path / "t.csv"
+    write_table(path, ("x", "y", "z"), values)
+    fds = len(os.listdir("/proc/self/fd"))
+    split_into(monkeypatch, 4, 1000)
+    pids, runs = counted_forks(monkeypatch), counted_runs(monkeypatch)
+    parent, real = os.getpid(), modelfile._load_rows
+    # each of the 3 children writes 2 values: 2 whole rows in all, though
+    # no one file holds a whole 3-value row
+    monkeypatch.setattr(modelfile, "_load_rows", lambda stream, width: (
+        real(stream, width) if os.getpid() == parent else np.zeros(2)))
+    _, data = read_table(path)
+    assert data.tobytes() == values.tobytes()
+    assert runs == [[4, False]] and len(pids) == 3
+    assert_reaped(pids)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
 @needs_fork
 def test_sample_prints_its_stdout_once(tmp_path):
     # stdout to a pipe is block-buffered: a child that flushed the parent's
@@ -361,17 +440,25 @@ def test_sample_prints_its_stdout_once(tmp_path):
         "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
         "forks, real = [], os.fork\n"
         "os.fork = lambda: forks.append(1) or real()\n"
+        "fds = len(os.listdir('/proc/self/fd'))\n"
         "print('before')\n"
         f"code = cli.main(['sample', {str(model)!r}, '--n', '5000', '--out', {str(tmp_path / 'o')!r}])\n"
-        "print('forks', len(forks), 'exit', code)\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120,
+        "print('forks', len(forks), 'exit', code)\n"
+        f"code = cli.main(['fit-marginals', {str(tmp_path / 'o' / 'events.csv')!r}, "
+        f"'--out', {str(tmp_path / 'f')!r}])\n"
+        "print('forks', len(forks), 'exit', code, 'fds', len(os.listdir('/proc/self/fd')) - fds)\n")
+    # -X dev with ResourceWarning as an error: a part file left open fails
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                           "-c", script], capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
     assert proc.stdout.count("before") == 1
     assert proc.stdout.count("sampled 5000 events") == 1
     # the forked count includes children that exited before printing
-    assert proc.stdout.splitlines()[-1] == "forks 3 exit 0"
+    assert lines[3] == "forks 3 exit 0"
+    assert proc.stdout.count("fitted 2 channel(s) from 5000 rows") == 1
+    assert lines[-1] == "forks 6 exit 0 fds 0"
     assert os.listdir(tmp_path / "o") == ["events.csv"]
 
 
@@ -457,6 +544,21 @@ def test_load_model_errors(tmp_path):
     save_json(path, {"kind": "copula_model", "channels": ["a"]})
     with pytest.raises(ParseError, match="malformed"):
         load_model(path)
+
+
+@pytest.mark.parametrize("names, first", [(["b", "a"], "marginal 0 names channel 'b', "
+                                                    "expected 'a'"),
+                                          (["a", "zz"], "marginal 1 names channel 'zz', "
+                                                        "expected 'b'")])
+def test_load_model_requires_marginals_in_channel_order(tmp_path, names, first):
+    path = tmp_path / "model.json"
+    save_json(path, {"kind": "copula_model", "channels": ["a", "b"],
+                     "marginals": [{"channel": name, "m": 0.0, "chi": chi}
+                                   for name, chi in zip(names, (2.0, 1.0))],
+                     "correlation": [[1.0, 0.0], [0.0, 1.0]]})
+    with pytest.raises(ParseError, match=first) as info:
+        load_model(path)
+    assert exit_code_for(info.value) == 2
 
 
 def test_net_round_trip(tmp_path):

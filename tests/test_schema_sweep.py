@@ -3,8 +3,9 @@
 Cases are generated from the schemas: a document that sets every listed key
 to a schema-valid value must load, and one fault at a time (an unknown key,
 a non-object where an object belongs, a value of the wrong JSON type, a
-non-integral integer, an annealer knob out of its bound) must raise a
-ParseError, or InvalidBounds from minimize, that names the key.
+non-integral integer, a value out of the bound the schema states) must raise
+a ParseError, or InvalidBounds or OutOfDomain from the key's owner, that
+names the key.
 """
 
 import copy
@@ -16,14 +17,18 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tailfolio.anneal import minimize
-from tailfolio.copula import CopulaModel
-from tailfolio.eeg import RegionNet
-from tailfolio.errors import InvalidBounds, ParseError
+from tailfolio import cli
+from tailfolio.anneal import AnnealConfig, minimize, search
+from tailfolio.copula import CopulaModel, CorrelationMatrix
+from tailfolio.eeg import ColumnParams, RegionNet, fit_net
+from tailfolio.errors import InvalidBounds, OutOfDomain, ParseError
+from tailfolio.marginals import ExponentialMarginal
 from tailfolio.modelfile import (anneal_config_from_dict, load_model, load_net,
-                                 read_config)
+                                 read_config, save_model, save_net,
+                                 write_series_csv)
+from tailfolio.risk import ContractPortfolio, RiskConfig
 
-from helpers import SCHEMA_DIR
+from helpers import SCHEMA_DIR, two_site_net
 
 READERS = {"config.schema.json": read_config, "model.schema.json": load_model,
            "net.schema.json": load_net}
@@ -149,6 +154,8 @@ def _out_of_bounds(node):
         yield node["minimum"] - 1
     if "exclusiveMinimum" in node:
         yield node["exclusiveMinimum"]
+    if "maximum" in node:
+        yield node["maximum"] + 1
     if "minimum" in node or "exclusiveMinimum" in node:
         yield math.nan
 
@@ -163,6 +170,97 @@ def test_an_annealer_knob_out_of_its_bound_is_refused(key, bad):
         cfg = anneal_config_from_dict(json.loads(json.dumps(
             {"max_trials": 5, key: bad})))
         minimize(lambda p: float(np.sum(p * p)), [(0.0, 1.0)] * 2, cfg)
+
+
+CONFIG = _schema("config.schema.json")["properties"]
+COLUMNS = _schema("net.schema.json")["properties"]["columns"]["properties"]
+
+
+def _contracts(slippage):
+    return ContractPortfolio(counts=(0.0,), prices=(1.0,), entry_prices=(1.0,),
+                             cash=1.0, slippage=slippage)
+
+
+# (schema node, key, the key's owner called with one value)
+OWNED = [
+    *((CONFIG["risk"]["properties"][k], k, lambda v, k=k: RiskConfig(**{k: v}))
+      for k in ("var_level", "q_target", "q_tolerance", "penalty_weight")),
+    (CONFIG["template"]["properties"]["slippage"], "slippage", _contracts),
+    *((COLUMNS[k], k, lambda v, k=k: ColumnParams(**{k: v}))
+      for k in ("n_e", "n_i", "lr_count")),
+    (CONFIG["penalty_weight"], "penalty_weight",
+     lambda v: fit_net(np.zeros((4, 2)), two_site_net(), [], {}, penalty_weight=v)),
+    (CONFIG["refine_calls"], "refine_calls",
+     lambda v: search(lambda p: float(np.sum(p * p)), [(0.0, 1.0)],
+                      AnnealConfig(max_trials=5), refine_calls=v)),
+]
+
+
+@pytest.mark.parametrize("key, bad, owner", [
+    pytest.param(k, v, f, id=f"{k}={v!r}") for node, k, f in OWNED
+    for v in _out_of_bounds(node)])
+def test_a_value_out_of_its_schema_bound_is_refused_by_its_owner(key, bad, owner):
+    with pytest.raises((OutOfDomain, InvalidBounds), match=f"'{key}'"):
+        owner(bad)
+
+
+@pytest.mark.parametrize("key, edge, owner", [
+    pytest.param(k, node[b], f, id=f"{k}={node[b]!r}") for node, k, f in OWNED
+    for b in ("minimum", "maximum") if b in node])
+def test_a_value_on_its_schema_bound_is_kept(key, edge, owner):
+    owner(edge)
+
+
+def _optimize(tmp_path, **cfg):
+    model = tmp_path / "model.json"
+    save_model(model, CopulaModel(marginals=(ExponentialMarginal(m=0.0, chi=0.01),),
+                                  correlation=CorrelationMatrix.from_matrix([[1.0]]),
+                                  channels=("a",)))
+    return ["optimize", str(model), "--config", _config(tmp_path, {
+        "bounds": [[0.0, 1.0]], "n": 10, "anneal": {"max_trials": 20}, **cfg})]
+
+
+def _eeg(tmp_path, mode, columns=None, **cfg):
+    net = tmp_path / "net.json"
+    save_net(net, two_site_net())
+    if columns:
+        doc = json.loads(net.read_text())
+        doc["columns"].update(columns)
+        net.write_text(json.dumps(doc))
+    series = tmp_path / "series.csv"
+    write_series_csv(series, np.random.default_rng(2).normal(size=(20, 2)), ("Fz", "Cz"))
+    return ["eeg", mode, str(net), str(series), "--epochs", "5",
+            "--config", _config(tmp_path, {"free": [], **cfg})]
+
+
+def _config(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+# one command per owner: RiskConfig, ContractPortfolio, ColumnParams,
+# fit_net, search and optimize's own n
+CLI_CASES = [
+    ("q_tolerance", lambda t, v: _optimize(t, risk={"q_tolerance": v}),
+     CONFIG["risk"]["properties"]["q_tolerance"]),
+    ("slippage", lambda t, v: _optimize(t, template={
+        "type": "contracts", "prices": [50.0], "entry_prices": [50.0], "cash": 100.0,
+        "slippage": v}), CONFIG["template"]["properties"]["slippage"]),
+    ("n_e", lambda t, v: _eeg(t, "simulate", columns={"n_e": v}), COLUMNS["n_e"]),
+    ("penalty_weight", lambda t, v: _eeg(t, "fit", penalty_weight=v),
+     CONFIG["penalty_weight"]),
+    ("refine_calls", lambda t, v: _optimize(t, refine_calls=v), CONFIG["refine_calls"]),
+    ("n", lambda t, v: _optimize(t, n=v), CONFIG["n"]),
+]
+
+
+@pytest.mark.parametrize("key, case, node", CLI_CASES, ids=[c[0] for c in CLI_CASES])
+def test_a_command_given_a_value_out_of_its_bound_exits_2(tmp_path, capsys, key, case,
+                                                          node):
+    argv = case(tmp_path, next(_out_of_bounds(node))) + ["--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_the_sweep_covers_every_reader():
