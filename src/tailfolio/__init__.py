@@ -16,7 +16,7 @@ from .eeg import (ColumnParams, Coupling, ElectrodeSite, FitResult, RegionNet,
                   centering_check, centering_shift, fit_net, innovation_stream,
                   joint_loglikelihood, simulate, threshold_factor)
 from .errors import EngineError
-from .events import EventBatch, sample_events
+from .events import sample_events
 from .indicators import MethodStream, indicator_report, stream_from_net, stream_from_values
 from .marginals import ExponentialMarginal, fit_exponential
 from .risk import (ContractPortfolio, LinearPortfolio, PortfolioDistribution,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealConfig", "ColumnParams", "ContractPortfolio", "CopulaModel",
     "CorrelationMatrix", "Coupling", "ElectrodeSite", "EngineError",
-    "EventBatch", "ExponentialMarginal", "FitResult", "LinearPortfolio",
+    "ExponentialMarginal", "FitResult", "LinearPortfolio",
     "MethodStream", "OptResult", "PortfolioDistribution",
     "PositionOptimization", "RegionNet", "RiskConfig", "RiskReport",
     "anneal", "bhattacharyya_overlap", "centering_check", "centering_shift",

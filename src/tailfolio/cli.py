@@ -31,8 +31,7 @@ from .events import sample_events
 from .marginals import fit_channels
 from .modelfile import (ensure_out_dir, fmt, load_model, load_net, read_config,
                         read_series_csv, save_json, save_model, save_net,
-                        write_bins_csv, write_events_csv, write_series_csv,
-                        write_trace_csv)
+                        write_bins_csv, write_series_csv, write_trace_csv)
 from .risk import (Q_TARGET, VAR_LEVEL, ContractPortfolio, LinearPortfolio,
                    RiskConfig, optimize_positions, portfolio_returns, risk_report)
 
@@ -95,10 +94,10 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     if args.n < 1:
         raise ParseError("--n must be >= 1")
-    batch = sample_events(model, args.n, args.seed, lanes=args.lanes)
+    dx = sample_events(model, args.n, args.seed, lanes=args.lanes)
     path = os.path.join(out, "events.csv")
-    write_events_csv(path, batch)
-    print(f"sampled {batch.n} events x {len(model.channels)} channel(s)")
+    write_series_csv(path, dx, model.channels, index_name="event_index")
+    print(f"sampled {len(dx)} events x {len(model.channels)} channel(s)")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -121,9 +120,8 @@ def cmd_risk(args) -> int:
     dim = len(model.channels)
     weights = _parse_weights(args.weights, dim)
     config = RiskConfig(var_level=args.var, q_target=args.q)
-    batch = sample_events(model, args.n, args.seed)
-    dm = portfolio_returns(batch, LinearPortfolio(weights=weights,
-                                                  offsets=(0.0,) * dim))
+    dx = sample_events(model, args.n, args.seed)
+    dm = portfolio_returns(dx, LinearPortfolio(weights=weights, offsets=(0.0,) * dim))
     report, dist = risk_report(dm, config)
     save_json(os.path.join(out, "risk.json"),
               {"kind": "risk_report", **asdict(report), "weights": list(weights)})
@@ -166,8 +164,8 @@ def cmd_optimize(args) -> int:
     n = cfg.get("n", 10000)
     if n < 2:
         raise ParseError(f"'n' must be >= 2, got {n!r}")
-    batch = sample_events(model, n, args.seed)
-    opt = optimize_positions(batch, template, bounds,
+    dx = sample_events(model, n, args.seed)
+    opt = optimize_positions(dx, template, bounds,
                              RiskConfig(**cfg.get("risk", {})),
                              _anneal_config(cfg, args.seed),
                              **_present(cfg, "refine_calls"))

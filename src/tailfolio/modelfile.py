@@ -357,10 +357,6 @@ def read_series_csv(path):
     return tuple(header), data
 
 
-def write_events_csv(path, batch) -> None:
-    write_series_csv(path, batch.dx, batch.channels, index_name="event_index")
-
-
 def write_bins_csv(path, distribution) -> None:
     edges = distribution.bin_edges
     write_table(path, ("edge_low", "edge_high", "count"),

@@ -41,8 +41,7 @@ BIN_HALF_WIDTH = 12.0
 
 
 def _dx_of(events):
-    dx = getattr(events, "dx", events)
-    dx = np.asarray(dx, dtype=float)
+    dx = np.asarray(events, dtype=float)
     if dx.ndim != 2:
         raise DimensionMismatch("events must be a 2-D (n, channels) array")
     return dx

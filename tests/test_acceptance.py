@@ -17,7 +17,7 @@ from scipy.stats import kstest
 from tailfolio import cli, marginals
 from tailfolio.anneal import AnnealConfig, local_refine, minimize, temperature
 from tailfolio.copula import (CopulaModel, CorrelationMatrix, cholesky_lower,
-                              from_gaussian, to_gaussian)
+                              from_gaussian, to_gaussian, transform_to_gaussian)
 from tailfolio.eeg import (ElectrodeSite, RegionNet, apply_params,
                            centering_check, fit_net, joint_loglikelihood,
                            simulate)
@@ -61,10 +61,10 @@ def test_02_correlation_recovery():
                    ExponentialMarginal(m=0.0, chi=0.05)),
         correlation=CorrelationMatrix.from_matrix(target),
     )
-    batch = sample_events(model, 100000, seed=9)
-    emp = np.corrcoef(batch.dy.T)
+    dx = sample_events(model, 100000, seed=9)
+    emp = np.corrcoef(transform_to_gaussian(model, dx).T)
     corr_err = float(np.max(np.abs(emp - target)))
-    p_values = [kstest(batch.dx[:, j],
+    p_values = [kstest(dx[:, j],
                        lambda v, mg=mg: marginals.cdf(mg, v)).pvalue
                 for j, mg in enumerate(model.marginals)]
     elapsed = time.perf_counter() - t0
@@ -237,14 +237,14 @@ def test_09_optimizer_matches_grid():
         marginals=(ExponentialMarginal(m=0.002, chi=0.01),),
         correlation=CorrelationMatrix.from_matrix([[1.0]]),
     )
-    batch = sample_events(model, 20000, seed=31)
-    x = batch.dx[:, 0]
+    dx = sample_events(model, 20000, seed=31)
+    x = dx[:, 0]
     grid = np.linspace(0.0, 5.0, 10000)
     q_grid = np.mean(np.outer(grid, x) < -0.05, axis=1)
     cost_grid = -grid * float(np.mean(x)) + 1e3 * np.abs(q_grid - 0.01)
     grid_best = float(cost_grid.min())
 
-    opt = optimize_positions(batch, LinearPortfolio(weights=(1.0,), offsets=(0.0,)),
+    opt = optimize_positions(dx, LinearPortfolio(weights=(1.0,), offsets=(0.0,)),
                              [(0.0, 5.0)], config=AnnealConfig(seed=3))
     gap = opt.result.cost - grid_best
     ok = gap <= 0.01 * abs(grid_best)

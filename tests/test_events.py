@@ -7,7 +7,7 @@ from tailfolio.copula import CopulaModel, CorrelationMatrix, from_gaussian
 from tailfolio.errors import OutOfDomain
 from tailfolio.events import sample_events
 from tailfolio.marginals import ExponentialMarginal
-from tailfolio.modelfile import read_series_csv, write_events_csv
+from tailfolio.modelfile import read_series_csv, write_series_csv
 from tailfolio.rng import NormalStream
 
 
@@ -27,14 +27,19 @@ def make_model():
     )
 
 
+def whitened(model, n, seed):
+    """The batch's whitened draws dz, rebuilt from the seed."""
+    return NormalStream(seed).draw(n * model.dim).reshape(n, model.dim)
+
+
 def test_batch_deterministic():
     model = make_model()
     a = sample_events(model, 500, seed=7)
     b = sample_events(model, 500, seed=7)
-    assert np.array_equal(a.dx, b.dx)
-    assert np.array_equal(a.dz, b.dz)
+    assert isinstance(a, np.ndarray)
+    assert np.array_equal(a, b)
     c = sample_events(model, 500, seed=8)
-    assert not np.array_equal(a.dx, c.dx)
+    assert not np.array_equal(a, c)
 
 
 @st.composite
@@ -66,16 +71,13 @@ def copula_models(draw):
        seed=st.integers(0, 2 ** 63 - 1), lanes=st.integers(1, 8))
 def test_lanes_never_change_the_batch(model, n, seed, lanes):
     single = sample_events(model, n, seed, lanes=1)
-    batch = sample_events(model, n, seed, lanes=lanes)
-    assert batch.dx.shape == (n, model.dim)
-    assert batch.dx.tobytes() == single.dx.tobytes()
+    dx = sample_events(model, n, seed, lanes=lanes)
+    assert dx.shape == (n, model.dim)
+    assert dx.tobytes() == single.tobytes()
     # one stream, row by row: dz is the seed's first n*N normals
-    dz = batch.dz
-    assert np.array_equal(dz.ravel(), NormalStream(seed).draw(n * model.dim))
-    dy = batch.dy
-    assert np.array_equal(dy, dz @ model.correlation.cholesky.T)
+    dy = whitened(model, n, seed) @ model.correlation.cholesky.T
     for j, marg in enumerate(model.marginals):
-        assert np.array_equal(batch.dx[:, j], from_gaussian(marg, dy[:, j]))
+        assert np.array_equal(dx[:, j], from_gaussian(marg, dy[:, j]))
 
 
 def test_lane_zero_is_prefix_of_single_lane_run():
@@ -83,36 +85,34 @@ def test_lane_zero_is_prefix_of_single_lane_run():
     multi = sample_events(model, 999, seed=21, lanes=3)
     single = sample_events(model, 999, seed=21, lanes=1)
     head = 333  # lane 0 holds ceil(999/3) rows
-    assert np.array_equal(multi.dz[:head], single.dz[:head])
-    assert np.array_equal(multi.dx[:head], single.dx[:head])
+    assert np.array_equal(multi[:head], single[:head])
 
 
 def test_coloring_and_marginal_map_exact():
     from tailfolio.copula import from_gaussian
 
     model = make_model()
-    batch = sample_events(model, 200, seed=5)
-    c = model.correlation.cholesky
-    assert np.array_equal(batch.dy, batch.dz @ c.T)
+    dx = sample_events(model, 200, seed=5)
+    dy = whitened(model, 200, 5) @ model.correlation.cholesky.T
     for j, marg in enumerate(model.marginals):
-        assert np.array_equal(batch.dx[:, j], from_gaussian(marg, batch.dy[:, j]))
+        assert np.array_equal(dx[:, j], from_gaussian(marg, dy[:, j]))
 
 
 def test_sample_statistics():
     model = make_model()
-    batch = sample_events(model, 100000, seed=9)
-    corr = np.corrcoef(batch.dy.T)
+    dx = sample_events(model, 100000, seed=9)
+    dy = whitened(model, 100000, 9) @ model.correlation.cholesky.T
+    corr = np.corrcoef(dy.T)
     target = model.correlation.matrix
     assert np.max(np.abs(corr - target)) < 0.02
     for j, marg in enumerate(model.marginals):
-        assert float(np.mean(batch.dx[:, j])) == pytest.approx(marg.m, abs=0.02 * marg.chi * 4)
+        assert float(np.mean(dx[:, j])) == pytest.approx(marg.m, abs=0.02 * marg.chi * 4)
 
 
 def test_zero_events():
     model = make_model()
-    batch = sample_events(model, 0, seed=1)
-    assert batch.n == 0
-    assert batch.dx.shape == (0, 3)
+    dx = sample_events(model, 0, seed=1)
+    assert dx.shape == (0, 3)
 
 
 def test_argument_guards():
@@ -125,11 +125,11 @@ def test_argument_guards():
 
 def test_csv_round_trip(tmp_path):
     model = make_model()
-    batch = sample_events(model, 50, seed=13)
+    dx = sample_events(model, 50, seed=13)
     path = tmp_path / "events.csv"
-    write_events_csv(path, batch)
+    write_series_csv(path, dx, model.channels, index_name="event_index")
     first = path.read_text().splitlines()[0]
     assert first == "event_index,alpha,beta,gamma"
     header, data = read_series_csv(path)
     assert header == ("alpha", "beta", "gamma")
-    assert np.array_equal(data, batch.dx)
+    assert np.array_equal(data, dx)

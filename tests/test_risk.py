@@ -262,11 +262,11 @@ def make_events(n=20000, seed=31, m=0.002, chi=0.01):
 
 
 def test_optimize_positions_matches_grid():
-    batch = make_events()
+    dx = make_events()
     template = LinearPortfolio(weights=(1.0,), offsets=(0.0,))
-    opt = optimize_positions(batch, template, [(0.0, 5.0)],
+    opt = optimize_positions(dx, template, [(0.0, 5.0)],
                              config=AnnealConfig(seed=3))
-    x = batch.dx[:, 0]
+    x = dx[:, 0]
     grid = np.linspace(0.0, 5.0, 10000)
     q_grid = np.mean(np.outer(grid, x) < -0.05, axis=1)
     costs = -grid * float(np.mean(x)) + 1e3 * np.abs(q_grid - 0.01)
@@ -279,10 +279,10 @@ def test_optimize_positions_matches_grid():
 
 
 def test_optimize_positions_infeasible_flag():
-    batch = make_events(n=5000)
+    dx = make_events(n=5000)
     template = LinearPortfolio(weights=(0.0,), offsets=(0.0,))
     # weight pinned at zero: no losses can reach the tail target
-    opt = optimize_positions(batch, template, [(0.0, 0.0)],
+    opt = optimize_positions(dx, template, [(0.0, 0.0)],
                              config=AnnealConfig(seed=1, max_trials=50),
                              refine_calls=0)
     assert not opt.feasible
@@ -291,14 +291,14 @@ def test_optimize_positions_infeasible_flag():
 
 
 def test_optimize_positions_keeps_the_anneal_exit_reason():
-    batch = make_events(n=2000, seed=7)
+    dx = make_events(n=2000, seed=7)
     template = LinearPortfolio(weights=(0.0,), offsets=(0.0,))
     kwargs = dict(risk=RiskConfig(penalty_weight=0.0),
                   config=AnnealConfig(seed=4, max_trials=30),
                   objective=lambda dm: float(np.mean((dm - 0.01) ** 2)))
-    plain = optimize_positions(batch, template, [(-5.0, 5.0)], refine_calls=0,
+    plain = optimize_positions(dx, template, [(-5.0, 5.0)], refine_calls=0,
                                **kwargs)
-    polished = optimize_positions(batch, template, [(-5.0, 5.0)], **kwargs)
+    polished = optimize_positions(dx, template, [(-5.0, 5.0)], **kwargs)
     assert polished.result.cost < plain.result.cost      # the polish won
     assert polished.result.trials > plain.result.trials  # and its calls count
     assert plain.result.exit_reason == "trial-limit"
@@ -306,14 +306,14 @@ def test_optimize_positions_keeps_the_anneal_exit_reason():
 
 
 def test_optimize_positions_contract_template():
-    batch = make_events(n=4000, seed=5, m=0.001, chi=0.012)
+    dx = make_events(n=4000, seed=5, m=0.001, chi=0.012)
     template = ContractPortfolio(counts=(0.0,), prices=(50.0,),
                                  entry_prices=(50.0,), cash=1000.0,
                                  prev_counts=(0.0,), slippage=0.0)
-    opt = optimize_positions(batch, template, [(0.0, 40.0)],
+    opt = optimize_positions(dx, template, [(0.0, 40.0)],
                              config=AnnealConfig(seed=2, max_trials=2000))
     assert isinstance(opt.portfolio, ContractPortfolio)
-    dm = returns_from_contracts(batch.dx, opt.portfolio)
+    dm = returns_from_contracts(dx, opt.portfolio)
     assert opt.q == pytest.approx(q_empirical(dm, 0.05), rel=1e-12)
     with pytest.raises(OutOfDomain):
-        optimize_positions(batch, object(), [(0.0, 1.0)])
+        optimize_positions(dx, object(), [(0.0, 1.0)])
