@@ -23,10 +23,11 @@ import numpy as np
 from . import eeg, indicators
 from .anneal import AnnealConfig
 from .copula import CopulaModel, estimate_correlation, to_gaussian
-from .errors import (DegenerateData, DegenerateVariance, DimensionMismatch,
-                     EngineError, IllConditioned, InvalidBounds, LengthMismatch,
-                     NotPositiveDefinite, OutOfDomain, ParseError, WindowTooShort,
-                     ZeroCapital)
+from .errors import (CostNotFinite, DegenerateData, DegenerateVariance,
+                     DimensionMismatch, EngineError, IllConditioned, InvalidBounds,
+                     LengthMismatch, NonPositiveDenominator, NoSolution,
+                     NotPositiveDefinite, OutOfDomain, ParseError,
+                     SingularInversion, WindowTooShort, ZeroCapital)
 from .events import sample_events
 from .marginals import fit_channels
 from .modelfile import (ensure_out_dir, fmt, load_model, load_net, read_config,
@@ -45,7 +46,9 @@ EXIT_INTERNAL = 10
 
 def exit_code_for(exc: Exception) -> int:
     if isinstance(exc, (ParseError, WindowTooShort, LengthMismatch, OutOfDomain,
-                        InvalidBounds, DimensionMismatch, ZeroCapital)):
+                        InvalidBounds, DimensionMismatch, ZeroCapital,
+                        SingularInversion, NonPositiveDenominator, NoSolution,
+                        CostNotFinite)):
         return EXIT_PARSE
     if isinstance(exc, (DegenerateData, DegenerateVariance)):
         return EXIT_DEGENERATE
@@ -237,17 +240,16 @@ def cmd_eeg(args) -> int:
         print(f"wrote {os.path.join(out, 'net.json')} and "
               f"{os.path.join(out, 'fit_report.json')}")
         return EXIT_OK
-    if args.mode == "check":
-        rows = eeg.centering_check(net, data)
-        save_json(os.path.join(out, "centering.json"),
-                  {"kind": "centering_report", "rows": rows})
-        for row in rows:
-            flag = " FLAGGED" if row["flagged"] else ""
-            print(f"  {row['site']}: mean_e={fmt(row['mean_e'])} "
-                  f"rms_e={fmt(row['rms_e'])}{flag}")
-        print(f"wrote {os.path.join(out, 'centering.json')}")
-        return EXIT_OK
-    raise ParseError(f"unknown eeg mode {args.mode!r}")
+    # check, the one mode left: argparse takes no other
+    rows = eeg.centering_check(net, data)
+    save_json(os.path.join(out, "centering.json"),
+              {"kind": "centering_report", "rows": rows})
+    for row in rows:
+        flag = " FLAGGED" if row["flagged"] else ""
+        print(f"  {row['site']}: mean_e={fmt(row['mean_e'])} "
+              f"rms_e={fmt(row['rms_e'])}{flag}")
+    print(f"wrote {os.path.join(out, 'centering.json')}")
+    return EXIT_OK
 
 
 def cmd_indicators(args) -> int:

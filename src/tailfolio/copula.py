@@ -143,7 +143,7 @@ def estimate_correlation(y_series, pre_average_window: int = 3) -> CorrelationMa
     n, t = y.shape
     w = int(pre_average_window)
     if w < 1:
-        raise OutOfDomain("pre-average window must be >= 1")
+        raise OutOfDomain(f"'pre_average_window' must be >= 1, got {pre_average_window!r}")
     if t < w:
         raise WindowTooShort(f"{t} epochs cannot support window {w}")
     y = pre_average(y, w)

@@ -76,14 +76,14 @@ class ColumnParams:
     lr_background: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 < self.tau_ms < np.inf:
-            raise OutOfDomain("tau_ms must be positive and finite")
-        # the bounds of docs/schemas; NaN fails every one
-        for key, bound, ok in (("n_e", "> 0", self.n_e > 0.0),
-                               ("n_i", "> 0", self.n_i > 0.0),
-                               ("lr_count", ">= 0", self.lr_count >= 0.0)):
+        # the bounds of docs/schemas, finite too; NaN fails every one
+        for key, bound, ok in (("tau_ms", "> 0", 0.0 < self.tau_ms < np.inf),
+                               ("n_e", "> 0", 0.0 < self.n_e < np.inf),
+                               ("n_i", "> 0", 0.0 < self.n_i < np.inf),
+                               ("lr_count", ">= 0", 0.0 <= self.lr_count < np.inf)):
             if not ok:
-                raise OutOfDomain(f"{key!r} must be {bound}, got {getattr(self, key)!r}")
+                raise OutOfDomain(f"{key!r} must be finite and {bound}, "
+                                  f"got {getattr(self, key)!r}")
 
     @cached_property
     def _view(self) -> _ColumnsView:
@@ -267,8 +267,8 @@ class RegionNet:
         names = [s.name for s in self.sites]
         if len(set(names)) != len(names):
             raise OutOfDomain("site names must be unique")
-        if not (self.dt_ms > 0.0):
-            raise OutOfDomain("dt must be positive")
+        if not 0.0 < self.dt_ms < np.inf:   # NaN fails too
+            raise OutOfDomain(f"'dt_ms' must be finite and > 0, got {self.dt_ms!r}")
         instantaneous = TopologicalSorter()
         for c in self.couplings:
             if c.source not in names or c.target not in names:

@@ -37,14 +37,15 @@ class ExponentialMarginal:
 
     def __post_init__(self):
         if not np.isfinite(self.m):
-            raise OutOfDomain("location must be finite")
+            raise OutOfDomain(f"'m' must be finite, got {self.m!r}")
         if not (self.chi > 0.0 and np.isfinite(self.chi)):
-            raise OutOfDomain("width must be positive and finite")
+            raise OutOfDomain(f"'chi' must be finite and > 0, got {self.chi!r}")
         if (self.chi_minus is None) != (self.chi_plus is None):
-            raise OutOfDomain("asymmetric widths must be given together")
+            raise OutOfDomain("'chi_minus' and 'chi_plus' must be given together")
         if self.chi_minus is not None:
-            if not (self.chi_minus > 0.0 and self.chi_plus > 0.0):
-                raise OutOfDomain("asymmetric widths must be positive")
+            for key in ("chi_minus", "chi_plus"):
+                if not getattr(self, key) > 0.0:    # NaN fails too
+                    raise OutOfDomain(f"{key!r} must be > 0, got {getattr(self, key)!r}")
 
     @property
     def is_asymmetric(self) -> bool:

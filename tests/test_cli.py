@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from tailfolio import cli, eeg
 from tailfolio.copula import CopulaModel, CorrelationMatrix
-from tailfolio.errors import OutOfDomain
+from tailfolio.errors import NoSolution, OutOfDomain
 from tailfolio.marginals import ExponentialMarginal, sample
 from tailfolio.modelfile import (load_json, load_net, read_series_csv,
                                  save_json, save_model, save_net,
@@ -636,7 +637,8 @@ def _two_channel_model(tmp_path):
 def _edited(path, edit):
     payload = json.loads(path.read_text())
     edit(payload)
-    path.write_text(json.dumps(payload))
+    # an infinite value is written as the overflowing literal JSON loads as inf
+    path.write_text(json.dumps(payload).replace("Infinity", "1e400"))
     return str(path)
 
 
@@ -705,3 +707,93 @@ def test_bounds_of_the_other_command_shape_exit_2(tmp_path, capsys):
     assert cli.main(["eeg", "fit", str(net_path), str(series), "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
     assert "bounds" in capsys.readouterr().err
+
+
+def _fit_marginals_case(tmp_path, **cfg):
+    return ["fit-marginals", make_series_csv(tmp_path), "--config",
+            write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+
+
+def _indicators_case(tmp_path, *methods):
+    path = tmp_path / "two.csv"
+    write_series_csv(path, np.random.default_rng(3).normal(size=(50, 2)), ("a", "b"))
+    blocks = [{"name": f"m{i}", "csv": str(path), **m} for i, m in enumerate(methods)]
+    return ["indicators", "--config", write_config(tmp_path, {"methods": blocks}),
+            "--out", str(tmp_path / "o")]
+
+
+def _eeg_fit_case(tmp_path, free, bounds):
+    net_path = tmp_path / "net.json"
+    save_net(net_path, two_site_net())
+    series = tmp_path / "series.csv"
+    write_series_csv(series, np.random.default_rng(2).normal(size=(20, 2)),
+                     ("Fz", "Cz"))
+    return ["eeg", "fit", str(net_path), str(series), "--config",
+            write_config(tmp_path, {"free": free, "bounds": bounds,
+                                    "anneal": {"max_trials": 20}}),
+            "--out", str(tmp_path / "o")]
+
+
+def _zero_efficacy(d):
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    d["columns"].update(gain=zero, background=zero, lr_gain=0.0, lr_background=0.0)
+
+
+INF = math.inf
+INPUT_FAULTS = [
+    # bounds, each named by its key
+    ("'dt_ms' must be", lambda t: _net_case(t, lambda d: d.update(dt_ms=0))),
+    ("'dt_ms' must be", lambda t: _net_case(t, lambda d: d.update(dt_ms=INF))),
+    ("'tau_ms' must be", lambda t: _net_case(t, lambda d: d["columns"].update(
+        tau_ms=0))),
+    *((f"'{k}' must be finite", lambda t, k=k: _net_case(t, lambda d: d["columns"]
+                                                         .update({k: INF})))
+      for k in ("n_e", "n_i", "lr_count")),
+    ("'pre_average_window' must be", lambda t: _fit_marginals_case(
+        t, pre_average_window=0)),
+    ("'m' must be finite", lambda t: _model_case(t, lambda d: d["marginals"][0]
+                                                 .update(m=INF))),
+    ("'chi' must be", lambda t: _model_case(t, lambda d: d["marginals"][0]
+                                            .update(chi=0))),
+    ("'chi_minus' must be", lambda t: _model_case(t, lambda d: d["marginals"][1]
+                                                  .update(chi_minus=-1, chi_plus=1))),
+    # singular EEG inputs
+    ("combined electrode gain is zero", lambda t: _net_case(
+        t, lambda d: d["sites"][0].update(gain_e=-0.3))),
+    ("variance aggregate must be positive", lambda t: _net_case(t, _zero_efficacy)),
+    ("cost is not finite at the initial point", lambda t: _eeg_fit_case(
+        t, ["Fz.gain_e"], {"Fz.gain_e": [-1.3, 0.7]})),
+    # the rest of the CLI's own input checks
+    ("marginal_window must be >= 2", lambda t: _fit_marginals_case(
+        t, marginal_window=1)),
+    ("bad --weights value", lambda t: ["risk", str(_two_channel_model(t)),
+                                       "--weights", "1,x", "--n", "10",
+                                       "--out", str(t / "o")]),
+    ("template offsets need 2 value(s)", lambda t: _optimize_case(
+        t, template={"type": "linear", "offsets": [0.0]})),
+    ("contracts template missing 'cash'", lambda t: _optimize_case(
+        t, template={"type": "contracts", "prices": [50.0, 50.0],
+                     "entry_prices": [50.0, 50.0]})),
+    ("unknown template type 'options'", lambda t: _optimize_case(
+        t, template={"type": "options"})),
+    ("with 'column'", lambda t: _indicators_case(t, {}, {"column": "a"})),
+    ("method 'm0' missing 'net'", lambda t: _indicators_case(
+        t, {"kind": "net"}, {"column": "a"})),
+    ("unknown method kind 'bogus'", lambda t: _indicators_case(
+        t, {"kind": "bogus"}, {"column": "a"})),
+    ("channel count mismatch", lambda t: _model_case(
+        t, lambda d: d["marginals"].pop())),
+    ("channel count mismatch", lambda t: _model_case(t, lambda d: d.update(
+        correlation=np.eye(3).tolist()))),
+]
+
+
+@pytest.mark.parametrize("fragment, case", INPUT_FAULTS,
+                         ids=[f"{i}-{f}" for i, (f, _) in enumerate(INPUT_FAULTS)])
+def test_input_faults_exit_2_with_their_message(tmp_path, capsys, fragment, case):
+    assert cli.main(case(tmp_path)) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_a_singular_centering_solve_is_an_input_fault():
+    assert cli.exit_code_for(NoSolution("x")) == 2

@@ -249,7 +249,7 @@ def test_estimate_correlation_window_guards():
     with pytest.raises(WindowTooShort):
         estimate_correlation(np.random.default_rng(0).normal(size=(3, 5)),
                              pre_average_window=3)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(OutOfDomain, match="'pre_average_window' must be >= 1, got 0"):
         estimate_correlation(np.zeros((2, 10)), pre_average_window=0)
     with pytest.raises(DimensionMismatch):
         estimate_correlation(np.zeros(10))

@@ -36,13 +36,13 @@ def test_fit_degenerate_cases():
 
 
 def test_marginal_validation():
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(OutOfDomain, match="'chi' must be finite and > 0, got 0.0"):
         ExponentialMarginal(m=0.0, chi=0.0)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(OutOfDomain, match="'m' must be finite, got inf"):
         ExponentialMarginal(m=np.inf, chi=1.0)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(OutOfDomain, match="'chi_minus' and 'chi_plus'"):
         ExponentialMarginal(m=0.0, chi=1.0, chi_minus=0.5, chi_plus=None)
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(OutOfDomain, match="'chi_minus' must be > 0, got -0.5"):
         ExponentialMarginal(m=0.0, chi=1.0, chi_minus=-0.5, chi_plus=0.5)
 
 

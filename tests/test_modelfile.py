@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -609,6 +610,22 @@ def test_columns_reject_nonpositive_or_nonfinite_tau(tmp_path, tau):
         ColumnParams(tau_ms=tau)
     path = edited_net_file(tmp_path, lambda d: d["columns"].update(tau_ms=tau))
     with pytest.raises(OutOfDomain, match="tau_ms") as info:
+        load_net(path)
+    assert exit_code_for(info.value) == 2
+
+
+@pytest.mark.parametrize("key", ["n_e", "n_i", "lr_count", "dt_ms"])
+@pytest.mark.parametrize("value", ["1e400", "NaN"])
+def test_net_rejects_a_nonfinite_column_count_or_step(tmp_path, key, value):
+    with pytest.raises(OutOfDomain, match=f"'{key}' must be finite"):
+        if key == "dt_ms":
+            replace(two_site_net(), dt_ms=float(value))
+        else:
+            ColumnParams(**{key: float(value)})
+    path = edited_net_file(tmp_path, lambda d: (d if key == "dt_ms" else d["columns"])
+                           .update({key: "@"}))
+    path.write_text(path.read_text().replace('"@"', value))   # JSON loads it as inf
+    with pytest.raises(OutOfDomain, match=f"'{key}' must be finite") as info:
         load_net(path)
     assert exit_code_for(info.value) == 2
 

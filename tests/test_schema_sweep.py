@@ -12,6 +12,7 @@ import copy
 import json
 import math
 import os
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -173,7 +174,9 @@ def test_an_annealer_knob_out_of_its_bound_is_refused(key, bad):
 
 
 CONFIG = _schema("config.schema.json")["properties"]
-COLUMNS = _schema("net.schema.json")["properties"]["columns"]["properties"]
+NET = _schema("net.schema.json")["properties"]
+COLUMNS = NET["columns"]["properties"]
+MARGINAL = _schema("model.schema.json")["properties"]["marginals"]["items"]["properties"]
 
 
 def _contracts(slippage):
@@ -187,7 +190,12 @@ OWNED = [
       for k in ("var_level", "q_target", "q_tolerance", "penalty_weight")),
     (CONFIG["template"]["properties"]["slippage"], "slippage", _contracts),
     *((COLUMNS[k], k, lambda v, k=k: ColumnParams(**{k: v}))
-      for k in ("n_e", "n_i", "lr_count")),
+      for k in ("n_e", "n_i", "tau_ms", "lr_count")),
+    (NET["dt_ms"], "dt_ms", lambda v: replace(two_site_net(), dt_ms=v)),
+    (MARGINAL["chi"], "chi", lambda v: ExponentialMarginal(0.0, v)),
+    *((MARGINAL[k], k, lambda v, k=k: ExponentialMarginal(
+        0.0, 1.0, **{"chi_minus": 1.0, "chi_plus": 1.0, k: v}))
+      for k in ("chi_minus", "chi_plus")),
     (CONFIG["penalty_weight"], "penalty_weight",
      lambda v: fit_net(np.zeros((4, 2)), two_site_net(), [], {}, penalty_weight=v)),
     (CONFIG["refine_calls"], "refine_calls",
