@@ -44,8 +44,9 @@ class ExponentialMarginal:
             raise OutOfDomain("'chi_minus' and 'chi_plus' must be given together")
         if self.chi_minus is not None:
             for key in ("chi_minus", "chi_plus"):
-                if not getattr(self, key) > 0.0:    # NaN fails too
-                    raise OutOfDomain(f"{key!r} must be > 0, got {getattr(self, key)!r}")
+                if not 0.0 < getattr(self, key) < np.inf:   # NaN fails too
+                    raise OutOfDomain(f"{key!r} must be finite and > 0, "
+                                      f"got {getattr(self, key)!r}")
 
     @property
     def is_asymmetric(self) -> bool:

@@ -757,10 +757,13 @@ INPUT_FAULTS = [
                                             .update(chi=0))),
     ("'chi_minus' must be", lambda t: _model_case(t, lambda d: d["marginals"][1]
                                                   .update(chi_minus=-1, chi_plus=1))),
+    ("'chi_plus' must be finite", lambda t: _model_case(
+        t, lambda d: d["marginals"][1].update(chi_minus=1, chi_plus=INF))),
     # singular EEG inputs
     ("combined electrode gain is zero", lambda t: _net_case(
         t, lambda d: d["sites"][0].update(gain_e=-0.3))),
     ("variance aggregate must be positive", lambda t: _net_case(t, _zero_efficacy)),
+    # the box midpoint gain_e = -0.3 = -gain_i * trough_slope of Fz
     ("cost is not finite at the initial point", lambda t: _eeg_fit_case(
         t, ["Fz.gain_e"], {"Fz.gain_e": [-1.3, 0.7]})),
     # the rest of the CLI's own input checks

@@ -42,8 +42,10 @@ def test_marginal_validation():
         ExponentialMarginal(m=np.inf, chi=1.0)
     with pytest.raises(OutOfDomain, match="'chi_minus' and 'chi_plus'"):
         ExponentialMarginal(m=0.0, chi=1.0, chi_minus=0.5, chi_plus=None)
-    with pytest.raises(OutOfDomain, match="'chi_minus' must be > 0, got -0.5"):
+    with pytest.raises(OutOfDomain, match="'chi_minus' must be finite and > 0, got -0.5"):
         ExponentialMarginal(m=0.0, chi=1.0, chi_minus=-0.5, chi_plus=0.5)
+    with pytest.raises(OutOfDomain, match="'chi_plus' must be finite and > 0, got inf"):
+        ExponentialMarginal(m=0.0, chi=1.0, chi_minus=0.5, chi_plus=np.inf)
 
 
 def test_pdf_closed_form_values():
