@@ -15,6 +15,18 @@ the byte contract. Acceptance is Metropolis on a separate temperature
 annealed by the same law with its own counter that advances once per
 accepted point.
 
+The schedule is sized to the budget, as ASA's Temperature_Ratio_Scale and
+Temperature_Anneal_Scale do: unless set, c and accept_c are
+-ln(temperature_ratio) max_trials^(-1/D), so a counter that reaches
+max_trials has cooled its temperature to temperature_ratio of its start.
+Before the first trial the cost is sampled at four points drawn uniformly
+from the box (ASA's Number_Cost_Samples). The mean absolute deviation of
+those costs and the cost at x0 is the cost scale (1 where it is 0): the
+acceptance temperature starts there unless accept_t0 is set, and the exit
+measures improvements in it. A spread is offset-invariant. Generation,
+acceptance and the cost samples each draw from their own UniformStream, so
+an uphill decision does not shift later candidates.
+
 Every reanneal interval (counted in acceptances) the parameter counters are
 rescaled from cost sensitivities at the best point (x, C) of that moment.
 As in ASA, each is a one-sided tangent, s_i = |C(x + h_i e_i) - C| / |h_i|,
@@ -24,8 +36,12 @@ enter, so a constant offset in the cost does not move them. The new k_i solves
 T_i(k_i) = T_i(old) * s_max/s_i, clamped to [1, k_max], so directions the
 cost barely feels are re-heated relative to sensitive ones.
 
-The run stops when two consecutive windows of 100 acceptances leave the best
-cost unchanged within tolerance, or at the trial budget (default 20000).
+The run stops at the trial budget (default 20000), or once max_trials // 10
+trials in a row have not lowered the best trial cost by more than
+window_repeat_tol times the cost scale (ASA's Cost_Precision and
+Maximum_Cost_Repeat): exit "cost-repeat". Only trial candidates count
+toward that exit; samples and reanneal probes still update the returned
+best. window_best records the best cost every acceptance_window trials.
 `local_refine` is a bounded quasi-Newton polish (numerical gradients, capped
 function calls) that never returns a point worse than its start. `search`
 anneals and then polishes, and returns one result: the polished point and
@@ -46,6 +62,7 @@ from .rng import UniformStream
 _T_FLOOR = 1e-300
 SENTINEL = 1e30      # stands in for a non-finite cost where one must be finite
 GRAD_TOL = 1e-8      # local_refine's gradient tolerance, times 1 + |start cost|
+COST_SAMPLES = 4     # box points sampled for the cost scale, besides x0
 
 
 def temperature(k, t0=1.0, c=1.0, d: int = 1):
@@ -78,12 +95,13 @@ class AnnealConfig:
     """Knobs for minimize(); defaults follow the protocol in the module doc."""
 
     t0: float | np.ndarray = 1.0
-    c: float | np.ndarray = 1.0
-    accept_t0: float | None = None     # default: max(|cost(x0)|, 1)
-    accept_c: float = 1.0
+    c: float | np.ndarray | None = None     # default: sized to max_trials and D
+    accept_t0: float | None = None     # default: the cost scale
+    accept_c: float | None = None      # default: as c
+    temperature_ratio: float = 1e-8    # final/initial temperature at max_trials
     reanneal_interval: int = 100       # acceptances between sensitivity rescales
-    acceptance_window: int = 100
-    window_repeat_tol: float = 1e-12    # negative: the two-window exit is off
+    acceptance_window: int = 100       # trials between window_best records
+    window_repeat_tol: float = 1e-6    # times the cost scale; negative: no exit
     max_trials: int = 20000
     k_max: float = 1e12
     regen_attempts: int = 100
@@ -98,7 +116,7 @@ class OptResult:
     cost: float
     trials: int
     acceptances: int
-    exit_reason: str    # converged | trial-limit | acceptance-repeat
+    exit_reason: str    # converged | trial-limit | cost-repeat
     window_best: tuple[float, ...] = field(default_factory=tuple)
     # per trial, in trial order: cost, acceptance temperature (interleaved)
     trace: array = field(default_factory=lambda: array("d"), repr=False)
@@ -215,12 +233,17 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     inv_d = 1.0 / d
 
     t0v = np.broadcast_to(np.asarray(cfg.t0, dtype=float), (d,)).copy()
-    cv = np.broadcast_to(np.asarray(cfg.c, dtype=float), (d,)).copy()
-    # the bounds of docs/schemas; NaN fails every one
-    for key, value in (("t0", t0v), ("c", cv), ("accept_c", cfg.accept_c),
-                       ("accept_t0", 1.0 if cfg.accept_t0 is None else cfg.accept_t0)):
+    # the bounds of docs/schemas, all checked before anything is derived from
+    # them; NaN fails every one
+    for key, value in (("t0", t0v), ("c", cfg.c), ("accept_c", cfg.accept_c),
+                       ("accept_t0", cfg.accept_t0)):
+        if value is None:   # derived below
+            continue
         if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
             raise InvalidBounds(f"{key!r} must be positive and finite, got {value!r}")
+    if not 0.0 < cfg.temperature_ratio < 1.0:
+        raise InvalidBounds(f"'temperature_ratio' must be in (0, 1), "
+                            f"got {cfg.temperature_ratio!r}")
     if not cfg.sensitivity_step > 0.0:
         raise InvalidBounds(f"'sensitivity_step' must be positive, "
                             f"got {cfg.sensitivity_step!r}")
@@ -250,16 +273,36 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     if not math.isfinite(fx):
         raise CostNotFinite("cost is not finite at the initial point")
 
-    accept_t0 = cfg.accept_t0 if cfg.accept_t0 is not None else max(abs(fx), 1.0)
+    # the cost scale, from differences to fx so that an offset cancels
+    # exactly; a sample with a non-finite cost is left out
+    u = UniformStream(cfg.seed, stream=2).take(COST_SAMPLES * d).reshape(-1, d)
+    diffs = [0.0]
+    for point in np.clip(lo + u * rangev, lo, hi):
+        if math.isfinite(v := evaluate(point) - fx):
+            diffs.append(v)
+    spread = float(np.mean(np.abs(np.subtract(diffs, np.mean(diffs)))))
+    scale = spread if 0.0 < spread < math.inf else 1.0
+
+    sized_c = -math.log(cfg.temperature_ratio) * cfg.max_trials ** -inv_d
+    cv = np.broadcast_to(np.asarray(sized_c if cfg.c is None else cfg.c, dtype=float),
+                         (d,)).copy()
+    accept_c = sized_c if cfg.accept_c is None else cfg.accept_c
+    accept_t0 = scale if cfg.accept_t0 is None else cfg.accept_t0
 
     uniforms = UniformStream(cfg.seed, stream=0)
+    accepts = UniformStream(cfg.seed, stream=1)
     neg_c = -cv
     k_gen = np.zeros(d)
     k_acc = 0.0
     trials = 0
     acceptances = 0
-    next_window = cfg.acceptance_window
     next_reanneal = cfg.reanneal_interval
+    # the exit: a run of stall trials none of which lowered the best trial
+    # cost by more than gain_tol
+    exit_on = cfg.window_repeat_tol >= 0.0
+    gain_tol = cfg.window_repeat_tol * scale
+    stall = max(cfg.max_trials // 10, 1)
+    trial_best, last_gain = fx, 0
     window_best: list[float] = []
     trace = array("d")
     exit_reason = "trial-limit"
@@ -288,8 +331,12 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
         cand = generate_candidate(x, temps, lo, hi, uniforms, cfg.regen_attempts)
         fc = evaluate(cand)
         k_gen += 1.0
+        if fc < trial_best:
+            if trial_best - fc > gain_tol:
+                last_gain = trials
+            trial_best = fc
 
-        t_acc = max(accept_t0 * math.exp(-cfg.accept_c * k_acc ** inv_d), _T_FLOOR)
+        t_acc = max(accept_t0 * math.exp(-accept_c * k_acc ** inv_d), _T_FLOOR)
         trace.append(fc)
         trace.append(t_acc)
 
@@ -297,22 +344,20 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
         accepted = delta <= 0.0
         if not accepted and math.isfinite(fc):
             ratio = delta / t_acc
-            accepted = ratio < 700.0 and uniforms.one() < math.exp(-ratio)
+            accepted = ratio < 700.0 and accepts.one() < math.exp(-ratio)
         if accepted:
             x = cand
             fx = fc
             acceptances += 1
             k_acc += 1.0
-            if acceptances >= next_window:
-                window_best.append(best_f)
-                next_window += cfg.acceptance_window
-                if (len(window_best) >= 2 and
-                        abs(window_best[-1] - window_best[-2]) <= cfg.window_repeat_tol):
-                    exit_reason = "acceptance-repeat"
-                    break
             if acceptances >= next_reanneal:
                 reanneal()
                 next_reanneal += cfg.reanneal_interval
+        if trials % cfg.acceptance_window == 0:
+            window_best.append(best_f)
+        if exit_on and trials - last_gain >= stall:
+            exit_reason = "cost-repeat"
+            break
 
     return OptResult(x=best_x, cost=best_f, trials=trials, acceptances=acceptances,
                      exit_reason=exit_reason, window_best=tuple(window_best),

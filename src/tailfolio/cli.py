@@ -76,7 +76,7 @@ def cmd_fit_marginals(args) -> int:
     window = cfg.get("marginal_window")
     if window is not None:
         if window < 2:
-            raise ParseError("marginal_window must be >= 2")
+            raise ParseError(f"'marginal_window' must be >= 2, got {window}")
         data = data[-window:]
     marginals = fit_channels(names, data, **_present(cfg, "asymmetric"))
     y = np.stack([to_gaussian(mg, data[:, i]) for i, mg in enumerate(marginals)],

@@ -64,8 +64,8 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
     """Weights maximizing held-out log-likelihood of the combined stream.
 
     Returns (unit weights, flat flag, search result). The flat flag marks a
-    likelihood surface where no acceptance window after the first improved
-    the best cost beyond 1e-9 relative.
+    likelihood surface where no best-cost record after the first (one each
+    acceptance_window trials) improved on it beyond 1e-9 relative.
     """
     k = train.shape[1]
 

@@ -463,7 +463,8 @@ def _bounds(v):
 _PAIR, _NUMBERS = _array(_number, 2), _array(_number)
 _ANNEAL = _object({
     "t0": _finite, "c": _finite, "accept_t0": _nullable(_finite), "accept_c": _finite,
-    "reanneal_interval": _integer, "acceptance_window": _integer,
+    "temperature_ratio": _number, "reanneal_interval": _integer,
+    "acceptance_window": _integer,
     "window_repeat_tol": _number, "max_trials": _integer, "k_max": _number,
     "regen_attempts": _integer, "sensitivity_step": _number, "seed": _u64,
     "x0": _nullable(_NUMBERS)}, "annealer option")
@@ -532,7 +533,8 @@ def load_model(path) -> CopulaModel:
     except (ParseError, ValueError) as exc:
         raise ParseError(f"{path}: malformed model file ({exc})") from exc
     if len(m["marginals"]) != len(m["channels"]):
-        raise ParseError(f"{path}: channel count mismatch")
+        raise ParseError(f"{path}: 'marginals' must hold one entry per channel, "
+                         f"got {len(m['marginals'])} for {len(m['channels'])}")
     for i, (e, name) in enumerate(zip(m["marginals"], m["channels"])):
         if (got := e.pop("channel")) != name:
             raise ParseError(f"{path}: marginal {i} names channel {got!r}, "
@@ -540,7 +542,8 @@ def load_model(path) -> CopulaModel:
     marginals = tuple(ExponentialMarginal(**e) for e in m["marginals"])
     corr = CorrelationMatrix.from_matrix(matrix)
     if corr.dim != len(marginals):
-        raise ParseError(f"{path}: channel count mismatch")
+        raise ParseError(f"{path}: 'correlation' must be {len(marginals)}x"
+                         f"{len(marginals)} for the channels, got {corr.dim}x{corr.dim}")
     return CopulaModel(marginals=marginals, correlation=corr, channels=m["channels"])
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfolio import anneal
-from tailfolio.anneal import (_T_FLOOR, SENTINEL, AnnealConfig, generate_candidate,
+from tailfolio.anneal import (_T_FLOOR, COST_SAMPLES, SENTINEL, AnnealConfig,
+                              generate_candidate,
                               generation_delta, local_refine, minimize, search,
                               tangents, temperature)
 from tailfolio.errors import CostNotFinite, InvalidBounds
@@ -69,7 +70,7 @@ def test_minimize_deterministic():
     assert np.array_equal(a.x, b.x)
     assert a.cost == b.cost
     assert a.trials == b.trials
-    assert a.exit_reason in ("acceptance-repeat", "trial-limit")
+    assert a.exit_reason in ("cost-repeat", "trial-limit")
 
 
 def test_minimize_frozen_dimension():
@@ -109,7 +110,9 @@ def test_minimize_guards():
                      ("max_trials", 0), ("regen_attempts", 0), ("k_max", 0.5),
                      ("k_max", np.nan), ("sensitivity_step", 0.0),
                      ("sensitivity_step", np.nan), ("accept_t0", -1.0),
-                     ("accept_t0", 0.0), ("accept_c", 0.0)):
+                     ("accept_t0", 0.0), ("accept_c", 0.0), ("c", 0.0),
+                     ("temperature_ratio", 0.0), ("temperature_ratio", 1.0),
+                     ("temperature_ratio", np.nan)):
         with pytest.raises(InvalidBounds, match=f"'{key}'"):
             minimize(lambda p: 0.0, [(0.0, 1.0)] * 2, AnnealConfig(**{key: bad}))
     # x0 must hold one value per bound, before any clipping could broadcast it
@@ -293,8 +296,9 @@ def test_reanneal_probes_each_free_dimension_once():
                                                   window_repeat_tol=-1.0))
         reanneals = res.acceptances // interval
         assert reanneals >= 5
-        # the start point, one call per trial, one probe per free dimension
-        assert cost.calls == 1 + res.trials + 3 * reanneals
+        # the start point, the cost samples, one call per trial, one probe
+        # per free dimension
+        assert cost.calls == 1 + COST_SAMPLES + res.trials + 3 * reanneals
 
 
 def test_tangents_probe_one_side_and_skip_fixed_dimensions():
@@ -337,6 +341,50 @@ def test_minimize_is_offset_invariant_with_explicit_accept_t0():
         assert (a.trials, a.acceptances, a.exit_reason) == (
             b.trials, b.acceptances, b.exit_reason)
         assert b.cost == a.cost + 1024.0
+
+
+def test_minimize_is_offset_invariant_with_the_default_config():
+    # the cost scale that sets accept_t0 and the exit's precision is a spread
+    # of cost differences, so the offset cancels in it too
+    def f(p):
+        return math.floor(float(np.sum((p - 0.3) ** 2) + np.sin(5.0 * p).sum())
+                          * 2.0 ** 20) / 2.0 ** 20
+
+    bounds = [(-1.0, 1.0)] * 4
+    for seed in (1, 2):
+        cfg = AnnealConfig(seed=seed, max_trials=4000)
+        a = minimize(f, bounds, cfg)
+        b = minimize(lambda p: f(p) + 1024.0, bounds, cfg)
+        assert np.array_equal(a.x, b.x)
+        assert (a.trials, a.acceptances, a.exit_reason) == (
+            b.trials, b.acceptances, b.exit_reason)
+        assert b.cost == a.cost + 1024.0
+
+
+def test_metropolis_draws_leave_the_generation_stream_alone(monkeypatch):
+    streams, decided = [], []
+    one = UniformStream.one
+
+    def recording(x, temps, lo, hi, uniforms, regen_attempts=100):
+        streams.append(uniforms)
+        return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts)
+
+    def counting(self):
+        decided.append(self)
+        return one(self)
+
+    monkeypatch.setattr(anneal, "generate_candidate", recording)
+    monkeypatch.setattr(UniformStream, "one", counting)
+    minimize(_interior, [(-1.0, 1.0)] * 3, AnnealConfig(seed=2, max_trials=500))
+    assert len(decided) > 10    # uphill candidates drew their Metropolis uniform
+    assert all(s is streams[0] for s in streams)
+    assert all(s is not streams[0] for s in decided)
+
+
+def test_the_exit_fires_on_a_smooth_bowl():
+    res = minimize(_bowl, [(-1.0, 1.0)] * 24, AnnealConfig(seed=3))
+    assert res.exit_reason == "cost-repeat"
+    assert res.trials < AnnealConfig().max_trials
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,7 +484,10 @@ def _interior(p):
 def test_minimize_matches_minimize_on_the_oracle_candidate(monkeypatch, d, cost):
     bounds = [(-1.0, 1.0)] * d
     bounds[1] = (0.25, 0.25)
-    cfg = AnnealConfig(seed=d, max_trials=3000, reanneal_interval=40)
+    # a hot chain (the schedule of c = accept_c = 1) on the whole budget, so
+    # that it reanneals
+    cfg = AnnealConfig(seed=d, max_trials=3000, reanneal_interval=40, c=1.0,
+                       accept_c=1.0, window_repeat_tol=-1.0)
     pooled = minimize(cost, bounds, cfg)
     monkeypatch.setattr(anneal, "generate_candidate", oracle_generate_candidate)
     oracle = minimize(cost, bounds, cfg)
@@ -457,11 +508,36 @@ def test_minimize_trial_temperatures_are_the_schedule_bitwise(monkeypatch, d):
 
     monkeypatch.setattr(anneal, "generate_candidate", recording)
     t0, c = np.linspace(0.5, 2.0, d), np.linspace(0.3, 1.7, d)
-    # no reanneal, so trial k runs at annealing time k in every dimension
+    # no reanneal and no exit, so trial k runs at annealing time k in every
+    # dimension, for all 200 trials
     minimize(_interior, [(-1.0, 1.0)] * d,
              AnnealConfig(seed=1, max_trials=200, t0=t0, c=c,
-                          reanneal_interval=10 ** 6))
+                          reanneal_interval=10 ** 6, window_repeat_tol=-1.0))
     assert len(seen) == 200
     for k, temps in enumerate(seen):
         want = np.maximum(temperature(np.full(d, float(k)), t0, c, d), _T_FLOOR)
         assert np.maximum(temps, _T_FLOOR).tobytes() == want.tobytes()
+
+
+def test_the_default_schedule_reaches_the_temperature_ratio_at_the_budget(
+        monkeypatch):
+    seen = []
+
+    def recording(x, temps, lo, hi, uniforms, regen_attempts=100):
+        seen.append(temps.copy())
+        return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts)
+
+    monkeypatch.setattr(anneal, "generate_candidate", recording)
+    d, trials = 3, 200
+    res = minimize(_interior, [(-1.0, 1.0)] * d,
+                   AnnealConfig(seed=1, max_trials=trials, temperature_ratio=1e-4,
+                                reanneal_interval=10 ** 6, window_repeat_tol=-1.0))
+    c = -math.log(1e-4) * trials ** (-1.0 / d)
+    assert temperature(trials, 1.0, c, d) == pytest.approx(1e-4, rel=1e-12)
+    for k, temps in enumerate(seen):
+        want = np.maximum(temperature(np.full(d, float(k)), 1.0, c, d), _T_FLOOR)
+        assert np.maximum(temps, _T_FLOOR).tobytes() == want.tobytes()
+    # the acceptance temperature cools by the same law, one step per acceptance
+    k_acc = np.concatenate([[0.0], np.cumsum(np.diff(res.trace[1::2]) != 0.0)])
+    assert res.trace[1::2] == pytest.approx(res.trace[1] * np.exp(-c * k_acc ** (1 / d)),
+                                            rel=1e-12)

@@ -767,7 +767,7 @@ INPUT_FAULTS = [
     ("cost is not finite at the initial point", lambda t: _eeg_fit_case(
         t, ["Fz.gain_e"], {"Fz.gain_e": [-1.3, 0.7]})),
     # the rest of the CLI's own input checks
-    ("marginal_window must be >= 2", lambda t: _fit_marginals_case(
+    ("'marginal_window' must be >= 2, got 1", lambda t: _fit_marginals_case(
         t, marginal_window=1)),
     ("bad --weights value", lambda t: ["risk", str(_two_channel_model(t)),
                                        "--weights", "1,x", "--n", "10",
@@ -784,10 +784,10 @@ INPUT_FAULTS = [
         t, {"kind": "net"}, {"column": "a"})),
     ("unknown method kind 'bogus'", lambda t: _indicators_case(
         t, {"kind": "bogus"}, {"column": "a"})),
-    ("channel count mismatch", lambda t: _model_case(
-        t, lambda d: d["marginals"].pop())),
-    ("channel count mismatch", lambda t: _model_case(t, lambda d: d.update(
-        correlation=np.eye(3).tolist()))),
+    ("'marginals' must hold one entry per channel, got 1 for 2",
+     lambda t: _model_case(t, lambda d: d["marginals"].pop())),
+    ("'correlation' must be 2x2 for the channels, got 3x3",
+     lambda t: _model_case(t, lambda d: d.update(correlation=np.eye(3).tolist()))),
 ]
 
 

@@ -294,7 +294,8 @@ def test_optimize_positions_keeps_the_anneal_exit_reason():
     dx = make_events(n=2000, seed=7)
     template = LinearPortfolio(weights=(0.0,), offsets=(0.0,))
     kwargs = dict(risk=RiskConfig(penalty_weight=0.0),
-                  config=AnnealConfig(seed=4, max_trials=30),
+                  # no exit, so the anneal runs to its trial limit
+                  config=AnnealConfig(seed=4, max_trials=30, window_repeat_tol=-1.0),
                   objective=lambda dm: float(np.mean((dm - 0.01) ** 2)))
     plain = optimize_positions(dx, template, [(-5.0, 5.0)], refine_calls=0,
                                **kwargs)

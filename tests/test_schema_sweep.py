@@ -157,6 +157,8 @@ def _out_of_bounds(node):
         yield node["exclusiveMinimum"]
     if "maximum" in node:
         yield node["maximum"] + 1
+    if "exclusiveMaximum" in node:
+        yield node["exclusiveMaximum"]
     if "minimum" in node or "exclusiveMinimum" in node:
         yield math.nan
 
@@ -248,7 +250,7 @@ def _config(tmp_path, cfg):
 
 
 # one command per owner: RiskConfig, ContractPortfolio, ColumnParams,
-# fit_net, search and optimize's own n
+# fit_net, search, optimize's own n and minimize
 CLI_CASES = [
     ("q_tolerance", lambda t, v: _optimize(t, risk={"q_tolerance": v}),
      CONFIG["risk"]["properties"]["q_tolerance"]),
@@ -260,6 +262,9 @@ CLI_CASES = [
      CONFIG["penalty_weight"]),
     ("refine_calls", lambda t, v: _optimize(t, refine_calls=v), CONFIG["refine_calls"]),
     ("n", lambda t, v: _optimize(t, n=v), CONFIG["n"]),
+    # checked before the schedule is sized from them
+    *((k, lambda t, v, k=k: _optimize(t, anneal={k: v}),
+       CONFIG["anneal"]["properties"][k]) for k in ("max_trials", "temperature_ratio")),
 ]
 
 
