@@ -17,8 +17,9 @@ accepted point.
 
 The schedule is sized to the budget, as ASA's Temperature_Ratio_Scale and
 Temperature_Anneal_Scale do: unless set, c and accept_c are
--ln(temperature_ratio) max_trials^(-1/D), so a counter that reaches
-max_trials has cooled its temperature to temperature_ratio of its start.
+-ln(TEMPERATURE_RATIO) max_trials^(-1/D), so a counter that reaches
+max_trials has cooled its temperature to TEMPERATURE_RATIO (1e-8) of its
+start; an explicit c or accept_c overrides it.
 Before the first trial the cost is sampled at four points drawn uniformly
 from the box (ASA's Number_Cost_Samples). The mean absolute deviation of
 those costs and the cost at x0 is the cost scale (1 where it is 0): the
@@ -40,8 +41,9 @@ The run stops at the trial budget (default 20000), or once max_trials // 10
 trials in a row have not lowered the best trial cost by more than
 window_repeat_tol times the cost scale (ASA's Cost_Precision and
 Maximum_Cost_Repeat): exit "cost-repeat". Only trial candidates count
-toward that exit; samples and reanneal probes still update the returned
-best. window_best records the best cost every acceptance_window trials.
+toward that exit, measured from the first trial, so a start point better
+than every trial does not end the run; x0, the samples and reanneal probes
+still update the returned best. window_best records the best cost every acceptance_window trials.
 `local_refine` is a bounded quasi-Newton polish (numerical gradients, capped
 function calls) that never returns a point worse than its start. `search`
 anneals and then polishes, and returns one result: the polished point and
@@ -63,6 +65,7 @@ _T_FLOOR = 1e-300
 SENTINEL = 1e30      # stands in for a non-finite cost where one must be finite
 GRAD_TOL = 1e-8      # local_refine's gradient tolerance, times 1 + |start cost|
 COST_SAMPLES = 4     # box points sampled for the cost scale, besides x0
+TEMPERATURE_RATIO = 1e-8    # final/initial temperature of the sized schedule
 
 
 def temperature(k, t0=1.0, c=1.0, d: int = 1):
@@ -98,7 +101,6 @@ class AnnealConfig:
     c: float | np.ndarray | None = None     # default: sized to max_trials and D
     accept_t0: float | None = None     # default: the cost scale
     accept_c: float | None = None      # default: as c
-    temperature_ratio: float = 1e-8    # final/initial temperature at max_trials
     reanneal_interval: int = 100       # acceptances between sensitivity rescales
     acceptance_window: int = 100       # trials between window_best records
     window_repeat_tol: float = 1e-6    # times the cost scale; negative: no exit
@@ -241,9 +243,6 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
             continue
         if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
             raise InvalidBounds(f"{key!r} must be positive and finite, got {value!r}")
-    if not 0.0 < cfg.temperature_ratio < 1.0:
-        raise InvalidBounds(f"'temperature_ratio' must be in (0, 1), "
-                            f"got {cfg.temperature_ratio!r}")
     if not cfg.sensitivity_step > 0.0:
         raise InvalidBounds(f"'sensitivity_step' must be positive, "
                             f"got {cfg.sensitivity_step!r}")
@@ -283,7 +282,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     spread = float(np.mean(np.abs(np.subtract(diffs, np.mean(diffs)))))
     scale = spread if 0.0 < spread < math.inf else 1.0
 
-    sized_c = -math.log(cfg.temperature_ratio) * cfg.max_trials ** -inv_d
+    sized_c = -math.log(TEMPERATURE_RATIO) * cfg.max_trials ** -inv_d
     cv = np.broadcast_to(np.asarray(sized_c if cfg.c is None else cfg.c, dtype=float),
                          (d,)).copy()
     accept_c = sized_c if cfg.accept_c is None else cfg.accept_c
@@ -298,11 +297,11 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     acceptances = 0
     next_reanneal = cfg.reanneal_interval
     # the exit: a run of stall trials none of which lowered the best trial
-    # cost by more than gain_tol
+    # cost by more than gain_tol; the first finite trial sets trial_best
     exit_on = cfg.window_repeat_tol >= 0.0
     gain_tol = cfg.window_repeat_tol * scale
     stall = max(cfg.max_trials // 10, 1)
-    trial_best, last_gain = fx, 0
+    trial_best, last_gain = math.inf, 0
     window_best: list[float] = []
     trace = array("d")
     exit_reason = "trial-limit"

@@ -463,8 +463,7 @@ def _bounds(v):
 _PAIR, _NUMBERS = _array(_number, 2), _array(_number)
 _ANNEAL = _object({
     "t0": _finite, "c": _finite, "accept_t0": _nullable(_finite), "accept_c": _finite,
-    "temperature_ratio": _number, "reanneal_interval": _integer,
-    "acceptance_window": _integer,
+    "reanneal_interval": _integer, "acceptance_window": _integer,
     "window_repeat_tol": _number, "max_trials": _integer, "k_max": _number,
     "regen_attempts": _integer, "sensitivity_step": _number, "seed": _u64,
     "x0": _nullable(_NUMBERS)}, "annealer option")

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfolio import anneal
-from tailfolio.anneal import (_T_FLOOR, COST_SAMPLES, SENTINEL, AnnealConfig,
-                              generate_candidate,
+from tailfolio.anneal import (_T_FLOOR, COST_SAMPLES, SENTINEL, TEMPERATURE_RATIO,
+                              AnnealConfig, generate_candidate,
                               generation_delta, local_refine, minimize, search,
                               tangents, temperature)
 from tailfolio.errors import CostNotFinite, InvalidBounds
@@ -110,9 +110,7 @@ def test_minimize_guards():
                      ("max_trials", 0), ("regen_attempts", 0), ("k_max", 0.5),
                      ("k_max", np.nan), ("sensitivity_step", 0.0),
                      ("sensitivity_step", np.nan), ("accept_t0", -1.0),
-                     ("accept_t0", 0.0), ("accept_c", 0.0), ("c", 0.0),
-                     ("temperature_ratio", 0.0), ("temperature_ratio", 1.0),
-                     ("temperature_ratio", np.nan)):
+                     ("accept_t0", 0.0), ("accept_c", 0.0), ("c", 0.0)):
         with pytest.raises(InvalidBounds, match=f"'{key}'"):
             minimize(lambda p: 0.0, [(0.0, 1.0)] * 2, AnnealConfig(**{key: bad}))
     # x0 must hold one value per bound, before any clipping could broadcast it
@@ -387,6 +385,18 @@ def test_the_exit_fires_on_a_smooth_bowl():
     assert res.trials < AnnealConfig().max_trials
 
 
+def test_a_start_at_the_optimum_does_not_end_the_run():
+    # no trial can beat x0 here; the exit counts gains from the first trial,
+    # so the trials still descend, and x0 is still the returned best
+    d, budget = 4, 2000
+    res = minimize(_bowl, [(-1.0, 1.0)] * d,
+                   AnnealConfig(seed=1, max_trials=budget, x0=np.full(d, 0.3)))
+    assert res.cost == 0.0 and np.all(res.x == 0.3)
+    assert res.trials > budget // 10
+    costs = np.asarray(res.trace)[0::2]
+    assert costs.min() < 1e-2 * costs[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
        temp=st.one_of(st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 10.0]),
@@ -530,10 +540,11 @@ def test_the_default_schedule_reaches_the_temperature_ratio_at_the_budget(
     monkeypatch.setattr(anneal, "generate_candidate", recording)
     d, trials = 3, 200
     res = minimize(_interior, [(-1.0, 1.0)] * d,
-                   AnnealConfig(seed=1, max_trials=trials, temperature_ratio=1e-4,
-                                reanneal_interval=10 ** 6, window_repeat_tol=-1.0))
-    c = -math.log(1e-4) * trials ** (-1.0 / d)
-    assert temperature(trials, 1.0, c, d) == pytest.approx(1e-4, rel=1e-12)
+                   AnnealConfig(seed=1, max_trials=trials, reanneal_interval=10 ** 6,
+                                window_repeat_tol=-1.0))
+    assert TEMPERATURE_RATIO == 1e-8
+    c = -math.log(TEMPERATURE_RATIO) * trials ** (-1.0 / d)
+    assert temperature(trials, 1.0, c, d) == pytest.approx(TEMPERATURE_RATIO, rel=1e-12)
     for k, temps in enumerate(seen):
         want = np.maximum(temperature(np.full(d, float(k)), 1.0, c, d), _T_FLOOR)
         assert np.maximum(temps, _T_FLOOR).tobytes() == want.tobytes()

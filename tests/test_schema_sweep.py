@@ -157,8 +157,6 @@ def _out_of_bounds(node):
         yield node["exclusiveMinimum"]
     if "maximum" in node:
         yield node["maximum"] + 1
-    if "exclusiveMaximum" in node:
-        yield node["exclusiveMaximum"]
     if "minimum" in node or "exclusiveMinimum" in node:
         yield math.nan
 
@@ -262,9 +260,9 @@ CLI_CASES = [
      CONFIG["penalty_weight"]),
     ("refine_calls", lambda t, v: _optimize(t, refine_calls=v), CONFIG["refine_calls"]),
     ("n", lambda t, v: _optimize(t, n=v), CONFIG["n"]),
-    # checked before the schedule is sized from them
-    *((k, lambda t, v, k=k: _optimize(t, anneal={k: v}),
-       CONFIG["anneal"]["properties"][k]) for k in ("max_trials", "temperature_ratio")),
+    # checked before the schedule is sized from it
+    ("max_trials", lambda t, v: _optimize(t, anneal={"max_trials": v}),
+     CONFIG["anneal"]["properties"]["max_trials"]),
 ]
 
 
