@@ -43,7 +43,8 @@ window_repeat_tol times the cost scale (ASA's Cost_Precision and
 Maximum_Cost_Repeat): exit "cost-repeat". Only trial candidates count
 toward that exit, measured from the first trial, so a start point better
 than every trial does not end the run; x0, the samples and reanneal probes
-still update the returned best. window_best records the best cost every acceptance_window trials.
+still update the returned best. window_best records the best cost every
+acceptance_window trials.
 `local_refine` is a bounded quasi-Newton polish (numerical gradients, capped
 function calls) that never returns a point worse than its start. `search`
 anneals and then polishes, and returns one result: the polished point and

@@ -544,7 +544,8 @@ def test_the_default_schedule_reaches_the_temperature_ratio_at_the_budget(
                                 window_repeat_tol=-1.0))
     assert TEMPERATURE_RATIO == 1e-8
     c = -math.log(TEMPERATURE_RATIO) * trials ** (-1.0 / d)
-    assert temperature(trials, 1.0, c, d) == pytest.approx(TEMPERATURE_RATIO, rel=1e-12)
+    assert temperature(trials, 1.0, c, d) == pytest.approx(TEMPERATURE_RATIO,
+                                                          rel=1e-12)
     for k, temps in enumerate(seen):
         want = np.maximum(temperature(np.full(d, float(k)), 1.0, c, d), _T_FLOOR)
         assert np.maximum(temps, _T_FLOOR).tobytes() == want.tobytes()
