@@ -15,6 +15,13 @@ the byte contract. Acceptance is Metropolis on a separate temperature
 annealed by the same law with its own counter that advances once per
 accepted point.
 
+Every counter advances by exactly 1.0 per trial until a reanneal, so the
+generation temperatures of the next TEMPERATURE_BLOCK trials are computed in
+one pass: np.add.accumulate down a block whose first row is the counters and
+whose other rows are 1.0 adds 1.0 one row at a time, the bits of repeated
+k += 1.0, and numpy's ufuncs give each element the bits they give it in a
+(D,) array, whatever the array's shape. A reanneal drops the block.
+
 The schedule is sized to the budget, as ASA's Temperature_Ratio_Scale and
 Temperature_Anneal_Scale do: unless set, c and accept_c are
 -ln(TEMPERATURE_RATIO) max_trials^(-1/D), so a counter that reaches
@@ -44,7 +51,7 @@ Maximum_Cost_Repeat): exit "cost-repeat". Only trial candidates count
 toward that exit, measured from the first trial, so a start point better
 than every trial does not end the run; x0, the samples and reanneal probes
 still update the returned best. window_best records the best cost every
-acceptance_window trials.
+RECORD_PERIOD (100) trials.
 `local_refine` is a bounded quasi-Newton polish (numerical gradients, capped
 function calls) that never returns a point worse than its start. `search`
 anneals and then polishes, and returns one result: the polished point and
@@ -56,6 +63,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +75,8 @@ SENTINEL = 1e30      # stands in for a non-finite cost where one must be finite
 GRAD_TOL = 1e-8      # local_refine's gradient tolerance, times 1 + |start cost|
 COST_SAMPLES = 4     # box points sampled for the cost scale, besides x0
 TEMPERATURE_RATIO = 1e-8    # final/initial temperature of the sized schedule
+TEMPERATURE_BLOCK = 64      # trials whose generation temperatures share one pass
+RECORD_PERIOD = 100         # trials between window_best records
 
 
 def temperature(k, t0=1.0, c=1.0, d: int = 1):
@@ -103,7 +113,6 @@ class AnnealConfig:
     accept_t0: float | None = None     # default: the cost scale
     accept_c: float | None = None      # default: as c
     reanneal_interval: int = 100       # acceptances between sensitivity rescales
-    acceptance_window: int = 100       # trials between window_best records
     window_repeat_tol: float = 1e-6    # times the cost scale; negative: no exit
     max_trials: int = 20000
     k_max: float = 1e12
@@ -132,7 +141,7 @@ def _check_bounds(bounds):
         arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InvalidBounds("bounds must be a sequence of (lo, hi) pairs")
-    lo, hi = arr[:, 0].copy(), arr[:, 1].copy()
+    lo, hi = arr[:, 0] + 0.0, arr[:, 1] + 0.0      # -0.0 reads as 0.0
     if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
         raise InvalidBounds("bounds must be finite")
     if np.any(lo > hi):
@@ -140,8 +149,29 @@ def _check_bounds(bounds):
     return lo, hi
 
 
+@lru_cache(maxsize=None)
+def _law_index(d: int) -> np.ndarray:
+    """Pool indices of the law's (d + 9, d) input: row 0 is uniform i for
+    coordinate i, row r >= 1 is uniform d + r - 1 for every coordinate."""
+    index = np.empty((d + 9, d), dtype=np.intp)
+    index[0] = np.arange(d)
+    index[1:] = np.arange(d, 2 * d + 8)[:, None]
+    index.flags.writeable = False
+    return index
+
+
+def _law_box(lo, hi):
+    """(lo, hi, hi - lo), each repeated down the rows of the law's input:
+    generate_candidate's box for a caller that makes many candidates in one
+    box, since a same-shape ufunc call costs about a third of a broadcast
+    one at these sizes."""
+    rows = (_law_index(lo.size).shape[0], 1)
+    return np.tile(lo, rows), np.tile(hi, rows), np.tile(hi - lo, rows)
+
+
 def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
-                       regen_attempts: int = 100) -> np.ndarray:
+                       regen_attempts: int = 100, *, base=None,
+                       box=None) -> np.ndarray:
     """One candidate from the generating law, redrawing out-of-bounds dims.
 
     Uniforms are used round-major: round 0 draws every coordinate once, in
@@ -149,26 +179,44 @@ def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
     still outside [lo, hi], for at most regen_attempts rounds; whatever is
     still outside is then clipped. A coordinate's value is
     x_i + generation_delta(u, temps_i) * (hi_i - lo_i) for the last u it drew.
+    A caller that passes base (1 + 1/t of temps floored at _T_FLOOR) must
+    pass temps already floored; box is _law_box(lo, hi).
 
     The law is evaluated in one broadcast pass per pool of peeked uniforms:
     each pool uniform against each coordinate still to draw (the first pool's
-    row 0 is round 0, the first d uniforms one per coordinate). Replaying the
-    rounds on the out-of-bounds flags then consumes just the uniforms they
-    used; a new pool is peeked only when a round would outrun this one. A
-    pool of 2k + 8 for k coordinates covers round 0 and k + 8 redraws, which
-    few trials exceed, while keeping the pass small.
+    row 0 is round 0, the first d uniforms one per coordinate). When round 0
+    lands inside the box, as it does for most trials, row 0 is the candidate,
+    unclipped. numpy's clip changes an in-bounds value only where it is a
+    zero and a bound is a zero of the other sign; minimize's bounds hold no
+    -0.0 (_check_bounds reads it as 0.0), its x starts clipped, and x + y is
+    -0.0 only when x is, so no candidate of minimize meets that case.
+    Otherwise replaying the rounds on the out-of-bounds flags consumes just
+    the uniforms they used; a new pool is peeked only when a round would
+    outrun this one. A pool of 2k + 8 for k coordinates covers round 0 and
+    k + 8 redraws, which few trials exceed, while keeping the pass small.
     """
-    t = np.maximum(temps, _T_FLOOR)
-    base = 1.0 + 1.0 / t
-    span = hi - lo
+    if base is None:
+        temps = np.maximum(temps, _T_FLOOR)
+        base = 1.0 + 1.0 / temps
+    box_lo, box_hi, span = (lo, hi, hi - lo) if box is None else box
     d = x.size
     size = 2 * d + 8
     pool = uniforms.peek(size)
-    u = np.empty((size - d + 1, d))
-    u[0] = pool[:d]             # round 0: uniform i for coordinate i
-    u[1:] = pool[d:, None]      # row r >= 1: uniform d + r - 1, for all
-    vals = x + _delta(u, t, base) * span
-    flags = ((vals < lo) | (vals > hi)).tobytes()
+    # _delta's operations in place, on w = u - 0.5 and a = |w + w|
+    w = pool.take(_law_index(d))
+    w -= 0.5
+    a = w + w
+    np.abs(a, out=a)
+    np.power(base, a, out=a)
+    a -= 1.0
+    vals = np.copysign(temps, w, out=w)
+    vals *= a
+    vals *= span
+    vals += x
+    flags = ((vals < box_lo) | (vals > box_hi)).tobytes()
+    if flags.find(1, 0, d) < 0:
+        uniforms.consume(d)
+        return vals[0]
     todo = [i for i in range(d) if flags[i]]
     # sel: the pool's coordinates (None: all); col: a coordinate's column;
     # last: the flat index in vals of each column's latest draw; off: the
@@ -199,8 +247,9 @@ def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
         sel, k = todo, len(todo)
         size = 2 * k + 8
         pool = uniforms.peek(size)
-        vals = x[sel] + _delta(pool[:, None], t[sel], base[sel]) * span[sel]
-        flags = ((vals < lo[sel]) | (vals > hi[sel])).tobytes()
+        lo_s, hi_s = lo[sel], hi[sel]
+        vals = x[sel] + _delta(pool[:, None], temps[sel], base[sel]) * (hi_s - lo_s)
+        flags = ((vals < lo_s) | (vals > hi_s)).tobytes()
         col, last = {c: j for j, c in enumerate(sel)}, list(range(k))
         off = p = 0
 
@@ -247,8 +296,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     if not cfg.sensitivity_step > 0.0:
         raise InvalidBounds(f"'sensitivity_step' must be positive, "
                             f"got {cfg.sensitivity_step!r}")
-    for key in ("reanneal_interval", "acceptance_window", "max_trials",
-                "regen_attempts", "k_max"):
+    for key in ("reanneal_interval", "max_trials", "regen_attempts", "k_max"):
         if not getattr(cfg, key) >= 1:
             raise InvalidBounds(f"{key!r} must be >= 1, got {getattr(cfg, key)!r}")
 
@@ -297,6 +345,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     trials = 0
     acceptances = 0
     next_reanneal = cfg.reanneal_interval
+    next_record = RECORD_PERIOD
     # the exit: a run of stall trials none of which lowered the best trial
     # cost by more than gain_tol; the first finite trial sets trial_best
     exit_on = cfg.window_repeat_tol >= 0.0
@@ -306,6 +355,9 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     window_best: list[float] = []
     trace = array("d")
     exit_reason = "trial-limit"
+
+    def acceptance_temperature():
+        return max(accept_t0 * math.exp(-accept_c * k_acc ** inv_d), _T_FLOOR)
 
     def reanneal():
         sens = tangents(evaluate, best_x.copy(), best_f,
@@ -319,24 +371,37 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
         arg = np.maximum(np.log(t0v[active] / np.maximum(t_new, _T_FLOOR)) / cv[active], 0.0)
         k_gen[active] = np.clip(arg ** d, 1.0, cfg.k_max)
 
+    t_acc = acceptance_temperature()
+    box = _law_box(lo, hi)
+    row = rows = 0
     while trials < cfg.max_trials:
+        if row == rows:
+            # the block's rows are k_gen and k_gen + 1.0, + 1.0, ...: trial
+            # row j runs at counters ks[j], and ks[rows] follows the block;
+            # temperature(ks, t0v, cv, d) in its operation order, floored,
+            # with the ** operator, which keeps numpy's sqrt for d = 2
+            rows = min(TEMPERATURE_BLOCK, cfg.max_trials - trials)
+            ks = np.ones((rows + 1, d))
+            ks[0] = k_gen
+            np.add.accumulate(ks, axis=0, out=ks)
+            temps = ks[:rows] ** inv_d
+            temps *= neg_c
+            np.exp(temps, out=temps)
+            temps *= t0v
+            np.maximum(temps, _T_FLOOR, out=temps)
+            bases = 1.0 / temps
+            bases += 1.0
+            k_gen, row = ks[rows], 0
+        cand = generate_candidate(x, temps[row], lo, hi, uniforms, cfg.regen_attempts,
+                                  base=bases[row], box=box)
+        row += 1
         trials += 1
-        # temperature(k_gen, t0v, cv, d) in its operation order, in place;
-        # the ** operator keeps numpy's sqrt for d = 2, and
-        # generate_candidate applies the floor
-        temps = k_gen ** inv_d
-        np.multiply(neg_c, temps, out=temps)
-        np.exp(temps, out=temps)
-        np.multiply(t0v, temps, out=temps)
-        cand = generate_candidate(x, temps, lo, hi, uniforms, cfg.regen_attempts)
         fc = evaluate(cand)
-        k_gen += 1.0
         if fc < trial_best:
             if trial_best - fc > gain_tol:
                 last_gain = trials
             trial_best = fc
 
-        t_acc = max(accept_t0 * math.exp(-accept_c * k_acc ** inv_d), _T_FLOOR)
         trace.append(fc)
         trace.append(t_acc)
 
@@ -350,11 +415,16 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
             fx = fc
             acceptances += 1
             k_acc += 1.0
+            t_acc = acceptance_temperature()
             if acceptances >= next_reanneal:
+                # the counters after this trial; the rescaled ones start a
+                # new block
+                k_gen, row = ks[row].copy(), rows
                 reanneal()
                 next_reanneal += cfg.reanneal_interval
-        if trials % cfg.acceptance_window == 0:
+        if trials == next_record:
             window_best.append(best_f)
+            next_record += RECORD_PERIOD
         if exit_on and trials - last_gain >= stall:
             exit_reason = "cost-repeat"
             break

@@ -65,7 +65,7 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
 
     Returns (unit weights, flat flag, search result). The flat flag marks a
     likelihood surface where no best-cost record after the first (one each
-    acceptance_window trials) improved on it beyond 1e-9 relative.
+    anneal.RECORD_PERIOD trials) improved on it beyond 1e-9 relative.
     """
     k = train.shape[1]
 

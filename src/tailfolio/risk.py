@@ -19,7 +19,13 @@ random numbers), flagging the result infeasible when the best point misses
 the tail-probability tolerance. The contract form is affine in dx, so the
 optimizer compiles it once per call into a kernel that costs one (n, D)
 matvec per evaluation; returns_from_contracts is the reference it is
-tested against.
+tested against. The annealed cost is lean, in forms that give the bits of
+the plain one: the kernel takes |NC| for sgn(NC) NC (they differ only at
+NC = -0.0, where both give dM the same bits) and adds and divides in place,
+the default objective is -(sum dM / n) with np.mean's own sum, and
+q_empirical and cost_q are inlined against the threshold -|VaR|. The
+linear offset is added in place, not dropped: a zero offset turns a -0.0
+return into 0.0, which the sign of a zero cost can show.
 """
 
 from __future__ import annotations
@@ -140,13 +146,16 @@ def _contract_kernel(dx: np.ndarray, template: ContractPortfolio):
         nc = np.asarray(nc, dtype=float)
         if nc.shape != p.shape:
             raise DimensionMismatch("contract arrays must share one length")
-        held = np.sign(nc) * nc
-        value = cash + float(np.sum(held * gain))
+        held = np.abs(nc)
+        value = cash + float(np.add.reduce(held * gain))
         k_prev = k_fixed if fixed else value
         if k_prev == 0.0:
             raise ZeroCapital("portfolio value at the anchor epoch is zero")
-        slip = s * float(np.sum(np.abs(nc - prev_fixed))) if fixed else 0.0
-        return (dx @ (held * p) + (value - slip - k_prev)) / k_prev
+        slip = s * float(np.add.reduce(np.abs(nc - prev_fixed))) if fixed else 0.0
+        dm = dx @ (held * p)
+        dm += value - slip - k_prev
+        dm /= k_prev
+        return dm
 
     return returns
 
@@ -305,23 +314,31 @@ def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig()
     is feasible when |q_empirical - q_target| < the configured tolerance.
     """
     dx = _dx_of(events)
+    n = dx.shape[0]
     if objective is None:
-        objective = lambda dm: -float(np.mean(dm))
+        objective = lambda dm: -(float(np.add.reduce(dm)) / n)
 
     if isinstance(template, LinearPortfolio):
         free, offset = "weights", float(np.sum(template.offsets))
 
         def returns(vec):
-            return dx @ vec + offset
+            dm = dx @ vec
+            dm += offset
+            return dm
     elif isinstance(template, ContractPortfolio):
         free, returns = "counts", _contract_kernel(dx, template)
     else:
         raise OutOfDomain("template must be a LinearPortfolio or ContractPortfolio")
 
+    threshold, q_target = -abs(risk.var_level), risk.q_target
+    weight = risk.penalty_weight
+
     def cost(vec):
         dm = returns(vec)
-        q = q_empirical(dm, risk.var_level)
-        return objective(dm) + risk.penalty_weight * cost_q(q, risk.q_target)
+        if not n:
+            raise DegenerateData("no samples")
+        q = float(np.count_nonzero(dm < threshold)) / n
+        return objective(dm) + weight * abs(q - q_target)
 
     res = anneal.search(cost, bounds, config, refine_calls)
 

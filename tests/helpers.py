@@ -1,13 +1,19 @@
 """Shared fixtures-in-plain-python for the test suite."""
 
 import json
+import math
 import os
+from array import array
 
 import jsonschema
 import numpy as np
 
 from tailfolio import eeg
-from tailfolio.errors import DegenerateVariance, DimensionMismatch, OutOfDomain
+from tailfolio.anneal import (COST_SAMPLES, TEMPERATURE_RATIO, OptResult, _check_bounds,
+                              tangents, temperature)
+from tailfolio.errors import (CostNotFinite, DegenerateVariance, DimensionMismatch,
+                              OutOfDomain, ZeroCapital)
+from tailfolio.rng import UniformStream
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
 
@@ -135,7 +141,7 @@ def oracle_generation_delta(u, temp):
     return float(out) if out.ndim == 0 else out
 
 
-def oracle_generate_candidate(x, temps, lo, hi, uniforms, regen_attempts=100):
+def oracle_generate_candidate(x, temps, lo, hi, uniforms, regen_attempts=100, **kw):
     rangev = hi - lo
     cand = x + oracle_generation_delta(uniforms.take(x.size), temps) * rangev
     bad = (cand < lo) | (cand > hi)
@@ -147,3 +153,139 @@ def oracle_generate_candidate(x, temps, lo, hi, uniforms, regen_attempts=100):
         bad = (cand < lo) | (cand > hi)
         tries += 1
     return np.clip(cand, lo, hi)
+
+
+# Test-only oracle of the annealer's loop in its per-trial form: the
+# generation temperatures computed afresh every trial from counters advanced
+# by += 1.0, the candidate from oracle_generate_candidate, and window_best
+# recorded every 100 trials by a modulo. Kept frozen, so that the blocked
+# loop of minimize is held to it bit for bit. Configs are assumed valid.
+
+def oracle_minimize(cost, bounds, cfg):
+    lo, hi = _check_bounds(bounds)
+    d = lo.size
+    rangev = hi - lo
+    free = rangev > 0.0
+    inv_d = 1.0 / d
+    t0v = np.broadcast_to(np.asarray(cfg.t0, dtype=float), (d,)).copy()
+    x = 0.5 * (lo + hi) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
+    x = np.clip(x, lo, hi)
+
+    best_f = math.inf
+    best_x = x.copy()
+
+    def evaluate(point):
+        nonlocal best_f, best_x
+        v = cost(point)
+        v = float(v) if v is not None and math.isfinite(v) else math.inf
+        if v < best_f:
+            best_f = v
+            best_x = np.array(point, dtype=float)
+        return v
+
+    fx = evaluate(x)
+    if not math.isfinite(fx):
+        raise CostNotFinite("cost is not finite at the initial point")
+    u = UniformStream(cfg.seed, stream=2).take(COST_SAMPLES * d).reshape(-1, d)
+    diffs = [0.0]
+    for point in np.clip(lo + u * rangev, lo, hi):
+        if math.isfinite(v := evaluate(point) - fx):
+            diffs.append(v)
+    spread = float(np.mean(np.abs(np.subtract(diffs, np.mean(diffs)))))
+    scale = spread if 0.0 < spread < math.inf else 1.0
+
+    sized_c = -math.log(TEMPERATURE_RATIO) * cfg.max_trials ** -inv_d
+    cv = np.broadcast_to(np.asarray(sized_c if cfg.c is None else cfg.c, dtype=float),
+                         (d,)).copy()
+    accept_c = sized_c if cfg.accept_c is None else cfg.accept_c
+    accept_t0 = scale if cfg.accept_t0 is None else cfg.accept_t0
+
+    uniforms = UniformStream(cfg.seed, stream=0)
+    accepts = UniformStream(cfg.seed, stream=1)
+    neg_c = -cv
+    k_gen = np.zeros(d)
+    k_acc = 0.0
+    trials = 0
+    acceptances = 0
+    next_reanneal = cfg.reanneal_interval
+    exit_on = cfg.window_repeat_tol >= 0.0
+    gain_tol = cfg.window_repeat_tol * scale
+    stall = max(cfg.max_trials // 10, 1)
+    trial_best, last_gain = math.inf, 0
+    window_best = []
+    trace = array("d")
+    exit_reason = "trial-limit"
+
+    def reanneal():
+        sens = tangents(evaluate, best_x.copy(), best_f,
+                        cfg.sensitivity_step * rangev, lo, hi, free)
+        s_max = sens.max()
+        if s_max <= 0.0:
+            return
+        cur_t = temperature(np.maximum(k_gen, 0.0), t0v, cv, d)
+        active = free & (sens > 0.0)
+        t_new = cur_t[active] * (s_max / sens[active])
+        arg = np.maximum(np.log(t0v[active] / np.maximum(t_new, _T_FLOOR)) / cv[active], 0.0)
+        k_gen[active] = np.clip(arg ** d, 1.0, cfg.k_max)
+
+    while trials < cfg.max_trials:
+        trials += 1
+        temps = k_gen ** inv_d
+        np.multiply(neg_c, temps, out=temps)
+        np.exp(temps, out=temps)
+        np.multiply(t0v, temps, out=temps)
+        cand = oracle_generate_candidate(x, temps, lo, hi, uniforms, cfg.regen_attempts)
+        fc = evaluate(cand)
+        k_gen += 1.0
+        if fc < trial_best:
+            if trial_best - fc > gain_tol:
+                last_gain = trials
+            trial_best = fc
+
+        t_acc = max(accept_t0 * math.exp(-accept_c * k_acc ** inv_d), _T_FLOOR)
+        trace.append(fc)
+        trace.append(t_acc)
+
+        delta = fc - fx
+        accepted = delta <= 0.0
+        if not accepted and math.isfinite(fc):
+            ratio = delta / t_acc
+            accepted = ratio < 700.0 and accepts.one() < math.exp(-ratio)
+        if accepted:
+            x = cand
+            fx = fc
+            acceptances += 1
+            k_acc += 1.0
+            if acceptances >= next_reanneal:
+                reanneal()
+                next_reanneal += cfg.reanneal_interval
+        if trials % 100 == 0:
+            window_best.append(best_f)
+        if exit_on and trials - last_gain >= stall:
+            exit_reason = "cost-repeat"
+            break
+
+    return OptResult(x=best_x, cost=best_f, trials=trials, acceptances=acceptances,
+                     exit_reason=exit_reason, window_best=tuple(window_best),
+                     trace=trace)
+
+
+# Test-only oracle of the contract kernel's returns in its first form,
+# (dx @ (sgn(nc) nc p) + (value - slip - K_prev)) / K_prev with every
+# operation out of place, kept frozen for the position-cost property test.
+
+def oracle_contract_returns(dx, template, nc):
+    p = np.asarray(template.prices, dtype=float)
+    gain = p - np.asarray(template.entry_prices, dtype=float)
+    nc = np.asarray(nc, dtype=float)
+    held = np.sign(nc) * nc
+    value = template.cash + float(np.sum(held * gain))
+    if template.prev_counts is None:
+        k_prev, slip = value, 0.0
+    else:
+        prev = np.asarray(template.prev_counts, dtype=float)
+        k_prev = template.cash + float(np.sum(np.sign(prev) * prev * gain))
+        slip = template.slippage * float(np.sum(np.abs(nc - prev)))
+    if k_prev == 0.0:
+        raise ZeroCapital("portfolio value at the anchor epoch is zero")
+    return (dx @ (held * p) + (value - slip - k_prev)) / k_prev

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfolio import anneal
-from tailfolio.anneal import (_T_FLOOR, COST_SAMPLES, SENTINEL, TEMPERATURE_RATIO,
-                              AnnealConfig, generate_candidate,
-                              generation_delta, local_refine, minimize, search,
-                              tangents, temperature)
+from tailfolio.anneal import (_T_FLOOR, COST_SAMPLES, SENTINEL, TEMPERATURE_BLOCK,
+                              TEMPERATURE_RATIO, AnnealConfig, _law_box,
+                              generate_candidate, generation_delta, local_refine,
+                              minimize, search, tangents, temperature)
 from tailfolio.errors import CostNotFinite, InvalidBounds
 from tailfolio.modelfile import write_trace_csv
 from tailfolio.rng import UniformStream
 
-from helpers import oracle_generate_candidate, oracle_generation_delta
+from helpers import oracle_generate_candidate, oracle_generation_delta, oracle_minimize
 
 
 def test_temperature_closed_form():
@@ -106,8 +106,8 @@ def test_minimize_guards():
         with pytest.raises(InvalidBounds, match="finite"):
             minimize(lambda p: 0.0, [(0.0, 1.0)] * 2, AnnealConfig(**bad))
     # the schema's bounds on the other knobs; NaN fails each of them
-    for key, bad in (("reanneal_interval", 0), ("acceptance_window", 0),
-                     ("max_trials", 0), ("regen_attempts", 0), ("k_max", 0.5),
+    for key, bad in (("reanneal_interval", 0), ("max_trials", 0),
+                     ("regen_attempts", 0), ("k_max", 0.5),
                      ("k_max", np.nan), ("sensitivity_step", 0.0),
                      ("sensitivity_step", np.nan), ("accept_t0", -1.0),
                      ("accept_t0", 0.0), ("accept_c", 0.0), ("c", 0.0)):
@@ -363,9 +363,9 @@ def test_metropolis_draws_leave_the_generation_stream_alone(monkeypatch):
     streams, decided = [], []
     one = UniformStream.one
 
-    def recording(x, temps, lo, hi, uniforms, regen_attempts=100):
+    def recording(x, temps, lo, hi, uniforms, regen_attempts=100, **kw):
         streams.append(uniforms)
-        return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts)
+        return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts, **kw)
 
     def counting(self):
         decided.append(self)
@@ -446,6 +446,13 @@ def _assert_same_candidate(x, temps, lo, hi, regen, seed, skip):
     # the same uniforms were consumed
     assert pooled.take(5).tobytes() == oracle.take(5).tobytes()
     assert pooled.one() == oracle.one()
+    # and the same candidate comes from minimize's precomputed keywords
+    keyed = UniformStream(seed)
+    keyed.take(skip)
+    t = np.maximum(temps, _T_FLOOR)
+    keyed_got = generate_candidate(x, t, lo, hi, keyed, regen, base=1.0 + 1.0 / t,
+                                   box=_law_box(lo, hi))
+    assert keyed_got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=400, deadline=None)
@@ -512,18 +519,19 @@ def test_minimize_matches_minimize_on_the_oracle_candidate(monkeypatch, d, cost)
 def test_minimize_trial_temperatures_are_the_schedule_bitwise(monkeypatch, d):
     seen = []
 
-    def recording(x, temps, lo, hi, uniforms, regen_attempts=100):
+    def recording(x, temps, lo, hi, uniforms, regen_attempts=100, **kw):
         seen.append(temps.copy())
-        return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts)
+        return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts, **kw)
 
     monkeypatch.setattr(anneal, "generate_candidate", recording)
     t0, c = np.linspace(0.5, 2.0, d), np.linspace(0.3, 1.7, d)
     # no reanneal and no exit, so trial k runs at annealing time k in every
-    # dimension, for all 200 trials
+    # dimension, for every trial of three blocks and part of a fourth
+    trials = 3 * TEMPERATURE_BLOCK + 7
     minimize(_interior, [(-1.0, 1.0)] * d,
-             AnnealConfig(seed=1, max_trials=200, t0=t0, c=c,
+             AnnealConfig(seed=1, max_trials=trials, t0=t0, c=c,
                           reanneal_interval=10 ** 6, window_repeat_tol=-1.0))
-    assert len(seen) == 200
+    assert len(seen) == trials
     for k, temps in enumerate(seen):
         want = np.maximum(temperature(np.full(d, float(k)), t0, c, d), _T_FLOOR)
         assert np.maximum(temps, _T_FLOOR).tobytes() == want.tobytes()
@@ -533,9 +541,9 @@ def test_the_default_schedule_reaches_the_temperature_ratio_at_the_budget(
         monkeypatch):
     seen = []
 
-    def recording(x, temps, lo, hi, uniforms, regen_attempts=100):
+    def recording(x, temps, lo, hi, uniforms, regen_attempts=100, **kw):
         seen.append(temps.copy())
-        return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts)
+        return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts, **kw)
 
     monkeypatch.setattr(anneal, "generate_candidate", recording)
     d, trials = 3, 200
@@ -553,3 +561,60 @@ def test_the_default_schedule_reaches_the_temperature_ratio_at_the_budget(
     k_acc = np.concatenate([[0.0], np.cumsum(np.diff(res.trace[1::2]) != 0.0)])
     assert res.trace[1::2] == pytest.approx(res.trace[1] * np.exp(-c * k_acc ** (1 / d)),
                                             rel=1e-12)
+
+
+def _descending(d):
+    """A cost that every trial lowers, so that every trial is accepted and a
+    reanneal falls after trial k * reanneal_interval; the call count makes
+    the tangents differ by direction."""
+    calls = [0]
+
+    def cost(p):
+        calls[0] += 1
+        return _interior(p) - 10.0 * calls[0]
+
+    return cost
+
+
+B = TEMPERATURE_BLOCK
+# (id, D, cost factory, config keys, fixed dimension, x0 at the upper corner)
+LOOP_CASES = [
+    *((f"hot-d{d}", d, lambda d: _interior, {"c": 1.0, "accept_c": 1.0,
+                                              "reanneal_interval": 40}, d > 2, False)
+      for d in (1, 2, 3, 8, 24)),
+    ("default-d8", 8, lambda d: _interior, {}, False, False),
+    ("reanneal-on-block-edges", 3, _descending, {"reanneal_interval": B}, False, False),
+    ("reanneal-mid-block", 8, _descending, {"reanneal_interval": 37}, True, False),
+    ("reanneal-every-trial", 2, _descending, {"reanneal_interval": 1}, False, False),
+    ("regen-once-from-the-corner", 8, lambda d: _corner_linear,
+     {"regen_attempts": 1, "c": 1.0}, False, True),
+    ("exit-fires", 24, lambda d: _bowl, {"window_repeat_tol": 1e-6}, False, False),
+]
+
+
+@pytest.mark.parametrize("d, factory, keys, fixed, corner",
+                         [c[1:] for c in LOOP_CASES], ids=[c[0] for c in LOOP_CASES])
+def test_minimize_matches_the_per_trial_loop_oracle_bitwise(d, factory, keys, fixed,
+                                                            corner):
+    bounds = [(-1.0, 1.0)] * d
+    if fixed:
+        bounds[1] = (0.25, 0.25)
+    keys = {"seed": d, "max_trials": 15 * B + 40, "window_repeat_tol": -1.0, **keys}
+    if corner:
+        keys["x0"] = np.ones(d)
+    cfg = AnnealConfig(**keys)
+    got = minimize(factory(d), bounds, cfg)
+    want = oracle_minimize(factory(d), bounds, cfg)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.cost).tobytes() == np.float64(want.cost).tobytes()
+    assert (got.trials, got.acceptances, got.exit_reason) == (
+        want.trials, want.acceptances, want.exit_reason)
+    assert np.array(got.window_best).tobytes() == np.array(want.window_best).tobytes()
+    assert got.trace.tobytes() == want.trace.tobytes()
+    # each case reaches what it is there for
+    if factory is _descending:
+        assert got.acceptances == got.trials == cfg.max_trials
+    if cfg.window_repeat_tol >= 0.0:
+        assert got.exit_reason == "cost-repeat" and got.trials % B != 0
+    else:
+        assert got.trials == cfg.max_trials and got.trials % B != 0

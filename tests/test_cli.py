@@ -788,6 +788,9 @@ INPUT_FAULTS = [
      lambda t: _model_case(t, lambda d: d["marginals"].pop())),
     ("'correlation' must be 2x2 for the channels, got 3x3",
      lambda t: _model_case(t, lambda d: d.update(correlation=np.eye(3).tolist()))),
+    # a retired annealer key is an unknown one
+    ("unknown annealer option(s): ['acceptance_window']", lambda t: _optimize_case(
+        t, anneal={"max_trials": 20, "acceptance_window": 100})),
 ]
 
 

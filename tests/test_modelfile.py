@@ -666,7 +666,7 @@ def test_anneal_config_from_dict():
     with pytest.raises(ParseError, match="unknown annealer option"):
         anneal_config_from_dict({"temperature": 1.0})
     for bad in ({"max_trials": 2.9}, {"regen_attempts": "5"},
-                {"acceptance_window": float("nan")}, {"seed": float("inf")}):
+                {"reanneal_interval": float("nan")}, {"seed": float("inf")}):
         with pytest.raises(ParseError, match="must be an integer"):
             anneal_config_from_dict(bad)
     for seed in (-1, 2 ** 64):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tailfolio import risk
+from tailfolio import anneal, risk
 from tailfolio.anneal import AnnealConfig
 from tailfolio.copula import CopulaModel, identity_correlation
 from tailfolio.errors import (DegenerateData, DimensionMismatch, OutOfDomain,
@@ -18,6 +19,8 @@ from tailfolio.risk import (ContractPortfolio, LinearPortfolio, RiskConfig,
                             fit_bins, implied_width, optimize_positions,
                             portfolio_returns, q_analytic, q_empirical,
                             returns_from_contracts, risk_report)
+
+from helpers import oracle_contract_returns
 
 
 def test_linear_returns_manual():
@@ -318,3 +321,82 @@ def test_optimize_positions_contract_template():
     assert opt.q == pytest.approx(q_empirical(dm, 0.05), rel=1e-12)
     with pytest.raises(OutOfDomain):
         optimize_positions(dx, object(), [(0.0, 1.0)])
+
+
+class _Compiled(Exception):
+    """Carries the cost optimize_positions hands to the annealer."""
+
+
+def _compiled_cost(dx, template, bounds, config):
+    def capture(cost, *args, **kwargs):
+        raise _Compiled(cost)
+
+    with mock.patch.object(anneal, "search", capture):
+        try:
+            optimize_positions(dx, template, bounds, config)
+        except _Compiled as done:
+            return done.args[0]
+    raise AssertionError("optimize_positions did not anneal")
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@st.composite
+def position_cases(draw):
+    """Events, a linear or contract template, a point of its free vector
+    (zeros of both signs included) and the risk settings."""
+    dim = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1e-3, 1e-2, 0.1]))
+    dx = np.random.default_rng(draw(st.integers(0, 2 ** 32))).laplace(
+        0.0, scale, (n, dim))
+    var_level = draw(st.sampled_from([1e-3, 0.01, 0.05]))
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-20.0, 20.0))
+    vec = np.array(draw(st.lists(entries, min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        vec = np.zeros(dim)
+    if draw(st.booleans()):
+        offsets = draw(st.sampled_from([(0.0,) * dim, (-0.0,) * dim]))
+        if draw(st.booleans()):
+            # returns exactly at the threshold, which the tail leaves out
+            dx[: n // 2 + 1, 0] = -var_level
+            vec = np.eye(dim)[0]
+        else:
+            offsets = draw(st.one_of(st.just(offsets), _vector(dim, -0.1, 0.1)))
+        template = LinearPortfolio(weights=(0.0,) * dim, offsets=tuple(offsets))
+    else:
+        prices = draw(_vector(dim, 1.0, 200.0))
+        template = ContractPortfolio(
+            counts=(0.0,) * dim, prices=tuple(prices),
+            entry_prices=tuple(draw(_vector(dim, 1.0, 200.0))),
+            cash=draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e4))),
+            prev_counts=draw(st.one_of(st.none(), _vector(dim, -20.0, 20.0)
+                                       .map(tuple))),
+            slippage=draw(st.one_of(st.just(0.0), st.floats(1e-4, 5.0))))
+    config = RiskConfig(var_level=var_level,
+                        q_target=draw(st.sampled_from([0.01, 0.2, 1.0])),
+                        penalty_weight=draw(st.sampled_from([0.0, 1.0, 1e3])))
+    return dx, template, vec, config
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=position_cases())
+def test_the_position_cost_is_the_reference_cost_bitwise(case):
+    dx, template, vec, config = case
+    cost = _compiled_cost(dx, template, [(-20.0, 20.0)] * vec.size, config)
+    # the contract reference is the kernel's own first form: the dM of
+    # returns_from_contracts groups its sums differently
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            dm = (portfolio_returns(dx, replace(template, weights=tuple(vec)))
+                  if isinstance(template, LinearPortfolio)
+                  else oracle_contract_returns(dx, template, vec))
+        except ZeroCapital:
+            with pytest.raises(ZeroCapital):
+                cost(vec)
+            return
+        want = -float(np.mean(dm)) + config.penalty_weight * cost_q(
+            q_empirical(dm, config.var_level), config.q_target)
+        assert _bits(cost(vec)) == _bits(want)
