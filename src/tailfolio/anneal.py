@@ -52,6 +52,15 @@ toward that exit, measured from the first trial, so a start point better
 than every trial does not end the run; x0, the samples and reanneal probes
 still update the returned best. window_best records the best cost every
 RECORD_PERIOD (100) trials.
+
+A caller whose cost is a pure function of the point may say so
+(pure_cost): then, where a second CPU is free, a forked worker costs the
+block's next trial, made from the same point, while this process costs the
+current one, as ASA_PARALLEL does. A cold chain rejects most trials, so the
+next one is usually kept; when the current trial moves the chain or ends
+the run, it is dropped and the generation stream is rewound to its first
+uniform. The trials are judged in order either way, so the result is the
+same to the bit.
 `local_refine` is a bounded quasi-Newton polish (numerical gradients, capped
 function calls) that never returns a point worse than its start. `search`
 anneals and then polishes, and returns one result: the polished point and
@@ -61,6 +70,11 @@ cost, with trials counting the anneal's trials and the polish's calls.
 from __future__ import annotations
 
 import math
+import os
+import select
+import struct
+import threading
+import time
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -77,6 +91,12 @@ COST_SAMPLES = 4     # box points sampled for the cost scale, besides x0
 TEMPERATURE_RATIO = 1e-8    # final/initial temperature of the sized schedule
 TEMPERATURE_BLOCK = 64      # trials whose generation temperatures share one pass
 RECORD_PERIOD = 100         # trials between window_best records
+_REPLY = struct.Struct("=Bd")   # a cost worker's reply: status, cost
+_SPIN = 0.002       # seconds a cost worker polls for a request before it sleeps
+_PATIENCE = 1.0     # a reply's wait, over the time worked since its request
+_WINDOW = 32        # costs a worker is paired for between checks that it is on time
+_LATE = 8           # costs of a window taken over here that start a rest
+_REST = 256         # trials left unpaired in a first rest
 
 
 def temperature(k, t0=1.0, c=1.0, d: int = 1):
@@ -97,11 +117,16 @@ def _delta(u, t, base):
 
 
 def generation_delta(u, temp):
-    """Heavy-tailed generating law; u in [0, 1] maps to delta in [-1, 1]."""
-    u = np.asarray(u, dtype=float)
-    t = np.maximum(np.asarray(temp, dtype=float), _T_FLOOR)
+    """Heavy-tailed generating law; u in [0, 1] maps to delta in [-1, 1].
+
+    Scalars are computed as 1-element arrays, so that they get the bits of
+    numpy's array power that generate_candidate uses.
+    """
+    scalar = np.ndim(u) == 0 and np.ndim(temp) == 0
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    t = np.maximum(np.atleast_1d(np.asarray(temp, dtype=float)), _T_FLOOR)
     out = _delta(u, t, 1.0 + 1.0 / t)
-    return float(out) if out.ndim == 0 else out
+    return float(out[0]) if scalar else out
 
 
 @dataclass
@@ -275,8 +300,183 @@ def tangents(cost, x, fx, step, lo, hi, free) -> np.ndarray:
     return sens
 
 
-def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
-    """Anneal cost over the box; returns the best point ever evaluated."""
+def fork_cpus(*needs: str) -> int:
+    """CPUs this process may run on, for work split across os.fork children;
+    1 where os.fork, os.sched_getaffinity or an os function named in needs
+    is missing (Windows, macOS)."""
+    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", *needs)):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_all(fd, data) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_all(fd, n: int) -> bytes:
+    """n bytes from fd, or fewer at its end."""
+    data = b""
+    while len(data) < n and (chunk := os.read(fd, n - len(data))):
+        data += chunk
+    return data
+
+
+def _pin(cpus) -> None:
+    """Run this process on cpus, where the system allows it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _poll(fd, until: float) -> bool:
+    """Whether fd has data by perf_counter time until; spins, so that a
+    process whose peer answers within microseconds is never put to sleep."""
+    while not select.select([fd], [], [], 0.0)[0]:
+        if time.perf_counter() > until:
+            return False
+    return True
+
+
+class _CostWorker:
+    """A forked process that costs the points sent to it, for minimize.
+
+    A request is the point's d doubles; a reply is _REPLY: status 0 and the
+    cost as a double, so inf and NaN cross unchanged, or status 1 when the
+    cost raised, did not return a number or was skipped. Every request gets
+    one reply, in order; the child skips a request when a newer one is
+    already waiting. It serves until its request pipe closes or its reply
+    pipe breaks, and then leaves through os._exit: it never unwinds into
+    the caller's frames, runs atexit handlers or flushes the parent's
+    buffers. Once a pipe fails here the worker is gone.
+
+    The worker runs on a CPU of its own and this process on the others: a
+    pipe's wakeup would otherwise pull both onto one CPU, one waiting on
+    the other. Each side spins a little before it sleeps, since waking a
+    sleeping CPU can take longer than a cost. When other work holds the
+    worker's CPU, a reply can come milliseconds late: this process waits
+    at most _PATIENCE times as long as it has worked since the request,
+    then costs the point itself, and after _LATE of _WINDOW costs taken
+    over it pairs no trial for a rest of _REST trials, doubled while that
+    repeats. Timing decides only where a cost is computed, never its value.
+    """
+
+    def __init__(self, cost, d: int):
+        self._cost = cost
+        self._cpus = os.sched_getaffinity(0)
+        theirs = {max(self._cpus)}
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        req_r, self._req, self._rep, rep_w = fds
+        if self.pid == 0:
+            try:
+                os.close(self._req)
+                os.close(self._rep)
+                _pin(theirs)
+                while True:
+                    if not _poll(req_r, time.perf_counter() + _SPIN):
+                        select.select([req_r], [], [])
+                    if len(data := _read_all(req_r, 8 * d)) < 8 * d:
+                        break
+                    reply = _REPLY.pack(1, 0.0)
+                    if not select.select([req_r], [], [], 0.0)[0]:
+                        try:
+                            reply = _REPLY.pack(0, cost(np.frombuffer(data).copy()))
+                        except Exception:
+                            pass
+                    _write_all(rep_w, reply)
+            finally:
+                os._exit(0)
+        os.close(req_r)
+        os.close(rep_w)
+        _pin(self._cpus - theirs)
+        self.alive = True
+        self._pending = 0       # requests whose replies are still to read
+        self._sent = 0.0
+        self._costs = self._late = self._rest = 0
+        self._rest_len = _REST
+
+    def ready(self) -> bool:
+        """Whether to pair the next trial; asked once per trial."""
+        if self._rest:
+            self._rest -= 1
+            return False
+        return self.alive
+
+    def send(self, point) -> None:
+        """Ask for the cost of point, a float64 array of d values."""
+        if self.alive:
+            try:
+                _write_all(self._req, point.tobytes())
+            except OSError:
+                self.alive = False
+            self._pending += 1
+            self._sent = time.perf_counter()
+
+    def cost(self, point):
+        """The cost of point, the point last sent: the worker's, or computed
+        here when it raised there, is late or the worker is gone, so that a
+        cost that raised there raises here. Older replies are dropped."""
+        now = time.perf_counter()
+        give_up = now + _PATIENCE * (now - self._sent)
+        reply = None
+        while self.alive and self._pending and _poll(self._rep, give_up):
+            data = _read_all(self._rep, _REPLY.size)
+            if len(data) < _REPLY.size:
+                self.alive = False
+            else:
+                self._pending -= 1
+                if not self._pending:
+                    reply = _REPLY.unpack(data)
+        self._note(reply is not None)
+        if reply is not None and reply[0] == 0:
+            return reply[1]
+        return self._cost(point)
+
+    def _note(self, on_time: bool) -> None:
+        """Count a paired cost; a window with _LATE late ones starts a rest."""
+        self._costs += 1
+        self._late += not on_time
+        if self._costs == _WINDOW:
+            if self._late >= _LATE:
+                self._rest = self._rest_len
+                self._rest_len *= 2
+            else:
+                self._rest_len = _REST
+            self._costs = self._late = 0
+
+    def close(self) -> None:
+        """Close the pipes, which ends the child, and reap it."""
+        os.close(self._req)
+        os.close(self._rep)
+        _pin(self._cpus)
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:   # reaped already, as under SIGCHLD ignored
+            pass
+
+
+def minimize(cost, bounds, config: AnnealConfig | None = None, *,
+             pure_cost: bool = False) -> OptResult:
+    """Anneal cost over the box; returns the best point ever evaluated.
+
+    pure_cost is the caller's promise that cost is a pure function of the
+    point: the same point always gives the same value or raises the same
+    exception, with no effect that matters, and it may run in a forked
+    process. Then, where fork_cpus() finds two CPUs and no other thread
+    runs, the trials are costed in pairs on two processes (module doc),
+    with the same result to the bit. The cost samples and reanneal probes
+    stay in this process.
+    """
     cfg = config or AnnealConfig()
     lo, hi = _check_bounds(bounds)
     d = lo.size
@@ -308,7 +508,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     best_f = math.inf
     best_x = x.copy()
 
-    def evaluate(point):
+    def evaluate(point, cost=cost):
         nonlocal best_f, best_x
         v = cost(point)
         v = float(v) if v is not None and math.isfinite(v) else math.inf
@@ -371,32 +571,13 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
         arg = np.maximum(np.log(t0v[active] / np.maximum(t_new, _T_FLOOR)) / cv[active], 0.0)
         k_gen[active] = np.clip(arg ** d, 1.0, cfg.k_max)
 
-    t_acc = acceptance_temperature()
-    box = _law_box(lo, hi)
-    row = rows = 0
-    while trials < cfg.max_trials:
-        if row == rows:
-            # the block's rows are k_gen and k_gen + 1.0, + 1.0, ...: trial
-            # row j runs at counters ks[j], and ks[rows] follows the block;
-            # temperature(ks, t0v, cv, d) in its operation order, floored,
-            # with the ** operator, which keeps numpy's sqrt for d = 2
-            rows = min(TEMPERATURE_BLOCK, cfg.max_trials - trials)
-            ks = np.ones((rows + 1, d))
-            ks[0] = k_gen
-            np.add.accumulate(ks, axis=0, out=ks)
-            temps = ks[:rows] ** inv_d
-            temps *= neg_c
-            np.exp(temps, out=temps)
-            temps *= t0v
-            np.maximum(temps, _T_FLOOR, out=temps)
-            bases = 1.0 / temps
-            bases += 1.0
-            k_gen, row = ks[rows], 0
-        cand = generate_candidate(x, temps[row], lo, hi, uniforms, cfg.regen_attempts,
-                                  base=bases[row], box=box)
+    def judge(cand, fc) -> bool:
+        """Book the next trial, candidate cand of cost fc, in trial order;
+        True when it moved the chain or ended the run."""
+        nonlocal x, fx, row, trials, acceptances, k_acc, t_acc, k_gen, \
+            trial_best, last_gain, next_reanneal, next_record, exit_reason
         row += 1
         trials += 1
-        fc = evaluate(cand)
         if fc < trial_best:
             if trial_best - fc > gain_tol:
                 last_gain = trials
@@ -427,7 +608,61 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
             next_record += RECORD_PERIOD
         if exit_on and trials - last_gain >= stall:
             exit_reason = "cost-repeat"
-            break
+            return True
+        return accepted
+
+    t_acc = acceptance_temperature()
+    box = _law_box(lo, hi)
+    row = rows = 0
+    worker = None
+    # fork copies only this thread: a lock another thread held would stay
+    # held in the worker
+    if pure_cost and fork_cpus() > 1 and threading.active_count() == 1:
+        try:
+            worker = _CostWorker(cost, d)
+        except OSError:     # no fork: the trials are costed one by one
+            pass
+    try:
+        while trials < cfg.max_trials and exit_reason == "trial-limit":
+            if row == rows:
+                # the block's rows are k_gen and k_gen + 1.0, + 1.0, ...:
+                # trial row j runs at counters ks[j], and ks[rows] follows
+                # the block; temperature(ks, t0v, cv, d) in its operation
+                # order, floored, with the ** operator, which keeps numpy's
+                # sqrt for d = 2
+                rows = min(TEMPERATURE_BLOCK, cfg.max_trials - trials)
+                ks = np.ones((rows + 1, d))
+                ks[0] = k_gen
+                np.add.accumulate(ks, axis=0, out=ks)
+                temps = ks[:rows] ** inv_d
+                temps *= neg_c
+                np.exp(temps, out=temps)
+                temps *= t0v
+                np.maximum(temps, _T_FLOOR, out=temps)
+                bases = 1.0 / temps
+                bases += 1.0
+                k_gen, row = ks[rows], 0
+            cand = generate_candidate(x, temps[row], lo, hi, uniforms,
+                                      cfg.regen_attempts, base=bases[row], box=box)
+            # a pair: the block's next trial is made from the same x and
+            # costed by the worker while this one is costed here; it is
+            # judged only if this one leaves the chain where it was, and
+            # otherwise dropped with the uniforms it drew
+            spec = None
+            if worker is not None and worker.ready() and row + 1 < rows:
+                mark = uniforms.tell()
+                spec = generate_candidate(x, temps[row + 1], lo, hi, uniforms,
+                                          cfg.regen_attempts, base=bases[row + 1],
+                                          box=box)
+                worker.send(spec)
+            if judge(cand, evaluate(cand)):
+                if spec is not None:
+                    uniforms.seek(mark)
+            elif spec is not None:
+                judge(spec, evaluate(spec, worker.cost))
+    finally:
+        if worker is not None:
+            worker.close()
 
     return OptResult(x=best_x, cost=best_f, trials=trials, acceptances=acceptances,
                      exit_reason=exit_reason, window_best=tuple(window_best),
@@ -472,7 +707,7 @@ def local_refine(cost, x0, bounds, max_calls: int = 1000) -> OptResult:
 
 
 def search(cost, bounds, config: AnnealConfig | None = None,
-           refine_calls: int = 1000) -> OptResult:
+           refine_calls: int = 1000, *, pure_cost: bool = False) -> OptResult:
     """Anneal, then polish the annealed point with local_refine.
 
     Returns one OptResult. When the polish runs, its point and cost replace
@@ -481,11 +716,11 @@ def search(cost, bounds, config: AnnealConfig | None = None,
     acceptances, exit_reason, window_best and trace stay the anneal's. When
     refine_calls is 0 or the annealed cost is not below SENTINEL, the polish
     is skipped and the anneal's result is returned unchanged; a negative or
-    NaN refine_calls raises InvalidBounds.
+    NaN refine_calls raises InvalidBounds. pure_cost is minimize's.
     """
     if not refine_calls >= 0:   # NaN fails too
         raise InvalidBounds(f"'refine_calls' must be >= 0, got {refine_calls!r}")
-    res = minimize(cost, bounds, config)
+    res = minimize(cost, bounds, config, pure_cost=pure_cost)
     if refine_calls <= 0 or res.cost >= SENTINEL:
         return res
     polish = local_refine(cost, res.x, bounds, max_calls=refine_calls)

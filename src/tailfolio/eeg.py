@@ -36,6 +36,7 @@ M-dagger(t) = weight * M^E_source(t - delay), zero before the data start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -124,6 +125,14 @@ class _ColumnsView:
             self.dlr, n))
         self.den0_ok = not np.any(self.den0 <= 0.0)
         self.root_den0 = np.sqrt(_PI * self.stacked[4]) if self.den0_ok else None
+        # a |slope| with n_i / |slope| >= n_e, so that the firing bound
+        # min(n_e, n_i / |slope|) is n_e there and at every |slope| below;
+        # 0 only where n_i / n_e is below the least subnormal
+        n_e, n_i = float(cols.n_e), float(cols.n_i)
+        cut = n_i / n_e
+        while cut > 0.0 and n_i / cut < n_e:
+            cut = math.nextafter(cut, 0.0)
+        self.slope_cut = cut
 
 
 def threshold_factor(cols: ColumnParams, m_e, m_i, m_lr=0.0,
@@ -362,10 +371,12 @@ def _site_arrays(cols: ColumnParams, sites: np.ndarray):
     denom = gains[0] + gains[1] * slope
     if np.any(np.abs(denom) < 1e-12):
         raise SingularInversion("combined electrode gain is zero")
-    with np.errstate(divide="ignore", over="ignore"):
-        bound = np.where(slope != 0.0,
-                         np.minimum(cols.n_e, cols.n_i / np.abs(slope)),
-                         cols.n_e)
+    # the firing bound min(n_e, n_i / |slope|) with |slope| raised to
+    # slope_cut, which leaves it as it is, and divides no n_i by 0
+    bound = np.abs(slope)
+    np.maximum(bound, cols._view.slope_cut, out=bound)
+    np.divide(cols.n_i, bound, out=bound)
+    np.minimum(cols.n_e, bound, out=bound)
     return offset, gains, slope, denom, bound
 
 
@@ -607,7 +618,7 @@ def fit_net(series, net: RegionNet, free, bounds,
         except TypeError as exc:
             raise OutOfDomain("bounds must map each free key to (lo, hi)") from exc
         cost = _fit_cost(net, keys, _series(net, phi, min_epochs=2), penalty_weight)
-        res = anneal.search(cost, box, config, refine_calls)
+        res = anneal.search(cost, box, config, refine_calls, pure_cost=True)
         fitted = apply_params(net, dict(zip(keys, res.x)))
         fitted = replace(fitted, columns=centering_shift(fitted.columns))
     det = loglikelihood_details(fitted, phi)

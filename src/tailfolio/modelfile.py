@@ -32,7 +32,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .anneal import AnnealConfig
+from .anneal import AnnealConfig, fork_cpus
 from .copula import CopulaModel, CorrelationMatrix
 from .eeg import ColumnParams, Coupling, ElectrodeSite, RegionNet
 from .errors import OutOfDomain, ParseError
@@ -90,10 +90,9 @@ def _part_count(size, part_size) -> int:
     """Parts for a table of size units: one per CPU this process may run on,
     each of at least part_size units. Where os.fork, os.sched_getaffinity or
     os.memfd_create is missing (Windows, macOS), a table is one part."""
-    if size < 2 * part_size or not all(
-            hasattr(os, name) for name in ("fork", "sched_getaffinity", "memfd_create")):
+    if size < 2 * part_size:
         return 1
-    return min(len(os.sched_getaffinity(0)), size // part_size)
+    return min(fork_cpus("memfd_create"), size // part_size)
 
 
 def _reap(pids, kill=False) -> bool:

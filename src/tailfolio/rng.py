@@ -97,6 +97,17 @@ class UniformStream:
         self._pos += 1
         return float(v)
 
+    def tell(self):
+        """The stream's position, for seek. Exact across refills: no method
+        writes a buffer in place, so the saved buffer still holds what it
+        held, and the generator's state is where its next refill starts."""
+        return self._buf, self._pos, self._bitgen.state
+
+    def seek(self, position) -> None:
+        """Return to a position from tell: the next draws are those that
+        followed it."""
+        self._buf, self._pos, self._bitgen.state = position
+
 
 class NormalStream:
     """Standard normal stream via inverse-CDF of a UniformStream."""

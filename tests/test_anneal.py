@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -397,20 +400,64 @@ def test_a_start_at_the_optimum_does_not_end_the_run():
     assert costs.min() < 1e-2 * costs[0]
 
 
+# 1e-300 to 10, and below the floor (zero and subnormal)
+_TEMPS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1e-3,
+                                    1.0, 10.0]),
+                   st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e))
+
+
 @settings(max_examples=200, deadline=None)
 @given(u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
        temp=st.one_of(st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 10.0]),
                       st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e)))
 def test_generation_delta_matches_the_oracle_law_bitwise(u, temp):
-    assert generation_delta(u[0], temp) == oracle_generation_delta(u[0], temp)
+    # a scalar has the bits of the law on arrays
+    want = oracle_generation_delta(np.array(u[:1]), temp)[0]
+    assert generation_delta(u[0], temp) == want
     got = generation_delta(np.array(u), temp)
     assert got.tobytes() == oracle_generation_delta(np.array(u), temp).tobytes()
 
 
-# 1e-300 to 10, and below the floor (zero and subnormal)
-_TEMPS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1e-3,
-                                    1.0, 10.0]),
-                   st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e))
+class _Fixed:
+    """A uniform stream that yields the given values and then 0.5."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def peek(self, n):
+        pool = np.full(n, 0.5)
+        pool[:len(self.values)] = self.values
+        pool.flags.writeable = False
+        return pool
+
+    def consume(self, n):
+        pass
+
+
+def _row0(u, temps):
+    """generate_candidate's row 0 at x = 0 with unit spans and a box wide
+    enough that no coordinate is redrawn: the law's value per coordinate."""
+    d = len(u)
+    rows = (d + 9, d)
+    box = (np.full(rows, -2.0), np.full(rows, 2.0), np.ones(rows))
+    return generate_candidate(np.zeros(d), np.array(temps), np.full(d, -2.0),
+                              np.full(d, 2.0), _Fixed(u), box=box)
+
+
+def test_generation_delta_of_a_scalar_is_the_candidate_law_bitwise():
+    # numpy's scalar power gives -8.49682865651887e-205 here
+    u = 0.3401179052324315
+    assert generation_delta(u, 0.0) == -8.496828656518868e-205
+    assert generation_delta(u, 0.0) == _row0([u], [0.0])[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), _TEMPS), min_size=1, max_size=24))
+def test_generation_delta_of_scalars_is_generate_candidates_row_0(pairs):
+    u, temps = [p[0] for p in pairs], [p[1] for p in pairs]
+    want = _row0(u, temps)
+    got = np.array([generation_delta(a, t) for a, t in pairs])
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -592,25 +639,34 @@ LOOP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("d, factory, keys, fixed, corner",
-                         [c[1:] for c in LOOP_CASES], ids=[c[0] for c in LOOP_CASES])
-def test_minimize_matches_the_per_trial_loop_oracle_bitwise(d, factory, keys, fixed,
-                                                            corner):
+def _loop_case(d, keys, fixed, corner):
+    """Bounds and config of a loop case: 15 blocks and 40 trials, no exit
+    unless keys turn it on."""
     bounds = [(-1.0, 1.0)] * d
     if fixed:
         bounds[1] = (0.25, 0.25)
     keys = {"seed": d, "max_trials": 15 * B + 40, "window_repeat_tol": -1.0, **keys}
     if corner:
         keys["x0"] = np.ones(d)
-    cfg = AnnealConfig(**keys)
-    got = minimize(factory(d), bounds, cfg)
-    want = oracle_minimize(factory(d), bounds, cfg)
+    return bounds, AnnealConfig(**keys)
+
+
+def _assert_same_run(got, want):
     assert got.x.tobytes() == want.x.tobytes()
     assert np.float64(got.cost).tobytes() == np.float64(want.cost).tobytes()
     assert (got.trials, got.acceptances, got.exit_reason) == (
         want.trials, want.acceptances, want.exit_reason)
     assert np.array(got.window_best).tobytes() == np.array(want.window_best).tobytes()
     assert got.trace.tobytes() == want.trace.tobytes()
+
+
+@pytest.mark.parametrize("d, factory, keys, fixed, corner",
+                         [c[1:] for c in LOOP_CASES], ids=[c[0] for c in LOOP_CASES])
+def test_minimize_matches_the_per_trial_loop_oracle_bitwise(d, factory, keys, fixed,
+                                                            corner):
+    bounds, cfg = _loop_case(d, keys, fixed, corner)
+    got = minimize(factory(d), bounds, cfg)
+    _assert_same_run(got, oracle_minimize(factory(d), bounds, cfg))
     # each case reaches what it is there for
     if factory is _descending:
         assert got.acceptances == got.trials == cfg.max_trials
@@ -618,3 +674,219 @@ def test_minimize_matches_the_per_trial_loop_oracle_bitwise(d, factory, keys, fi
         assert got.exit_reason == "cost-repeat" and got.trials % B != 0
     else:
         assert got.trials == cfg.max_trials and got.trials % B != 0
+
+
+# ------------------------------------------- trials costed in pairs (pure_cost)
+
+needs_fork = pytest.mark.skipif(
+    not all(hasattr(os, name) for name in ("fork", "sched_getaffinity")),
+    reason="the cost worker is forked where os.fork and sched_getaffinity exist")
+
+
+def _paired(mp):
+    """Make minimize find two CPUs, so that a pure cost gets a worker, one
+    that is waited for and never rested, so that neither the pairs nor the
+    costs the worker gives depend on timing; the points sent to it, and the
+    costs taken from it (each a kept trial), from now on."""
+    mp.setattr(anneal, "fork_cpus", lambda *needs: 2)
+    mp.setattr(anneal, "_PATIENCE", math.inf)
+    mp.setattr(anneal, "_LATE", anneal._WINDOW + 1)
+    sent, kept = [], []
+    send, cost = anneal._CostWorker.send, anneal._CostWorker.cost
+
+    def sending(self, point):
+        sent.append(point.copy())
+        send(self, point)
+
+    def taking(self, point):
+        kept.append(point.copy())
+        return cost(self, point)
+
+    mp.setattr(anneal._CostWorker, "send", sending)
+    mp.setattr(anneal._CostWorker, "cost", taking)
+    return sent, kept
+
+
+def _holes(p):
+    """_interior, but NaN on one side of the box and inf on the other."""
+    if p[0] > 0.6:
+        return math.nan
+    if p[0] < -0.7:
+        return math.inf
+    return _interior(p)
+
+
+HOT = {"c": 1.0, "accept_c": 1.0, "reanneal_interval": 40}
+# (id, D, pure cost, config keys, fixed dimension, x0 at the upper corner);
+# an accept_t0 of 1e30 accepts every trial, so a reanneal falls after trial
+# k * reanneal_interval and every pair is dropped
+PAIRED_CASES = [
+    ("hot-d1", 1, _interior, HOT, False, False),
+    ("hot-d8", 8, _interior, HOT, True, False),
+    ("hot-d24", 24, _interior, HOT, True, False),
+    ("default-d8", 8, _interior, {}, False, False),
+    ("default-d24", 24, _interior, {}, False, False),
+    ("reanneal-on-block-edges", 8, _interior,
+     {"accept_t0": 1e30, "reanneal_interval": B}, False, False),
+    ("reanneal-mid-block", 8, _interior,
+     {"accept_t0": 1e30, "reanneal_interval": 37}, True, False),
+    ("regen-once-from-the-corner", 8, _corner_linear,
+     {"regen_attempts": 1, "c": 1.0}, False, True),
+    ("exit-fires", 24, _bowl, {"window_repeat_tol": 1e-6}, False, False),
+    ("non-finite-costs", 8, _holes, {"c": 1.0}, False, False),
+]
+
+
+@needs_fork
+@pytest.mark.parametrize("d, cost, keys, fixed, corner",
+                         [c[1:] for c in PAIRED_CASES], ids=[c[0] for c in PAIRED_CASES])
+def test_paired_trials_match_the_per_trial_loop_oracle_bitwise(monkeypatch, d, cost,
+                                                               keys, fixed, corner):
+    bounds, cfg = _loop_case(d, keys, fixed, corner)
+    sent, kept = _paired(monkeypatch)
+    got = minimize(cost, bounds, cfg, pure_cost=True)
+    _assert_same_run(got, oracle_minimize(cost, bounds, cfg))
+    # each case reaches what it is there for
+    assert sent
+    if "accept_t0" in keys:
+        assert got.acceptances == got.trials == cfg.max_trials and not kept
+    elif not keys:
+        assert len(kept) > got.trials // 3
+    if cost is _holes:
+        assert math.inf in got.trace and kept
+    if cfg.window_repeat_tol >= 0.0:
+        assert got.exit_reason == "cost-repeat" and got.trials % B != 0
+
+
+@needs_fork
+def test_a_cost_that_raises_on_one_candidate_raises_there_when_paired(monkeypatch):
+    d, bounds = 8, [(-1.0, 1.0)] * 8
+    cfg = AnnealConfig(seed=3, max_trials=1000, reanneal_interval=10 ** 6,
+                       window_repeat_tol=-1.0)
+    seen = []
+    oracle_minimize(lambda p: seen.append(p.copy()) or _interior(p), bounds, cfg)
+    sent, _ = _paired(monkeypatch)
+    # two trials in a row: one of them is the second of a pair
+    for trial in (300, 301):
+        bad = seen[COST_SAMPLES + trial]     # after x0 and the samples
+
+        def raising(p):
+            if np.array_equal(p, bad):
+                raise ValueError(f"no cost at trial {trial}")
+            return _interior(p)
+
+        with pytest.raises(ValueError, match=f"at trial {trial}"):
+            oracle_minimize(raising, bounds, cfg)
+        with pytest.raises(ValueError, match=f"at trial {trial}"):
+            minimize(raising, bounds, cfg, pure_cost=True)
+    assert sum(any(np.array_equal(p, seen[COST_SAMPLES + t]) for p in sent)
+               for t in (300, 301)) == 1
+
+
+@needs_fork
+def test_a_dropped_trial_is_never_judged_even_when_its_cost_raised(monkeypatch):
+    bounds, cfg = _loop_case(8, {"accept_t0": 1e30, "reanneal_interval": 37}, False,
+                             False)
+    sent, _ = _paired(monkeypatch)
+    want = minimize(_interior, bounds, cfg, pure_cost=True)
+    dropped = sent[len(sent) // 2]
+
+    def raising(p):
+        if np.array_equal(p, dropped):
+            raise ValueError("a dropped trial was costed here")
+        return _interior(p)
+
+    _assert_same_run(minimize(raising, bounds, cfg, pure_cost=True), want)
+    _assert_same_run(want, oracle_minimize(_interior, bounds, cfg))
+
+
+@needs_fork
+def test_a_worker_that_exits_mid_run_leaves_the_rest_to_this_process(monkeypatch):
+    bounds, cfg = _loop_case(8, {}, False, False)
+    parent, calls = os.getpid(), [0]
+
+    def dying(p):
+        if os.getpid() == parent:
+            time.sleep(0.001)   # so that no reply is late and taken over
+        else:
+            calls[0] += 1
+            if calls[0] == 50:
+                os._exit(0)
+        return _interior(p)
+
+    sent, _ = _paired(monkeypatch)
+    got = minimize(dying, bounds, cfg, pure_cost=True)
+    _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
+    # pairs until the worker died (a whole run pairs about half its trials)
+    assert 50 <= len(sent) < cfg.max_trials // 4
+
+
+@needs_fork
+def test_a_late_worker_is_taken_over_and_rested_with_the_same_run(monkeypatch):
+    bounds, cfg = _loop_case(8, {}, False, False)
+    parent = os.getpid()
+
+    def slow(p):
+        if os.getpid() != parent:
+            time.sleep(0.002)
+        return _interior(p)
+
+    monkeypatch.setattr(anneal, "fork_cpus", lambda *needs: 2)
+    pairs, ready = [], anneal._CostWorker.ready
+
+    def counting(self):
+        pairs.append(ready(self))
+        return pairs[-1]
+
+    monkeypatch.setattr(anneal._CostWorker, "ready", counting)
+    got = minimize(slow, bounds, cfg, pure_cost=True)
+    _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
+    # a window of pairs, a rest of _REST trials, a window, a rest twice as
+    # long
+    rest = anneal._REST
+    first = pairs.index(False)
+    again = pairs.index(True, first)
+    second = pairs.index(False, again)
+    assert again - first == rest and anneal._WINDOW <= first < 2 * anneal._WINDOW
+    assert pairs[second:second + 2 * rest] == [False] * (2 * rest)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+@pytest.mark.parametrize("platform", ["one-cpu", "no-fork", "fork-fails", "threaded"])
+def test_a_pure_cost_without_a_worker_gives_the_same_run(monkeypatch, platform):
+    bounds, cfg = _loop_case(8, HOT, False, False)
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(1)
+        if platform == "fork-fails":
+            raise OSError("no process left")
+        return fork()
+
+    if platform == "no-fork":
+        monkeypatch.delattr(anneal.os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(anneal.os, "fork", counting, raising=False)
+    if platform == "one-cpu":
+        monkeypatch.setattr(anneal.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+    elif platform != "no-fork":
+        monkeypatch.setattr(anneal, "fork_cpus", lambda *needs: 2)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(60.0,))
+    if platform == "threaded":
+        other.start()
+    try:
+        fds = _open_fds()
+        got = minimize(_interior, bounds, cfg, pure_cost=True)
+    finally:
+        done.set()
+        if other.ident is not None:
+            other.join(60.0)
+    assert not other.is_alive()
+    _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
+    assert forks == ([1] if platform == "fork-fails" else [])
+    assert _open_fds() == fds

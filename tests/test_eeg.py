@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -484,6 +485,13 @@ def test_compiled_fit_cost_equals_rebuild_reference():
     for key, val in (("Pz.gain_e", 0.5), ("Pz.gain_i", 1.0), ("Pz.trough_slope", -0.5)):
         singular[keys.index(key)] = val
     points.append(singular)
+    # a firing bound of n_e with no slope to divide by, and one of n_e with
+    # a quotient far past it
+    flat = points[2].copy()
+    for key, val in (("Fz.trough_slope", 0.0), ("Cz.trough_slope", 1e-300),
+                     ("Pz.trough_slope", -1e-300)):
+        flat[keys.index(key)] = val
+    points.append(flat)
 
     clamped = 0
     for vec in points:
@@ -493,6 +501,85 @@ def test_compiled_fit_cost_equals_rebuild_reference():
             template, keys, phi, vec, penalty_weight=0.0)
     assert clamped >= 2
     assert cost(singular) == np.inf
+
+
+def oracle_firing_bound(cols, slope):
+    """The firing bound in its first form: n_e where the slope is 0, else
+    min(n_e, n_i / |slope|)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(slope != 0.0, np.minimum(cols.n_e, cols.n_i / np.abs(slope)),
+                        cols.n_e)
+
+
+@st.composite
+def bound_cases(draw):
+    """Columns and slopes: zeros of both signs, +-1e-300, subnormals, inf,
+    NaN, and slopes within a few ulps of n_i / n_e, where the bound turns."""
+    n_e, n_i = draw(st.floats(1e-3, 1e6)), draw(st.floats(1e-3, 1e6))
+    turn = n_i / n_e
+    near = st.integers(-4, 4).map(lambda k: turn * (1.0 + k * 2.0 ** -52))
+    slopes = draw(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e-310, np.inf,
+                         -np.inf, np.nan]),
+        near, near.map(lambda v: -v), st.floats(-1e3, 1e3)), min_size=1, max_size=8))
+    return ColumnParams(n_e=n_e, n_i=n_i), np.array(slopes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=bound_cases())
+def test_the_firing_bound_is_its_first_form_bitwise(case):
+    cols, slopes = case
+    sites = np.zeros((slopes.size, 4))
+    sites[:, 1] = 1.0
+    sites[:, 3] = slopes
+    sites[np.isinf(slopes), 2] = 0.5     # a finite combined gain
+    bound = eeg._site_arrays(cols, sites)[4]
+    assert bound.tobytes() == oracle_firing_bound(cols, slopes[:, None]).tobytes()
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+@pytest.mark.skipif(not all(hasattr(os, name) for name in ("fork", "sched_getaffinity")),
+                    reason="the fit's cost worker is forked where os.fork and "
+                           "sched_getaffinity exist")
+def test_fit_net_leaves_no_worker_behind_and_fits_the_same_with_one(monkeypatch):
+    truth = two_site_net()
+    phi = simulate(truth, 300, seed=3)
+    keys = ["Fz.offset", "Cz.gain_e", "Cz.trough_slope", "Fz->Cz.weight"]
+    bounds = {"Fz.offset": (-3.0, 3.0), "Cz.gain_e": (0.3, 2.0),
+              "Cz.trough_slope": (0.1, 1.0), "Fz->Cz.weight": (0.0, 0.3)}
+    template = apply_params(truth, {"Fz.offset": 0.0, "Cz.gain_e": 1.0,
+                                    "Cz.trough_slope": 0.4, "Fz->Cz.weight": 0.1})
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    fits = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(eeg.anneal, "fork_cpus", lambda *needs, cpus=cpus: cpus)
+        fds = _open_fds()
+        fits.append(fit_net(phi, template, keys, bounds,
+                            AnnealConfig(seed=5, max_trials=600), refine_calls=50))
+        assert _open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == cpus - 1
+    alone, paired = fits
+    assert (alone.net, alone.loglik, alone.clamp_fraction, alone.out_of_range) == (
+        paired.net, paired.loglik, paired.clamp_fraction, paired.out_of_range)
+    a, b = alone.result, paired.result
+    assert a.x.tobytes() == b.x.tobytes()
+    assert np.float64(a.cost).tobytes() == np.float64(b.cost).tobytes()
+    assert (a.trials, a.acceptances, a.exit_reason, a.window_best) == (
+        b.trials, b.acceptances, b.exit_reason, b.window_best)
+    assert a.trace.tobytes() == b.trace.tobytes()
 
 
 def test_fit_net_error_parity(monkeypatch):

@@ -163,3 +163,40 @@ def test_peek_across_a_block_keeps_one_buffer():
     assert old() is None
     # the unread tail of the old block and one fresh block
     assert s._buf.size == 192 + 8192
+
+
+_OPS = st.lists(st.tuples(st.sampled_from(["take", "one", "peek", "consume"]),
+                          _SIZES, st.floats(0.0, 1.0)), max_size=8)
+
+
+def _draw(s, ops):
+    """Run ops on s; the bytes of what each op returned."""
+    out = []
+    for op, n, part in ops:
+        if op == "take":
+            out.append(s.take(n).tobytes())
+        elif op == "one":
+            out.append(np.float64(s.one()).tobytes())
+        else:
+            out.append(s.peek(n).tobytes())
+            if op == "consume":
+                s.consume(int(part * n))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), before=_OPS, between=_OPS, after=_OPS)
+def test_seek_returns_to_the_told_position_across_refills(seed, before, between,
+                                                          after):
+    s, twin = UniformStream(seed, stream=1), UniformStream(seed, stream=1)
+    _draw(s, before)
+    _draw(twin, before)
+    mark = s.tell()
+    drawn = _draw(s, between)
+    s.seek(mark)
+    # the same draws again, and then those of a stream that never left
+    assert _draw(s, between) == drawn
+    s.seek(mark)
+    assert _draw(s, after) == _draw(twin, after)
+    assert s.take(3).tobytes() == twin.take(3).tobytes()
+    assert s.one() == twin.one()
