@@ -94,9 +94,6 @@ RECORD_PERIOD = 100         # trials between window_best records
 _REPLY = struct.Struct("=Bd")   # a cost worker's reply: status, cost
 _SPIN = 0.002       # seconds a cost worker polls for a request before it sleeps
 _PATIENCE = 1.0     # a reply's wait, over the time worked since its request
-_WINDOW = 32        # costs a worker is paired for between checks that it is on time
-_LATE = 8           # costs of a window taken over here that start a rest
-_REST = 256         # trials left unpaired in a first rest
 
 
 def temperature(k, t0=1.0, c=1.0, d: int = 1):
@@ -345,12 +342,13 @@ class _CostWorker:
 
     A request is the point's d doubles; a reply is _REPLY: status 0 and the
     cost as a double, so inf and NaN cross unchanged, or status 1 when the
-    cost raised, did not return a number or was skipped. Every request gets
-    one reply, in order; the child skips a request when a newer one is
-    already waiting. It serves until its request pipe closes or its reply
-    pipe breaks, and then leaves through os._exit: it never unwinds into
-    the caller's frames, runs atexit handlers or flushes the parent's
-    buffers. Once a pipe fails here the worker is gone.
+    cost raised or did not return a number. At most one request is owed a
+    reply: no point is sent while the reply to the last one, a dropped or
+    taken-over trial's, is still to come, so neither pipe ever holds more
+    than one message. The child serves until its request pipe closes or
+    its reply pipe breaks, and then leaves through os._exit: it never
+    unwinds into the caller's frames, runs atexit handlers or flushes the
+    parent's buffers. Once a pipe fails here the worker is gone.
 
     The worker runs on a CPU of its own and this process on the others: a
     pipe's wakeup would otherwise pull both onto one CPU, one waiting on
@@ -358,9 +356,8 @@ class _CostWorker:
     sleeping CPU can take longer than a cost. When other work holds the
     worker's CPU, a reply can come milliseconds late: this process waits
     at most _PATIENCE times as long as it has worked since the request,
-    then costs the point itself, and after _LATE of _WINDOW costs taken
-    over it pairs no trial for a rest of _REST trials, doubled while that
-    repeats. Timing decides only where a cost is computed, never its value.
+    then costs the point itself, and pairs no trial until the late reply
+    has come. Timing decides only where a cost is computed, never its value.
     """
 
     def __init__(self, cost, d: int):
@@ -387,12 +384,10 @@ class _CostWorker:
                         select.select([req_r], [], [])
                     if len(data := _read_all(req_r, 8 * d)) < 8 * d:
                         break
-                    reply = _REPLY.pack(1, 0.0)
-                    if not select.select([req_r], [], [], 0.0)[0]:
-                        try:
-                            reply = _REPLY.pack(0, cost(np.frombuffer(data).copy()))
-                        except Exception:
-                            pass
+                    try:
+                        reply = _REPLY.pack(0, cost(np.frombuffer(data).copy()))
+                    except Exception:
+                        reply = _REPLY.pack(1, 0.0)
                     _write_all(rep_w, reply)
             finally:
                 os._exit(0)
@@ -400,59 +395,49 @@ class _CostWorker:
         os.close(rep_w)
         _pin(self._cpus - theirs)
         self.alive = True
-        self._pending = 0       # requests whose replies are still to read
+        self._owed = False      # whether the last request's reply is unread
         self._sent = 0.0
-        self._costs = self._late = self._rest = 0
-        self._rest_len = _REST
 
     def ready(self) -> bool:
-        """Whether to pair the next trial; asked once per trial."""
-        if self._rest:
-            self._rest -= 1
-            return False
-        return self.alive
+        """Whether to pair the next trial; asked once per trial. A reply
+        that has come to a request no longer wanted is read and dropped."""
+        if self._owed and select.select([self._rep], [], [], 0.0)[0]:
+            self._reply()
+        return self.alive and not self._owed
 
     def send(self, point) -> None:
-        """Ask for the cost of point, a float64 array of d values."""
-        if self.alive:
-            try:
-                _write_all(self._req, point.tobytes())
-            except OSError:
-                self.alive = False
-            self._pending += 1
+        """Ask for the cost of point, a float64 array of d values; only
+        when ready()."""
+        try:
+            _write_all(self._req, point.tobytes())
+        except OSError:
+            self.alive = False
+        else:
+            self._owed = True
             self._sent = time.perf_counter()
 
     def cost(self, point):
         """The cost of point, the point last sent: the worker's, or computed
         here when it raised there, is late or the worker is gone, so that a
-        cost that raised there raises here. Older replies are dropped."""
-        now = time.perf_counter()
-        give_up = now + _PATIENCE * (now - self._sent)
+        cost that raised there raises here."""
         reply = None
-        while self.alive and self._pending and _poll(self._rep, give_up):
-            data = _read_all(self._rep, _REPLY.size)
-            if len(data) < _REPLY.size:
-                self.alive = False
-            else:
-                self._pending -= 1
-                if not self._pending:
-                    reply = _REPLY.unpack(data)
-        self._note(reply is not None)
+        if self._owed:
+            now = time.perf_counter()
+            if _poll(self._rep, now + _PATIENCE * (now - self._sent)):
+                reply = self._reply()
         if reply is not None and reply[0] == 0:
             return reply[1]
         return self._cost(point)
 
-    def _note(self, on_time: bool) -> None:
-        """Count a paired cost; a window with _LATE late ones starts a rest."""
-        self._costs += 1
-        self._late += not on_time
-        if self._costs == _WINDOW:
-            if self._late >= _LATE:
-                self._rest = self._rest_len
-                self._rest_len *= 2
-            else:
-                self._rest_len = _REST
-            self._costs = self._late = 0
+    def _reply(self):
+        """The owed reply, read once it has come; None, and the worker
+        gone, at the pipe's end."""
+        self._owed = False
+        data = _read_all(self._rep, _REPLY.size)
+        if len(data) < _REPLY.size:
+            self.alive = False
+            return None
+        return _REPLY.unpack(data)
 
     def close(self) -> None:
         """Close the pipes, which ends the child, and reap it."""

@@ -1,5 +1,7 @@
 import math
 import os
+import select
+import signal
 import threading
 import time
 
@@ -685,14 +687,19 @@ needs_fork = pytest.mark.skipif(
 
 def _paired(mp):
     """Make minimize find two CPUs, so that a pure cost gets a worker, one
-    that is waited for and never rested, so that neither the pairs nor the
+    whose replies are always waited for, so that neither the pairs nor the
     costs the worker gives depend on timing; the points sent to it, and the
     costs taken from it (each a kept trial), from now on."""
     mp.setattr(anneal, "fork_cpus", lambda *needs: 2)
     mp.setattr(anneal, "_PATIENCE", math.inf)
-    mp.setattr(anneal, "_LATE", anneal._WINDOW + 1)
     sent, kept = [], []
-    send, cost = anneal._CostWorker.send, anneal._CostWorker.cost
+    ready, send, cost = (anneal._CostWorker.ready, anneal._CostWorker.send,
+                         anneal._CostWorker.cost)
+
+    def waiting(self):
+        if self._owed:      # a dropped trial's reply: let it come
+            select.select([self._rep], [], [])
+        return ready(self)
 
     def sending(self, point):
         sent.append(point.copy())
@@ -702,6 +709,7 @@ def _paired(mp):
         kept.append(point.copy())
         return cost(self, point)
 
+    mp.setattr(anneal._CostWorker, "ready", waiting)
     mp.setattr(anneal._CostWorker, "send", sending)
     mp.setattr(anneal._CostWorker, "cost", taking)
     return sent, kept
@@ -822,7 +830,7 @@ def test_a_worker_that_exits_mid_run_leaves_the_rest_to_this_process(monkeypatch
 
 
 @needs_fork
-def test_a_late_worker_is_taken_over_and_rested_with_the_same_run(monkeypatch):
+def test_a_late_worker_is_taken_over_with_the_same_run(monkeypatch):
     bounds, cfg = _loop_case(8, {}, False, False)
     parent = os.getpid()
 
@@ -841,14 +849,38 @@ def test_a_late_worker_is_taken_over_and_rested_with_the_same_run(monkeypatch):
     monkeypatch.setattr(anneal._CostWorker, "ready", counting)
     got = minimize(slow, bounds, cfg, pure_cost=True)
     _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
-    # a window of pairs, a rest of _REST trials, a window, a rest twice as
-    # long
-    rest = anneal._REST
-    first = pairs.index(False)
-    again = pairs.index(True, first)
-    second = pairs.index(False, again)
-    assert again - first == rest and anneal._WINDOW <= first < 2 * anneal._WINDOW
-    assert pairs[second:second + 2 * rest] == [False] * (2 * rest)
+    # every reply is late, and no trial is paired until it has come
+    assert 0 < pairs.count(True) < len(pairs) // 4
+
+
+@needs_fork
+def test_a_run_that_drops_every_pair_never_fills_a_pipe(monkeypatch):
+    """Every trial is accepted, so every paired trial is dropped and its
+    reply is read by no cost(); over 20 000 trials, replies left unread
+    would fill the reply pipe, the worker would stop reading requests and
+    both processes would wait on each other."""
+    bounds, cfg = _loop_case(24, {"accept_t0": 1e30, "max_trials": 20_000}, False,
+                             False)
+    monkeypatch.setattr(anneal, "fork_cpus", lambda *needs: 2)
+    sent, send = [], anneal._CostWorker.send
+
+    def sending(self, point):
+        sent.append(1)
+        send(self, point)
+
+    def stalled(signum, frame):     # not an OSError, which a write would take
+        raise AssertionError("the paired run stalled")
+
+    monkeypatch.setattr(anneal._CostWorker, "send", sending)
+    before = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(120)
+    try:
+        got = minimize(_interior, bounds, cfg, pure_cost=True)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
+    assert got.acceptances == got.trials == cfg.max_trials and sent
+    _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
 
 
 def _open_fds():
