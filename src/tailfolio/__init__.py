@@ -8,13 +8,11 @@ streams for the same machinery.
 
 from . import anneal, copula, eeg, events, indicators, marginals, modelfile, risk, rng
 from .anneal import AnnealConfig, OptResult, local_refine, minimize
-from .copula import (CopulaModel, CorrelationMatrix, cholesky_lower, copula_density,
-                     effective_action, estimate_correlation, from_gaussian,
-                     identity_correlation, joint_density, to_gaussian,
-                     transform_to_gaussian)
+from .copula import (CopulaModel, CorrelationMatrix, cholesky_lower, estimate_correlation,
+                     from_gaussian, to_gaussian, transform_to_gaussian)
 from .eeg import (ColumnParams, Coupling, ElectrodeSite, FitResult, RegionNet,
                   centering_check, centering_shift, fit_net, innovation_stream,
-                  joint_loglikelihood, simulate, threshold_factor)
+                  joint_loglikelihood, simulate)
 from .errors import EngineError
 from .events import sample_events
 from .indicators import MethodStream, indicator_report, stream_from_net, stream_from_values
@@ -34,14 +32,12 @@ __all__ = [
     "MethodStream", "OptResult", "PortfolioDistribution",
     "PositionOptimization", "RegionNet", "RiskConfig", "RiskReport",
     "anneal", "bhattacharyya_overlap", "centering_check", "centering_shift",
-    "cholesky_lower", "copula", "copula_density", "eeg", "effective_action",
-    "estimate_correlation", "events", "expected_tail_loss", "fit_bins",
-    "fit_exponential", "fit_net", "from_gaussian", "identity_correlation",
-    "implied_width", "indicator_report", "indicators", "innovation_stream",
-    "joint_density", "joint_loglikelihood", "local_refine", "marginals",
+    "cholesky_lower", "copula", "eeg", "estimate_correlation", "events",
+    "expected_tail_loss", "fit_bins", "fit_exponential", "fit_net",
+    "from_gaussian", "implied_width", "indicator_report", "indicators",
+    "innovation_stream", "joint_loglikelihood", "local_refine", "marginals",
     "minimize", "modelfile", "optimize_positions", "portfolio_returns",
     "q_analytic", "q_empirical", "returns_from_contracts", "risk",
     "risk_report", "rng", "sample_events", "simulate", "stream_from_net",
-    "stream_from_values", "threshold_factor", "to_gaussian",
-    "transform_to_gaussian",
+    "stream_from_values", "to_gaussian", "transform_to_gaussian",
 ]

@@ -11,12 +11,8 @@ The inverse map is
     dx = m - sgn(dy) chi ln(1 - erf(|dy|/sqrt 2))
 
 evaluated through erfc to keep the tail accurate. Channel dependence lives
-entirely in the correlation matrix of the dy coordinates: the joint density is
-the copula factor det(G)^{-1/2} exp(-1/2 dy' (G^{-1} - I) dy) times the
-product of marginal densities. The same quadratic form defines an effective
-action A = L dt + 1/2 ln det G + (N/2) ln(2 pi dt) with
-L = dy' G^{-1} dy / (2 dt^2). ln det G is kept as a log, so neither factor
-underflows at high dimension.
+entirely in the correlation matrix G of the dy coordinates, held with its
+Cholesky factor.
 
 Correlation is estimated from trailing moving-average pre-smoothed dy series,
 normalized to unit diagonal.
@@ -27,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 from scipy.special import erfc, ndtri
 
 from .errors import (DimensionMismatch, IllConditioned, NotPositiveDefinite,
@@ -88,12 +84,10 @@ def cholesky_lower(matrix, pivot_floor: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """Validated unit-diagonal positive definite matrix with cached factors."""
+    """Validated unit-diagonal positive definite matrix with its factor."""
 
     matrix: np.ndarray      # G, the correlation entries
     cholesky: np.ndarray    # lower C with C C' = G
-    inverse: np.ndarray     # G^{-1}
-    logdet: float           # ln det G
 
     @property
     def dim(self) -> int:
@@ -103,25 +97,24 @@ class CorrelationMatrix:
     def from_matrix(cls, matrix) -> "CorrelationMatrix":
         g = np.array(matrix, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionMismatch("correlation matrix must be square")
-        if not np.allclose(g, g.T, atol=1e-12):
-            raise OutOfDomain("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(g), 1.0, atol=1e-12):
-            raise OutOfDomain("correlation matrix must have unit diagonal")
-        if np.any(np.abs(g) > 1.0 + 1e-12):
-            raise OutOfDomain("correlation entries must lie in [-1, 1]")
+            raise DimensionMismatch(f"'correlation' must be square, got shape {g.shape}")
+        # the range comes first, so that NaN fails it rather than reading as
+        # an asymmetry; on the diagonal it is part of the unit-diagonal test
+        eye = np.eye(g.shape[0], dtype=bool)
+        in_range = np.abs(g) <= 1.0 + 1e-12
+        for what, bad in (
+                ("entries must lie in [-1, 1]", ~eye & ~in_range),
+                ("must have unit diagonal",
+                 eye & ~(in_range & np.isclose(g, 1.0, atol=1e-12))),
+                ("must be symmetric", ~np.isclose(g, g.T, atol=1e-12))):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise OutOfDomain(f"'correlation' {what}, "
+                                  f"got {float(g[i, j])!r} at ({i}, {j})")
         g = 0.5 * (g + g.T)
         np.fill_diagonal(g, 1.0)
         floor = EPS_PD * float(np.max(np.diag(g)))
-        c = cholesky_lower(g, pivot_floor=floor)
-        c_inv = solve_triangular(c, np.eye(g.shape[0]), lower=True)
-        inverse = c_inv.T @ c_inv
-        logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-        return cls(matrix=g, cholesky=c, inverse=inverse, logdet=logdet)
-
-
-def identity_correlation(n: int) -> CorrelationMatrix:
-    return CorrelationMatrix.from_matrix(np.eye(n))
+        return cls(matrix=g, cholesky=cholesky_lower(g, pivot_floor=floor))
 
 
 def pre_average(y: np.ndarray, window: int) -> np.ndarray:
@@ -196,38 +189,3 @@ def transform_to_gaussian(model: CopulaModel, dx) -> np.ndarray:
         raise DimensionMismatch("dx last axis must match channel count")
     cols = [to_gaussian(m, dx[..., j]) for j, m in enumerate(model.marginals)]
     return np.stack(cols, axis=-1)
-
-
-def copula_density(corr: CorrelationMatrix, dy):
-    """Copula factor det(G)^{-1/2} exp(-1/2 dy' (G^{-1} - I) dy)."""
-    dy = np.asarray(dy, dtype=float)
-    if dy.shape[-1] != corr.dim:
-        raise DimensionMismatch("dy last axis must match correlation dimension")
-    excess = corr.inverse - np.eye(corr.dim)
-    q = np.einsum("...i,ij,...j->...", dy, excess, dy)
-    out = np.exp(-0.5 * (q + corr.logdet))
-    return float(out) if out.ndim == 0 else out
-
-
-def joint_density(model: CopulaModel, dx):
-    """Joint increment density: copula factor times marginal densities."""
-    from .marginals import pdf
-
-    dx = np.asarray(dx, dtype=float)
-    dy = transform_to_gaussian(model, dx)
-    dens = copula_density(model.correlation, dy)
-    for j, m in enumerate(model.marginals):
-        dens = dens * pdf(m, dx[..., j])
-    return float(dens) if np.ndim(dens) == 0 else dens
-
-
-def effective_action(corr: CorrelationMatrix, dy, dt: float):
-    """A = L dt + 1/2 ln det G + (N/2) ln(2 pi dt), L = dy' G^{-1} dy / (2 dt^2)."""
-    if not (dt > 0.0 and np.isfinite(dt)):
-        raise OutOfDomain("dt must be positive")
-    dy = np.asarray(dy, dtype=float)
-    if dy.shape[-1] != corr.dim:
-        raise DimensionMismatch("dy last axis must match correlation dimension")
-    lagr = np.einsum("...i,ij,...j->...", dy, corr.inverse, dy) / (2.0 * dt * dt)
-    out = lagr * dt + 0.5 * corr.logdet + 0.5 * corr.dim * np.log(2.0 * np.pi * dt)
-    return float(out) if out.ndim == 0 else out

@@ -111,19 +111,18 @@ class _ColumnsView:
         self.num0 = (np.asarray(cols.threshold, dtype=float)
                      - (v * eff * n).sum(axis=1)
                      - v_lr * lr_eff * cols.lr_count)
-        self.ce = 0.5 * gain_a[:, 0] * v[:, 0]
-        self.ci = 0.5 * gain_a[:, 1] * v[:, 1]
-        self.clr = np.full(2, 0.5 * cols.lr_gain * v_lr)
+        ce = 0.5 * gain_a[:, 0] * v[:, 0]
+        ci = 0.5 * gain_a[:, 1] * v[:, 1]
+        clr = np.full(2, 0.5 * cols.lr_gain * v_lr)
         # variance aggregate: den0 + de M^E + di M^I + dlr M-dagger
-        self.den0 = (vv * eff * n).sum(axis=1) + vv_lr * lr_eff * cols.lr_count
-        self.de = 0.5 * gain_a[:, 0] * vv[:, 0]
-        self.di = 0.5 * gain_a[:, 1] * vv[:, 1]
-        self.dlr = np.full(2, 0.5 * cols.lr_gain * vv_lr)
+        den0 = (vv * eff * n).sum(axis=1) + vv_lr * lr_eff * cols.lr_count
+        de = 0.5 * gain_a[:, 0] * vv[:, 0]
+        di = 0.5 * gain_a[:, 1] * vv[:, 1]
+        dlr = np.full(2, 0.5 * cols.lr_gain * vv_lr)
         # the same terms as (2, 1, 1) columns, [E, I], for the stacked kernel
         self.stacked = tuple(a.reshape(2, 1, 1) for a in (
-            self.num0, self.ce, self.ci, self.clr, self.den0, self.de, self.di,
-            self.dlr, n))
-        self.den0_ok = not np.any(self.den0 <= 0.0)
+            self.num0, ce, ci, clr, den0, de, di, dlr, n))
+        self.den0_ok = not np.any(den0 <= 0.0)
         self.root_den0 = np.sqrt(_PI * self.stacked[4]) if self.den0_ok else None
         # a |slope| with n_i / |slope| >= n_e, so that the firing bound
         # min(n_e, n_i / |slope|) is n_e there and at every |slope| below;
@@ -135,41 +134,6 @@ class _ColumnsView:
         self.slope_cut = cut
 
 
-def threshold_factor(cols: ColumnParams, m_e, m_i, m_lr=0.0,
-                     denominator_approx: bool = True):
-    """Threshold factors (F^E, F^I); inputs broadcast elementwise."""
-    view = cols._view
-    m_e = np.asarray(m_e, dtype=float)
-    m_i = np.asarray(m_i, dtype=float)
-    m_lr = np.asarray(m_lr, dtype=float)
-    out = []
-    for g in range(2):
-        num = view.num0[g] - view.ce[g] * m_e - view.ci[g] * m_i - view.clr[g] * m_lr
-        den = view.den0[g]
-        if not denominator_approx:
-            den = den + view.de[g] * m_e + view.di[g] * m_i + view.dlr[g] * m_lr
-        den = np.asarray(den, dtype=float)
-        if np.any(den <= 0.0):
-            raise NonPositiveDenominator("variance aggregate must be positive")
-        f = num / np.sqrt(_PI * den)
-        out.append(float(f) if f.ndim == 0 else f)
-    return out[0], out[1]
-
-
-def drifts_diffusions(cols: ColumnParams, f_e, f_i, m_e, m_i):
-    """Drifts g^E, g^I and diffusions g^EE, g^II at the given state."""
-    tau = cols.tau_ms
-    f_e = np.asarray(f_e, dtype=float)
-    f_i = np.asarray(f_i, dtype=float)
-    sech2_e = 1.0 / np.cosh(np.minimum(np.abs(f_e), 350.0)) ** 2
-    sech2_i = 1.0 / np.cosh(np.minimum(np.abs(f_i), 350.0)) ** 2
-    g_e = -(np.asarray(m_e, dtype=float) + cols.n_e * np.tanh(f_e)) / tau
-    g_i = -(np.asarray(m_i, dtype=float) + cols.n_i * np.tanh(f_i)) / tau
-    g_ee = cols.n_e * sech2_e / tau
-    g_ii = cols.n_i * sech2_i / tau
-    return g_e, g_i, g_ee, g_ii
-
-
 def _transition_moments(cols: ColumnParams, denominator_approx, gains, slope,
                         m_e, m_lr):
     """Drift m and variance rate sigma^2 of the potential at firing states m_e.
@@ -179,16 +143,16 @@ def _transition_moments(cols: ColumnParams, denominator_approx, gains, slope,
     summed delayed afferents m_lr are (sites, steps) arrays, slope the
     (sites, 1) column with M^I = slope M^E, and gains the (2, sites, 1)
     stack of gain_e over gain_i. The excitatory and inhibitory halves are
-    stacked on a leading axis. Elementwise these are the operations of
-    threshold_factor and drifts_diffusions, in their order, so the values
-    are theirs to the bit.
+    stacked on a leading axis. Elementwise these are the operations of the
+    tests' oracles threshold_factor and drifts_diffusions (tests/helpers.py),
+    in their order, so the values are theirs to the bit.
     """
     view = cols._view
     num0, ce, ci, clr, den0, de, di, dlr, n = view.stacked
     own = np.empty((2, *m_e.shape))
     own[0] = m_e
     own[1] = m_i = slope * m_e
-    # F^G = num / sqrt(pi den), as threshold_factor
+    # F^G = num / sqrt(pi den)
     if denominator_approx:
         if not view.den0_ok:
             raise NonPositiveDenominator("variance aggregate must be positive")

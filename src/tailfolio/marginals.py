@@ -104,14 +104,6 @@ def fit_channels(names, data, asymmetric: bool = False) -> tuple[ExponentialMarg
     return tuple(marginals)
 
 
-def pdf(marginal: ExponentialMarginal, dx):
-    """Density at dx; vectorized."""
-    t = np.asarray(dx, dtype=float) - marginal.m
-    chi = marginal.side_width(t)
-    out = np.exp(-np.abs(t) / chi) / (2.0 * chi)
-    return float(out) if out.ndim == 0 else out
-
-
 def cdf(marginal: ExponentialMarginal, dx):
     """Distribution function, sgn(0) = 0 convention; vectorized."""
     t = np.asarray(dx, dtype=float) - marginal.m

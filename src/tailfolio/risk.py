@@ -99,12 +99,6 @@ class ContractPortfolio:
         if not self.slippage >= 0.0:    # NaN fails too
             raise OutOfDomain(f"'slippage' must be >= 0, got {self.slippage!r}")
 
-    def value_now(self) -> float:
-        nc = np.asarray(self.counts, dtype=float)
-        p = np.asarray(self.prices, dtype=float)
-        pe = np.asarray(self.entry_prices, dtype=float)
-        return float(self.cash + np.sum(np.sign(nc) * nc * (p - pe)))
-
 
 def returns_from_contracts(events, portfolio: ContractPortfolio) -> np.ndarray:
     """dM = (K_t - K_t')/K_t' with forecast prices p (1 + dx)."""

@@ -113,8 +113,6 @@ class NormalStream:
     """Standard normal stream via inverse-CDF of a UniformStream."""
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed)
-        self.stream = int(stream)
         self._uniforms = UniformStream(seed, stream)
 
     def draw(self, n: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from tailfolio import eeg
 from tailfolio.anneal import (COST_SAMPLES, TEMPERATURE_RATIO, OptResult, _check_bounds,
                               tangents, temperature)
 from tailfolio.errors import (CostNotFinite, DegenerateVariance, DimensionMismatch,
-                              OutOfDomain, ZeroCapital)
+                              NonPositiveDenominator, OutOfDomain, ZeroCapital)
 from tailfolio.rng import UniformStream
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
@@ -72,9 +72,68 @@ def p300_free_params(net: eeg.RegionNet):
     return free, bounds
 
 
-# Test-only oracles of the transition density, built from the public formulas
-# threshold_factor and drifts_diffusions, so they stay independent of the
-# package's in-place kernel.
+# Test-only oracles of the transition density, built from threshold_factor and
+# drifts_diffusions below, so they stay independent of the package's stacked
+# kernel and of the coefficients it caches.
+
+def threshold_factor(cols: eeg.ColumnParams, m_e, m_i, m_lr=0.0,
+                     denominator_approx: bool = True):
+    """Threshold factors (F^E, F^I); inputs broadcast elementwise.
+
+    The coefficients are formed here from the ColumnParams fields, in the
+    expressions the package's kernel uses, so a bitwise match checks those
+    too.
+    """
+    n = np.array([cols.n_e, cols.n_i])
+    gain_a = np.asarray(cols.gain, dtype=float)
+    v = np.asarray(cols.pol_mean, dtype=float)
+    pv = np.asarray(cols.pol_var, dtype=float)
+    eff = 0.5 * gain_a + np.asarray(cols.background, dtype=float)
+    lr_eff = 0.5 * cols.lr_gain + cols.lr_background
+    v_lr = v[0, 0]
+    vv = v * v + pv
+    vv_lr = v_lr * v_lr + pv[0, 0]
+    # numerator: num0 - ce M^E - ci M^I - clr M-dagger
+    num0 = (np.asarray(cols.threshold, dtype=float) - (v * eff * n).sum(axis=1)
+            - v_lr * lr_eff * cols.lr_count)
+    ce = 0.5 * gain_a[:, 0] * v[:, 0]
+    ci = 0.5 * gain_a[:, 1] * v[:, 1]
+    clr = 0.5 * cols.lr_gain * v_lr
+    # variance aggregate: den0 + de M^E + di M^I + dlr M-dagger
+    den0 = (vv * eff * n).sum(axis=1) + vv_lr * lr_eff * cols.lr_count
+    de = 0.5 * gain_a[:, 0] * vv[:, 0]
+    di = 0.5 * gain_a[:, 1] * vv[:, 1]
+    dlr = 0.5 * cols.lr_gain * vv_lr
+    m_e = np.asarray(m_e, dtype=float)
+    m_i = np.asarray(m_i, dtype=float)
+    m_lr = np.asarray(m_lr, dtype=float)
+    out = []
+    for g in range(2):
+        num = num0[g] - ce[g] * m_e - ci[g] * m_i - clr * m_lr
+        den = den0[g]
+        if not denominator_approx:
+            den = den + de[g] * m_e + di[g] * m_i + dlr * m_lr
+        den = np.asarray(den, dtype=float)
+        if np.any(den <= 0.0):
+            raise NonPositiveDenominator("variance aggregate must be positive")
+        f = num / np.sqrt(np.pi * den)
+        out.append(float(f) if f.ndim == 0 else f)
+    return out[0], out[1]
+
+
+def drifts_diffusions(cols: eeg.ColumnParams, f_e, f_i, m_e, m_i):
+    """Drifts g^E, g^I and diffusions g^EE, g^II at the given state."""
+    tau = cols.tau_ms
+    f_e = np.asarray(f_e, dtype=float)
+    f_i = np.asarray(f_i, dtype=float)
+    sech2_e = 1.0 / np.cosh(np.minimum(np.abs(f_e), 350.0)) ** 2
+    sech2_i = 1.0 / np.cosh(np.minimum(np.abs(f_i), 350.0)) ** 2
+    g_e = -(np.asarray(m_e, dtype=float) + cols.n_e * np.tanh(f_e)) / tau
+    g_i = -(np.asarray(m_i, dtype=float) + cols.n_i * np.tanh(f_i)) / tau
+    g_ee = cols.n_e * sech2_e / tau
+    g_ii = cols.n_i * sech2_i / tau
+    return g_e, g_i, g_ee, g_ii
+
 
 def delayed_afferents(net: eeg.RegionNet, firing_history, site: str, t: int) -> np.ndarray:
     """Per incoming edge, weight times the source's M^E at t - delay.
@@ -101,9 +160,8 @@ def electrode_moments(net: eeg.RegionNet, site: str, m_e, m_lr=0.0):
     s = net.sites[net.site_index(site)]
     m_e = np.asarray(m_e, dtype=float)
     m_i = s.trough_slope * m_e
-    f_e, f_i = eeg.threshold_factor(net.columns, m_e, m_i, m_lr,
-                                    net.denominator_approx)
-    g_e, g_i, g_ee, g_ii = eeg.drifts_diffusions(net.columns, f_e, f_i, m_e, m_i)
+    f_e, f_i = threshold_factor(net.columns, m_e, m_i, m_lr, net.denominator_approx)
+    g_e, g_i, g_ee, g_ii = drifts_diffusions(net.columns, f_e, f_i, m_e, m_i)
     m = s.gain_e * g_e + s.gain_i * g_i
     # np.square rounds once; a Python float's ** 2 is libm pow, which can be
     # one ulp off

@@ -454,6 +454,18 @@ def test_not_positive_definite_model(tmp_path, capsys):
     assert "pivot" in capsys.readouterr().err
 
 
+def test_nan_correlation_model_exits_2(tmp_path, capsys):
+    mg = {"m": 0.0, "chi": 1.0, "chi_minus": None, "chi_plus": None}
+    payload = {"kind": "copula_model", "channels": ["a", "b"],
+               "marginals": [{"channel": "a", **mg}, {"channel": "b", **mg}],
+               "correlation": [[1.0, math.nan], [math.nan, 1.0]]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))     # NaN is written as a bare NaN
+    code = cli.main(["sample", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "'correlation'" in capsys.readouterr().err
+
+
 def test_seed_validation(tmp_path):
     model = make_model_json(tmp_path)
     with pytest.raises(SystemExit) as err:
@@ -475,6 +487,26 @@ def test_console_script(tmp_path):
         ["tailfolio", "sample", model, "--n", "10", "--out", str(tmp_path / "o")],
         capture_output=True, text=True)
     assert proc.returncode == 0
+    assert "sampled 10 events" in proc.stdout
+
+
+def test_console_entry_point(tmp_path):
+    # what test_console_script runs, without an install: the function that
+    # [project.scripts] names, with sys.argv as the script would set it
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["tailfolio"]
+    module, func = target.split(":")
+    script = (f"import sys, {module}; sys.argv[0] = 'tailfolio'; "
+              f"{module}.{func}()")
+    model = make_model_json(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "sample", model, "--n", "10",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+    assert proc.returncode == 0, proc.stderr
     assert "sampled 10 events" in proc.stdout
 
 

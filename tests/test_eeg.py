@@ -11,17 +11,17 @@ from tailfolio import eeg
 from tailfolio.anneal import AnnealConfig
 from tailfolio.eeg import (ColumnParams, Coupling, ElectrodeSite, RegionNet,
                            apply_params, centering_check, centering_shift,
-                           drifts_diffusions, fit_net, innovation_stream,
-                           joint_loglikelihood, loglikelihood_details,
-                           parse_param_key, recover_firings, simulate,
-                           threshold_factor)
+                           fit_net, innovation_stream, joint_loglikelihood,
+                           loglikelihood_details, parse_param_key,
+                           recover_firings, simulate)
 from tailfolio.errors import (CostNotFinite, DegenerateVariance,
                               DimensionMismatch, NonPositiveDenominator,
                               NoSolution, OutOfDomain, SingularInversion)
 from tailfolio.rng import NormalStream
 
 from helpers import (centered_columns, conditional_logprob, delayed_afferents,
-                     electrode_moments, p300_free_params, p300_net, two_site_net)
+                     drifts_diffusions, electrode_moments, p300_free_params,
+                     p300_net, threshold_factor, two_site_net)
 
 
 def hand_columns(**overrides) -> ColumnParams:
@@ -216,8 +216,8 @@ site_values = st.tuples(st.floats(-2.0, 2.0), st.floats(0.3, 2.0),
                       max_size=4),
        approx=st.booleans(), seed=st.integers(0, 2 ** 32))
 def test_kernel_moments_equal_the_public_formulas_bitwise(sites, edges, approx, seed):
-    # the kernel performs threshold_factor's and drifts_diffusions' operations
-    # in their order, so it matches the oracle to the bit
+    # the kernel performs the operations of the oracles threshold_factor and
+    # drifts_diffusions in their order, so it matches them to the bit
     names = [f"S{i}" for i in range(len(sites))]
     net = RegionNet(
         sites=tuple(ElectrodeSite(name, *vals) for name, vals in zip(names, sites)),
