@@ -15,7 +15,7 @@ from .eeg import (ColumnParams, Coupling, ElectrodeSite, FitResult, RegionNet,
                   joint_loglikelihood, simulate)
 from .errors import EngineError
 from .events import sample_events
-from .indicators import MethodStream, indicator_report, stream_from_net, stream_from_values
+from .indicators import MethodStream, indicator_report, stream_from_net
 from .marginals import ExponentialMarginal, fit_exponential
 from .risk import (ContractPortfolio, LinearPortfolio, PortfolioDistribution,
                    PositionOptimization, RiskConfig, RiskReport,
@@ -39,5 +39,5 @@ __all__ = [
     "minimize", "modelfile", "optimize_positions", "portfolio_returns",
     "q_analytic", "q_empirical", "returns_from_contracts", "risk",
     "risk_report", "rng", "sample_events", "simulate", "stream_from_net",
-    "stream_from_values", "to_gaussian", "transform_to_gaussian",
+    "to_gaussian", "transform_to_gaussian",
 ]

@@ -54,13 +54,13 @@ still update the returned best. window_best records the best cost every
 RECORD_PERIOD (100) trials.
 
 A caller whose cost is a pure function of the point may say so
-(pure_cost): then, where a second CPU is free, a forked worker costs the
-block's next trial, made from the same point, while this process costs the
-current one, as ASA_PARALLEL does. A cold chain rejects most trials, so the
-next one is usually kept; when the current trial moves the chain or ends
-the run, it is dropped and the generation stream is rewound to its first
-uniform. The trials are judged in order either way, so the result is the
-same to the bit.
+(pure_cost): then, where fork_cpus finds a second CPU, a forked worker
+costs the block's next trial, made from the same point, while this process
+costs the current one, as ASA_PARALLEL does. A cold chain rejects most
+trials, so the next one is usually kept; when the current trial moves the
+chain or ends the run, it is dropped and the generation stream is rewound
+to its first uniform. The trials are judged in order either way, so the
+result is the same to the bit.
 `local_refine` is a bounded quasi-Newton polish (numerical gradients, capped
 function calls) that never returns a point worse than its start. `search`
 anneals and then polishes, and returns one result: the polished point and
@@ -72,6 +72,7 @@ from __future__ import annotations
 import math
 import os
 import select
+import socket
 import struct
 import threading
 import time
@@ -91,7 +92,7 @@ COST_SAMPLES = 4     # box points sampled for the cost scale, besides x0
 TEMPERATURE_RATIO = 1e-8    # final/initial temperature of the sized schedule
 TEMPERATURE_BLOCK = 64      # trials whose generation temperatures share one pass
 RECORD_PERIOD = 100         # trials between window_best records
-_REPLY = struct.Struct("=Bd")   # a cost worker's reply: status, cost
+_REPLY = struct.Struct("d")     # a cost worker's reply: the cost
 _SPIN = 0.002       # seconds a cost worker polls for a request before it sleeps
 _PATIENCE = 1.0     # a reply's wait, over the time worked since its request
 
@@ -300,24 +301,13 @@ def tangents(cost, x, fx, step, lo, hi, free) -> np.ndarray:
 def fork_cpus(*needs: str) -> int:
     """CPUs this process may run on, for work split across os.fork children;
     1 where os.fork, os.sched_getaffinity or an os function named in needs
-    is missing (Windows, macOS)."""
-    if not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", *needs)):
+    is missing (Windows, macOS), and while another Python thread runs: fork
+    copies only the calling thread, so a lock another thread held would stay
+    held in the child."""
+    if threading.active_count() > 1 or not all(
+            hasattr(os, name) for name in ("fork", "sched_getaffinity", *needs)):
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _write_all(fd, data) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_all(fd, n: int) -> bytes:
-    """n bytes from fd, or fewer at its end."""
-    data = b""
-    while len(data) < n and (chunk := os.read(fd, n - len(data))):
-        data += chunk
-    return data
 
 
 def _pin(cpus) -> None:
@@ -328,10 +318,10 @@ def _pin(cpus) -> None:
         pass
 
 
-def _poll(fd, until: float) -> bool:
-    """Whether fd has data by perf_counter time until; spins, so that a
+def _poll(sock, until: float) -> bool:
+    """Whether sock has data by perf_counter time until; spins, so that a
     process whose peer answers within microseconds is never put to sleep."""
-    while not select.select([fd], [], [], 0.0)[0]:
+    while not select.select([sock], [], [], 0.0)[0]:
         if time.perf_counter() > until:
             return False
     return True
@@ -340,18 +330,20 @@ def _poll(fd, until: float) -> bool:
 class _CostWorker:
     """A forked process that costs the points sent to it, for minimize.
 
-    A request is the point's d doubles; a reply is _REPLY: status 0 and the
-    cost as a double, so inf and NaN cross unchanged, or status 1 when the
-    cost raised or did not return a number. At most one request is owed a
-    reply: no point is sent while the reply to the last one, a dropped or
-    taken-over trial's, is still to come, so neither pipe ever holds more
-    than one message. The child serves until its request pipe closes or
-    its reply pipe breaks, and then leaves through os._exit: it never
-    unwinds into the caller's frames, runs atexit handlers or flushes the
-    parent's buffers. Once a pipe fails here the worker is gone.
+    The two processes share one socket pair. A request is the point's d
+    doubles; a reply is the cost as one double, so inf and NaN cross
+    unchanged. When the cost raises or does not return a number, the child
+    leaves, and this process, reading the end of the stream, costs the point
+    itself, so that the same exception is raised at the same trial. At most
+    one request is owed a reply: no point is sent while the reply to the
+    last one, a dropped or taken-over trial's, is still to come, so neither
+    direction ever holds more than one message. The child serves until its
+    end of the pair closes or fails, and then leaves through os._exit: it
+    never unwinds into the caller's frames, runs atexit handlers or flushes
+    the parent's buffers. Once the pair fails here the worker is gone.
 
     The worker runs on a CPU of its own and this process on the others: a
-    pipe's wakeup would otherwise pull both onto one CPU, one waiting on
+    socket's wakeup would otherwise pull both onto one CPU, one waiting on
     the other. Each side spins a little before it sleeps, since waking a
     sleeping CPU can take longer than a cost. When other work holds the
     worker's CPU, a reply can come milliseconds late: this process waits
@@ -364,85 +356,75 @@ class _CostWorker:
         self._cost = cost
         self._cpus = os.sched_getaffinity(0)
         theirs = {max(self._cpus)}
-        fds = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            self.pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            raise
-        req_r, self._req, self._rep, rep_w = fds
-        if self.pid == 0:
+        self._sock, peer = socket.socketpair()
+        with peer:
             try:
-                os.close(self._req)
-                os.close(self._rep)
-                _pin(theirs)
-                while True:
-                    if not _poll(req_r, time.perf_counter() + _SPIN):
-                        select.select([req_r], [], [])
-                    if len(data := _read_all(req_r, 8 * d)) < 8 * d:
-                        break
-                    try:
-                        reply = _REPLY.pack(0, cost(np.frombuffer(data).copy()))
-                    except Exception:
-                        reply = _REPLY.pack(1, 0.0)
-                    _write_all(rep_w, reply)
-            finally:
-                os._exit(0)
-        os.close(req_r)
-        os.close(rep_w)
+                self.pid = os.fork()
+            except OSError:
+                self._sock.close()
+                raise
+            if self.pid == 0:
+                try:
+                    self._sock.close()
+                    _pin(theirs)
+                    while True:
+                        if not _poll(peer, time.perf_counter() + _SPIN):
+                            select.select([peer], [], [])
+                        data = peer.recv(8 * d, socket.MSG_WAITALL)
+                        if len(data) < 8 * d:
+                            break
+                        peer.sendall(_REPLY.pack(cost(np.frombuffer(data).copy())))
+                finally:
+                    os._exit(0)
         _pin(self._cpus - theirs)
         self.alive = True
-        self._owed = False      # whether the last request's reply is unread
-        self._sent = 0.0
+        self._owed = None   # when the request whose reply is unread was sent
 
     def ready(self) -> bool:
         """Whether to pair the next trial; asked once per trial. A reply
         that has come to a request no longer wanted is read and dropped."""
-        if self._owed and select.select([self._rep], [], [], 0.0)[0]:
+        if self._owed is not None and select.select([self._sock], [], [], 0.0)[0]:
             self._reply()
-        return self.alive and not self._owed
+        return self.alive and self._owed is None
 
     def send(self, point) -> None:
         """Ask for the cost of point, a float64 array of d values; only
         when ready()."""
         try:
-            _write_all(self._req, point.tobytes())
+            self._sock.sendall(point.tobytes())
         except OSError:
             self.alive = False
         else:
-            self._owed = True
-            self._sent = time.perf_counter()
+            self._owed = time.perf_counter()
 
     def cost(self, point):
         """The cost of point, the point last sent: the worker's, or computed
-        here when it raised there, is late or the worker is gone, so that a
-        cost that raised there raises here."""
-        reply = None
-        if self._owed:
+        here when the worker is late or gone, as it is once the cost raised
+        there, so that a cost that raised there raises here."""
+        if self._owed is not None:
             now = time.perf_counter()
-            if _poll(self._rep, now + _PATIENCE * (now - self._sent)):
+            if _poll(self._sock, now + _PATIENCE * (now - self._owed)):
                 reply = self._reply()
-        if reply is not None and reply[0] == 0:
-            return reply[1]
+                if reply is not None:
+                    return reply
         return self._cost(point)
 
     def _reply(self):
-        """The owed reply, read once it has come; None, and the worker
-        gone, at the pipe's end."""
-        self._owed = False
-        data = _read_all(self._rep, _REPLY.size)
+        """The owed reply's cost, read once it has come; None, and the
+        worker gone, at the end of the stream."""
+        self._owed = None
+        try:
+            data = self._sock.recv(_REPLY.size, socket.MSG_WAITALL)
+        except OSError:     # reset: the worker left with a request unread
+            data = b""
         if len(data) < _REPLY.size:
             self.alive = False
             return None
-        return _REPLY.unpack(data)
+        return _REPLY.unpack(data)[0]
 
     def close(self) -> None:
-        """Close the pipes, which ends the child, and reap it."""
-        os.close(self._req)
-        os.close(self._rep)
+        """Close this end of the pair, which ends the child, and reap it."""
+        self._sock.close()
         _pin(self._cpus)
         try:
             os.waitpid(self.pid, 0)
@@ -457,10 +439,9 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
     pure_cost is the caller's promise that cost is a pure function of the
     point: the same point always gives the same value or raises the same
     exception, with no effect that matters, and it may run in a forked
-    process. Then, where fork_cpus() finds two CPUs and no other thread
-    runs, the trials are costed in pairs on two processes (module doc),
-    with the same result to the bit. The cost samples and reanneal probes
-    stay in this process.
+    process. Then, where fork_cpus() finds two CPUs, the trials are costed
+    in pairs on two processes (module doc), with the same result to the
+    bit. The cost samples and reanneal probes stay in this process.
     """
     cfg = config or AnnealConfig()
     lo, hi = _check_bounds(bounds)
@@ -600,9 +581,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
     box = _law_box(lo, hi)
     row = rows = 0
     worker = None
-    # fork copies only this thread: a lock another thread held would stay
-    # held in the worker
-    if pure_cost and fork_cpus() > 1 and threading.active_count() == 1:
+    if pure_cost and fork_cpus() > 1:
         try:
             worker = _CostWorker(cost, d)
         except OSError:     # no fork: the trials are costed one by one

@@ -268,8 +268,8 @@ def cmd_indicators(args) -> int:
             if col not in names:
                 raise ParseError(f"{csv_path}: pick one of {list(names)} "
                                  f"with 'column'")
-            streams.append(indicators.stream_from_values(
-                name, data[:, names.index(col)]))
+            streams.append(indicators.MethodStream(
+                name=name, values=data[:, names.index(col)]))
         elif kind == "net":
             if "net" not in block:
                 raise ParseError(f"method {name!r} missing 'net'")
@@ -376,3 +376,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

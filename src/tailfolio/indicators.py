@@ -38,10 +38,6 @@ class MethodStream:
         object.__setattr__(self, "values", vals)
 
 
-def stream_from_values(name: str, values) -> MethodStream:
-    return MethodStream(name=name, values=np.asarray(values, dtype=float))
-
-
 def stream_from_net(name: str, net: RegionNet, series) -> MethodStream:
     """Combine a fitted net's per-site innovations into one unit-scale stream."""
     z = innovation_stream(net, series)

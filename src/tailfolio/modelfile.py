@@ -17,8 +17,8 @@ child that ends in os._exit and returns its result through its own
 in-memory file (os.memfd_create), never a file on disk. The part count
 never changes a byte written or a bit read, and any failure of a part
 redoes the table as one part, so errors and their messages are those of
-the one-part path. Without fork, sched_getaffinity and memfd_create a
-table is always one part.
+the one-part path. Without fork, sched_getaffinity and memfd_create, and
+while another thread runs, a table is always one part.
 """
 
 from __future__ import annotations
@@ -28,14 +28,15 @@ import json
 import os
 import signal
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
 
-from .anneal import AnnealConfig, fork_cpus
+from .anneal import fork_cpus
 from .copula import CopulaModel, CorrelationMatrix
 from .eeg import ColumnParams, Coupling, ElectrodeSite, RegionNet
-from .errors import OutOfDomain, ParseError
+from .errors import EngineError, OutOfDomain, ParseError
 from .marginals import ExponentialMarginal
 
 INDEX_NAMES = ("epoch", "event_index", "index", "t")
@@ -56,6 +57,16 @@ def save_json(path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, default=_numpy_to_json)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
+
+
+@contextmanager
+def _naming(path):
+    """Re-raise an EngineError from the with block as its own type, with
+    path in front of its message: the exit code stays, and the file is named."""
+    try:
+        yield
+    except EngineError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_json(path) -> dict:
@@ -89,7 +100,8 @@ class _PartFailed(Exception):
 def _part_count(size, part_size) -> int:
     """Parts for a table of size units: one per CPU this process may run on,
     each of at least part_size units. Where os.fork, os.sched_getaffinity or
-    os.memfd_create is missing (Windows, macOS), a table is one part."""
+    os.memfd_create is missing (Windows, macOS), or while another thread
+    runs (fork_cpus), a table is one part."""
     if size < 2 * part_size:
         return 1
     return min(fork_cpus("memfd_create"), size // part_size)
@@ -537,8 +549,9 @@ def load_model(path) -> CopulaModel:
         if (got := e.pop("channel")) != name:
             raise ParseError(f"{path}: marginal {i} names channel {got!r}, "
                              f"expected {name!r} from 'channels'")
-    marginals = tuple(ExponentialMarginal(**e) for e in m["marginals"])
-    corr = CorrelationMatrix.from_matrix(matrix)
+    with _naming(path):
+        marginals = tuple(ExponentialMarginal(**e) for e in m["marginals"])
+        corr = CorrelationMatrix.from_matrix(matrix)
     if corr.dim != len(marginals):
         raise ParseError(f"{path}: 'correlation' must be {len(marginals)}x"
                          f"{len(marginals)} for the channels, got {corr.dim}x{corr.dim}")
@@ -565,14 +578,15 @@ def load_net(path) -> RegionNet:
     try:
         n = _NET(d)
         # Coupling's OutOfDomain (a negative delay) reads as a malformed
-        # block; ColumnParams and RegionNet raise theirs below, unwrapped
+        # block; ColumnParams and RegionNet raise their own types below
         couplings = tuple(Coupling(**c) for c in n.pop("couplings", ()))
     except (ParseError, OutOfDomain) as exc:
-        raise ParseError(f"malformed net block ({exc})") from exc
+        raise ParseError(f"{path}: malformed net block ({exc})") from exc
     del n["kind"]
-    return RegionNet(sites=tuple(ElectrodeSite(**s) for s in n.pop("sites")),
-                     couplings=couplings, columns=ColumnParams(**n.pop("columns")),
-                     **n)
+    with _naming(path):
+        return RegionNet(sites=tuple(ElectrodeSite(**s) for s in n.pop("sites")),
+                         couplings=couplings, columns=ColumnParams(**n.pop("columns")),
+                         **n)
 
 
 # ------------------------------------------------------------- config blocks
@@ -580,10 +594,6 @@ def load_net(path) -> RegionNet:
 def read_config(path) -> dict:
     """A --config file's keys, each read to its schema type; {} for None."""
     return {} if path is None else _CONFIG(load_json(path))
-
-
-def anneal_config_from_dict(d: dict) -> AnnealConfig:
-    return AnnealConfig(**_ANNEAL(d))
 
 
 def ensure_out_dir(path) -> str:

@@ -698,7 +698,7 @@ def _paired(mp):
 
     def waiting(self):
         if self._owed:      # a dropped trial's reply: let it come
-            select.select([self._rep], [], [])
+            select.select([self._sock], [], [])
         return ready(self)
 
     def sending(self, point):
@@ -830,6 +830,28 @@ def test_a_worker_that_exits_mid_run_leaves_the_rest_to_this_process(monkeypatch
 
 
 @needs_fork
+def test_a_worker_killed_before_it_reads_a_point_leaves_the_rest_to_this_process(
+        monkeypatch):
+    """A socket whose peer closed with a request unread reads as reset, not
+    as the end of the stream; the run goes on the same way either way."""
+    bounds, cfg = _loop_case(8, {}, False, False)
+    sent, _ = _paired(monkeypatch)
+    send = anneal._CostWorker.send
+
+    def killing(self, point):
+        if len(sent) < 50:
+            return send(self, point)
+        os.kill(self.pid, signal.SIGSTOP)   # so that the point stays unread
+        send(self, point)
+        os.kill(self.pid, signal.SIGKILL)
+
+    monkeypatch.setattr(anneal._CostWorker, "send", killing)
+    got = minimize(_interior, bounds, cfg, pure_cost=True)
+    _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
+    assert len(sent) == 51
+
+
+@needs_fork
 def test_a_late_worker_is_taken_over_with_the_same_run(monkeypatch):
     bounds, cfg = _loop_case(8, {}, False, False)
     parent = os.getpid()
@@ -857,7 +879,7 @@ def test_a_late_worker_is_taken_over_with_the_same_run(monkeypatch):
 def test_a_run_that_drops_every_pair_never_fills_a_pipe(monkeypatch):
     """Every trial is accepted, so every paired trial is dropped and its
     reply is read by no cost(); over 20 000 trials, replies left unread
-    would fill the reply pipe, the worker would stop reading requests and
+    would fill the reply buffer, the worker would stop reading requests and
     both processes would wait on each other."""
     bounds, cfg = _loop_case(24, {"accept_t0": 1e30, "max_trials": 20_000}, False,
                              False)
@@ -905,7 +927,7 @@ def test_a_pure_cost_without_a_worker_gives_the_same_run(monkeypatch, platform):
     if platform == "one-cpu":
         monkeypatch.setattr(anneal.os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-    elif platform != "no-fork":
+    elif platform not in ("no-fork", "threaded"):
         monkeypatch.setattr(anneal, "fork_cpus", lambda *needs: 2)
     done = threading.Event()
     other = threading.Thread(target=done.wait, args=(60.0,))

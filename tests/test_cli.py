@@ -510,6 +510,19 @@ def test_console_entry_point(tmp_path):
     assert "sampled 10 events" in proc.stdout
 
 
+def test_python_m_runs_the_cli(tmp_path):
+    model = make_model_json(tmp_path)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailfolio.cli", "sample", model, "--n", "10",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert (tmp_path / "o" / "events.csv").is_file()
+
+
 def test_cli_import_does_not_load_multiprocessing():
     # multiprocessing costs about 0.1 s of start-up; the table codec forks
     # with os primitives instead
@@ -831,6 +844,29 @@ INPUT_FAULTS = [
 def test_input_faults_exit_2_with_their_message(tmp_path, capsys, fragment, case):
     assert cli.main(case(tmp_path)) == 2
     assert fragment in capsys.readouterr().err
+
+
+FILE_FAULTS = [
+    ("nan-correlation", 2, lambda t: _model_case(
+        t, lambda d: d.update(correlation=[[1.0, math.nan], [math.nan, 1.0]]))),
+    ("negative-chi", 2, lambda t: _model_case(t, lambda d: d["marginals"][0]
+                                              .update(chi=-1.0))),
+    ("not-positive-definite", 4, lambda t: _model_case(
+        t, lambda d: d.update(correlation=[[1.0, 1.0], [1.0, 1.0]]))),
+    ("zero-tau_ms", 2, lambda t: _net_case(t, lambda d: d["columns"].update(
+        tau_ms=0))),
+    ("negative-delay", 2, lambda t: _net_case(t, lambda d: d["couplings"][0].update(
+        delay=-1))),
+]
+
+
+@pytest.mark.parametrize("code, case", [c[1:] for c in FILE_FAULTS],
+                         ids=[c[0] for c in FILE_FAULTS])
+def test_errors_building_a_model_or_net_name_the_file(tmp_path, capsys, code, case):
+    argv = case(tmp_path)
+    path = argv[2] if argv[0] == "eeg" else argv[1]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_a_singular_centering_solve_is_an_input_fault():

@@ -4,8 +4,7 @@ import pytest
 from tailfolio.anneal import AnnealConfig
 from tailfolio.errors import LengthMismatch
 from tailfolio.indicators import (MethodStream, fit_indicator_weights,
-                                  indicator_report, stream_from_net,
-                                  stream_from_values)
+                                  indicator_report, stream_from_net)
 from tailfolio.marginals import sample, ExponentialMarginal
 
 from helpers import two_site_net
@@ -15,20 +14,20 @@ def make_streams(t=400, seed=0):
     rng = np.random.default_rng(seed)
     a = rng.laplace(0.01, 0.4, size=t)
     b = 0.3 * a + rng.laplace(-0.02, 0.5, size=t)
-    return [stream_from_values("surveys", a), stream_from_values("sensors", b)]
+    return [MethodStream("surveys", a), MethodStream("sensors", b)]
 
 
 def test_stream_shapes():
-    s = stream_from_values("x", [[1.0], [2.0]])
+    s = MethodStream("x", [[1.0], [2.0]])
     assert s.values.shape == (2,)
     assert isinstance(s, MethodStream)
 
 
 def test_stack_guards():
     with pytest.raises(LengthMismatch, match="at least two"):
-        indicator_report([stream_from_values("only", np.zeros(10))])
-    bad = [stream_from_values("a", np.zeros(10)),
-           stream_from_values("b", np.zeros(11))]
+        indicator_report([MethodStream("only", np.zeros(10))])
+    bad = [MethodStream("a", np.zeros(10)),
+           MethodStream("b", np.zeros(11))]
     with pytest.raises(LengthMismatch, match="differ in epoch count"):
         indicator_report(bad)
 
@@ -73,10 +72,10 @@ def test_report_explicit_weights():
 
 def test_report_degenerate_pairing():
     base = sample(ExponentialMarginal(m=0.0, chi=1.0), 300, seed=5)
-    streams = [stream_from_values("a", base),
-               stream_from_values("b", base.copy()),
-               stream_from_values("c", sample(ExponentialMarginal(m=0.0, chi=1.0),
-                                              300, seed=6))]
+    streams = [MethodStream("a", base),
+               MethodStream("b", base.copy()),
+               MethodStream("c", sample(ExponentialMarginal(m=0.0, chi=1.0),
+                                        300, seed=6))]
     report, model = indicator_report(streams)
     assert report["status"] == "degenerate_pairing"
     assert model is None
@@ -141,8 +140,8 @@ def test_degenerate_pairing_names_stream_flat_after_pre_averaging():
     # a period-3 stream averages to a constant over the 3-epoch window
     a = np.tile([0.0, 1.0, -1.0], 134)[:400]
     b = np.random.default_rng(3).normal(size=400)
-    report, model = indicator_report([stream_from_values("a", a),
-                                      stream_from_values("b", b)])
+    report, model = indicator_report([MethodStream("a", a),
+                                      MethodStream("b", b)])
     assert model is None
     assert report["status"] == "degenerate_pairing"
     assert report["degenerate_pairs"]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -18,11 +19,10 @@ from tailfolio.cli import exit_code_for
 from tailfolio.eeg import ColumnParams
 from tailfolio.errors import OutOfDomain, ParseError
 from tailfolio.marginals import ExponentialMarginal
-from tailfolio.modelfile import (anneal_config_from_dict, fmt, load_json,
-                                 load_model, load_net, read_series_csv,
-                                 read_table, save_json, save_model, save_net,
-                                 write_bins_csv, write_series_csv, write_table,
-                                 write_trace_csv)
+from tailfolio.modelfile import (fmt, load_json, load_model, load_net,
+                                 read_config, read_series_csv, read_table,
+                                 save_json, save_model, save_net, write_bins_csv,
+                                 write_series_csv, write_table, write_trace_csv)
 from tailfolio.risk import fit_bins
 
 from helpers import two_site_net
@@ -377,6 +377,36 @@ def test_a_table_is_one_part_without_memfd_create(tmp_path, monkeypatch):
     assert pids == []
 
 
+def test_a_table_is_one_part_while_another_thread_runs(tmp_path, monkeypatch):
+    """fork copies only the calling thread, so no part is forked while
+    another thread might hold a lock; the table keeps its bytes and bits."""
+    header = ("a", "b", "c", "d")
+    values = np.random.default_rng(4).standard_normal((modelfile._PART_VALUES // 2, 4))
+    one, path = tmp_path / "one.csv", tmp_path / "t.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        split_into(mp, 1)
+        write_table(one, header, values)
+    pids = counted_forks(monkeypatch) if hasattr(os, "fork") else []
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(60.0,))
+    other.start()
+    try:
+        write_table(path, header, values)
+        header_back, data = read_table(path)
+    finally:
+        done.set()
+        other.join(60.0)
+    assert not other.is_alive()
+    assert pids == []
+    assert path.read_bytes() == one.read_bytes()
+    assert header_back == header and data.tobytes() == values.tobytes()
+    if modelfile.fork_cpus("memfd_create") > 1:     # split again once it joined
+        write_table(path, header, values)
+        assert read_table(path)[1].tobytes() == values.tobytes()
+        assert len(pids) >= 2
+        assert_reaped(pids)
+
+
 @needs_fork
 def test_a_failed_second_part_file_leaves_one_part(tmp_path, monkeypatch):
     values = np.random.default_rng(4).standard_normal((9000, 3))
@@ -658,29 +688,36 @@ def test_load_net_kind_guard(tmp_path):
         load_net(path)
 
 
-def test_anneal_config_from_dict():
-    cfg = anneal_config_from_dict({"t0": 2.0, "max_trials": 500.0,
+def _anneal_block(tmp_path, block) -> AnnealConfig:
+    """A config's anneal block as the CLI reads it, through read_config."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"anneal": block}))
+    return AnnealConfig(**read_config(path)["anneal"])
+
+
+def test_anneal_block_reads_to_an_anneal_config(tmp_path):
+    cfg = _anneal_block(tmp_path, {"t0": 2.0, "max_trials": 500.0,
                                    "seed": 3.0, "x0": [0.5, 0.25]})
     assert cfg == AnnealConfig(t0=2.0, max_trials=500, seed=3, x0=(0.5, 0.25))
     assert isinstance(cfg.max_trials, int)
     with pytest.raises(ParseError, match="unknown annealer option"):
-        anneal_config_from_dict({"temperature": 1.0})
+        _anneal_block(tmp_path, {"temperature": 1.0})
     for bad in ({"max_trials": 2.9}, {"regen_attempts": "5"},
                 {"reanneal_interval": float("nan")}, {"seed": float("inf")}):
         with pytest.raises(ParseError, match="must be an integer"):
-            anneal_config_from_dict(bad)
+            _anneal_block(tmp_path, bad)
     for seed in (-1, 2 ** 64):
         with pytest.raises(ParseError, match="u64"):
-            anneal_config_from_dict({"seed": seed})
-    assert anneal_config_from_dict({"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
+            _anneal_block(tmp_path, {"seed": seed})
+    assert _anneal_block(tmp_path, {"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
     for key in ("t0", "c", "accept_t0", "accept_c"):
         for bad in ("1e400", "-1e400", "NaN", "null", '"hot"'):
             if key == "accept_t0" and bad == "null":
                 continue        # null keeps the default acceptance temperature
             block = json.loads(f'{{"{key}": {bad}}}')
             with pytest.raises(ParseError, match=f"'{key}' must be a finite number"):
-                anneal_config_from_dict(block)
-    assert anneal_config_from_dict({"accept_t0": None}).accept_t0 is None
+                _anneal_block(tmp_path, block)
+    assert _anneal_block(tmp_path, {"accept_t0": None}).accept_t0 is None
 
 
 def test_ensure_out_dir(tmp_path):

@@ -24,9 +24,8 @@ from tailfolio.copula import CopulaModel, CorrelationMatrix
 from tailfolio.eeg import ColumnParams, RegionNet, fit_net
 from tailfolio.errors import InvalidBounds, OutOfDomain, ParseError
 from tailfolio.marginals import ExponentialMarginal
-from tailfolio.modelfile import (anneal_config_from_dict, load_model, load_net,
-                                 read_config, save_model, save_net,
-                                 write_series_csv)
+from tailfolio.modelfile import (load_model, load_net, read_config, save_model,
+                                 save_net, write_series_csv)
 from tailfolio.risk import ContractPortfolio, RiskConfig
 
 from helpers import SCHEMA_DIR, two_site_net
@@ -166,10 +165,11 @@ ANNEAL = _schema("config.schema.json")["properties"]["anneal"]["properties"]
 
 @pytest.mark.parametrize("key, bad", [(k, v) for k, node in ANNEAL.items()
                                       for v in _out_of_bounds(node)])
-def test_an_annealer_knob_out_of_its_bound_is_refused(key, bad):
+def test_an_annealer_knob_out_of_its_bound_is_refused(tmp_path, key, bad):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"anneal": {"max_trials": 5, key: bad}}))
     with pytest.raises((ParseError, InvalidBounds), match=f"'{key}'"):
-        cfg = anneal_config_from_dict(json.loads(json.dumps(
-            {"max_trials": 5, key: bad})))
+        cfg = AnnealConfig(**read_config(path)["anneal"])
         minimize(lambda p: float(np.sum(p * p)), [(0.0, 1.0)] * 2, cfg)
 
 
