@@ -114,19 +114,6 @@ def _delta(u, t, base):
     return np.copysign(t, w) * (base ** np.abs(w + w) - 1.0)
 
 
-def generation_delta(u, temp):
-    """Heavy-tailed generating law; u in [0, 1] maps to delta in [-1, 1].
-
-    Scalars are computed as 1-element arrays, so that they get the bits of
-    numpy's array power that generate_candidate uses.
-    """
-    scalar = np.ndim(u) == 0 and np.ndim(temp) == 0
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    t = np.maximum(np.atleast_1d(np.asarray(temp, dtype=float)), _T_FLOOR)
-    out = _delta(u, t, 1.0 + 1.0 / t)
-    return float(out[0]) if scalar else out
-
-
 @dataclass
 class AnnealConfig:
     """Knobs for minimize(); defaults follow the protocol in the module doc."""
@@ -201,22 +188,24 @@ def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
     index order; each later round redraws, in index order, the coordinates
     still outside [lo, hi], for at most regen_attempts rounds; whatever is
     still outside is then clipped. A coordinate's value is
-    x_i + generation_delta(u, temps_i) * (hi_i - lo_i) for the last u it drew.
-    A caller that passes base (1 + 1/t of temps floored at _T_FLOOR) must
-    pass temps already floored; box is _law_box(lo, hi).
+    x_i + delta * (hi_i - lo_i), delta the law at temps_i floored at
+    _T_FLOOR, for the last u it drew. A caller that passes base (1 + 1/t of
+    temps floored at _T_FLOOR) must pass temps already floored; box is
+    _law_box(lo, hi).
 
-    The law is evaluated in one broadcast pass per pool of peeked uniforms:
-    each pool uniform against each coordinate still to draw (the first pool's
-    row 0 is round 0, the first d uniforms one per coordinate). When round 0
-    lands inside the box, as it does for most trials, row 0 is the candidate,
+    The law is evaluated in one broadcast pass over a pool of 2d + 8 peeked
+    uniforms: row 0 is round 0, the first d uniforms one per coordinate, and
+    each later row one uniform against every coordinate. When round 0 lands
+    inside the box, as it does for most trials, row 0 is the candidate,
     unclipped. numpy's clip changes an in-bounds value only where it is a
     zero and a bound is a zero of the other sign; minimize's bounds hold no
     -0.0 (_check_bounds reads it as 0.0), its x starts clipped, and x + y is
     -0.0 only when x is, so no candidate of minimize meets that case.
     Otherwise replaying the rounds on the out-of-bounds flags consumes just
-    the uniforms they used; a new pool is peeked only when a round would
-    outrun this one. A pool of 2k + 8 for k coordinates covers round 0 and
-    k + 8 redraws, which few trials exceed, while keeping the pass small.
+    the uniforms they used. The pool covers round 0 and d + 8 redraws, which
+    few trials exceed, while keeping the pass small; a round that would
+    outrun it, and each round after, takes its uniforms from the stream and
+    redraws the coordinates still outside in one pass of the law.
     """
     if base is None:
         temps = np.maximum(temps, _T_FLOOR)
@@ -241,40 +230,30 @@ def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
         uniforms.consume(d)
         return vals[0]
     todo = [i for i in range(d) if flags[i]]
-    # sel: the pool's coordinates (None: all); col: a coordinate's column;
-    # last: the flat index in vals of each column's latest draw; off: the
-    # row offset of uniform p, the pool's next unused one
-    sel, col, last = None, range(d), list(range(d))
-    k, off, p = d, d - 1, d
-    tries = 0
-    while True:
-        while todo and tries < regen_attempts and p + len(todo) <= size:
-            redo = []
-            for c in todo:
-                j = col[c]
-                last[j] = f = (p - off) * k + j
-                if flags[f]:
-                    redo.append(c)
-                p += 1
-            todo = redo
-            tries += 1
-        uniforms.consume(p)
-        drawn = vals.ravel().take(last)
-        if sel is None:
-            cand = drawn
-        else:
-            cand[sel] = drawn
-        if not todo or tries >= regen_attempts:
-            return cand.clip(lo, hi)
-        # the next round would outrun this pool: a new one for its coordinates
-        sel, k = todo, len(todo)
-        size = 2 * k + 8
-        pool = uniforms.peek(size)
-        lo_s, hi_s = lo[sel], hi[sel]
-        vals = x[sel] + _delta(pool[:, None], temps[sel], base[sel]) * (hi_s - lo_s)
-        flags = ((vals < lo_s) | (vals > hi_s)).tobytes()
-        col, last = {c: j for j, c in enumerate(sel)}, list(range(k))
-        off = p = 0
+    # last: the flat index in vals of each coordinate's latest draw; p: the
+    # pool's next unused uniform, in row p - d + 1
+    last, p, tries = list(range(d)), d, 0
+    while todo and tries < regen_attempts and p + len(todo) <= size:
+        redo = []
+        for i in todo:
+            last[i] = f = (p - d + 1) * d + i
+            if flags[f]:
+                redo.append(i)
+            p += 1
+        todo = redo
+        tries += 1
+    uniforms.consume(p)
+    cand = vals.ravel().take(last)
+    # rounds past the pool: one pass each over the coordinates still outside
+    todo = np.array(todo, dtype=np.intp)
+    while todo.size and tries < regen_attempts:
+        lo_s, hi_s = lo[todo], hi[todo]
+        redrawn = x[todo] + _delta(uniforms.take(todo.size), temps[todo],
+                                   base[todo]) * (hi_s - lo_s)
+        cand[todo] = redrawn
+        todo = todo[(redrawn < lo_s) | (redrawn > hi_s)]
+        tries += 1
+    return cand.clip(lo, hi)
 
 
 def tangents(cost, x, fx, step, lo, hi, free) -> np.ndarray:
@@ -505,7 +484,6 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
 
     uniforms = UniformStream(cfg.seed, stream=0)
     accepts = UniformStream(cfg.seed, stream=1)
-    neg_c = -cv
     k_gen = np.zeros(d)
     k_acc = 0.0
     trials = 0
@@ -591,18 +569,12 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
             if row == rows:
                 # the block's rows are k_gen and k_gen + 1.0, + 1.0, ...:
                 # trial row j runs at counters ks[j], and ks[rows] follows
-                # the block; temperature(ks, t0v, cv, d) in its operation
-                # order, floored, with the ** operator, which keeps numpy's
-                # sqrt for d = 2
+                # the block
                 rows = min(TEMPERATURE_BLOCK, cfg.max_trials - trials)
                 ks = np.ones((rows + 1, d))
                 ks[0] = k_gen
                 np.add.accumulate(ks, axis=0, out=ks)
-                temps = ks[:rows] ** inv_d
-                temps *= neg_c
-                np.exp(temps, out=temps)
-                temps *= t0v
-                np.maximum(temps, _T_FLOOR, out=temps)
+                temps = np.maximum(temperature(ks[:rows], t0v, cv, d), _T_FLOOR)
                 bases = 1.0 / temps
                 bases += 1.0
                 k_gen, row = ks[rows], 0

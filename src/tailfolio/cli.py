@@ -23,11 +23,7 @@ import numpy as np
 from . import eeg, indicators
 from .anneal import AnnealConfig
 from .copula import CopulaModel, estimate_correlation, to_gaussian
-from .errors import (CostNotFinite, DegenerateData, DegenerateVariance,
-                     DimensionMismatch, EngineError, IllConditioned, InvalidBounds,
-                     LengthMismatch, NonPositiveDenominator, NoSolution,
-                     NotPositiveDefinite, OutOfDomain, ParseError,
-                     SingularInversion, WindowTooShort, ZeroCapital)
+from .errors import EngineError, ParseError
 from .events import sample_events
 from .marginals import fit_channels
 from .modelfile import (ensure_out_dir, fmt, load_model, load_net, read_config,
@@ -37,24 +33,14 @@ from .risk import (Q_TARGET, VAR_LEVEL, ContractPortfolio, LinearPortfolio,
                    RiskConfig, optimize_positions, portfolio_returns, risk_report)
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_DEGENERATE = 3
 EXIT_ILL_CONDITIONED = 4
 EXIT_INFEASIBLE = 5
 EXIT_INTERNAL = 10
 
 
 def exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, (ParseError, WindowTooShort, LengthMismatch, OutOfDomain,
-                        InvalidBounds, DimensionMismatch, ZeroCapital,
-                        SingularInversion, NonPositiveDenominator, NoSolution,
-                        CostNotFinite)):
-        return EXIT_PARSE
-    if isinstance(exc, (DegenerateData, DegenerateVariance)):
-        return EXIT_DEGENERATE
-    if isinstance(exc, (IllConditioned, NotPositiveDefinite)):
-        return EXIT_ILL_CONDITIONED
-    return EXIT_INTERNAL
+    """The exit code an engine error carries; EXIT_INTERNAL for any other."""
+    return getattr(exc, "exit_code", EXIT_INTERNAL)
 
 
 def _present(cfg: dict, *keys) -> dict:
@@ -122,6 +108,8 @@ def cmd_risk(args) -> int:
     model = load_model(args.model)
     dim = len(model.channels)
     weights = _parse_weights(args.weights, dim)
+    if args.n < 2:
+        raise ParseError(f"--n must be >= 2, got {args.n}")
     config = RiskConfig(var_level=args.var, q_target=args.q)
     dx = sample_events(model, args.n, args.seed)
     dm = portfolio_returns(dx, LinearPortfolio(weights=weights, offsets=(0.0,) * dim))
@@ -304,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed (u64)")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--verbose", action="store_true",
-                        help="extra logs and annealer trace files")
+                        help="write the annealer's trace CSV (optimize, eeg fit)")
 
     parser = argparse.ArgumentParser(
         prog="tailfolio",

@@ -54,6 +54,12 @@ _PI = float(np.pi)
 SITE_FIELDS = ("offset", "gain_e", "gain_i", "trough_slope")
 
 
+def _require_finite(key: str, value) -> None:
+    """OutOfDomain naming key unless every number in value is finite."""
+    if not np.all(np.isfinite(value)):
+        raise OutOfDomain(f"{key!r} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ColumnParams:
     """Columnar interaction constants shared by every site of a net.
@@ -85,6 +91,9 @@ class ColumnParams:
             if not ok:
                 raise OutOfDomain(f"{key!r} must be finite and {bound}, "
                                   f"got {getattr(self, key)!r}")
+        for key in ("threshold", "gain", "background", "pol_mean", "pol_var",
+                    "lr_gain", "lr_background"):
+            _require_finite(key, getattr(self, key))
 
     @cached_property
     def _view(self) -> _ColumnsView:
@@ -210,6 +219,10 @@ class ElectrodeSite:
     gain_i: float = 0.5
     trough_slope: float = 0.5     # M^I = trough_slope * M^E
 
+    def __post_init__(self):
+        for key in SITE_FIELDS:
+            _require_finite(key, getattr(self, key))
+
 
 @dataclass(frozen=True)
 class Coupling:
@@ -221,6 +234,7 @@ class Coupling:
     delay: int
 
     def __post_init__(self):
+        _require_finite("weight", self.weight)
         if int(self.delay) != self.delay or self.delay < 0:
             raise OutOfDomain("delay must be a non-negative integer")
         object.__setattr__(self, "delay", int(self.delay))

@@ -18,7 +18,7 @@ import numpy as np
 from . import anneal
 from .copula import CopulaModel, estimate_correlation, pre_average, to_gaussian
 from .eeg import RegionNet, innovation_stream
-from .errors import DegenerateData, IllConditioned, LengthMismatch
+from .errors import DegenerateData, IllConditioned, LengthMismatch, OutOfDomain
 from .marginals import fit_channels, fit_exponential
 from .risk import bhattacharyya_overlap
 
@@ -115,6 +115,8 @@ def indicator_report(streams, holdout_fraction: float = 0.25,
     """
     data = _stack(streams)
     names = [s.name for s in streams]
+    if len(set(names)) != len(names):
+        raise OutOfDomain(f"method names must be unique, got {names}")
     t_total = data.shape[0]
     if not 0.0 < holdout_fraction < 1.0:
         raise LengthMismatch("holdout_fraction must be in (0, 1)")

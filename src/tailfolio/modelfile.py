@@ -227,6 +227,9 @@ def read_table(path):
             if not first.strip():
                 raise ParseError(f"{path}: no data rows")
             header = tuple(name.strip() for name in first.split(","))
+            if len(set(header)) != len(header):
+                raise ParseError(f"{path}: column names must be unique, "
+                                 f"got {list(header)}")
             data = None
             parts = _part_count(os.fstat(fh.fileno()).st_size, _PART_BYTES)
             if parts > 1:
@@ -545,6 +548,8 @@ def load_model(path) -> CopulaModel:
     if len(m["marginals"]) != len(m["channels"]):
         raise ParseError(f"{path}: 'marginals' must hold one entry per channel, "
                          f"got {len(m['marginals'])} for {len(m['channels'])}")
+    if len(set(m["channels"])) != len(m["channels"]):
+        raise ParseError(f"{path}: 'channels' must be unique, got {m['channels']}")
     for i, (e, name) in enumerate(zip(m["marginals"], m["channels"])):
         if (got := e.pop("channel")) != name:
             raise ParseError(f"{path}: marginal {i} names channel {got!r}, "

@@ -56,17 +56,13 @@ class UniformStream:
         return out
 
     def take(self, n: int) -> np.ndarray:
-        end = self._pos + n
-        if end <= self._buf.size:
-            out = self._buf[self._pos:end]
-            self._pos = end
-            return out.copy()
-        left = self._buf[self._pos:]
-        need = n - left.size
+        need = n - (self._buf.size - self._pos)
         if need < _BLOCK:
-            self._buf, self._pos = self._draw(_BLOCK), need
-            return np.concatenate([left, self._buf[:need]])
+            out = self.peek(n).copy()
+            self.consume(n)
+            return out
         # a block or more: hand the fresh array over instead of buffering it
+        left = self._buf[self._pos:]
         self._buf, self._pos = np.empty(0), 0
         fresh = self._draw(need)
         return np.concatenate([left, fresh]) if left.size else fresh
@@ -92,7 +88,7 @@ class UniformStream:
 
     def one(self) -> float:
         if self._pos >= self._buf.size:
-            self._buf, self._pos = self._draw(_BLOCK), 0
+            self.peek(1)
         v = self._buf[self._pos]
         self._pos += 1
         return float(v)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tailfolio import anneal
 from tailfolio.anneal import (_T_FLOOR, COST_SAMPLES, SENTINEL, TEMPERATURE_BLOCK,
                               TEMPERATURE_RATIO, AnnealConfig, _law_box,
-                              generate_candidate, generation_delta, local_refine,
+                              generate_candidate, local_refine,
                               minimize, search, tangents, temperature)
 from tailfolio.errors import CostNotFinite, InvalidBounds
 from tailfolio.modelfile import write_trace_csv
@@ -38,10 +38,11 @@ def test_temperature_beats_slow_schedules():
 
 
 def test_generation_delta_endpoints():
-    assert generation_delta(0.5, 0.1) == 0.0
-    assert generation_delta(1.0, 0.1) == pytest.approx(1.0)
-    assert generation_delta(0.0, 0.1) == pytest.approx(-1.0)
-    assert generation_delta(0.0, 1e-8) == pytest.approx(-1.0)
+    delta = _row0([0.5, 1.0, 0.0, 0.0], [0.1, 0.1, 0.1, 1e-8])
+    assert delta[0] == 0.0
+    assert delta[1:] == pytest.approx([1.0, -1.0, -1.0])
+    # numpy's array power; its scalar power gives -8.49682865651887e-205 here
+    assert _row0([0.3401179052324315], [0.0])[0] == -8.496828656518868e-205
 
 
 def test_generation_concentrates_as_temperature_falls():
@@ -50,9 +51,9 @@ def test_generation_concentrates_as_temperature_falls():
     analytic = np.log1p(z / t) / np.log1p(1.0 / t)
     assert analytic == pytest.approx(0.5691, abs=5e-4)
     u = UniformStream(19).take(200000)
-    frac = float(np.mean(np.abs(generation_delta(u, t)) <= z))
+    frac = float(np.mean(np.abs(oracle_generation_delta(u, t)) <= z))
     assert frac == pytest.approx(analytic, abs=0.01)
-    frac_hot = float(np.mean(np.abs(generation_delta(u, 1.0)) <= z))
+    frac_hot = float(np.mean(np.abs(oracle_generation_delta(u, 1.0)) <= z))
     assert frac_hot < frac
 
 
@@ -413,10 +414,7 @@ _TEMPS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1e-3,
        temp=st.one_of(st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 10.0]),
                       st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e)))
 def test_generation_delta_matches_the_oracle_law_bitwise(u, temp):
-    # a scalar has the bits of the law on arrays
-    want = oracle_generation_delta(np.array(u[:1]), temp)[0]
-    assert generation_delta(u[0], temp) == want
-    got = generation_delta(np.array(u), temp)
+    got = _row0(u, [temp] * len(u))
     assert got.tobytes() == oracle_generation_delta(np.array(u), temp).tobytes()
 
 
@@ -444,22 +442,6 @@ def _row0(u, temps):
     box = (np.full(rows, -2.0), np.full(rows, 2.0), np.ones(rows))
     return generate_candidate(np.zeros(d), np.array(temps), np.full(d, -2.0),
                               np.full(d, 2.0), _Fixed(u), box=box)
-
-
-def test_generation_delta_of_a_scalar_is_the_candidate_law_bitwise():
-    # numpy's scalar power gives -8.49682865651887e-205 here
-    u = 0.3401179052324315
-    assert generation_delta(u, 0.0) == -8.496828656518868e-205
-    assert generation_delta(u, 0.0) == _row0([u], [0.0])[0]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.floats(0.0, 1.0), _TEMPS), min_size=1, max_size=24))
-def test_generation_delta_of_scalars_is_generate_candidates_row_0(pairs):
-    u, temps = [p[0] for p in pairs], [p[1] for p in pairs]
-    want = _row0(u, temps)
-    got = np.array([generation_delta(a, t) for a, t in pairs])
-    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -510,30 +492,30 @@ def test_generate_candidate_matches_the_round_major_oracle_bitwise(case):
     _assert_same_candidate(*case)
 
 
-def test_generate_candidate_takes_another_pool_when_a_round_would_outrun_it(
-        monkeypatch):
+def test_generate_candidate_redraws_round_by_round_past_its_pool():
     # from the upper corner every draw with u > 1/2 leaves the box, so about
-    # half of all draws are redrawn and some trials outrun the first pool
-    peeks = []
-    peek = UniformStream.peek
-
-    def counting(self, n):
-        peeks.append(n)
-        return peek(self, n)
-
-    monkeypatch.setattr(UniformStream, "peek", counting)
+    # half of all draws are redrawn and some trials outrun the pool; each
+    # round past it takes its uniforms from the stream, one take a round
     d = 8
     lo, hi = np.zeros(d), np.ones(d)
     pooled, oracle = UniformStream(5), UniformStream(5)
-    refills = 0
+    rounds = []
+    take = pooled.take
+
+    def counting(n):
+        rounds.append(n)
+        return take(n)
+
+    pooled.take = counting
+    reached = 0
     for trial in range(300):
-        peeks.clear()
+        rounds.clear()
         temps = np.full(d, 10.0 ** (1 - trial % 7))
         got = generate_candidate(hi, temps, lo, hi, pooled)
         want = oracle_generate_candidate(hi, temps, lo, hi, oracle)
         assert got.tobytes() == want.tobytes()
-        refills += len(peeks) > 1
-    assert refills >= 5
+        reached += bool(rounds)
+    assert reached >= 5
     assert pooled.take(5).tobytes() == oracle.take(5).tobytes()
 
 

@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tailfolio import cli, eeg
+from tailfolio import cli, eeg, errors
 from tailfolio.copula import CopulaModel, CorrelationMatrix
 from tailfolio.errors import NoSolution, OutOfDomain
 from tailfolio.marginals import ExponentialMarginal, sample
@@ -784,6 +786,27 @@ def _zero_efficacy(d):
     d["columns"].update(gain=zero, background=zero, lr_gain=0.0, lr_background=0.0)
 
 
+def _eeg_check_repeated_column_case(tmp_path):
+    net_path = tmp_path / "net.json"
+    save_net(net_path, two_site_net())
+    series = tmp_path / "series.csv"
+    write_series_csv(series, np.random.default_rng(2).normal(size=(20, 3)),
+                     ("Fz", "Cz", "Fz"))
+    return ["eeg", "check", str(net_path), str(series), "--out", str(tmp_path / "o")]
+
+
+def _fit_marginals_csv_case(tmp_path, header):
+    path = tmp_path / "dup.csv"
+    rows = np.random.default_rng(4).laplace(size=(40, 2))
+    path.write_text(header + "\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in rows))
+    return ["fit-marginals", str(path), "--out", str(tmp_path / "o")]
+
+
+def _repeat_channel(d):
+    d["channels"] = ["a", "a"]
+    d["marginals"][1]["channel"] = "a"
+
+
 INF = math.inf
 INPUT_FAULTS = [
     # bounds, each named by its key
@@ -836,6 +859,30 @@ INPUT_FAULTS = [
     # a retired annealer key is an unknown one
     ("unknown annealer option(s): ['acceptance_window']", lambda t: _optimize_case(
         t, anneal={"max_trials": 20, "acceptance_window": 100})),
+    # every number of a net is finite, each named by its key
+    ("'lr_gain' must be finite", lambda t: _net_case(
+        t, lambda d: d["columns"].update(lr_gain=INF))),
+    ("'pol_var' must be finite", lambda t: _net_case(
+        t, lambda d: d["columns"]["pol_var"][0].__setitem__(0, math.nan))),
+    ("'threshold' must be finite", lambda t: _net_case(
+        t, lambda d: d["columns"].update(threshold=[INF, 10.0]))),
+    ("'offset' must be finite", lambda t: _net_case(
+        t, lambda d: d["sites"][0].update(offset=INF))),
+    ("'gain_e' must be finite", lambda t: _net_case(
+        t, lambda d: d["sites"][1].update(gain_e=math.nan))),
+    ("'weight' must be finite", lambda t: _net_case(
+        t, lambda d: d["couplings"][0].update(weight=INF))),
+    # names that must be unique
+    ("column names must be unique", _eeg_check_repeated_column_case),
+    ("column names must be unique", lambda t: _fit_marginals_csv_case(t, "x,x")),
+    ("'channels' must be unique", lambda t: _model_case(t, _repeat_channel)),
+    ("method names must be unique", lambda t: _indicators_case(
+        t, {"name": "a", "column": "a"}, {"name": "a", "column": "b"})),
+    # risk needs two events for a width
+    ("--n must be >= 2, got 0", lambda t: ["risk", str(_two_channel_model(t)),
+                                           "--n", "0", "--out", str(t / "o")]),
+    ("--n must be >= 2, got 1", lambda t: ["risk", str(_two_channel_model(t)),
+                                           "--n", "1", "--out", str(t / "o")]),
 ]
 
 
@@ -871,3 +918,39 @@ def test_errors_building_a_model_or_net_name_the_file(tmp_path, capsys, code, ca
 
 def test_a_singular_centering_solve_is_an_input_fault():
     assert cli.exit_code_for(NoSolution("x")) == 2
+
+
+# each engine error type and the README row its exit code falls under
+ERROR_CODES = {
+    errors.ParseError: 2, errors.OutOfDomain: 2, errors.DimensionMismatch: 2,
+    errors.WindowTooShort: 2, errors.ZeroCapital: 2, errors.InvalidBounds: 2,
+    errors.CostNotFinite: 2, errors.NonPositiveDenominator: 2,
+    errors.NoSolution: 2, errors.SingularInversion: 2, errors.LengthMismatch: 2,
+    errors.DegenerateData: 3, errors.DegenerateVariance: 3,
+    errors.IllConditioned: 4, errors.NotPositiveDefinite: 4,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_engine_error_carries_its_readme_exit_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Exit codes")[1].split("\n## ")[0]
+    codes = {int(c): meaning.strip() for c, meaning in
+             re.findall(r"^\| (\d+) +\|(.*)\|$", table, re.MULTILINE)}
+    assert codes[2].startswith("input, config, or domain fault")
+    assert codes[3].startswith("degenerate data")
+    assert codes[4].startswith("correlation not positive definite")
+    # a new type must be listed above, and must set its own code
+    found = {c for c in _subclasses(errors.EngineError)
+             if c.__module__.startswith("tailfolio")}
+    assert found == set(ERROR_CODES)
+    for cls, code in ERROR_CODES.items():
+        assert "exit_code" in vars(cls), cls.__name__
+        assert cls.exit_code == code, cls.__name__
+        assert cli.exit_code_for(cls("x")) == code
+    assert cli.exit_code_for(ValueError("x")) == cli.EXIT_INTERNAL == 10
