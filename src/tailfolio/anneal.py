@@ -82,7 +82,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CostNotFinite, InvalidBounds
+from .errors import OutOfDomain
 from .rng import UniformStream
 
 _T_FLOOR = 1e-300
@@ -150,12 +150,12 @@ def _check_bounds(bounds):
     except (TypeError, ValueError):     # not numbers, or ragged
         arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InvalidBounds("bounds must be a sequence of (lo, hi) pairs")
+        raise OutOfDomain("bounds must be a sequence of (lo, hi) pairs")
     lo, hi = arr[:, 0] + 0.0, arr[:, 1] + 0.0      # -0.0 reads as 0.0
     if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-        raise InvalidBounds("bounds must be finite")
+        raise OutOfDomain("bounds must be finite")
     if np.any(lo > hi):
-        raise InvalidBounds("each lower bound must not exceed its upper bound")
+        raise OutOfDomain("each lower bound must not exceed its upper bound")
     return lo, hi
 
 
@@ -180,18 +180,16 @@ def _law_box(lo, hi):
 
 
 def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
-                       regen_attempts: int = 100, *, base=None,
-                       box=None) -> np.ndarray:
+                       regen_attempts: int = 100, *, base, box) -> np.ndarray:
     """One candidate from the generating law, redrawing out-of-bounds dims.
 
     Uniforms are used round-major: round 0 draws every coordinate once, in
     index order; each later round redraws, in index order, the coordinates
     still outside [lo, hi], for at most regen_attempts rounds; whatever is
     still outside is then clipped. A coordinate's value is
-    x_i + delta * (hi_i - lo_i), delta the law at temps_i floored at
-    _T_FLOOR, for the last u it drew. A caller that passes base (1 + 1/t of
-    temps floored at _T_FLOOR) must pass temps already floored; box is
-    _law_box(lo, hi).
+    x_i + delta * (hi_i - lo_i), delta the law at temps_i, for the last u
+    it drew. temps must already be floored at _T_FLOOR, base is 1 + 1/temps
+    and box is _law_box(lo, hi).
 
     The law is evaluated in one broadcast pass over a pool of 2d + 8 peeked
     uniforms: row 0 is round 0, the first d uniforms one per coordinate, and
@@ -207,10 +205,7 @@ def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
     outrun it, and each round after, takes its uniforms from the stream and
     redraws the coordinates still outside in one pass of the law.
     """
-    if base is None:
-        temps = np.maximum(temps, _T_FLOOR)
-        base = 1.0 + 1.0 / temps
-    box_lo, box_hi, span = (lo, hi, hi - lo) if box is None else box
+    box_lo, box_hi, span = box
     d = x.size
     size = 2 * d + 8
     pool = uniforms.peek(size)
@@ -437,17 +432,17 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
         if value is None:   # derived below
             continue
         if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
-            raise InvalidBounds(f"{key!r} must be positive and finite, got {value!r}")
+            raise OutOfDomain(f"{key!r} must be positive and finite, got {value!r}")
     if not cfg.sensitivity_step > 0.0:
-        raise InvalidBounds(f"'sensitivity_step' must be positive, "
-                            f"got {cfg.sensitivity_step!r}")
+        raise OutOfDomain(f"'sensitivity_step' must be positive, "
+                          f"got {cfg.sensitivity_step!r}")
     for key in ("reanneal_interval", "max_trials", "regen_attempts", "k_max"):
         if not getattr(cfg, key) >= 1:
-            raise InvalidBounds(f"{key!r} must be >= 1, got {getattr(cfg, key)!r}")
+            raise OutOfDomain(f"{key!r} must be >= 1, got {getattr(cfg, key)!r}")
 
     x = 0.5 * (lo + hi) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
     if x.shape != (d,):
-        raise InvalidBounds(f"'x0' needs one value per bound, got shape {x.shape}")
+        raise OutOfDomain(f"'x0' needs one value per bound, got shape {x.shape}")
     x = np.clip(x, lo, hi)
 
     best_f = math.inf
@@ -464,7 +459,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
 
     fx = evaluate(x)
     if not math.isfinite(fx):
-        raise CostNotFinite("cost is not finite at the initial point")
+        raise OutOfDomain("cost is not finite at the initial point")
 
     # the cost scale, from differences to fx so that an offset cancels
     # exactly; a sample with a non-finite cost is left out
@@ -627,7 +622,7 @@ def local_refine(cost, x0, bounds, max_calls: int = 1000) -> OptResult:
 
     f0 = wrapped(x0)
     if f0 >= SENTINEL:
-        raise CostNotFinite("cost is not finite at the refine start")
+        raise OutOfDomain("cost is not finite at the refine start")
     iter_budget = max(1, int(max_calls) // (x0.size + 1))
     res = _scipy_minimize(
         wrapped, x0, method="L-BFGS-B", bounds=list(zip(lo, hi)),
@@ -652,10 +647,10 @@ def search(cost, bounds, config: AnnealConfig | None = None,
     acceptances, exit_reason, window_best and trace stay the anneal's. When
     refine_calls is 0 or the annealed cost is not below SENTINEL, the polish
     is skipped and the anneal's result is returned unchanged; a negative or
-    NaN refine_calls raises InvalidBounds. pure_cost is minimize's.
+    NaN refine_calls raises OutOfDomain. pure_cost is minimize's.
     """
     if not refine_calls >= 0:   # NaN fails too
-        raise InvalidBounds(f"'refine_calls' must be >= 0, got {refine_calls!r}")
+        raise OutOfDomain(f"'refine_calls' must be >= 0, got {refine_calls!r}")
     res = minimize(cost, bounds, config, pure_cost=pure_cost)
     if refine_calls <= 0 or res.cost >= SENTINEL:
         return res

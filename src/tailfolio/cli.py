@@ -23,7 +23,7 @@ import numpy as np
 from . import eeg, indicators
 from .anneal import AnnealConfig
 from .copula import CopulaModel, estimate_correlation, to_gaussian
-from .errors import EngineError, ParseError
+from .errors import EngineError, IllConditioned, ParseError
 from .events import sample_events
 from .marginals import fit_channels
 from .modelfile import (ensure_out_dir, fmt, load_model, load_net, read_config,
@@ -33,7 +33,6 @@ from .risk import (Q_TARGET, VAR_LEVEL, ContractPortfolio, LinearPortfolio,
                    RiskConfig, optimize_positions, portfolio_returns, risk_report)
 
 EXIT_OK = 0
-EXIT_ILL_CONDITIONED = 4
 EXIT_INFEASIBLE = 5
 EXIT_INTERNAL = 10
 
@@ -48,9 +47,10 @@ def _present(cfg: dict, *keys) -> dict:
     return {key: cfg[key] for key in keys if key in cfg}
 
 
-def _anneal_config(cfg: dict, seed: int) -> AnnealConfig:
-    """The config's anneal block, seeded by --seed unless it sets its own."""
-    return AnnealConfig(**{"seed": seed, **cfg.get("anneal", {})})
+def _anneal_config(cfg: dict, seed: int, **defaults) -> AnnealConfig:
+    """The config's anneal block laid over the caller's defaults (else
+    AnnealConfig's), seeded by --seed unless the block sets its own."""
+    return AnnealConfig(**{"seed": seed, **defaults, **cfg.get("anneal", {})})
 
 
 # ------------------------------------------------------------------ commands
@@ -266,11 +266,11 @@ def cmd_indicators(args) -> int:
             streams.append(indicators.stream_from_net(name, net, data))
         else:
             raise ParseError(f"unknown method kind {kind!r}")
-    acfg = _anneal_config(cfg, args.seed) if cfg.get("anneal") else None
+    acfg = _anneal_config(cfg, args.seed, max_trials=indicators.WEIGHT_TRIALS)
     report, model = indicators.indicator_report(
         streams, weights=cfg.get("weights"), state_labels=cfg.get("state_labels"),
         config=acfg, **_present(cfg, "holdout_fraction", "fit_weights",
-                                "pre_average_window"))
+                                "pre_average_window", "refine_calls"))
     save_json(os.path.join(out, "indicators.json"), report)
     if model is not None:
         save_model(os.path.join(out, "indicator_model.json"), model)
@@ -280,7 +280,7 @@ def cmd_indicators(args) -> int:
     if report["status"] == "degenerate_pairing":
         print("error: duplicated indicator streams make the copula singular",
               file=sys.stderr)
-        return EXIT_ILL_CONDITIONED
+        return IllConditioned.exit_code
     return EXIT_OK
 
 

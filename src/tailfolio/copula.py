@@ -26,8 +26,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import erfc, ndtri
 
-from .errors import (DimensionMismatch, IllConditioned, NotPositiveDefinite,
-                     OutOfDomain, WindowTooShort)
+from .errors import IllConditioned, OutOfDomain
 from .marginals import ExponentialMarginal
 
 Y_MAX = 8.0
@@ -35,8 +34,8 @@ EPS_PD = 1e-10
 _SQRT2 = float(np.sqrt(2.0))
 
 
-def to_gaussian(marginal: ExponentialMarginal, dx, y_max: float = Y_MAX):
-    """Map increments to standard normal coordinates, clamped to |dy| <= y_max.
+def to_gaussian(marginal: ExponentialMarginal, dx):
+    """Map increments to standard normal coordinates, clamped to |dy| <= Y_MAX.
 
     dy = -sgn(t) ndtri(exp(-|t|/chi) / 2) with t = dx - m: the quantile of the
     tail mass beyond |t|, which keeps full relative accuracy however small
@@ -45,7 +44,7 @@ def to_gaussian(marginal: ExponentialMarginal, dx, y_max: float = Y_MAX):
     t = np.asarray(dx, dtype=float) - marginal.m
     chi = marginal.side_width(t)
     dy = np.sign(-t) * ndtri(0.5 * np.exp(-np.abs(t) / chi))
-    dy = np.clip(dy, -y_max, y_max)
+    dy = np.clip(dy, -Y_MAX, Y_MAX)
     return float(dy) if dy.ndim == 0 else dy
 
 
@@ -61,14 +60,14 @@ def from_gaussian(marginal: ExponentialMarginal, dy):
 def cholesky_lower(matrix, pivot_floor: float = 0.0) -> np.ndarray:
     """Lower-triangular Cholesky factor with explicit pivot control.
 
-    Raises NotPositiveDefinite at the first pivot (the remaining diagonal
+    Raises IllConditioned at the first pivot (the remaining diagonal
     element before its square root) that fails to exceed pivot_floor: where
     LAPACK stops on a non-positive pivot, or where diag(C)^2 is at or below
     the floor.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("matrix must be square")
+        raise OutOfDomain("matrix must be square")
     c, info = lapack.dpotrf(a, lower=1, clean=1)
     pivots = np.diag(c) ** 2
     if info > 0:
@@ -77,7 +76,7 @@ def cholesky_lower(matrix, pivot_floor: float = 0.0) -> np.ndarray:
     low = np.flatnonzero(~(pivots > pivot_floor))
     if low.size or info > 0:
         j = int(low[0]) if low.size else info - 1
-        raise NotPositiveDefinite(
+        raise IllConditioned(
             f"pivot {pivots[j]:.6e} at index {j} not above floor {pivot_floor:.3e}")
     return c
 
@@ -97,7 +96,7 @@ class CorrelationMatrix:
     def from_matrix(cls, matrix) -> "CorrelationMatrix":
         g = np.array(matrix, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionMismatch(f"'correlation' must be square, got shape {g.shape}")
+            raise OutOfDomain(f"'correlation' must be square, got shape {g.shape}")
         # the range comes first, so that NaN fails it rather than reading as
         # an asymmetry; on the diagonal it is part of the unit-diagonal test
         eye = np.eye(g.shape[0], dtype=bool)
@@ -132,31 +131,26 @@ def estimate_correlation(y_series, pre_average_window: int = 3) -> CorrelationMa
     """
     y = np.asarray(y_series, dtype=float)
     if y.ndim != 2:
-        raise DimensionMismatch("y_series must be 2-D (channels, epochs)")
+        raise OutOfDomain("y_series must be 2-D (channels, epochs)")
     n, t = y.shape
     w = int(pre_average_window)
     if w < 1:
         raise OutOfDomain(f"'pre_average_window' must be >= 1, got {pre_average_window!r}")
     if t < w:
-        raise WindowTooShort(f"{t} epochs cannot support window {w}")
+        raise OutOfDomain(f"{t} epochs cannot support window {w}")
     y = pre_average(y, w)
     t_eff = y.shape[1]
     if t_eff <= n:
-        raise WindowTooShort(
+        raise OutOfDomain(
             f"{t_eff} pre-averaged epochs for {n} channels; need more epochs than channels")
     centered = y - y.mean(axis=1, keepdims=True)
     cov = centered @ centered.T / t_eff
     d = np.sqrt(np.diag(cov))
     if np.any(d <= 0.0):
         raise IllConditioned("a channel has zero variance after pre-averaging")
-    corr = cov / np.outer(d, d)
-    corr = 0.5 * (corr + corr.T)
-    np.fill_diagonal(corr, 1.0)
-    corr = np.clip(corr, -1.0, 1.0)
-    try:
-        return CorrelationMatrix.from_matrix(corr)
-    except NotPositiveDefinite as exc:
-        raise IllConditioned(str(exc)) from exc
+    # from_matrix symmetrizes and sets the unit diagonal
+    corr = np.clip(cov / np.outer(d, d), -1.0, 1.0)
+    return CorrelationMatrix.from_matrix(corr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,13 +163,13 @@ class CopulaModel:
 
     def __post_init__(self):
         if len(self.marginals) != self.correlation.dim:
-            raise DimensionMismatch("marginal count must match correlation dimension")
+            raise OutOfDomain("marginal count must match correlation dimension")
         if not self.channels:
             object.__setattr__(
                 self, "channels",
                 tuple(f"ch{i}" for i in range(len(self.marginals))))
         elif len(self.channels) != len(self.marginals):
-            raise DimensionMismatch("channel name count must match marginal count")
+            raise OutOfDomain("channel name count must match marginal count")
 
     @property
     def dim(self) -> int:
@@ -186,6 +180,6 @@ def transform_to_gaussian(model: CopulaModel, dx) -> np.ndarray:
     """Apply to_gaussian channel-wise to rows of dx, shape (..., N)."""
     dx = np.asarray(dx, dtype=float)
     if dx.shape[-1] != model.dim:
-        raise DimensionMismatch("dx last axis must match channel count")
+        raise OutOfDomain("dx last axis must match channel count")
     cols = [to_gaussian(m, dx[..., j]) for j, m in enumerate(model.marginals)]
     return np.stack(cols, axis=-1)

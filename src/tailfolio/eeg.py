@@ -44,8 +44,8 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 
 from . import anneal
-from .errors import (DegenerateVariance, DimensionMismatch, NonPositiveDenominator,
-                     NoSolution, OutOfDomain, SingularInversion)
+from .errors import (DegenerateVariance, NonPositiveDenominator, NoSolution,
+                     OutOfDomain, SingularInversion)
 from .rng import NormalStream
 
 CLAMP_FLAG_FRACTION = 0.01
@@ -334,9 +334,9 @@ def apply_params(net: RegionNet, values: dict) -> RegionNet:
 def _series(net: RegionNet, series, min_epochs: int = 0) -> np.ndarray:
     phi = np.asarray(series, dtype=float)
     if phi.ndim != 2 or phi.shape[1] != len(net.sites):
-        raise DimensionMismatch("series must be (epochs, sites)")
+        raise OutOfDomain("series must be (epochs, sites)")
     if phi.shape[0] < min_epochs:
-        raise DimensionMismatch(f"need at least {min_epochs} epochs")
+        raise OutOfDomain(f"need at least {min_epochs} epochs")
     return phi
 
 
@@ -485,8 +485,8 @@ def simulate(net: RegionNet, epochs: int, seed: int, initial=None) -> np.ndarray
     else:
         initial = np.asarray(initial, dtype=float)
         if initial.shape != (n_sites,):
-            raise DimensionMismatch(f"initial must have shape ({n_sites},), "
-                                    f"got {initial.shape}")
+            raise OutOfDomain(f"initial must have shape ({n_sites},), "
+                              f"got {initial.shape}")
         phi[0] = initial
     # Normals are elementwise in their uniforms, so one draw for the whole run
     # equals one draw per epoch.

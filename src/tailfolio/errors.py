@@ -4,7 +4,10 @@ Every error the library raises deliberately derives from EngineError so
 callers can tell engine conditions apart from programming mistakes. Each
 type carries the CLI exit code it maps to (README, "Exit codes"): 2 for an
 input, config or domain fault, 3 for degenerate data, 4 for a correlation
-that is not positive definite.
+that is not positive definite. A fault gets a type of its own only where
+some caller catches it by name; every other input fault is an OutOfDomain
+(wrong shapes and lengths, short windows, zero capital, bad search bounds
+or knobs, a non-finite start cost), told apart by its message.
 """
 
 
@@ -24,43 +27,14 @@ class DegenerateData(EngineError):
 
 
 class OutOfDomain(EngineError):
-    """Argument outside the mathematical domain of the operation."""
-    exit_code = 2
-
-
-class DimensionMismatch(EngineError):
-    """Vector or matrix shapes disagree."""
-    exit_code = 2
-
-
-class WindowTooShort(EngineError):
-    """Not enough epochs remain after pre-averaging."""
+    """Argument, shape or setting outside what the operation accepts."""
     exit_code = 2
 
 
 class IllConditioned(EngineError):
-    """Estimated correlation matrix is not usably positive definite."""
+    """Correlation matrix is not usably positive definite (a Cholesky pivot
+    at or below the floor)."""
     exit_code = 4
-
-
-class NotPositiveDefinite(EngineError):
-    """Cholesky pivot at or below the floor."""
-    exit_code = 4
-
-
-class ZeroCapital(EngineError):
-    """Portfolio value at the anchor epoch is zero."""
-    exit_code = 2
-
-
-class InvalidBounds(EngineError):
-    """Search bounds are non-finite or inverted."""
-    exit_code = 2
-
-
-class CostNotFinite(EngineError):
-    """Cost function returned a non-finite value at the initial point."""
-    exit_code = 2
 
 
 class NonPositiveDenominator(EngineError):
@@ -80,9 +54,4 @@ class DegenerateVariance(EngineError):
 
 class SingularInversion(EngineError):
     """Potential-to-firing inversion has a zero combined gain."""
-    exit_code = 2
-
-
-class LengthMismatch(EngineError):
-    """Indicator streams do not share a common epoch count."""
     exit_code = 2

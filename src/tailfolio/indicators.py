@@ -18,12 +18,13 @@ import numpy as np
 from . import anneal
 from .copula import CopulaModel, estimate_correlation, pre_average, to_gaussian
 from .eeg import RegionNet, innovation_stream
-from .errors import DegenerateData, IllConditioned, LengthMismatch, OutOfDomain
+from .errors import DegenerateData, IllConditioned, OutOfDomain
 from .marginals import fit_channels, fit_exponential
 from .risk import bhattacharyya_overlap
 
 FLATNESS_TOL = 1e-9
 DEGENERATE_RHO = 0.999
+WEIGHT_TRIALS = 4000    # the weight fit's anneal budget unless its config sets one
 
 
 @dataclass(frozen=True)
@@ -47,17 +48,23 @@ def stream_from_net(name: str, net: RegionNet, series) -> MethodStream:
 
 def _stack(streams) -> np.ndarray:
     if len(streams) < 2:
-        raise LengthMismatch("need at least two method streams")
+        raise OutOfDomain("need at least two method streams")
     lengths = {s.values.shape[0] for s in streams}
     if len(lengths) != 1:
-        raise LengthMismatch(f"method streams differ in epoch count: "
-                             f"{sorted(s.values.shape[0] for s in streams)}")
+        raise OutOfDomain(f"method streams differ in epoch count: "
+                          f"{sorted(s.values.shape[0] for s in streams)}")
     return np.stack([s.values for s in streams], axis=1)
 
 
 def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
-                          config: anneal.AnnealConfig | None = None):
+                          config: anneal.AnnealConfig | None = None,
+                          refine_calls: int = 500):
     """Weights maximizing held-out log-likelihood of the combined stream.
+
+    config defaults to WEIGHT_TRIALS trials at seed 0, and its search starts
+    from the equal weights unless it sets x0. The cost takes w and -w to the
+    same bits, so the sign the search lands on is a matter of its path: the
+    weights are reported with their largest-|w| entry positive.
 
     Returns (unit weights, flat flag, search result). The flat flag marks a
     likelihood surface where no best-cost record after the first (one each
@@ -80,13 +87,16 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
         return -ll
 
     if config is None:
-        config = anneal.AnnealConfig(max_trials=4000, seed=7)
+        config = anneal.AnnealConfig(max_trials=WEIGHT_TRIALS)
     x0 = np.full(k, 1.0 / np.sqrt(k))
-    res = anneal.search(cost, [(-1.0, 1.0)] * k,
-                        replace(config, x0=tuple(x0)), refine_calls=500)
+    if config.x0 is None:
+        config = replace(config, x0=tuple(x0))
+    res = anneal.search(cost, [(-1.0, 1.0)] * k, config, refine_calls)
     w = np.asarray(res.x)
     norm = float(np.linalg.norm(w))
     w = x0 if norm < 1e-12 else w / norm
+    if w[np.argmax(np.abs(w))] < 0.0:
+        w = -w
 
     window_best = res.window_best
     if len(window_best) >= 2:
@@ -105,13 +115,15 @@ def _shape_params(values):
 def indicator_report(streams, holdout_fraction: float = 0.25,
                      fit_weights: bool = False, weights=None,
                      state_labels=None, pre_average_window: int = 3,
-                     config: anneal.AnnealConfig | None = None):
+                     config: anneal.AnnealConfig | None = None,
+                     refine_calls: int = 500):
     """Joint report for two or more indicator streams.
 
     The epoch axis splits into a leading training block and a trailing
     holdout block. Duplicated streams make the copula correlation singular;
-    that case is reported as a degenerate pairing with no model. Returns
-    (report dict, CopulaModel or None).
+    that case is reported as a degenerate pairing with no model. config and
+    refine_calls are fit_indicator_weights'. Returns (report dict,
+    CopulaModel or None).
     """
     data = _stack(streams)
     names = [s.name for s in streams]
@@ -119,7 +131,7 @@ def indicator_report(streams, holdout_fraction: float = 0.25,
         raise OutOfDomain(f"method names must be unique, got {names}")
     t_total = data.shape[0]
     if not 0.0 < holdout_fraction < 1.0:
-        raise LengthMismatch("holdout_fraction must be in (0, 1)")
+        raise OutOfDomain("holdout_fraction must be in (0, 1)")
     t_train = max(2, int(round(t_total * (1.0 - holdout_fraction))))
     t_train = min(t_train, t_total - 1)
     train, holdout = data[:t_train], data[t_train:]
@@ -163,11 +175,11 @@ def indicator_report(streams, holdout_fraction: float = 0.25,
     if weights is not None:
         w = np.asarray(weights, dtype=float)
         if w.shape != (k,):
-            raise LengthMismatch("weights length must match method count")
+            raise OutOfDomain("weights length must match method count")
         flat = False
         fitted = False
     elif fit_weights:
-        w, flat, _ = fit_indicator_weights(train, holdout, config)
+        w, flat, _ = fit_indicator_weights(train, holdout, config, refine_calls)
         fitted = True
     else:
         w = np.full(k, 1.0 / np.sqrt(k))
@@ -188,7 +200,7 @@ def indicator_report(streams, holdout_fraction: float = 0.25,
     if state_labels is not None:
         labels = list(state_labels)
         if len(labels) != t_total:
-            raise LengthMismatch("state_labels length must match epoch count")
+            raise OutOfDomain("state_labels length must match epoch count")
         portfolio_all = data @ w
         by_state = {}
         for lab in sorted(set(str(x) for x in labels)):

@@ -14,7 +14,7 @@ samples below -|VaR|. Expected tail loss is the mean of that empirical tail
 and is reported as absent (None) when the tail holds no samples.
 
 Position optimization anneals the free position vector against
-objective + penalty * |q_empirical - q_target| on a fixed event batch (common
+-mean(dM) + penalty * |q_empirical - q_target| on a fixed event batch (common
 random numbers), flagging the result infeasible when the best point misses
 the tail-probability tolerance. The contract form is affine in dx, so the
 optimizer compiles it once per call into a kernel that costs one (n, D)
@@ -22,7 +22,7 @@ matvec per evaluation; returns_from_contracts is the reference it is
 tested against. The annealed cost is lean, in forms that give the bits of
 the plain one: the kernel takes |NC| for sgn(NC) NC (they differ only at
 NC = -0.0, where both give dM the same bits) and adds and divides in place,
-the default objective is -(sum dM / n) with np.mean's own sum, and
+the objective is -(sum dM / n) with np.mean's own sum, and
 q_empirical and cost_q are inlined against the threshold -|VaR|. The
 linear offset is added in place, not dropped: a zero offset turns a -0.0
 return into 0.0, which the sign of a zero cost can show.
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import anneal
-from .errors import (DegenerateData, DimensionMismatch, OutOfDomain, ZeroCapital)
+from .errors import DegenerateData, OutOfDomain
 from .marginals import fit_exponential
 
 PENALTY_WEIGHT = 1e3
@@ -49,7 +49,7 @@ BIN_HALF_WIDTH = 12.0
 def _dx_of(events):
     dx = np.asarray(events, dtype=float)
     if dx.ndim != 2:
-        raise DimensionMismatch("events must be a 2-D (n, channels) array")
+        raise OutOfDomain("events must be a 2-D (n, channels) array")
     return dx
 
 
@@ -62,7 +62,7 @@ class LinearPortfolio:
 
     def __post_init__(self):
         if len(self.weights) != len(self.offsets):
-            raise DimensionMismatch("weights and offsets must have equal length")
+            raise OutOfDomain("weights and offsets must have equal length")
 
 
 def portfolio_returns(events, portfolio: LinearPortfolio) -> np.ndarray:
@@ -70,7 +70,7 @@ def portfolio_returns(events, portfolio: LinearPortfolio) -> np.ndarray:
     w = np.asarray(portfolio.weights, dtype=float)
     b = np.asarray(portfolio.offsets, dtype=float)
     if dx.shape[1] != w.size:
-        raise DimensionMismatch("portfolio dimension must match event channels")
+        raise OutOfDomain("portfolio dimension must match event channels")
     return dx @ w + b.sum()
 
 
@@ -93,9 +93,9 @@ class ContractPortfolio:
     def __post_init__(self):
         n = len(self.counts)
         if len(self.prices) != n or len(self.entry_prices) != n:
-            raise DimensionMismatch("contract arrays must share one length")
+            raise OutOfDomain("contract arrays must share one length")
         if self.prev_counts is not None and len(self.prev_counts) != n:
-            raise DimensionMismatch("prev_counts length must match counts")
+            raise OutOfDomain("prev_counts length must match counts")
         if not self.slippage >= 0.0:    # NaN fails too
             raise OutOfDomain(f"'slippage' must be >= 0, got {self.slippage!r}")
 
@@ -105,7 +105,7 @@ def returns_from_contracts(events, portfolio: ContractPortfolio) -> np.ndarray:
     dx = _dx_of(events)
     nc = np.asarray(portfolio.counts, dtype=float)
     if dx.shape[1] != nc.size:
-        raise DimensionMismatch("contract dimension must match event channels")
+        raise OutOfDomain("contract dimension must match event channels")
     prev = np.asarray(portfolio.prev_counts if portfolio.prev_counts is not None
                       else portfolio.counts, dtype=float)
     p = np.asarray(portfolio.prices, dtype=float)
@@ -113,7 +113,7 @@ def returns_from_contracts(events, portfolio: ContractPortfolio) -> np.ndarray:
 
     k_prev = portfolio.cash + float(np.sum(np.sign(prev) * prev * (p - pe)))
     if k_prev == 0.0:
-        raise ZeroCapital("portfolio value at the anchor epoch is zero")
+        raise OutOfDomain("portfolio value at the anchor epoch is zero")
     p_next = p * (1.0 + dx)
     exposure = (np.sign(nc) * nc) * (p_next - pe)
     slip = -portfolio.slippage * float(np.sum(np.abs(nc - prev)))
@@ -125,9 +125,9 @@ def _contract_kernel(dx: np.ndarray, template: ContractPortfolio):
     """returns_from_contracts(dx, replace(template, counts=nc)) as a function
     of nc, evaluated as dM = (dx @ (|nc| p) + base) / K_prev with
     base = cash + sum |nc| (p - pe) - s sum |nc - prev| - K_prev. It raises
-    DimensionMismatch and ZeroCapital where the reference does."""
+    OutOfDomain where the reference does."""
     if dx.shape[1] != len(template.counts):
-        raise DimensionMismatch("contract dimension must match event channels")
+        raise OutOfDomain("contract dimension must match event channels")
     p = np.asarray(template.prices, dtype=float)
     gain = p - np.asarray(template.entry_prices, dtype=float)
     cash, s = template.cash, template.slippage
@@ -139,12 +139,12 @@ def _contract_kernel(dx: np.ndarray, template: ContractPortfolio):
     def returns(nc):
         nc = np.asarray(nc, dtype=float)
         if nc.shape != p.shape:
-            raise DimensionMismatch("contract arrays must share one length")
+            raise OutOfDomain("contract arrays must share one length")
         held = np.abs(nc)
         value = cash + float(np.add.reduce(held * gain))
         k_prev = k_fixed if fixed else value
         if k_prev == 0.0:
-            raise ZeroCapital("portfolio value at the anchor epoch is zero")
+            raise OutOfDomain("portfolio value at the anchor epoch is zero")
         slip = s * float(np.add.reduce(np.abs(nc - prev_fixed))) if fixed else 0.0
         dm = dx @ (held * p)
         dm += value - slip - k_prev
@@ -165,19 +165,18 @@ class PortfolioDistribution:
     bin_counts: np.ndarray
 
 
-def fit_bins(samples, bin_count: int = BIN_COUNT) -> PortfolioDistribution:
-    """Moment fit of the return shape; histogram spans mean +- 12 widths.
+def fit_bins(samples) -> PortfolioDistribution:
+    """Moment fit of the return shape; a BIN_COUNT-bin histogram spans
+    mean +- BIN_HALF_WIDTH widths.
 
     The shape is fit_exponential's. Samples beyond the span are clipped into
     the end bins so counts always sum to the sample count. Moments come from
     the raw samples, never the bins.
     """
     shape = fit_exponential(samples)
-    if int(bin_count) < 1:
-        raise OutOfDomain("bin_count must be >= 1")
     x = np.asarray(samples, dtype=float).ravel()
     span = BIN_HALF_WIDTH * shape.chi
-    edges = np.linspace(shape.m - span, shape.m + span, int(bin_count) + 1)
+    edges = np.linspace(shape.m - span, shape.m + span, BIN_COUNT + 1)
     clipped = np.clip(x, edges[0], edges[-1])
     counts, _ = np.histogram(clipped, bins=edges)
     return PortfolioDistribution(mean=shape.m, width=shape.chi, count=x.size,
@@ -299,18 +298,19 @@ class PositionOptimization:
 
 def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig(),
                        config: anneal.AnnealConfig | None = None,
-                       objective=None, refine_calls: int = 1000) -> PositionOptimization:
+                       refine_calls: int = 1000) -> PositionOptimization:
     """Anneal free positions on a fixed event batch under the tail constraint.
 
     template is a LinearPortfolio (weights free) or ContractPortfolio (counts
-    free); bounds follow the free vector. objective maps the dM samples to the
-    value being minimized (default: negative mean return). The reported point
-    is feasible when |q_empirical - q_target| < the configured tolerance.
+    free); bounds follow the free vector. The objective is the negative mean
+    return, -(sum dM / n). The reported point is feasible when
+    |q_empirical - q_target| < the configured tolerance.
     """
     dx = _dx_of(events)
     n = dx.shape[0]
-    if objective is None:
-        objective = lambda dm: -(float(np.add.reduce(dm)) / n)
+
+    def objective(dm):
+        return -(float(np.add.reduce(dm)) / n)
 
     if isinstance(template, LinearPortfolio):
         free, offset = "weights", float(np.sum(template.offsets))

@@ -10,9 +10,8 @@ import numpy as np
 
 from tailfolio import eeg
 from tailfolio.anneal import (COST_SAMPLES, TEMPERATURE_RATIO, OptResult, _check_bounds,
-                              tangents, temperature)
-from tailfolio.errors import (CostNotFinite, DegenerateVariance, DimensionMismatch,
-                              NonPositiveDenominator, OutOfDomain, ZeroCapital)
+                              _law_box, generate_candidate, tangents, temperature)
+from tailfolio.errors import DegenerateVariance, NonPositiveDenominator, OutOfDomain
 from tailfolio.rng import UniformStream
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
@@ -143,7 +142,7 @@ def delayed_afferents(net: eeg.RegionNet, firing_history, site: str, t: int) -> 
     """
     hist = np.asarray(firing_history, dtype=float)
     if hist.ndim != 2 or hist.shape[1] != len(net.sites):
-        raise DimensionMismatch("firing_history must be (epochs, sites)")
+        raise OutOfDomain("firing_history must be (epochs, sites)")
     tgt = net.site_index(site)
     vals = []
     for c in net.couplings:
@@ -199,6 +198,15 @@ def oracle_generation_delta(u, temp):
     return float(out) if out.ndim == 0 else out
 
 
+def candidate(x, temps, lo, hi, uniforms, regen_attempts=100, box=None):
+    """generate_candidate as minimize calls it: temps floored at _T_FLOOR,
+    base 1 + 1/temps, and box _law_box(lo, hi) unless one is given."""
+    t = np.maximum(temps, _T_FLOOR)
+    return generate_candidate(x, t, lo, hi, uniforms, regen_attempts,
+                              base=1.0 + 1.0 / t,
+                              box=_law_box(lo, hi) if box is None else box)
+
+
 def oracle_generate_candidate(x, temps, lo, hi, uniforms, regen_attempts=100, **kw):
     rangev = hi - lo
     cand = x + oracle_generation_delta(uniforms.take(x.size), temps) * rangev
@@ -243,7 +251,7 @@ def oracle_minimize(cost, bounds, cfg):
 
     fx = evaluate(x)
     if not math.isfinite(fx):
-        raise CostNotFinite("cost is not finite at the initial point")
+        raise OutOfDomain("cost is not finite at the initial point")
     u = UniformStream(cfg.seed, stream=2).take(COST_SAMPLES * d).reshape(-1, d)
     diffs = [0.0]
     for point in np.clip(lo + u * rangev, lo, hi):
@@ -345,5 +353,5 @@ def oracle_contract_returns(dx, template, nc):
         k_prev = template.cash + float(np.sum(np.sign(prev) * prev * gain))
         slip = template.slippage * float(np.sum(np.abs(nc - prev)))
     if k_prev == 0.0:
-        raise ZeroCapital("portfolio value at the anchor epoch is zero")
+        raise OutOfDomain("portfolio value at the anchor epoch is zero")
     return (dx @ (held * p) + (value - slip - k_prev)) / k_prev

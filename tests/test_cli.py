@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailfolio import cli, eeg, errors
+from tailfolio import anneal, cli, eeg, errors
 from tailfolio.copula import CopulaModel, CorrelationMatrix
 from tailfolio.errors import NoSolution, OutOfDomain
 from tailfolio.marginals import ExponentialMarginal, sample
@@ -421,6 +421,72 @@ def test_indicators_net_method(tmp_path):
     payload = load_json(out / "indicators.json")
     assert payload["methods"] == ["eeg", "cash"]
     assert payload["epochs"] == 400
+
+
+def _weight_fit(tmp_path, monkeypatch, seed=0, **extra):
+    """Run indicators with fit_weights on two streams; returns the report and
+    the (config, result) of the weight fit's anneal and the max_calls of its
+    polish."""
+    rng = np.random.default_rng(6)
+    a = rng.laplace(0.0, 0.5, size=400)
+    b = 0.4 * a + rng.laplace(0.0, 0.4, size=400)
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_series_csv(pa, a.reshape(-1, 1), ("surveys",))
+    write_series_csv(pb, b.reshape(-1, 1), ("sensors",))
+    cfg = write_config(tmp_path, {
+        "methods": [{"name": "surveys", "csv": str(pa)},
+                    {"name": "sensors", "csv": str(pb)}],
+        "fit_weights": True, **extra})
+    anneals, polishes = [], []
+    minimize, local_refine = anneal.minimize, anneal.local_refine
+
+    def recording_minimize(cost, bounds, config=None, **kw):
+        res = minimize(cost, bounds, config, **kw)
+        anneals.append((config, res))
+        return res
+
+    def recording_refine(cost, x0, bounds, max_calls=1000):
+        polishes.append(max_calls)
+        return local_refine(cost, x0, bounds, max_calls)
+
+    monkeypatch.setattr(anneal, "minimize", recording_minimize)
+    monkeypatch.setattr(anneal, "local_refine", recording_refine)
+    out = tmp_path / f"ind{seed}"
+    assert cli.main(["indicators", "--config", cfg, "--seed", str(seed),
+                     "--out", str(out)]) == 0
+    (config, res), = anneals
+    return load_json(out / "indicators.json"), config, res, polishes
+
+
+def test_weight_fit_keeps_its_budget_under_an_unrelated_anneal_key(tmp_path,
+                                                                    monkeypatch):
+    _, config, res, _ = _weight_fit(tmp_path, monkeypatch, anneal={"k_max": 1e11})
+    assert config.max_trials == 4000
+    assert config.k_max == 1e11
+    assert res.trials <= 4000
+
+
+def test_weight_fit_is_seeded_by_the_seed_flag(tmp_path, monkeypatch):
+    report0, config0, _, _ = _weight_fit(tmp_path, monkeypatch, seed=0)
+    report1, config1, _, _ = _weight_fit(tmp_path, monkeypatch, seed=1)
+    assert (config0.seed, config1.seed) == (0, 1)
+    assert report0["weights"] != report1["weights"]
+    # the block's own seed still wins over the flag
+    _, config, _, _ = _weight_fit(tmp_path, monkeypatch, seed=1, anneal={"seed": 5})
+    assert config.seed == 5
+
+
+def test_weight_fit_starts_from_a_block_x0(tmp_path, monkeypatch):
+    _, config, _, _ = _weight_fit(tmp_path, monkeypatch, anneal={"x0": [0.6, -0.8]})
+    assert list(config.x0) == [0.6, -0.8]
+    _, config, _, _ = _weight_fit(tmp_path, monkeypatch)
+    assert list(config.x0) == [1.0 / math.sqrt(2.0)] * 2
+
+
+@pytest.mark.parametrize("extra, calls", [({}, 500), ({"refine_calls": 7}, 7)])
+def test_weight_fit_reads_refine_calls(tmp_path, monkeypatch, extra, calls):
+    _, _, _, polishes = _weight_fit(tmp_path, monkeypatch, **extra)
+    assert polishes == [calls]
 
 
 def test_indicators_config_required(tmp_path, capsys):
@@ -922,12 +988,10 @@ def test_a_singular_centering_solve_is_an_input_fault():
 
 # each engine error type and the README row its exit code falls under
 ERROR_CODES = {
-    errors.ParseError: 2, errors.OutOfDomain: 2, errors.DimensionMismatch: 2,
-    errors.WindowTooShort: 2, errors.ZeroCapital: 2, errors.InvalidBounds: 2,
-    errors.CostNotFinite: 2, errors.NonPositiveDenominator: 2,
-    errors.NoSolution: 2, errors.SingularInversion: 2, errors.LengthMismatch: 2,
+    errors.ParseError: 2, errors.OutOfDomain: 2, errors.NonPositiveDenominator: 2,
+    errors.NoSolution: 2, errors.SingularInversion: 2,
     errors.DegenerateData: 3, errors.DegenerateVariance: 3,
-    errors.IllConditioned: 4, errors.NotPositiveDefinite: 4,
+    errors.IllConditioned: 4,
 }
 
 

@@ -14,8 +14,7 @@ from tailfolio.eeg import (ColumnParams, Coupling, ElectrodeSite, RegionNet,
                            fit_net, innovation_stream, joint_loglikelihood,
                            loglikelihood_details, parse_param_key,
                            recover_firings, simulate)
-from tailfolio.errors import (CostNotFinite, DegenerateVariance,
-                              DimensionMismatch, NonPositiveDenominator,
+from tailfolio.errors import (DegenerateVariance, NonPositiveDenominator,
                               NoSolution, OutOfDomain, SingularInversion)
 from tailfolio.rng import NormalStream
 
@@ -168,7 +167,7 @@ def test_recover_firings_clamps():
     assert m_e[0, 0] == pytest.approx(60.0)
     assert clamped == 1
     assert excess == pytest.approx(5.0)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(OutOfDomain, match=r"series must be \(epochs, sites\)"):
         recover_firings(net, np.zeros((4, 3)))
 
 
@@ -188,7 +187,7 @@ def test_delayed_afferents_zero_padding():
     at3 = delayed_afferents(net, hist, "Cz", 3)
     assert at3[0] == pytest.approx(0.12 * hist[2, 0])
     assert delayed_afferents(net, hist, "Fz", 3).shape == (0,)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(OutOfDomain, match=r"firing_history must be \(epochs, sites\)"):
         delayed_afferents(net, np.zeros((4, 3)), "Cz", 0)
 
 
@@ -293,9 +292,9 @@ def test_loglikelihood_matches_transition_loop():
 
 def test_loglikelihood_guards():
     net = two_site_net()
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(OutOfDomain, match=r"series must be \(epochs, sites\)"):
         loglikelihood_details(net, np.zeros((5, 3)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(OutOfDomain, match="need at least 2 epochs"):
         loglikelihood_details(net, np.zeros((1, 2)))
 
 
@@ -401,7 +400,7 @@ def test_fit_net_single_parameter_recovers():
 def test_simulate_rejects_misshaped_initial_state():
     net = two_site_net()
     for bad in ([1.0], [[1.0], [2.0]], 1.0, [1.0, 2.0, 3.0]):
-        with pytest.raises(DimensionMismatch, match="initial"):
+        with pytest.raises(OutOfDomain, match="initial"):
             simulate(net, 5, seed=1, initial=bad)
     simulate(net, 5, seed=1, initial=[1.0, 2.0])
 
@@ -586,7 +585,7 @@ def test_fit_net_error_parity(monkeypatch):
     net = two_site_net()
     phi = simulate(net, 50, seed=8)
     uncenterable = replace(net, columns=ColumnParams(pol_mean=((0.0, -0.1), (0.1, -0.1))))
-    with pytest.raises(CostNotFinite, match="initial point"):
+    with pytest.raises(OutOfDomain, match="initial point"):
         fit_net(phi, uncenterable, free=["Fz.offset"], bounds={"Fz.offset": (0.0, 2.0)})
 
     def no_search(*args, **kwargs):
@@ -596,7 +595,7 @@ def test_fit_net_error_parity(monkeypatch):
     for key in ("Qz.offset", "Cz->Fz.weight"):
         with pytest.raises(OutOfDomain, match="unknown"):
             fit_net(phi, net, free=[key], bounds={key: (0.0, 1.0)})
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(OutOfDomain, match="need at least 2 epochs"):
         fit_net(phi[:1], net, free=["Fz.offset"], bounds={"Fz.offset": (0.0, 2.0)})
 
 

@@ -514,12 +514,12 @@ def test_series_csv_plain_header_kept(tmp_path):
 
 
 def test_bins_csv(tmp_path):
-    dist = fit_bins(np.random.default_rng(1).laplace(0, 1, 500), bin_count=10)
+    dist = fit_bins(np.random.default_rng(1).laplace(0, 1, 500))
     path = tmp_path / "bins.csv"
     write_bins_csv(path, dist)
     header, data = read_table(path)
     assert header == ("edge_low", "edge_high", "count")
-    assert data.shape == (10, 3)
+    assert data.shape == (201, 3)
     assert int(data[:, 2].sum()) == 500
     assert np.array_equal(data[:, 0], dist.bin_edges[:-1])
     assert np.array_equal(data[:, 1], dist.bin_edges[1:])

@@ -4,8 +4,7 @@ Cases are generated from the schemas: a document that sets every listed key
 to a schema-valid value must load, and one fault at a time (an unknown key,
 a non-object where an object belongs, a value of the wrong JSON type, a
 non-integral integer, a value out of the bound the schema states) must raise
-a ParseError, or InvalidBounds or OutOfDomain from the key's owner, that
-names the key.
+a ParseError, or an OutOfDomain from the key's owner, that names the key.
 """
 
 import copy
@@ -22,7 +21,7 @@ from tailfolio import cli
 from tailfolio.anneal import AnnealConfig, minimize, search
 from tailfolio.copula import CopulaModel, CorrelationMatrix
 from tailfolio.eeg import ColumnParams, RegionNet, fit_net
-from tailfolio.errors import InvalidBounds, OutOfDomain, ParseError
+from tailfolio.errors import OutOfDomain, ParseError
 from tailfolio.marginals import ExponentialMarginal
 from tailfolio.modelfile import (load_model, load_net, read_config, save_model,
                                  save_net, write_series_csv)
@@ -168,7 +167,7 @@ ANNEAL = _schema("config.schema.json")["properties"]["anneal"]["properties"]
 def test_an_annealer_knob_out_of_its_bound_is_refused(tmp_path, key, bad):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"anneal": {"max_trials": 5, key: bad}}))
-    with pytest.raises((ParseError, InvalidBounds), match=f"'{key}'"):
+    with pytest.raises((ParseError, OutOfDomain), match=f"'{key}'"):
         cfg = AnnealConfig(**read_config(path)["anneal"])
         minimize(lambda p: float(np.sum(p * p)), [(0.0, 1.0)] * 2, cfg)
 
@@ -208,7 +207,7 @@ OWNED = [
     pytest.param(k, v, f, id=f"{k}={v!r}") for node, k, f in OWNED
     for v in _out_of_bounds(node)])
 def test_a_value_out_of_its_schema_bound_is_refused_by_its_owner(key, bad, owner):
-    with pytest.raises((OutOfDomain, InvalidBounds), match=f"'{key}'"):
+    with pytest.raises(OutOfDomain, match=f"'{key}'"):
         owner(bad)
 
 
