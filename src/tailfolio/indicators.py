@@ -25,6 +25,7 @@ from .risk import bhattacharyya_overlap
 FLATNESS_TOL = 1e-9
 DEGENERATE_RHO = 0.999
 WEIGHT_TRIALS = 4000    # the weight fit's anneal budget unless its config sets one
+WEIGHT_SEED = 7         # and its anneal seed
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,14 @@ def _stack(streams) -> np.ndarray:
 
 
 def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
-                          config: anneal.AnnealConfig | None = None,
-                          refine_calls: int = 500):
+                          config: anneal.AnnealConfig | None = None):
     """Weights maximizing held-out log-likelihood of the combined stream.
 
-    config defaults to WEIGHT_TRIALS trials at seed 0, and its search starts
-    from the equal weights unless it sets x0. The cost takes w and -w to the
-    same bits, so the sign the search lands on is a matter of its path: the
-    weights are reported with their largest-|w| entry positive.
+    config defaults to WEIGHT_TRIALS trials at seed WEIGHT_SEED, and the
+    search starts from the equal weights unless config sets x0. The cost
+    takes w and -w to the same bits, so the sign the search lands on is a
+    matter of its path: the weights are reported with their largest-|w|
+    entry positive.
 
     Returns (unit weights, flat flag, search result). The flat flag marks a
     likelihood surface where no best-cost record after the first (one each
@@ -87,11 +88,11 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
         return -ll
 
     if config is None:
-        config = anneal.AnnealConfig(max_trials=WEIGHT_TRIALS)
+        config = anneal.AnnealConfig(max_trials=WEIGHT_TRIALS, seed=WEIGHT_SEED)
     x0 = np.full(k, 1.0 / np.sqrt(k))
     if config.x0 is None:
         config = replace(config, x0=tuple(x0))
-    res = anneal.search(cost, [(-1.0, 1.0)] * k, config, refine_calls)
+    res = anneal.search(cost, [(-1.0, 1.0)] * k, config, refine_calls=500)
     w = np.asarray(res.x)
     norm = float(np.linalg.norm(w))
     w = x0 if norm < 1e-12 else w / norm
@@ -115,15 +116,13 @@ def _shape_params(values):
 def indicator_report(streams, holdout_fraction: float = 0.25,
                      fit_weights: bool = False, weights=None,
                      state_labels=None, pre_average_window: int = 3,
-                     config: anneal.AnnealConfig | None = None,
-                     refine_calls: int = 500):
+                     config: anneal.AnnealConfig | None = None):
     """Joint report for two or more indicator streams.
 
     The epoch axis splits into a leading training block and a trailing
     holdout block. Duplicated streams make the copula correlation singular;
-    that case is reported as a degenerate pairing with no model. config and
-    refine_calls are fit_indicator_weights'. Returns (report dict,
-    CopulaModel or None).
+    that case is reported as a degenerate pairing with no model. Returns
+    (report dict, CopulaModel or None).
     """
     data = _stack(streams)
     names = [s.name for s in streams]
@@ -179,7 +178,7 @@ def indicator_report(streams, holdout_fraction: float = 0.25,
         flat = False
         fitted = False
     elif fit_weights:
-        w, flat, _ = fit_indicator_weights(train, holdout, config, refine_calls)
+        w, flat, _ = fit_indicator_weights(train, holdout, config)
         fitted = True
     else:
         w = np.full(k, 1.0 / np.sqrt(k))

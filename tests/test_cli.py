@@ -425,8 +425,7 @@ def test_indicators_net_method(tmp_path):
 
 def _weight_fit(tmp_path, monkeypatch, seed=0, **extra):
     """Run indicators with fit_weights on two streams; returns the report and
-    the (config, result) of the weight fit's anneal and the max_calls of its
-    polish."""
+    the (config, result) of the weight fit's anneal."""
     rng = np.random.default_rng(6)
     a = rng.laplace(0.0, 0.5, size=400)
     b = 0.4 * a + rng.laplace(0.0, 0.4, size=400)
@@ -437,56 +436,48 @@ def _weight_fit(tmp_path, monkeypatch, seed=0, **extra):
         "methods": [{"name": "surveys", "csv": str(pa)},
                     {"name": "sensors", "csv": str(pb)}],
         "fit_weights": True, **extra})
-    anneals, polishes = [], []
-    minimize, local_refine = anneal.minimize, anneal.local_refine
+    anneals = []
+    minimize = anneal.minimize
 
     def recording_minimize(cost, bounds, config=None, **kw):
         res = minimize(cost, bounds, config, **kw)
         anneals.append((config, res))
         return res
 
-    def recording_refine(cost, x0, bounds, max_calls=1000):
-        polishes.append(max_calls)
-        return local_refine(cost, x0, bounds, max_calls)
-
     monkeypatch.setattr(anneal, "minimize", recording_minimize)
-    monkeypatch.setattr(anneal, "local_refine", recording_refine)
     out = tmp_path / f"ind{seed}"
     assert cli.main(["indicators", "--config", cfg, "--seed", str(seed),
                      "--out", str(out)]) == 0
     (config, res), = anneals
-    return load_json(out / "indicators.json"), config, res, polishes
+    return load_json(out / "indicators.json"), config, res
 
 
 def test_weight_fit_keeps_its_budget_under_an_unrelated_anneal_key(tmp_path,
                                                                     monkeypatch):
-    _, config, res, _ = _weight_fit(tmp_path, monkeypatch, anneal={"k_max": 1e11})
+    _, config, res = _weight_fit(tmp_path, monkeypatch, anneal={"k_max": 1e11})
     assert config.max_trials == 4000
     assert config.k_max == 1e11
     assert res.trials <= 4000
 
 
-def test_weight_fit_is_seeded_by_the_seed_flag(tmp_path, monkeypatch):
-    report0, config0, _, _ = _weight_fit(tmp_path, monkeypatch, seed=0)
-    report1, config1, _, _ = _weight_fit(tmp_path, monkeypatch, seed=1)
-    assert (config0.seed, config1.seed) == (0, 1)
-    assert report0["weights"] != report1["weights"]
-    # the block's own seed still wins over the flag
-    _, config, _, _ = _weight_fit(tmp_path, monkeypatch, seed=1, anneal={"seed": 5})
+def test_weight_fit_is_seeded_by_its_block_not_the_seed_flag(tmp_path, monkeypatch):
+    report0, config0, _ = _weight_fit(tmp_path, monkeypatch, seed=0)
+    report1, config1, _ = _weight_fit(tmp_path, monkeypatch, seed=1)
+    assert (config0.seed, config1.seed) == (7, 7)
+    assert report0 == report1
+    # an anneal block without a seed keeps the fit's own
+    _, config, _ = _weight_fit(tmp_path, monkeypatch, seed=1, anneal={"k_max": 1e11})
+    assert config.seed == 7
+    report5, config, _ = _weight_fit(tmp_path, monkeypatch, seed=1, anneal={"seed": 5})
     assert config.seed == 5
+    assert report5["weights"] != report0["weights"]
 
 
 def test_weight_fit_starts_from_a_block_x0(tmp_path, monkeypatch):
-    _, config, _, _ = _weight_fit(tmp_path, monkeypatch, anneal={"x0": [0.6, -0.8]})
+    _, config, _ = _weight_fit(tmp_path, monkeypatch, anneal={"x0": [0.6, -0.8]})
     assert list(config.x0) == [0.6, -0.8]
-    _, config, _, _ = _weight_fit(tmp_path, monkeypatch)
+    _, config, _ = _weight_fit(tmp_path, monkeypatch)
     assert list(config.x0) == [1.0 / math.sqrt(2.0)] * 2
-
-
-@pytest.mark.parametrize("extra, calls", [({}, 500), ({"refine_calls": 7}, 7)])
-def test_weight_fit_reads_refine_calls(tmp_path, monkeypatch, extra, calls):
-    _, _, _, polishes = _weight_fit(tmp_path, monkeypatch, **extra)
-    assert polishes == [calls]
 
 
 def test_indicators_config_required(tmp_path, capsys):
