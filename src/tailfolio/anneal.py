@@ -284,14 +284,6 @@ def fork_cpus(*needs: str) -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _pin(cpus) -> None:
-    """Run this process on cpus, where the system allows it."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
 def _poll(sock, until: float) -> bool:
     """Whether sock has data by perf_counter time until; spins, so that a
     process whose peer answers within microseconds is never put to sleep."""
@@ -316,10 +308,10 @@ class _CostWorker:
     never unwinds into the caller's frames, runs atexit handlers or flushes
     the parent's buffers. Once the pair fails here the worker is gone.
 
-    The worker runs on a CPU of its own and this process on the others: a
-    socket's wakeup would otherwise pull both onto one CPU, one waiting on
-    the other. Each side spins a little before it sleeps, since waking a
-    sleeping CPU can take longer than a cost. When other work holds the
+    The worker spins up to _SPIN for a request before it sleeps, and this
+    process spins for a reply, since waking a sleeping process can take
+    longer than a cost; so no wakeup leads the scheduler to put both on one
+    CPU, and pinning them measured as no faster. When other work holds the
     worker's CPU, a reply can come milliseconds late: this process waits
     at most _PATIENCE times as long as it has worked since the request,
     then costs the point itself, and pairs no trial until the late reply
@@ -328,8 +320,6 @@ class _CostWorker:
 
     def __init__(self, cost, d: int):
         self._cost = cost
-        self._cpus = os.sched_getaffinity(0)
-        theirs = {max(self._cpus)}
         self._sock, peer = socket.socketpair()
         with peer:
             try:
@@ -340,17 +330,14 @@ class _CostWorker:
             if self.pid == 0:
                 try:
                     self._sock.close()
-                    _pin(theirs)
                     while True:
-                        if not _poll(peer, time.perf_counter() + _SPIN):
-                            select.select([peer], [], [])
+                        _poll(peer, time.perf_counter() + _SPIN)
                         data = peer.recv(8 * d, socket.MSG_WAITALL)
                         if len(data) < 8 * d:
                             break
                         peer.sendall(_REPLY.pack(cost(np.frombuffer(data).copy())))
                 finally:
                     os._exit(0)
-        _pin(self._cpus - theirs)
         self.alive = True
         self._owed = None   # when the request whose reply is unread was sent
 
@@ -399,7 +386,6 @@ class _CostWorker:
     def close(self) -> None:
         """Close this end of the pair, which ends the child, and reap it."""
         self._sock.close()
-        _pin(self._cpus)
         try:
             os.waitpid(self.pid, 0)
         except ChildProcessError:   # reaped already, as under SIGCHLD ignored

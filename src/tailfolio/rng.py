@@ -2,12 +2,11 @@
 
 All stochastic code in the package draws from counter-based Philox streams
 through this module, and every normal variate is produced by inverse-CDF
-transformation of a uniform. That combination is what makes runs bit-identical
-across platforms and across serial/parallel lane schedules: the k-th draw of a
-given (seed, stream) pair is a pure function of (seed, stream, k).
-
-The inverse CDF is scipy's ndtri, the standard normal quantile (Wichura's
-AS241), accurate to a few ulps over the whole open interval.
+transformation of a uniform. The k-th uniform of a given (seed, stream) pair
+is a pure function of (seed, stream, k) on every platform and under any
+serial/parallel lane schedule. The k-th normal is fixed for one scipy build
+and one libm: the inverse CDF is scipy's ndtri, the standard normal
+quantile, whose last bits can move with glibc's FMA/AVX2 choice.
 """
 
 from __future__ import annotations
