@@ -10,7 +10,7 @@ import numpy as np
 
 from tailfolio import eeg
 from tailfolio.anneal import (COST_SAMPLES, TEMPERATURE_RATIO, OptResult, _check_bounds,
-                              _law_box, generate_candidate, tangents, temperature)
+                              generate_candidate, tangents, temperature)
 from tailfolio.errors import DegenerateVariance, NonPositiveDenominator, OutOfDomain
 from tailfolio.rng import UniformStream
 
@@ -184,8 +184,8 @@ def conditional_logprob(net: eeg.RegionNet, site: str, phi_next, phi_cur,
 
 # Test-only oracle of the candidate law in its first, round-major form: all
 # coordinates drawn once, then each round one numpy pass over the coordinates
-# still out of bounds, then a clip. Kept frozen, so that the pooled
-# generate_candidate is held to it bit for bit.
+# still out of bounds, then a clip. Kept frozen, so that generate_candidate
+# is held to it bit for bit.
 
 _T_FLOOR = 1e-300
 
@@ -198,13 +198,12 @@ def oracle_generation_delta(u, temp):
     return float(out) if out.ndim == 0 else out
 
 
-def candidate(x, temps, lo, hi, uniforms, regen_attempts=100, box=None):
-    """generate_candidate as minimize calls it: temps floored at _T_FLOOR,
-    base 1 + 1/temps, and box _law_box(lo, hi) unless one is given."""
+def candidate(x, temps, lo, hi, uniforms, regen_attempts=100):
+    """generate_candidate as minimize calls it: temps floored at _T_FLOOR
+    and base 1 + 1/temps."""
     t = np.maximum(temps, _T_FLOOR)
     return generate_candidate(x, t, lo, hi, uniforms, regen_attempts,
-                              base=1.0 + 1.0 / t,
-                              box=_law_box(lo, hi) if box is None else box)
+                              base=1.0 + 1.0 / t)
 
 
 def oracle_generate_candidate(x, temps, lo, hi, uniforms, regen_attempts=100, **kw):

@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven end-to-end checks at pinned tolerances.
+"""Acceptance suite: twelve end-to-end checks at pinned tolerances.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion. Every check is seeded and deterministic; the slowest ones
@@ -10,9 +10,12 @@ typically a few seconds.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import kstest
 
 from tailfolio import cli, marginals
@@ -291,7 +294,9 @@ def _hash_tree(root) -> dict:
     return out
 
 
-def test_10_cli_determinism(tmp_path):
+def _determinism_commands(tmp_path) -> dict:
+    """The determinism criterion's inputs, written under tmp_path, and its
+    commands by label, each without --out."""
     rng = np.random.default_rng(0)
     series = tmp_path / "input.csv"
     write_series_csv(series, np.stack([rng.laplace(0.01, 0.4, 300),
@@ -330,7 +335,7 @@ def test_10_cli_determinism(tmp_path):
         "methods": [{"name": "surveys", "csv": str(ind_a)},
                     {"name": "sensors", "csv": str(ind_b)}]}) + "\n")
 
-    commands = {
+    return {
         "fit-marginals": ["fit-marginals", str(series), "--seed", "1"],
         "sample": ["sample", str(model_path), "--n", "500", "--lanes", "4",
                    "--seed", "5"],
@@ -345,6 +350,9 @@ def test_10_cli_determinism(tmp_path):
         "indicators": ["indicators", "--config", str(ind_cfg), "--seed", "6"],
     }
 
+
+def test_10_cli_determinism(tmp_path):
+    commands = _determinism_commands(tmp_path)
     mismatches = []
     total_files = 0
     for label, argv in commands.items():
@@ -370,3 +378,60 @@ def test_10_cli_determinism(tmp_path):
                   f"({total_files} files hashed)"
                   + ("" if ok else f"; mismatches: {mismatches}"))
     assert ok, mismatches
+
+
+# The AVX-512 dispatch targets numpy may pick; masking them leaves the AVX2
+# (x86-64-v3) ones, the path a CPU without AVX-512 takes.
+_NARROWER = "AVX512_ICL AVX512_SPR X86_V4"
+_FEATURES = ("import json\n"
+             "from numpy._core._multiarray_umath import __cpu_features__\n"
+             "print(json.dumps(sorted(k for k, v in __cpu_features__.items() if v)))")
+_RUN_ALL = ("import json, sys\n"
+            "from tailfolio.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if main(argv) != 0:\n"
+            "        sys.exit(f'exit code not 0: {argv}')")
+
+
+def _python(code, args=(), **overlay):
+    """Run code in a fresh interpreter with tailfolio importable, each
+    RuntimeWarning an error, and numpy's NPY_ variables replaced by overlay."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NPY_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    env.update(overlay)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                           code, *args], env=env, capture_output=True, text=True)
+
+
+def test_10b_cli_reruns_are_byte_identical_on_a_narrower_numpy_target(tmp_path):
+    masked = _python(_FEATURES, NPY_DISABLE_CPU_FEATURES=_NARROWER)
+    default = _python(_FEATURES)
+    if masked.returncode or default.returncode:
+        pytest.skip(f"numpy's dispatch features cannot be read or masked: "
+                    f"{masked.stderr.strip() or default.stderr.strip()}")
+    if masked.stdout == default.stdout:
+        pytest.skip(f"masking {_NARROWER} leaves numpy's active features as they are")
+    off = sorted(set(json.loads(default.stdout)) - set(json.loads(masked.stdout)))
+
+    # the candidate law's power (optimize), the copula maps (sample) and the
+    # EEG transition kernel (eeg simulate)
+    commands = {label: argv for label, argv in _determinism_commands(tmp_path).items()
+                if label in ("optimize", "sample", "eeg-simulate")}
+    hashes = {}
+    for run, overlay in (("a", {"NPY_DISABLE_CPU_FEATURES": _NARROWER}),
+                         ("b", {"NPY_DISABLE_CPU_FEATURES": _NARROWER}),
+                         ("default", {})):
+        outs = {label: tmp_path / "dispatch" / f"{label}-{run}" for label in commands}
+        argvs = [argv + ["--out", str(outs[label])] for label, argv in commands.items()]
+        done = _python(_RUN_ALL, [json.dumps(argvs)], **overlay)
+        assert done.returncode == 0, done.stderr
+        hashes[run] = {f"{label}/{rel}": digest for label, out in outs.items()
+                       for rel, digest in _hash_tree(out).items()}
+
+    moved = sorted(rel for rel, digest in hashes["a"].items()
+                   if hashes["default"].get(rel) != digest)
+    ok = hashes["a"] == hashes["b"]
+    _line("10b", ok, f"reruns with {', '.join(off)} off "
+                     f"{'match' if ok else 'differ'} ({len(hashes['a'])} files); "
+                     f"{len(moved)} differ from the default target: {moved}")
+    assert ok

@@ -39,11 +39,11 @@ def test_temperature_beats_slow_schedules():
 
 
 def test_generation_delta_endpoints():
-    delta = _row0([0.5, 1.0, 0.0, 0.0], [0.1, 0.1, 0.1, 1e-8])
+    delta = _law([0.5, 1.0, 0.0, 0.0], [0.1, 0.1, 0.1, 1e-8])
     assert delta[0] == 0.0
     assert delta[1:] == pytest.approx([1.0, -1.0, -1.0])
     # numpy's array power; its scalar power gives -8.49682865651887e-205 here
-    assert _row0([0.3401179052324315], [0.0])[0] == -8.496828656518868e-205
+    assert _law([0.3401179052324315], [0.0])[0] == -8.496828656518868e-205
 
 
 def test_generation_concentrates_as_temperature_falls():
@@ -415,34 +415,15 @@ _TEMPS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-12, 1e-3,
        temp=st.one_of(st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 10.0]),
                       st.floats(-300.0, 1.0).map(lambda e: 10.0 ** e)))
 def test_generation_delta_matches_the_oracle_law_bitwise(u, temp):
-    got = _row0(u, [temp] * len(u))
+    got = _law(u, [temp] * len(u))
     assert got.tobytes() == oracle_generation_delta(np.array(u), temp).tobytes()
 
 
-class _Fixed:
-    """A uniform stream that yields the given values and then 0.5."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def peek(self, n):
-        pool = np.full(n, 0.5)
-        pool[:len(self.values)] = self.values
-        pool.flags.writeable = False
-        return pool
-
-    def consume(self, n):
-        pass
-
-
-def _row0(u, temps):
-    """generate_candidate's row 0 at x = 0 with unit spans and a box wide
-    enough that no coordinate is redrawn: the law's value per coordinate."""
-    d = len(u)
-    rows = (d + 9, d)
-    box = (np.full(rows, -2.0), np.full(rows, 2.0), np.ones(rows))
-    return candidate(np.zeros(d), np.array(temps), np.full(d, -2.0),
-                     np.full(d, 2.0), _Fixed(u), box=box)
+def _law(u, temps):
+    """The generating law per coordinate as generate_candidate evaluates it:
+    anneal._delta at temperatures floored at _T_FLOOR."""
+    t = np.maximum(np.array(temps, dtype=float), _T_FLOOR)
+    return anneal._delta(np.array(u, dtype=float), t, 1.0 + 1.0 / t)
 
 
 @st.composite
@@ -467,17 +448,17 @@ def candidate_cases(draw):
 
 
 def _assert_same_candidate(x, temps, lo, hi, regen, seed, skip):
-    pooled, oracle = UniformStream(seed), UniformStream(seed)
-    pooled.take(skip)
+    stream, oracle = UniformStream(seed), UniformStream(seed)
+    stream.take(skip)
     oracle.take(skip)
     x_before = x.copy()
-    got = candidate(x, temps, lo, hi, pooled, regen)
+    got = candidate(x, temps, lo, hi, stream, regen)
     want = oracle_generate_candidate(x, temps, lo, hi, oracle, regen)
     assert got.tobytes() == want.tobytes()
     assert x.tobytes() == x_before.tobytes()
     # the same uniforms were consumed
-    assert pooled.take(5).tobytes() == oracle.take(5).tobytes()
-    assert pooled.one() == oracle.one()
+    assert stream.take(5).tobytes() == oracle.take(5).tobytes()
+    assert stream.one() == oracle.one()
 
 
 @settings(max_examples=400, deadline=None)
@@ -486,31 +467,35 @@ def test_generate_candidate_matches_the_round_major_oracle_bitwise(case):
     _assert_same_candidate(*case)
 
 
-def test_generate_candidate_redraws_round_by_round_past_its_pool():
+def test_generate_candidate_redraws_round_by_round():
     # from the upper corner every draw with u > 1/2 leaves the box, so about
-    # half of all draws are redrawn and some trials outrun the pool; each
-    # round past it takes its uniforms from the stream, one take a round
+    # half of all draws are redrawn, some over many rounds; each round is one
+    # take of exactly the uniforms the oracle draws in that round
     d = 8
     lo, hi = np.zeros(d), np.ones(d)
-    pooled, oracle = UniformStream(5), UniformStream(5)
-    rounds = []
-    take = pooled.take
+    stream, oracle = UniformStream(5), UniformStream(5)
+    rounds, oracle_rounds = [], []
 
-    def counting(n):
-        rounds.append(n)
-        return take(n)
+    def counting(take, log):
+        def counted(n):
+            log.append(n)
+            return take(n)
+        return counted
 
-    pooled.take = counting
-    reached = 0
+    stream.take = counting(stream.take, rounds)
+    oracle.take = counting(oracle.take, oracle_rounds)
+    longest = 0
     for trial in range(300):
         rounds.clear()
+        oracle_rounds.clear()
         temps = np.full(d, 10.0 ** (1 - trial % 7))
-        got = candidate(hi, temps, lo, hi, pooled)
+        got = candidate(hi, temps, lo, hi, stream)
         want = oracle_generate_candidate(hi, temps, lo, hi, oracle)
         assert got.tobytes() == want.tobytes()
-        reached += bool(rounds)
-    assert reached >= 5
-    assert pooled.take(5).tobytes() == oracle.take(5).tobytes()
+        assert rounds == oracle_rounds
+        longest = max(longest, len(rounds))
+    assert longest >= 10
+    assert stream.take(5).tobytes() == oracle.take(5).tobytes()
 
 
 def _corner_linear(p):
@@ -530,14 +515,14 @@ def test_minimize_matches_minimize_on_the_oracle_candidate(monkeypatch, d, cost)
     # that it reanneals
     cfg = AnnealConfig(seed=d, max_trials=3000, reanneal_interval=40, c=1.0,
                        accept_c=1.0, window_repeat_tol=-1.0)
-    pooled = minimize(cost, bounds, cfg)
+    res = minimize(cost, bounds, cfg)
     monkeypatch.setattr(anneal, "generate_candidate", oracle_generate_candidate)
     oracle = minimize(cost, bounds, cfg)
-    assert pooled.x.tobytes() == oracle.x.tobytes()
-    assert (pooled.cost, pooled.trials, pooled.acceptances, pooled.exit_reason) == (
+    assert res.x.tobytes() == oracle.x.tobytes()
+    assert (res.cost, res.trials, res.acceptances, res.exit_reason) == (
         oracle.cost, oracle.trials, oracle.acceptances, oracle.exit_reason)
-    assert pooled.trace.tobytes() == oracle.trace.tobytes()
-    assert pooled.acceptances >= 2 * cfg.reanneal_interval
+    assert res.trace.tobytes() == oracle.trace.tobytes()
+    assert res.acceptances >= 2 * cfg.reanneal_interval
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 24])
