@@ -50,8 +50,7 @@ window_repeat_tol times the cost scale (ASA's Cost_Precision and
 Maximum_Cost_Repeat): exit "cost-repeat". Only trial candidates count
 toward that exit, measured from the first trial, so a start point better
 than every trial does not end the run; x0, the samples and reanneal probes
-still update the returned best. window_best records the best cost every
-RECORD_PERIOD (100) trials.
+still update the returned best.
 
 A caller whose cost is a pure function of the point may say so
 (pure_cost): then, where fork_cpus finds a second CPU, a forked worker
@@ -90,7 +89,6 @@ GRAD_TOL = 1e-8      # local_refine's gradient tolerance, times 1 + |start cost|
 COST_SAMPLES = 4     # box points sampled for the cost scale, besides x0
 TEMPERATURE_RATIO = 1e-8    # final/initial temperature of the sized schedule
 TEMPERATURE_BLOCK = 64      # trials whose generation temperatures share one pass
-RECORD_PERIOD = 100         # trials between window_best records
 _REPLY = struct.Struct("d")     # a cost worker's reply: the cost
 _SPIN = 0.002       # seconds a cost worker polls for a request before it sleeps
 _PATIENCE = 1.0     # a reply's wait, over the time worked since its request
@@ -138,7 +136,6 @@ class OptResult:
     trials: int
     acceptances: int
     exit_reason: str    # converged | trial-limit | cost-repeat
-    window_best: tuple[float, ...] = field(default_factory=tuple)
     # per trial, in trial order: cost, acceptance temperature (interleaved)
     trace: array = field(default_factory=lambda: array("d"), repr=False)
 
@@ -406,14 +403,12 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
     trials = 0
     acceptances = 0
     next_reanneal = cfg.reanneal_interval
-    next_record = RECORD_PERIOD
     # the exit: a run of stall trials none of which lowered the best trial
     # cost by more than gain_tol; the first finite trial sets trial_best
     exit_on = cfg.window_repeat_tol >= 0.0
     gain_tol = cfg.window_repeat_tol * scale
     stall = max(cfg.max_trials // 10, 1)
     trial_best, last_gain = math.inf, 0
-    window_best: list[float] = []
     trace = array("d")
     exit_reason = "trial-limit"
 
@@ -436,7 +431,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
         """Book the next trial, candidate cand of cost fc, in trial order;
         True when it moved the chain or ended the run."""
         nonlocal x, fx, row, trials, acceptances, k_acc, t_acc, k_gen, \
-            trial_best, last_gain, next_reanneal, next_record, exit_reason
+            trial_best, last_gain, next_reanneal, exit_reason
         row += 1
         trials += 1
         if fc < trial_best:
@@ -464,9 +459,6 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
                 k_gen, row = ks[row].copy(), rows
                 reanneal()
                 next_reanneal += cfg.reanneal_interval
-        if trials == next_record:
-            window_best.append(best_f)
-            next_record += RECORD_PERIOD
         if exit_on and trials - last_gain >= stall:
             exit_reason = "cost-repeat"
             return True
@@ -516,8 +508,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
             worker.close()
 
     return OptResult(x=best_x, cost=best_f, trials=trials, acceptances=acceptances,
-                     exit_reason=exit_reason, window_best=tuple(window_best),
-                     trace=trace)
+                     exit_reason=exit_reason, trace=trace)
 
 
 def local_refine(cost, x0, bounds, max_calls: int = 1000) -> OptResult:
@@ -564,7 +555,7 @@ def search(cost, bounds, config: AnnealConfig | None = None,
     Returns one OptResult. When the polish runs, its point and cost replace
     the anneal's (local_refine never returns a point worse than its start)
     and trials counts the anneal's trials plus the polish's cost calls;
-    acceptances, exit_reason, window_best and trace stay the anneal's. When
+    acceptances, exit_reason and trace stay the anneal's. When
     refine_calls is 0 or the annealed cost is not below SENTINEL, the polish
     is skipped and the anneal's result is returned unchanged; a negative or
     NaN refine_calls raises OutOfDomain. pure_cost is minimize's.

@@ -67,9 +67,8 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
     matter of its path: the weights are reported with their largest-|w|
     entry positive.
 
-    Returns (unit weights, flat flag, search result). The flat flag marks a
-    likelihood surface where no best-cost record after the first (one each
-    anneal.RECORD_PERIOD trials) improved on it beyond 1e-9 relative.
+    Returns (unit weights, flat flag, search result). flat: every trial of
+    the anneal cost within FLATNESS_TOL * max(1, |lowest|) of the lowest.
     """
     k = train.shape[1]
 
@@ -99,13 +98,9 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
     if w[np.argmax(np.abs(w))] < 0.0:
         w = -w
 
-    window_best = res.window_best
-    if len(window_best) >= 2:
-        improvement = window_best[0] - min(window_best[1:])
-    else:
-        improvement = 0.0
-    flat = improvement < FLATNESS_TOL * max(1.0, abs(window_best[0]) if window_best else 1.0)
-    return w, bool(flat), res
+    costs = res.trace[0::2]
+    flat = max(costs) - min(costs) <= FLATNESS_TOL * max(1.0, abs(min(costs)))
+    return w, flat, res
 
 
 def _shape_params(values):

@@ -48,10 +48,6 @@ class ExponentialMarginal:
                     raise OutOfDomain(f"{key!r} must be finite and > 0, "
                                       f"got {getattr(self, key)!r}")
 
-    @property
-    def is_asymmetric(self) -> bool:
-        return self.chi_minus is not None
-
     def width_below(self) -> float:
         return self.chi_minus if self.chi_minus is not None else self.chi
 

@@ -169,6 +169,10 @@ def write_table(path, header, values) -> None:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(header):
         raise ParseError("row width does not match header")
+    for i, name in enumerate(header):   # each must read back through read_table
+        if name in header[:i] or name != name.strip() or any(c in name for c in ",\r\n"):
+            raise ParseError(f"CSV column name {name!r} repeats, or has a comma, a "
+                             f"line break or leading or trailing whitespace")
     parts = _part_count(values.size, _PART_VALUES)
     if parts > 1:
         try:

@@ -55,39 +55,23 @@ class UniformStream:
         return out
 
     def take(self, n: int) -> np.ndarray:
+        """The next n uniforms, in an array the caller owns."""
         need = n - (self._buf.size - self._pos)
-        if need < _BLOCK:
-            out = self.peek(n).copy()
-            self.consume(n)
-            return out
-        # a block or more: hand the fresh array over instead of buffering it
-        left = self._buf[self._pos:]
-        self._buf, self._pos = np.empty(0), 0
-        fresh = self._draw(need)
-        return np.concatenate([left, fresh]) if left.size else fresh
-
-    def peek(self, n: int) -> np.ndarray:
-        """The next n uniforms as a read-only view, without consuming them.
-
-        When the buffer holds fewer than n, its unread tail and a fresh draw
-        of at least a block become the new buffer; the old block is freed
-        before the draw, so no second block is kept.
-        """
-        if self._buf.size - self._pos < n:
-            self._buf, self._pos = self._buf[self._pos:].copy(), 0
-            fresh = self._draw(max(n - self._buf.size, _BLOCK))
-            self._buf = np.concatenate([self._buf, fresh])
-        out = self._buf[self._pos:self._pos + n]
-        out.flags.writeable = False
-        return out
-
-    def consume(self, n: int) -> None:
-        """Skip n uniforms that a preceding peek of at least n returned."""
+        if need >= _BLOCK:
+            # a block or more: hand the fresh array over instead of buffering it
+            left, self._buf, self._pos = self._buf[self._pos:], np.empty(0), 0
+            fresh = self._draw(need)
+            return np.concatenate([left, fresh]) if left.size else fresh
+        if need > 0:    # the unread tail and one fresh block
+            self._buf = np.concatenate([self._buf[self._pos:], self._draw(_BLOCK)])
+            self._pos = 0
+        out = self._buf[self._pos:self._pos + n].copy()
         self._pos += n
+        return out
 
     def one(self) -> float:
         if self._pos >= self._buf.size:
-            self.peek(1)
+            self._buf, self._pos = self._draw(_BLOCK), 0
         v = self._buf[self._pos]
         self._pos += 1
         return float(v)

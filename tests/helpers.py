@@ -222,9 +222,9 @@ def oracle_generate_candidate(x, temps, lo, hi, uniforms, regen_attempts=100, **
 
 # Test-only oracle of the annealer's loop in its per-trial form: the
 # generation temperatures computed afresh every trial from counters advanced
-# by += 1.0, the candidate from oracle_generate_candidate, and window_best
-# recorded every 100 trials by a modulo. Kept frozen, so that the blocked
-# loop of minimize is held to it bit for bit. Configs are assumed valid.
+# by += 1.0 and the candidate from oracle_generate_candidate. Kept frozen,
+# so that the blocked loop of minimize is held to it bit for bit. Configs
+# are assumed valid.
 
 def oracle_minimize(cost, bounds, cfg):
     lo, hi = _check_bounds(bounds)
@@ -277,7 +277,6 @@ def oracle_minimize(cost, bounds, cfg):
     gain_tol = cfg.window_repeat_tol * scale
     stall = max(cfg.max_trials // 10, 1)
     trial_best, last_gain = math.inf, 0
-    window_best = []
     trace = array("d")
     exit_reason = "trial-limit"
 
@@ -324,15 +323,12 @@ def oracle_minimize(cost, bounds, cfg):
             if acceptances >= next_reanneal:
                 reanneal()
                 next_reanneal += cfg.reanneal_interval
-        if trials % 100 == 0:
-            window_best.append(best_f)
         if exit_on and trials - last_gain >= stall:
             exit_reason = "cost-repeat"
             break
 
     return OptResult(x=best_x, cost=best_f, trials=trials, acceptances=acceptances,
-                     exit_reason=exit_reason, window_best=tuple(window_best),
-                     trace=trace)
+                     exit_reason=exit_reason, trace=trace)
 
 
 # Test-only oracle of the contract kernel's returns in its first form,

@@ -120,6 +120,34 @@ def test_sample_bad_n(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("channels, column", [
+    (("a,b", "c"), "a,b"),
+    ((" a", "a"), " a"),
+    (("a", "b\r"), "b\r"),
+    (("event_index", "b"), "event_index"),
+])
+def test_sample_refuses_channel_names_its_csv_cannot_read_back(
+        tmp_path, capsys, channels, column):
+    model = tmp_path / "model.json"
+    save_model(model, CopulaModel(
+        marginals=(ExponentialMarginal(m=0.0, chi=0.01),) * 2,
+        correlation=CorrelationMatrix.from_matrix(np.eye(2)), channels=channels))
+    out = tmp_path / "o"
+    assert cli.main(["sample", str(model), "--n", "5", "--out", str(out)]) == 2
+    assert repr(column) in capsys.readouterr().err
+    assert not (out / "events.csv").exists()
+
+
+def test_eeg_simulate_refuses_a_site_name_its_csv_cannot_read_back(tmp_path, capsys):
+    def rename(payload):
+        payload["sites"][0]["name"] = "F,z"
+        payload["couplings"][0]["source"] = "F,z"
+
+    assert cli.main(_net_case(tmp_path, rename)) == 2
+    assert "'F,z'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "series.csv").exists()
+
+
 def test_risk_report_consistent(tmp_path):
     model = make_model_json(tmp_path)
     out = tmp_path / "risk"
@@ -847,8 +875,10 @@ def _eeg_check_repeated_column_case(tmp_path):
     net_path = tmp_path / "net.json"
     save_net(net_path, two_site_net())
     series = tmp_path / "series.csv"
-    write_series_csv(series, np.random.default_rng(2).normal(size=(20, 3)),
-                     ("Fz", "Cz", "Fz"))
+    # written by hand: write_series_csv refuses a repeated column
+    rows = np.random.default_rng(2).normal(size=(20, 3))
+    series.write_text("epoch,Fz,Cz,Fz\n" + "".join(
+        f"{i},{a:.17g},{b:.17g},{c:.17g}\n" for i, (a, b, c) in enumerate(rows)))
     return ["eeg", "check", str(net_path), str(series), "--out", str(tmp_path / "o")]
 
 

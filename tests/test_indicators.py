@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tailfolio.anneal import AnnealConfig
+from tailfolio.anneal import SENTINEL, AnnealConfig
 from tailfolio.errors import OutOfDomain
 from tailfolio.indicators import (MethodStream, fit_indicator_weights,
                                   indicator_report, stream_from_net)
@@ -114,21 +114,36 @@ def test_fit_weights_unit_norm():
 
 
 def test_fit_weights_flat_surface():
-    # constant training streams never fit a marginal, so every window ties
+    # constant training streams never fit a marginal, so every trial ties
     train = np.zeros((200, 2))
     holdout = np.ones((50, 2))
     w, flat, res = fit_indicator_weights(train, holdout,
                                          AnnealConfig(seed=1, max_trials=600))
+    assert set(res.trace[0::2]) == {SENTINEL}
     assert flat
     assert float(np.linalg.norm(w)) == pytest.approx(1.0, rel=1e-9)
 
 
-def test_fit_weights_prefers_informative_direction():
+def _informative():
     rng = np.random.default_rng(21)
     strong = rng.laplace(0.0, 0.2, size=1200)
     noise = rng.normal(0.0, 4.0, size=1200)
-    train = np.stack([strong[:900], noise[:900]], axis=1)
-    holdout = np.stack([strong[900:], noise[900:]], axis=1)
+    return (np.stack([strong[:900], noise[:900]], axis=1),
+            np.stack([strong[900:], noise[900:]], axis=1))
+
+
+def test_fit_weights_short_run_on_an_informative_surface_is_not_flat():
+    # flat reads every trial cost, so a run of under 200 trials is judged
+    # on the spread of what it tried
+    train, holdout = _informative()
+    _, flat, res = fit_indicator_weights(train, holdout,
+                                         AnnealConfig(seed=4, max_trials=150))
+    assert len(res.trace) // 2 < 200
+    assert not flat
+
+
+def test_fit_weights_prefers_informative_direction():
+    train, holdout = _informative()
     w, _, _ = fit_indicator_weights(train, holdout,
                                     AnnealConfig(seed=4, max_trials=2000))
     # the tight channel should dominate the mix

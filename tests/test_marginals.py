@@ -12,7 +12,7 @@ def test_fit_matches_moment_equations():
     assert mg.m == pytest.approx(float(np.mean(x)), abs=0)
     var = float(np.mean((x - np.mean(x)) ** 2))
     assert mg.chi == pytest.approx(np.sqrt(var / 2.0), abs=0)
-    assert not mg.is_asymmetric
+    assert mg.chi_minus is None and mg.chi_plus is None
 
 
 def test_fit_asymmetric_one_sided_moments():
@@ -23,7 +23,6 @@ def test_fit_asymmetric_one_sided_moments():
     above = x[x > m] - m
     assert mg.chi_minus == pytest.approx(np.sqrt(np.mean(below ** 2) / 2.0))
     assert mg.chi_plus == pytest.approx(np.sqrt(np.mean(above ** 2) / 2.0))
-    assert mg.is_asymmetric
 
 
 def test_fit_degenerate_cases():

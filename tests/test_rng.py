@@ -127,61 +127,53 @@ def test_normal_draw_peak_memory_near_its_result():
 # request sizes: small, around the 8 192-value block, and over a block
 _SIZES = st.one_of(st.integers(0, 40), st.integers(8150, 8250),
                    st.integers(16000, 20000))
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2 ** 32),
-       ops=st.lists(st.tuples(st.sampled_from(["take", "one", "peek", "consume"]),
-                              _SIZES, st.floats(0.0, 1.0)), max_size=12))
-def test_peek_and_consume_interleave_with_take_and_one(seed, ops):
-    ref = UniformStream(seed, stream=1).take(12 * 20001)
-    s = UniformStream(seed, stream=1)
-    pos = 0
-    for op, n, part in ops:
-        if op == "take":
-            assert s.take(n).tobytes() == ref[pos:pos + n].tobytes()
-            pos += n
-        elif op == "one":
-            assert s.one() == ref[pos]
-            pos += 1
-        else:
-            view = s.peek(n)
-            assert not view.flags.writeable
-            assert view.tobytes() == ref[pos:pos + n].tobytes()
-            if op == "consume":     # any part of what was peeked
-                used = int(part * n)
-                s.consume(used)
-                pos += used
-    assert s.take(3).tobytes() == ref[pos:pos + 3].tobytes()
-
-
-def test_peek_across_a_block_keeps_one_buffer():
-    s = UniformStream(3)
-    s.take(8000)
-    old = weakref.ref(s._buf)
-    s.peek(500)
-    assert old() is None
-    # the unread tail of the old block and one fresh block
-    assert s._buf.size == 192 + 8192
-
-
-_OPS = st.lists(st.tuples(st.sampled_from(["take", "one", "peek", "consume"]),
-                          _SIZES, st.floats(0.0, 1.0)), max_size=8)
+_OPS = st.lists(st.tuples(st.sampled_from(["take", "one"]), _SIZES), max_size=12)
 
 
 def _draw(s, ops):
     """Run ops on s; the bytes of what each op returned."""
-    out = []
-    for op, n, part in ops:
-        if op == "take":
-            out.append(s.take(n).tobytes())
-        elif op == "one":
-            out.append(np.float64(s.one()).tobytes())
-        else:
-            out.append(s.peek(n).tobytes())
-            if op == "consume":
-                s.consume(int(part * n))
-    return out
+    return [s.take(n).tobytes() if op == "take" else np.float64(s.one()).tobytes()
+            for op, n in ops]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), ops=_OPS)
+def test_takes_and_ones_interleave_as_one_large_take(seed, ops):
+    ref = UniformStream(seed, stream=1).take(12 * 20000 + 3)
+    s = UniformStream(seed, stream=1)
+    pos = 0
+    for got, (op, n) in zip(_draw(s, ops), ops):
+        n = n if op == "take" else 1
+        assert got == ref[pos:pos + n].tobytes()
+        pos += n
+    assert s.take(3).tobytes() == ref[pos:pos + 3].tobytes()
+
+
+def test_a_refill_keeps_the_unread_tail_and_one_block():
+    s = UniformStream(3)
+    s.take(8000)
+    old = weakref.ref(s._buf)
+    s.take(500)
+    assert old() is None
+    # the unread tail of the old block and one fresh block
+    assert s._buf.size == 192 + 8192
+    s.take(192 + 8192 - 500)
+    s.one()     # from an empty tail: one fresh block
+    assert s._buf.size == 8192
+
+
+@pytest.mark.parametrize("n", [1, 40, 8191, 8192 + 100, 20000])
+def test_a_taken_array_is_the_callers_own(n):
+    ref = UniformStream(4).take(7 + 20000 + 50)
+    s = UniformStream(4)
+    s.take(7)
+    mark = s.tell()
+    out = s.take(n)
+    out[:] = -1.0
+    # neither the next draws nor a replay from before the take see the write
+    assert s.take(50).tobytes() == ref[7 + n:57 + n].tobytes()
+    s.seek(mark)
+    assert s.take(n).tobytes() == ref[7:7 + n].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
