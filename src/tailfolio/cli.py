@@ -65,13 +65,16 @@ def cmd_fit_marginals(args) -> int:
             raise ParseError(f"'marginal_window' must be >= 2, got {window}")
         data = data[-window:]
     marginals = fit_channels(names, data, **_present(cfg, "asymmetric"))
-    y = np.stack([to_gaussian(mg, data[:, i]) for i, mg in enumerate(marginals)],
-                 axis=0)
+    rows = data.shape[0]
+    y = np.empty((len(names), rows))
+    for i, mg in enumerate(marginals):
+        y[i] = to_gaussian(mg, data[:, i])
+    del data    # the table goes before the correlation's own copies are made
     corr = estimate_correlation(y, **_present(cfg, "pre_average_window"))
     model = CopulaModel(marginals=marginals, correlation=corr,
                         channels=tuple(names))
     save_model(os.path.join(out, "model.json"), model)
-    print(f"fitted {len(names)} channel(s) from {data.shape[0]} rows")
+    print(f"fitted {len(names)} channel(s) from {rows} rows")
     for name, mg in zip(names, marginals):
         print(f"  {name}: m={fmt(mg.m)} chi={fmt(mg.chi)}")
     print(f"wrote {os.path.join(out, 'model.json')}")
@@ -111,8 +114,9 @@ def cmd_risk(args) -> int:
     if args.n < 2:
         raise ParseError(f"--n must be >= 2, got {args.n}")
     config = RiskConfig(var_level=args.var, q_target=args.q)
-    dx = sample_events(model, args.n, args.seed)
-    dm = portfolio_returns(dx, LinearPortfolio(weights=weights, offsets=(0.0,) * dim))
+    # no name holds the events, so they go once the returns exist
+    dm = portfolio_returns(sample_events(model, args.n, args.seed),
+                           LinearPortfolio(weights=weights, offsets=(0.0,) * dim))
     report, dist = risk_report(dm, config)
     save_json(os.path.join(out, "risk.json"),
               {"kind": "risk_report", **asdict(report), "weights": list(weights)})

@@ -143,8 +143,8 @@ def estimate_correlation(y_series, pre_average_window: int = 3) -> CorrelationMa
     if t_eff <= n:
         raise OutOfDomain(
             f"{t_eff} pre-averaged epochs for {n} channels; need more epochs than channels")
-    centered = y - y.mean(axis=1, keepdims=True)
-    cov = centered @ centered.T / t_eff
+    y -= y.mean(axis=1, keepdims=True)     # pre_average made y a new array
+    cov = y @ y.T / t_eff
     d = np.sqrt(np.diag(cov))
     if np.any(d <= 0.0):
         raise IllConditioned("a channel has zero variance after pre-averaging")

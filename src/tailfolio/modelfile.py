@@ -83,7 +83,7 @@ def load_json(path) -> dict:
 
 # ---------------------------------------------------------------- CSV tables
 
-_BLOCK_ROWS = 4096
+_BLOCK_VALUES = 1 << 15     # values formatted per % call
 # A large table is written and read in parts, one per CPU this process may
 # run on, each part in its own process (see _run_parts). A written part
 # holds at least _PART_VALUES values and a read part at least _PART_BYTES
@@ -156,40 +156,54 @@ def _run_parts(parts, child, own, gather):
             os.close(fd)
 
 
-def write_table(path, header, values) -> None:
+def write_table(path, header, values, first_index=None) -> None:
     """Write a (rows, len(header)) numeric array under a one-line header.
 
-    Rows are formatted 4096 at a time, with one % on a repeated
-    "%.17g,...\\n" row template. A large table is split into contiguous row
-    ranges: the first is written here and each other one by a forked child
-    into its own in-memory file, appended to path in order once all are
-    done; no other file is created. The part count never changes a byte;
-    when a part fails, the table is written again from the start as one part.
+    With first_index, the first column holds the row numbers counted from
+    first_index and values holds the other columns; that column is made per
+    formatting block, never for the whole table.
+
+    Rows are formatted about _BLOCK_VALUES values at a time, with one % on
+    a repeated "%.17g,...\\n" row template. A large table is split into
+    contiguous row ranges: the first is written here and each other one by
+    a forked child into its own in-memory file, appended to path in order
+    once all are done; no other file is created. The part count never
+    changes a byte; when a part fails, the table is written again from the
+    start as one part.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != len(header):
+    if values.ndim != 2 or values.shape[1] + (first_index is not None) != len(header):
         raise ParseError("row width does not match header")
     for i, name in enumerate(header):   # each must read back through read_table
         if name in header[:i] or name != name.strip() or any(c in name for c in ",\r\n"):
             raise ParseError(f"CSV column name {name!r} repeats, or has a comma, a "
                              f"line break or leading or trailing whitespace")
-    parts = _part_count(values.size, _PART_VALUES)
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"CSV column name {name!r} UTF-8 cannot encode") from exc
+    parts = _part_count(values.shape[0] * len(header), _PART_VALUES)
     if parts > 1:
         try:
-            return _write_parts(path, header, values, parts)
+            return _write_parts(path, header, values, first_index, parts)
         except (OSError, _PartFailed):
             pass
-    _write_parts(path, header, values, 1)
+    _write_parts(path, header, values, first_index, 1)
 
 
-def _write_parts(path, header, values, parts) -> None:
-    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+def _write_parts(path, header, values, first_index, parts) -> None:
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    step = max(1, _BLOCK_VALUES // len(header))
     cuts = [values.shape[0] * i // parts for i in range(parts + 1)]
 
     def write_rows(i, fd):
         with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
-            for start in range(cuts[i], cuts[i + 1], _BLOCK_ROWS):
-                block = values[start:min(start + _BLOCK_ROWS, cuts[i + 1])]
+            for start in range(cuts[i], cuts[i + 1], step):
+                stop = min(start + step, cuts[i + 1])
+                block = values[start:stop]
+                if first_index is not None:
+                    block = np.column_stack(
+                        [np.arange(start + first_index, stop + first_index), block])
                 fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -360,8 +374,7 @@ def write_series_csv(path, values, columns, index_name: str = "epoch") -> None:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(columns):
         raise ParseError("values must be (rows, len(columns))")
-    write_table(path, (index_name, *columns),
-                np.column_stack([np.arange(values.shape[0]), values]))
+    write_table(path, (index_name, *columns), values, first_index=0)
 
 
 def read_series_csv(path):
@@ -384,8 +397,7 @@ def write_bins_csv(path, distribution) -> None:
 def write_trace_csv(path, result) -> None:
     """Annealer trace of an OptResult: trial number, cost, acceptance temperature."""
     trace = np.asarray(result.trace).reshape(-1, 2)
-    write_table(path, ("trial", "cost", "accept_temp"),
-                np.column_stack([np.arange(1, len(trace) + 1), trace]))
+    write_table(path, ("trial", "cost", "accept_temp"), trace, first_index=1)
 
 
 # -------------------------------------------------------------- typed reader

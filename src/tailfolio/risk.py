@@ -71,7 +71,9 @@ def portfolio_returns(events, portfolio: LinearPortfolio) -> np.ndarray:
     b = np.asarray(portfolio.offsets, dtype=float)
     if dx.shape[1] != w.size:
         raise OutOfDomain("portfolio dimension must match event channels")
-    return dx @ w + b.sum()
+    dm = dx @ w
+    dm += b.sum()
+    return dm
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from scipy import special
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
 _BLOCK = 8192        # uniforms a stream buffers per refill
+_RAW_BLOCK = 1 << 16 # raw words converted per random_raw call
 
 
 def _philox(seed: int, stream: int = 0) -> np.random.Philox:
@@ -46,10 +47,13 @@ class UniformStream:
         self._pos = 0
 
     def _draw(self, n: int) -> np.ndarray:
-        """The next n uniforms of the stream, converted in place from raw words."""
-        raw = self._bitgen.random_raw(n)
-        raw >>= np.uint64(11)
-        out = raw.astype(np.float64)
+        """The next n uniforms of the stream, in one float array filled from
+        raw words _RAW_BLOCK at a time, so no whole-size word array is held."""
+        out = np.empty(n)
+        for start in range(0, n, _RAW_BLOCK):
+            raw = self._bitgen.random_raw(min(_RAW_BLOCK, n - start))
+            raw >>= np.uint64(11)
+            out[start:start + raw.size] = raw
         out += 0.5
         out *= _INV_2_53
         return out

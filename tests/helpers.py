@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 from array import array
 
 import jsonschema
@@ -21,6 +22,17 @@ def validate_schema(payload: dict, name: str) -> None:
     with open(os.path.join(SCHEMA_DIR, name), encoding="utf-8") as fh:
         schema = json.load(fh)
     jsonschema.validate(payload, schema)
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes traced by tracemalloc while fn() runs, its result
+    included; numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def centered_columns() -> eeg.ColumnParams:

@@ -125,6 +125,7 @@ def test_sample_bad_n(tmp_path, capsys):
     ((" a", "a"), " a"),
     (("a", "b\r"), "b\r"),
     (("event_index", "b"), "event_index"),
+    (("\ud800", "c"), "\ud800"),     # a lone surrogate UTF-8 cannot encode
 ])
 def test_sample_refuses_channel_names_its_csv_cannot_read_back(
         tmp_path, capsys, channels, column):
@@ -145,6 +146,16 @@ def test_eeg_simulate_refuses_a_site_name_its_csv_cannot_read_back(tmp_path, cap
 
     assert cli.main(_net_case(tmp_path, rename)) == 2
     assert "'F,z'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "series.csv").exists()
+
+
+def test_eeg_simulate_refuses_a_site_name_utf8_cannot_encode(tmp_path, capsys):
+    def rename(payload):
+        payload["sites"][0]["name"] = "\ud800"
+        payload["couplings"][0]["source"] = "\ud800"
+
+    assert cli.main(_net_case(tmp_path, rename)) == 2
+    assert repr("\ud800") in capsys.readouterr().err
     assert not (tmp_path / "o" / "series.csv").exists()
 
 

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailfolio import events
 from tailfolio.copula import CopulaModel, CorrelationMatrix, from_gaussian
 from tailfolio.errors import OutOfDomain
 from tailfolio.events import sample_events
 from tailfolio.marginals import ExponentialMarginal
 from tailfolio.modelfile import read_series_csv, write_series_csv
 from tailfolio.rng import NormalStream
+
+from helpers import traced_peak
 
 
 def make_model():
@@ -84,8 +87,45 @@ def test_lane_zero_is_prefix_of_single_lane_run():
     model = make_model()
     multi = sample_events(model, 999, seed=21, lanes=3)
     single = sample_events(model, 999, seed=21, lanes=1)
-    head = 333  # lane 0 holds ceil(999/3) rows
-    assert np.array_equal(multi[:head], single[:head])
+    # lanes split the channels of each row block, never the rows, so a row
+    # prefix of the three-lane batch is that of the one-lane batch
+    assert np.array_equal(multi[:333], single[:333])
+
+
+def _model_of_dim(dim, seed=0):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, dim + 1))
+    cov = g @ g.T + 0.1 * np.eye(dim)
+    scale = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(scale, scale)
+    corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    return CopulaModel(
+        marginals=tuple(ExponentialMarginal(rng.uniform(-1, 1), rng.uniform(0.1, 2))
+                        for _ in range(dim)),
+        correlation=CorrelationMatrix.from_matrix(corr))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 64])
+@pytest.mark.parametrize("extra", [-1, 0, 1, "3 blocks + 7"])
+def test_row_blocks_match_the_one_call_reference_bitwise(dim, extra):
+    """Around and across the row-block cuts, the blocked draw, coloring and
+    maps give the bits of one draw, one product and one map per channel."""
+    block = events._BLOCK_VALUES // dim
+    n = 3 * block + 7 if extra == "3 blocks + 7" else block + extra
+    model = _model_of_dim(dim)
+    want = whitened(model, n, 17) @ model.correlation.cholesky.T
+    for j, marg in enumerate(model.marginals):
+        want[:, j] = from_gaussian(marg, want[:, j])
+    for lanes in (1, 2):
+        assert sample_events(model, n, 17, lanes=lanes).tobytes() == want.tobytes()
+
+
+def test_sample_peak_memory_near_its_table():
+    # one (n, N) table plus a row block of draws and map temporaries
+    model = _model_of_dim(8)
+    n = 200_000
+    assert traced_peak(lambda: sample_events(model, n, 3, lanes=2)) < 1.35 * 8 * 8 * n
 
 
 def test_coloring_and_marginal_map_exact():

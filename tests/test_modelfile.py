@@ -25,7 +25,7 @@ from tailfolio.modelfile import (fmt, load_json, load_model, load_net,
                                  write_series_csv, write_table, write_trace_csv)
 from tailfolio.risk import fit_bins
 
-from helpers import two_site_net
+from helpers import traced_peak, two_site_net
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -65,11 +65,13 @@ def test_write_table_matches_per_value_format(tmp_path):
     write_table(empty, ("a", "b"), np.empty((0, 2)))
     assert empty.read_bytes() == b"a,b\n"
 
-    # 4097 rows cross a 4096-row block; specials sit on both sides of it
+    # one row more than a formatting block; specials sit on both sides of it
+    block = modelfile._BLOCK_VALUES // 3
     rng = np.random.default_rng(5)
-    many = rng.standard_normal((4097, 3)) * 10.0 ** rng.integers(-300, 300, (4097, 3))
-    cells = [(0, 0), (1, 1), (4094, 2), (4095, 0), (4095, 1), (4095, 2),
-             (4096, 0), (4096, 1), (4096, 2), (2000, 1)]
+    many = (rng.standard_normal((block + 1, 3))
+            * 10.0 ** rng.integers(-300, 300, (block + 1, 3)))
+    cells = [(0, 0), (1, 1), (block - 2, 2), (block - 1, 0), (block - 1, 1),
+             (block - 1, 2), (block, 0), (block, 1), (block, 2), (2000, 1)]
     for (row, col), v in zip(cells, special):
         many[row, col] = v
     big = tmp_path / "big.csv"
@@ -503,6 +505,33 @@ def test_series_csv_index_column(tmp_path):
     names, data = read_series_csv(path)
     assert names == ("Fz", "Cz")
     assert np.array_equal(data, values)
+
+
+@needs_fork
+def test_series_csv_matches_the_whole_table_index_form(tmp_path, monkeypatch):
+    """The index column, made per formatting block, gives the bytes of the
+    former whole-table column_stack, across blocks and part cuts."""
+    block = modelfile._BLOCK_VALUES // 5
+    values = np.random.default_rng(6).standard_normal((3 * block + 11, 4))
+    header = ("event_index", "a", "b", "c", "d")
+    want, path = tmp_path / "want.csv", tmp_path / "events.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        split_into(mp, 1)
+        write_table(want, header, np.column_stack([np.arange(len(values)), values]))
+    split_into(monkeypatch, 2, 1000)
+    pids = counted_forks(monkeypatch)
+    # the part cut at row 1.5 blocks falls inside a formatting block
+    write_series_csv(path, values, header[1:], index_name="event_index")
+    assert path.read_bytes() == want.read_bytes()
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_series_csv_peak_memory_is_a_block(tmp_path):
+    values = np.random.default_rng(7).standard_normal((200_000, 8))
+    peak = traced_peak(lambda: write_series_csv(tmp_path / "e.csv", values,
+                                                [f"c{j}" for j in range(8)]))
+    assert peak < 0.3 * values.nbytes
 
 
 def test_series_csv_plain_header_kept(tmp_path):
