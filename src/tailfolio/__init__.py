@@ -9,7 +9,7 @@ streams for the same machinery.
 from . import anneal, copula, eeg, events, indicators, marginals, modelfile, risk, rng
 from .anneal import AnnealConfig, OptResult, local_refine, minimize
 from .copula import (CopulaModel, CorrelationMatrix, cholesky_lower, estimate_correlation,
-                     from_gaussian, to_gaussian, transform_to_gaussian)
+                     from_gaussian, to_gaussian)
 from .eeg import (ColumnParams, Coupling, ElectrodeSite, FitResult, RegionNet,
                   centering_check, centering_shift, fit_net, innovation_stream,
                   joint_loglikelihood, simulate)
@@ -20,8 +20,8 @@ from .marginals import ExponentialMarginal, fit_exponential
 from .risk import (ContractPortfolio, LinearPortfolio, PortfolioDistribution,
                    PositionOptimization, RiskConfig, RiskReport,
                    bhattacharyya_overlap, expected_tail_loss, fit_bins,
-                   implied_width, optimize_positions, portfolio_returns,
-                   q_analytic, q_empirical, returns_from_contracts, risk_report)
+                   optimize_positions, portfolio_returns, q_analytic,
+                   q_empirical, returns_from_contracts, risk_report)
 
 __version__ = "0.1.0"
 
@@ -34,10 +34,9 @@ __all__ = [
     "anneal", "bhattacharyya_overlap", "centering_check", "centering_shift",
     "cholesky_lower", "copula", "eeg", "estimate_correlation", "events",
     "expected_tail_loss", "fit_bins", "fit_exponential", "fit_net",
-    "from_gaussian", "implied_width", "indicator_report", "indicators",
-    "innovation_stream", "joint_loglikelihood", "local_refine", "marginals",
-    "minimize", "modelfile", "optimize_positions", "portfolio_returns",
-    "q_analytic", "q_empirical", "returns_from_contracts", "risk",
-    "risk_report", "rng", "sample_events", "simulate", "stream_from_net",
-    "to_gaussian", "transform_to_gaussian",
+    "from_gaussian", "indicator_report", "indicators", "innovation_stream",
+    "joint_loglikelihood", "local_refine", "marginals", "minimize",
+    "modelfile", "optimize_positions", "portfolio_returns", "q_analytic",
+    "q_empirical", "returns_from_contracts", "risk", "risk_report", "rng",
+    "sample_events", "simulate", "stream_from_net", "to_gaussian",
 ]

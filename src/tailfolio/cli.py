@@ -22,9 +22,9 @@ import numpy as np
 
 from . import eeg, indicators
 from .anneal import AnnealConfig
-from .copula import CopulaModel, estimate_correlation, to_gaussian
+from .copula import CopulaModel, correlation_in_place, to_gaussian
 from .errors import EngineError, IllConditioned, ParseError
-from .events import sample_events
+from .events import row_blocks, sample_events
 from .marginals import fit_channels
 from .modelfile import (ensure_out_dir, fmt, load_model, load_net, read_config,
                         read_series_csv, save_json, save_model, save_net,
@@ -35,6 +35,7 @@ from .risk import (Q_TARGET, VAR_LEVEL, ContractPortfolio, LinearPortfolio,
 EXIT_OK = 0
 EXIT_INFEASIBLE = 5
 EXIT_INTERNAL = 10
+_MAP_BLOCK = 1 << 14    # values per to_gaussian call in fit-marginals
 
 
 def exit_code_for(exc: Exception) -> int:
@@ -66,11 +67,13 @@ def cmd_fit_marginals(args) -> int:
         data = data[-window:]
     marginals = fit_channels(names, data, **_present(cfg, "asymmetric"))
     rows = data.shape[0]
-    y = np.empty((len(names), rows))
-    for i, mg in enumerate(marginals):
-        y[i] = to_gaussian(mg, data[:, i])
-    del data    # the table goes before the correlation's own copies are made
-    corr = estimate_correlation(y, **_present(cfg, "pre_average_window"))
+    # y is the channel-major table's own memory: each channel is mapped,
+    # then pre-averaged and centred, in place
+    y = data.T
+    for mg, channel in zip(marginals, y):
+        for a in range(0, rows, _MAP_BLOCK):
+            channel[a:a + _MAP_BLOCK] = to_gaussian(mg, channel[a:a + _MAP_BLOCK])
+    corr = correlation_in_place(y, **_present(cfg, "pre_average_window"))
     model = CopulaModel(marginals=marginals, correlation=corr,
                         channels=tuple(names))
     save_model(os.path.join(out, "model.json"), model)
@@ -106,6 +109,18 @@ def _parse_weights(text: str | None, dim: int) -> tuple[float, ...]:
     return weights
 
 
+def _streamed_returns(model, n, seed, portfolio) -> np.ndarray:
+    """portfolio_returns(sample_events(model, n, seed), portfolio), made one
+    row block at a time, so that the (n, N) table is never held. The bits
+    are those of the whole-table product wherever that product computes
+    every row in its BLAS kernel's 4-row groups: always on one BLAS thread,
+    and for n a multiple of 8 on two."""
+    dm = np.empty(n)
+    for a, rows in row_blocks(model, n, seed):
+        dm[a:a + len(rows)] = portfolio_returns(rows, portfolio)
+    return dm
+
+
 def cmd_risk(args) -> int:
     out = ensure_out_dir(args.out)
     model = load_model(args.model)
@@ -114,8 +129,7 @@ def cmd_risk(args) -> int:
     if args.n < 2:
         raise ParseError(f"--n must be >= 2, got {args.n}")
     config = RiskConfig(var_level=args.var, q_target=args.q)
-    # no name holds the events, so they go once the returns exist
-    dm = portfolio_returns(sample_events(model, args.n, args.seed),
+    dm = _streamed_returns(model, args.n, args.seed,
                            LinearPortfolio(weights=weights, offsets=(0.0,) * dim))
     report, dist = risk_report(dm, config)
     save_json(os.path.join(out, "risk.json"),

@@ -31,6 +31,7 @@ from .marginals import ExponentialMarginal
 
 Y_MAX = 8.0
 EPS_PD = 1e-10
+_AVERAGE_BLOCK = 1 << 16    # moving-average outputs per np.convolve call
 _SQRT2 = float(np.sqrt(2.0))
 
 
@@ -116,10 +117,24 @@ class CorrelationMatrix:
         return cls(matrix=g, cholesky=cholesky_lower(g, pivot_floor=floor))
 
 
+def _average_in_place(y: np.ndarray, window: int) -> np.ndarray:
+    """Overwrite the first T - window + 1 values of each row of y with its
+    trailing moving averages and return that view. Each block of outputs is
+    one np.convolve over the values it reads, all at or after the block's
+    start, so writing it over them loses nothing later blocks read, and the
+    bits are those of one call over the row."""
+    kernel = np.ones(window) / window
+    t_eff = y.shape[1] - window + 1
+    for row in y:
+        for a in range(0, t_eff, _AVERAGE_BLOCK):
+            b = min(a + _AVERAGE_BLOCK, t_eff)
+            row[a:b] = np.convolve(row[a:b + window - 1], kernel, mode="valid")
+    return y[:, :t_eff]
+
+
 def pre_average(y: np.ndarray, window: int) -> np.ndarray:
     """Trailing moving average of each row of y; output length T - window + 1."""
-    kernel = np.ones(window) / window
-    return np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="valid"), 1, y)
+    return _average_in_place(np.array(y, dtype=float), window)
 
 
 def estimate_correlation(y_series, pre_average_window: int = 3) -> CorrelationMatrix:
@@ -128,8 +143,15 @@ def estimate_correlation(y_series, pre_average_window: int = 3) -> CorrelationMa
     y_series has shape (channels, epochs). Each channel is smoothed with a
     trailing moving average of the given window (output length T - w + 1)
     before the population covariance is taken and normalized to unit diagonal.
+    y_series is never written: this runs correlation_in_place on a copy.
     """
-    y = np.asarray(y_series, dtype=float)
+    return correlation_in_place(np.array(y_series, dtype=float), pre_average_window)
+
+
+def correlation_in_place(y: np.ndarray, pre_average_window: int = 3) -> CorrelationMatrix:
+    """estimate_correlation of a (channels, epochs) float array, whose rows
+    it pre-averages and centres in place: y is overwritten. A channel-major
+    table hands over its memory this way, as table.T."""
     if y.ndim != 2:
         raise OutOfDomain("y_series must be 2-D (channels, epochs)")
     n, t = y.shape
@@ -138,12 +160,12 @@ def estimate_correlation(y_series, pre_average_window: int = 3) -> CorrelationMa
         raise OutOfDomain(f"'pre_average_window' must be >= 1, got {pre_average_window!r}")
     if t < w:
         raise OutOfDomain(f"{t} epochs cannot support window {w}")
-    y = pre_average(y, w)
-    t_eff = y.shape[1]
+    t_eff = t - w + 1
     if t_eff <= n:
         raise OutOfDomain(
             f"{t_eff} pre-averaged epochs for {n} channels; need more epochs than channels")
-    y -= y.mean(axis=1, keepdims=True)     # pre_average made y a new array
+    y = _average_in_place(y, w)
+    y -= y.mean(axis=1, keepdims=True)
     cov = y @ y.T / t_eff
     d = np.sqrt(np.diag(cov))
     if np.any(d <= 0.0):
@@ -174,12 +196,3 @@ class CopulaModel:
     @property
     def dim(self) -> int:
         return len(self.marginals)
-
-
-def transform_to_gaussian(model: CopulaModel, dx) -> np.ndarray:
-    """Apply to_gaussian channel-wise to rows of dx, shape (..., N)."""
-    dx = np.asarray(dx, dtype=float)
-    if dx.shape[-1] != model.dim:
-        raise OutOfDomain("dx last axis must match channel count")
-    cols = [to_gaussian(m, dx[..., j]) for j, m in enumerate(model.marginals)]
-    return np.stack(cols, axis=-1)

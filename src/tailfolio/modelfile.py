@@ -11,22 +11,32 @@ boolean, string, array, nullable). A block must be a JSON object; a key
 its table does not list, a missing required key and a value of the wrong
 type raise a ParseError naming the key.
 
+A table is read channel-major: read_table returns the transpose of a
+C-order (cols, rows) array, sized from the file's line count before any
+row is parsed and filled in chunks of bounded size, so a column is
+contiguous and table.T hands the whole table over as (channels, rows)
+rows, to be mapped and pre-averaged in place.
+
 A large table is written and read in contiguous parts, one per CPU this
 process may run on: the first part here, each other one in an os.fork
-child that ends in os._exit and returns its result through its own
-in-memory file (os.memfd_create), never a file on disk. The part count
-never changes a byte written or a bit read, and any failure of a part
-redoes the table as one part, so errors and their messages are those of
-the one-part path. Without fork, sched_getaffinity and memfd_create, and
-while another thread runs, a table is always one part.
+child that ends in os._exit. A written part returns its text through its
+own in-memory file (os.memfd_create), never a file on disk; a read part
+parses into its columns of one shared array and returns its row count the
+same way. The part count never changes a byte written or a bit read, and
+any failure of a part redoes the table as one part, so errors and their
+messages are those of the one-part path. Without fork, sched_getaffinity
+and memfd_create, and while another thread runs, a table is always one
+part.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import mmap
 import os
 import signal
+import stat
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -91,6 +101,7 @@ _BLOCK_VALUES = 1 << 15     # values formatted per % call
 # than about 30 ms a part, so they stay one part.
 _PART_VALUES = 1 << 18
 _PART_BYTES = 1 << 22
+_CHUNK_BYTES = 1 << 18      # bytes of text read or parsed per call
 
 
 class _PartFailed(Exception):
@@ -231,13 +242,25 @@ def _append(out_fd, in_fd) -> None:
 def read_table(path):
     """Read a numeric CSV into (header tuple, float array (rows, cols)).
 
-    Blank lines are skipped. np.loadtxt parses the rows; when it fails, the
-    rows are parsed again one by one to name the line at fault. A large file
-    is cut at newlines into contiguous byte ranges, each parsed by the same
-    np.loadtxt call: the first here, each other one in a forked child that
-    writes its float64 rows to its own in-memory file. The part count never
-    changes a bit; when a part fails, the file is parsed again from the
-    start as one part.
+    The table is the transpose of a C-order (cols, rows) array, so each
+    column is contiguous and table.T is a channel-major array of its own
+    memory; tobytes() still gives the (rows, cols) C-order bytes. Blank
+    lines are skipped.
+
+    The rows after the header are cut at newlines into contiguous byte
+    ranges, one per part. Each range's lines are counted first, and the
+    array is sized from those counts, before any row is parsed. Each range
+    is then parsed by np.loadtxt in chunks of about _CHUNK_BYTES bytes, each
+    written into its range's columns: the first range here, each other one
+    in a forked child that writes into the same shared array and reports
+    its row count through its own in-memory file. A range with blank lines
+    parses fewer rows than its count, and the later ranges move down to
+    close the gap; with the last range short, the table is a view of the
+    array's first columns. When np.loadtxt fails, the rows are parsed again
+    one by one to name the line at fault. The part count never changes a
+    bit; when a part fails, the file is parsed again from the start as one
+    part. A file that is not a regular one, such as a pipe, is parsed in
+    one np.loadtxt call.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -249,7 +272,8 @@ def read_table(path):
                 raise ParseError(f"{path}: column names must be unique, "
                                  f"got {list(header)}")
             data = None
-            parts = _part_count(os.fstat(fh.fileno()).st_size, _PART_BYTES)
+            st = os.fstat(fh.fileno())
+            parts = _part_count(st.st_size, _PART_BYTES)
             if parts > 1:
                 try:
                     data = _read_parts(fh.fileno(), first, len(header), parts)
@@ -257,10 +281,14 @@ def read_table(path):
                     pass
             if data is None:
                 try:
-                    data = _load_rows(fh, len(header))
+                    if stat.S_ISREG(st.st_mode):
+                        data = _read_parts(fh.fileno(), first, len(header), 1)
+                    else:   # a pipe is read once, with no line count
+                        data = np.ascontiguousarray(_load_rows(fh, len(header)).T).T
                 except ValueError:
                     fh.seek(0)
-                    data = _parse_rows(path, fh.read().splitlines(), len(header))
+                    rows = _parse_rows(path, fh.read().splitlines(), len(header))
+                    data = np.ascontiguousarray(rows.T).T
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if data.size == 0:
@@ -311,44 +339,76 @@ def _line_start(fd, pos, end) -> int:
     return end
 
 
+def _line_count(fd, pos, end) -> int:
+    """The lines of bytes [pos, end) of file fd: its line breaks ("\n",
+    "\r\n" or a lone "\r", as universal newlines read them), plus one for a
+    last line without a break."""
+    lines, last = 0, b"\n"
+    while pos < end:
+        chunk = os.pread(fd, min(_CHUNK_BYTES, end - pos), pos)
+        if not chunk:
+            break
+        lines += chunk.count(b"\n")
+        if b"\r" in chunk:
+            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+        if last == b"\r" and chunk[:1] == b"\n":
+            lines -= 1      # one "\r\n", split between two reads
+        pos, last = pos + len(chunk), chunk[-1:]
+    return lines + (last not in b"\r\n")
+
+
 def _read_parts(fd, first, width, parts):
     """The rows after the header line first of file fd, parsed in parts byte
-    ranges cut just past newlines. Each range is decoded with universal
-    newlines, as open() decodes the whole file: a cut after "\n" never
-    falls inside a line, nor between the "\r" and "\n" of one break."""
+    ranges cut just past newlines, into one (width, rows) array; its
+    transpose. Each range and chunk is cut just past a newline and decoded
+    with universal newlines, as open() decodes the whole file: a cut after
+    "\n" never falls inside a line, nor between the "\r" and "\n" of one
+    break."""
     end = os.fstat(fd).st_size
     start = len(first.encode("utf-8"))
     if first.endswith("\n") and os.pread(fd, 2, start - 1) == b"\r\n":
         start += 1      # text mode read the header's "\r\n" as one "\n"
     cuts = [start] + [_line_start(fd, start + (end - start) * i // parts, end)
                       for i in range(1, parts)] + [end]
+    caps = [_line_count(fd, a, b) for a, b in zip(cuts, cuts[1:])]
+    offsets = np.cumsum([0] + caps).tolist()
+    size = width * offsets[-1]
+    # the children write into a shared mapping; one part needs none
+    buf = (np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float) if parts > 1 and size
+           else np.empty(size)).reshape(width, offsets[-1])
 
-    def rows(i):
-        raw = io.BufferedReader(_ByteRange(fd, cuts[i], cuts[i + 1]), 1 << 20)
-        with io.TextIOWrapper(raw, encoding="utf-8") as stream:
-            return _load_rows(stream, width)
+    def fill(i) -> int:
+        at, pos, last = offsets[i], cuts[i], cuts[i + 1]
+        while pos < last:
+            stop = _line_start(fd, min(pos + _CHUNK_BYTES, last), last)
+            raw = io.BufferedReader(_ByteRange(fd, pos, stop), 1 << 16)
+            with io.TextIOWrapper(raw, encoding="utf-8") as stream:
+                rows = _load_rows(stream, width).reshape(-1, width)
+            if at + len(rows) > offsets[i + 1]:
+                raise ValueError("more rows than lines")
+            buf[:, at:at + len(rows)] = rows.T
+            at, pos = at + len(rows), stop
+        return at - offsets[i]
 
     def child(i, part):
-        with open(part, "wb", closefd=False) as out:
-            out.write(np.ascontiguousarray(rows(i)))
+        os.write(part, fill(i).to_bytes(8, "little"))
 
     def gather(head, files):
-        # head, then each part file's float64 rows, whole rows only
-        row = width * head.itemsize
-        sizes = [os.fstat(part).st_size for part in files]
-        if any(size % row for size in sizes):
-            raise _PartFailed
-        data = np.empty((head.shape[0] + sum(sizes) // row, width))
-        data[:head.shape[0]] = head
-        raw, at = data.view(np.uint8).reshape(-1), head.nbytes
-        for part, size in zip(files, sizes):
-            # one read; a short one (a part over 2 GiB) redoes the table
-            if os.preadv(part, [raw[at:at + size]], 0) != size:
+        counts = [head]
+        for part in files:
+            count = os.pread(part, 9, 0)
+            if len(count) != 8:
                 raise _PartFailed
-            at += size
-        return data
+            counts.append(int.from_bytes(count, "little"))
+        at = counts[0]
+        for offset, count in zip(offsets[1:], counts[1:]):
+            if at < offset:     # close the gap a short range left
+                for column in buf:
+                    column[at:at + count] = column[offset:offset + count]
+            at += count
+        return buf[:, :at].T
 
-    return _run_parts(parts, child, lambda: rows(0), gather)
+    return _run_parts(parts, child, lambda: fill(0), gather)
 
 
 def _parse_rows(path, lines, width):

@@ -192,16 +192,6 @@ def q_analytic(width: float, mean: float, var_level: float) -> float:
     return 0.5 * float(np.exp(-abs(-abs(var_level) - mean) / width))
 
 
-def implied_width(var_level: float, q_target: float, mean: float = 0.0) -> float:
-    """Width X that makes q_analytic equal q_target; inverse of the above."""
-    if not (0.0 < q_target < 0.5):
-        raise OutOfDomain("q_target must lie in (0, 0.5)")
-    gap = abs(-abs(var_level) - mean)
-    if gap <= 0.0:
-        raise OutOfDomain("threshold coincides with the mean")
-    return gap / float(np.log(0.5 / q_target))
-
-
 def q_empirical(samples, var_level: float) -> float:
     """Fraction of sampled returns below -|VaR|."""
     x = np.asarray(samples, dtype=float).ravel()

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from array import array
 
@@ -33,6 +35,38 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+# Forks, runs argv[1:] in the child and prints the child's exit code and
+# wait4 peak RSS in kB. It imports nothing (run with -S), so the child's
+# peak starts from this small process, not from the caller.
+_LAUNCHER = ("import os, sys\n"
+             "pid = os.fork()\n"
+             "if pid == 0:\n"
+             "    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])\n"
+             "_, status, usage = os.wait4(pid, 0)\n"
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+_CLI = "import sys; from tailfolio.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def command_peak_mb(args) -> float:
+    """The peak RSS in MB of one CLI command, `tailfolio *args`, read by
+    wait4 from a launcher that imports nothing, so that the peak is the
+    command's own and not this process's; the command must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LAUNCHER, "-c", _CLI, *map(str, args)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": SRC})
+    code, kb = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return int(kb) / 1024.0
+
+
+def implied_width(var_level: float, q_target: float, mean: float = 0.0) -> float:
+    """The width X at which risk.q_analytic(X, mean, var_level) is q_target:
+    the tail mass 1/2 exp(-|-|VaR| - mean|/X) solved for X."""
+    return abs(-abs(var_level) - mean) / math.log(0.5 / q_target)
 
 
 def centered_columns() -> eeg.ColumnParams:

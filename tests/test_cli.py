@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailfolio import anneal, cli, eeg, errors
+from tailfolio import anneal, cli, eeg, errors, modelfile
 from tailfolio.copula import CopulaModel, CorrelationMatrix
 from tailfolio.errors import NoSolution, OutOfDomain
 from tailfolio.marginals import ExponentialMarginal, sample
@@ -18,7 +19,8 @@ from tailfolio.modelfile import (load_json, load_net, read_series_csv,
                                  save_json, save_model, save_net,
                                  write_series_csv)
 
-from helpers import two_site_net, validate_schema
+from helpers import (SRC, command_peak_mb, traced_peak, two_site_net,
+                     validate_schema)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -1050,3 +1052,62 @@ def test_every_engine_error_carries_its_readme_exit_code():
         assert cls.exit_code == code, cls.__name__
         assert cli.exit_code_for(cls("x")) == code
     assert cli.exit_code_for(ValueError("x")) == cli.EXIT_INTERNAL == 10
+
+
+def test_risk_peak_memory_does_not_grow_with_channels(tmp_path):
+    """risk reduces each row block of events to its returns, so at one n
+    its peak is the same at 8 and 64 channels; a whole (n, N) table would
+    add n * 56 values of 8 bytes (44.8 MB) at 64."""
+    peaks = []
+    for dim in (8, 64):
+        path = tmp_path / f"model{dim}.json"
+        save_model(path, CopulaModel(
+            marginals=(ExponentialMarginal(m=0.0, chi=0.01),) * dim,
+            correlation=CorrelationMatrix.from_matrix(np.eye(dim))))
+        peaks.append(command_peak_mb(["risk", path, "--n", 100_000,
+                                      "--out", tmp_path / f"r{dim}"]))
+    assert abs(peaks[1] - peaks[0]) < 4.0, peaks
+
+
+def test_fit_marginals_peak_memory_near_its_table(tmp_path, monkeypatch):
+    """The normal coordinates and their pre-averaged, centred rows are the
+    read table's own memory."""
+    values = np.random.default_rng(10).standard_normal((100_000, 8))
+    path = tmp_path / "events.csv"
+    write_series_csv(path, values, [f"c{j}" for j in range(8)], index_name="event_index")
+    # one part: a forked part's shared mapping is not traced
+    monkeypatch.setattr(modelfile, "_PART_BYTES", 1 << 62)
+    table = values.nbytes * 9 / 8       # the index column is read too
+    peak = traced_peak(lambda: cli.main(["fit-marginals", str(path),
+                                         "--out", str(tmp_path / "out")]))
+    assert peak < 1.3 * table
+
+
+def test_risk_bytes_pinned_for_n_off_the_8_row_grid(tmp_path):
+    """risk's streamed returns at n = 100 003 (not a multiple of 8) on two
+    BLAS threads: one row's return has other last bits than one product
+    over the whole table, yet risk.json and bins.csv keep the bytes that
+    product gave. The digests are this build's; a change in them shows a
+    change in the output."""
+    dim = 8
+    a = np.random.default_rng(31).standard_normal((dim, dim))
+    cov = a @ a.T + dim * np.eye(dim)
+    corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    np.fill_diagonal(corr, 1.0)
+    model = tmp_path / "model.json"
+    save_model(model, CopulaModel(
+        marginals=tuple(ExponentialMarginal(m=0.001 * j, chi=0.01 + 0.002 * j)
+                        for j in range(dim)),
+        correlation=CorrelationMatrix.from_matrix(corr),
+        channels=tuple(f"c{j}" for j in range(dim))))
+    out = tmp_path / "risk"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailfolio.cli", "risk", str(model), "--n", "100003",
+         "--seed", "1", "--out", str(out)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("risk.json", "bins.csv")}
+    assert digests == {
+        "risk.json": "9078cbb6aa82767f2730ad4cb85c4c6694120bc7181150695ac2a8c565bf4cf7",
+        "bins.csv": "6a7307088bde480254d7b14d034859b08ff0a20712afacff024f30a28f3bf535"}

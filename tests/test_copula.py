@@ -7,8 +7,7 @@ from scipy.stats import norm
 
 from tailfolio import copula, marginals
 from tailfolio.copula import (CopulaModel, CorrelationMatrix, cholesky_lower,
-                              estimate_correlation, from_gaussian, to_gaussian,
-                              transform_to_gaussian)
+                              estimate_correlation, from_gaussian, to_gaussian)
 from tailfolio.errors import IllConditioned, OutOfDomain
 from tailfolio.marginals import ExponentialMarginal
 
@@ -158,21 +157,6 @@ def test_correlation_high_dimension_stays_finite():
     assert np.allclose(corr.cholesky @ corr.cholesky.T, g, atol=1e-12)
 
 
-def test_transform_to_gaussian_shapes():
-    model = CopulaModel(
-        marginals=(
-            ExponentialMarginal(m=0.0, chi=1.0),
-            ExponentialMarginal(m=0.0, chi=2.0),
-        ),
-        correlation=CorrelationMatrix.from_matrix(np.eye(2)),
-    )
-    dy = transform_to_gaussian(model, np.zeros((5, 2)))
-    assert dy.shape == (5, 2)
-    assert np.all(dy == 0.0)
-    with pytest.raises(OutOfDomain, match="dx last axis must match channel count"):
-        transform_to_gaussian(model, np.zeros((5, 3)))
-
-
 def test_copula_model_channel_names():
     mgs = (ExponentialMarginal(m=0.0, chi=1.0), ExponentialMarginal(m=0.0, chi=1.0))
     eye2 = CorrelationMatrix.from_matrix(np.eye(2))
@@ -217,3 +201,33 @@ def test_estimate_correlation_degenerate_channels():
     flat = np.stack([base, np.zeros(50)])
     with pytest.raises(IllConditioned):
         estimate_correlation(flat)
+
+
+def _former_estimate(y, w):
+    """estimate_correlation as one whole-row np.convolve per channel into a
+    new array, then centred into another."""
+    kernel = np.ones(w) / w
+    avg = np.stack([np.convolve(r, kernel, mode="valid") for r in y])
+    centered = avg - avg.mean(axis=1, keepdims=True)
+    cov = centered @ centered.T / avg.shape[1]
+    d = np.sqrt(np.diag(cov))
+    return CorrelationMatrix.from_matrix(np.clip(cov / np.outer(d, d), -1.0, 1.0))
+
+
+@pytest.mark.parametrize("n, t, w", [(3, 1000, 5), (8, 3 * (1 << 16) + 5, 3),
+                                     (2, (1 << 16) + 1, 1), (40, 2000, 17)])
+def test_correlation_in_place_gives_the_estimate_bits(n, t, w):
+    """Across the moving-average blocks, on the rows of a channel-major
+    table's transpose (rows not adjacent in memory), the in-place kernel
+    gives the bits of estimate_correlation and of the former whole-row
+    form; estimate_correlation leaves its argument as it was."""
+    table = np.random.default_rng(t).standard_normal((t + 4, n + 1))
+    y = np.ascontiguousarray(table.T)[1:, 4:]     # (n, t), row stride t + 4
+    before = y.copy()
+    want = estimate_correlation(y, pre_average_window=w)
+    assert y.tobytes() == before.tobytes()
+    assert want.matrix.tobytes() == _former_estimate(before, w).matrix.tobytes()
+    got = copula.correlation_in_place(y, w)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.cholesky.tobytes() == want.cholesky.tobytes()
+    assert not np.array_equal(y, before)    # the rows were overwritten

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,7 @@ from tailfolio.marginals import ExponentialMarginal
 from tailfolio.modelfile import read_series_csv, write_series_csv
 from tailfolio.rng import NormalStream
 
-from helpers import traced_peak
+from helpers import SRC, traced_peak
 
 
 def make_model():
@@ -173,3 +177,45 @@ def test_csv_round_trip(tmp_path):
     header, data = read_series_csv(path)
     assert header == ("alpha", "beta", "gamma")
     assert np.array_equal(data, dx)
+
+
+def streamed_mismatches(residues):
+    """(N, n, rows that differ) for each case where the risk command's
+    streamed returns differ from the whole-table sample_events(...) @ w,
+    at N = 1, 3, 8 and 64 and n of each residue mod 8 around 3 row blocks."""
+    from tailfolio import cli
+    from tailfolio.risk import LinearPortfolio
+
+    block_values = events._BLOCK_VALUES
+    found = []
+    for dim in (1, 3, 8, 64):
+        model = _model_of_dim(dim)
+        weights = tuple(np.random.default_rng(dim).uniform(-1.0, 1.0, dim))
+        portfolio = LinearPortfolio(weights=weights, offsets=(0.0,) * dim)
+        edge = 8 * (3 * block_values // dim // 8)
+        for n in [edge + 8 + r for r in residues] + [edge - 8 + r for r in residues]:
+            want = sample_events(model, n, 23) @ np.asarray(weights)
+            got = cli._streamed_returns(model, n, 23, portfolio)
+            if got.tobytes() != want.tobytes():
+                found.append((dim, n, int(np.sum(got != want))))
+    return found
+
+
+@pytest.mark.parametrize("threads, residues", [("1", "range(8)"), ("2", "[0]")])
+def test_streamed_returns_match_the_whole_table_product(threads, residues):
+    """On one BLAS thread the whole-table product computes every row in its
+    kernel's 4-row groups; on two it splits the rows at ceil(n / 2), which
+    keeps them in those groups for n a multiple of 8. There the streamed
+    returns give its bits. A block cut off a multiple of 4 rows puts rows
+    outside those groups, and fails here."""
+    code = ("from tailfolio import events\n"
+            "from test_events import streamed_mismatches\n"
+            "events._BLOCK_VALUES = 1 << 14\n"
+            f"print(streamed_mismatches({residues}))\n")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, cwd=tests,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                               "PYTHONPATH": os.pathsep.join([SRC, tests])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

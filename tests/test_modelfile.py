@@ -281,6 +281,65 @@ def test_split_tables_match_the_one_part_path(tmp_path, case):
         path.unlink()       # rewriting a file in place can stall on writeback
 
 
+def whole_file_parse(path):
+    """The rows of a CSV as one np.loadtxt call over the whole text reads
+    them, the former one-part path."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("case", ["lf", "crlf", "blank", "lone cr", "single row"])
+def test_read_table_gives_the_whole_file_parse_channel_major(tmp_path, monkeypatch,
+                                                            cpus, case):
+    """The bits of one parse of the whole file, across parts and chunks, in
+    a table whose transpose is C-order memory: each channel is contiguous."""
+    rows = 1 if case == "single row" else 9000
+    values = np.random.default_rng(8).standard_normal((rows, 3)) * 1e3
+    path = tmp_path / "t.csv"
+    write_table(path, ("x", "y", "z"), values)
+    lines = path.read_bytes().split(b"\n")[:-1]
+    if case == "blank":
+        for at in (1, 4000, 6001, len(lines)):
+            lines.insert(at, b"")
+    newline = {"crlf": b"\r\n", "lone cr": b"\r"}.get(case, b"\n")
+    path.write_bytes(newline.join(lines) + newline)
+    monkeypatch.setattr(modelfile, "_CHUNK_BYTES", 1 << 14)
+    split_into(monkeypatch, cpus, 1 << 15)
+    header, data = read_table(path)
+    want = whole_file_parse(path)
+    assert header == ("x", "y", "z")
+    assert data.shape == want.shape == values.shape
+    assert data.tobytes() == want.tobytes() == values.tobytes()
+    assert data.strides[0] == data.itemsize
+    assert data.T.flags.c_contiguous or case == "blank"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_read_table_reads_a_pipe(tmp_path):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("a,b\n1,2\n\n3,4\n",))
+    writer.start()
+    try:
+        header, data = read_table(fifo)
+    finally:
+        writer.join(60.0)
+    assert header == ("a", "b")
+    assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert data.T.flags.c_contiguous
+
+
+def test_read_table_peak_memory_near_its_table(tmp_path, monkeypatch):
+    # one part: a forked part's shared mapping is not traced
+    values = np.random.default_rng(9).standard_normal((100_000, 8))
+    path = tmp_path / "t.csv"
+    write_table(path, tuple(f"c{j}" for j in range(8)), values)
+    split_into(monkeypatch, 1)
+    assert traced_peak(lambda: read_table(path)) < 1.2 * values.nbytes
+
+
 @needs_fork
 def test_a_bad_value_in_a_later_part_names_its_line(tmp_path, monkeypatch):
     path = tmp_path / "late.csv"
@@ -439,7 +498,7 @@ def test_a_failed_second_part_file_leaves_one_part(tmp_path, monkeypatch):
 
 
 @needs_fork
-def test_a_part_file_of_partial_rows_is_refused(tmp_path, monkeypatch):
+def test_a_part_of_partial_rows_is_refused(tmp_path, monkeypatch):
     values = np.random.default_rng(5).standard_normal((9000, 3))
     path = tmp_path / "t.csv"
     write_table(path, ("x", "y", "z"), values)
@@ -447,13 +506,13 @@ def test_a_part_file_of_partial_rows_is_refused(tmp_path, monkeypatch):
     split_into(monkeypatch, 4, 1000)
     pids, runs = counted_forks(monkeypatch), counted_runs(monkeypatch)
     parent, real = os.getpid(), modelfile._load_rows
-    # each of the 3 children writes 2 values: 2 whole rows in all, though
-    # no one file holds a whole 3-value row
+    # each of the 3 children parses a chunk as 2 values, no whole 3-value
+    # row: the split fails, and the table is read again as one part
     monkeypatch.setattr(modelfile, "_load_rows", lambda stream, width: (
         real(stream, width) if os.getpid() == parent else np.zeros(2)))
     _, data = read_table(path)
     assert data.tobytes() == values.tobytes()
-    assert runs == [[4, False]] and len(pids) == 3
+    assert runs == [[4, False], [1, True]] and len(pids) == 3
     assert_reaped(pids)
     assert len(os.listdir("/proc/self/fd")) == fds
 

@@ -15,9 +15,9 @@ from tailfolio.events import sample_events
 from tailfolio.marginals import ExponentialMarginal
 from tailfolio.risk import (ContractPortfolio, LinearPortfolio, RiskConfig,
                             bhattacharyya_overlap, cost_q, expected_tail_loss,
-                            fit_bins, implied_width, optimize_positions,
-                            portfolio_returns, q_analytic, q_empirical,
-                            returns_from_contracts, risk_report)
+                            fit_bins, optimize_positions, portfolio_returns,
+                            q_analytic, q_empirical, returns_from_contracts,
+                            risk_report)
 
 from helpers import oracle_contract_returns
 
@@ -172,17 +172,6 @@ def test_q_analytic_frozen():
     assert q_analytic(1.0, 0.05, 0.05) == pytest.approx(0.5 * np.exp(-0.1))
     with pytest.raises(OutOfDomain):
         q_analytic(0.0, 0.0, 0.05)
-
-
-def test_implied_width_frozen():
-    w = implied_width(0.05, 0.01)
-    assert w == pytest.approx(0.012781110931766574, rel=1e-15)
-    # round trip through q_analytic
-    assert q_analytic(w, 0.0, 0.05) == pytest.approx(0.01, rel=1e-14)
-    with pytest.raises(OutOfDomain):
-        implied_width(0.05, 0.6)
-    with pytest.raises(OutOfDomain):
-        implied_width(0.0, 0.01, mean=0.0)
 
 
 def test_q_empirical_strict_inequality():
