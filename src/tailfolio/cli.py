@@ -89,7 +89,7 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     if args.n < 1:
         raise ParseError("--n must be >= 1")
-    dx = sample_events(model, args.n, args.seed, lanes=args.lanes)
+    dx = sample_events(model, args.n, args.seed)
     path = os.path.join(out, "events.csv")
     write_series_csv(path, dx, model.channels, index_name="event_index")
     print(f"sampled {len(dx)} events x {len(model.channels)} channel(s)")
@@ -104,6 +104,8 @@ def _parse_weights(text: str | None, dim: int) -> tuple[float, ...]:
         weights = tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise ParseError(f"bad --weights value: {exc}") from exc
+    if not all(np.isfinite(weights)):
+        raise ParseError(f"--weights must be finite, got {text!r}")
     if len(weights) != dim:
         raise ParseError(f"--weights needs {dim} value(s), got {len(weights)}")
     return weights
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model JSON")
     p.add_argument("--n", type=int, default=1000, help="number of events")
     p.add_argument("--lanes", type=int, default=1,
-                   help="threads for the per-channel maps; bytes do not change")
+                   help="ignored; kept so that older command lines still run")
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("risk", parents=[common],

@@ -90,13 +90,13 @@ def fit_exponential(samples, asymmetric: bool = False) -> ExponentialMarginal:
 
 
 def fit_channels(names, data, asymmetric: bool = False) -> tuple[ExponentialMarginal, ...]:
-    """Fit each column of data; a degenerate column's error names its channel."""
+    """Fit each column of data; a column's domain or data error names its channel."""
     marginals = []
     for i, name in enumerate(names):
         try:
             marginals.append(fit_exponential(data[:, i], asymmetric=asymmetric))
-        except DegenerateData as exc:
-            raise DegenerateData(f"channel {name!r}: {exc}") from exc
+        except (DegenerateData, OutOfDomain) as exc:
+            raise type(exc)(f"channel {name!r}: {exc}") from exc
     return tuple(marginals)
 
 

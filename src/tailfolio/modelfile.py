@@ -35,8 +35,10 @@ import io
 import json
 import mmap
 import os
+import shutil
 import signal
 import stat
+import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -64,9 +66,9 @@ def _numpy_to_json(obj):
 
 
 def save_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, default=_numpy_to_json)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        json.dump(payload, fh, indent=2, default=_numpy_to_json)
+        fh.write("\n")
 
 
 @contextmanager
@@ -254,16 +256,15 @@ def read_table(path):
     written into its range's columns: the first range here, each other one
     in a forked child that writes into the same shared array and reports
     its row count through its own in-memory file. A range with blank lines
-    parses fewer rows than its count, and the later ranges move down to
-    close the gap; with the last range short, the table is a view of the
-    array's first columns. When np.loadtxt fails, the rows are parsed again
-    one by one to name the line at fault. The part count never changes a
-    bit; when a part fails, the file is parsed again from the start as one
-    part. A file that is not a regular one, such as a pipe, is parsed in
-    one np.loadtxt call.
+    parses fewer rows than its count; the rows read are then packed, in
+    order, to the front of the array. When np.loadtxt fails, the rows are
+    parsed again one by one to name the line at fault. The part count never
+    changes a bit; when a part fails, the file is parsed again from the
+    start as one part. A file that is not a regular one, such as a pipe, is
+    parsed from a copy (see _seekable).
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _seekable(path) as fh:
             first = fh.readline()
             if not first.strip():
                 raise ParseError(f"{path}: no data rows")
@@ -272,8 +273,7 @@ def read_table(path):
                 raise ParseError(f"{path}: column names must be unique, "
                                  f"got {list(header)}")
             data = None
-            st = os.fstat(fh.fileno())
-            parts = _part_count(st.st_size, _PART_BYTES)
+            parts = _part_count(os.fstat(fh.fileno()).st_size, _PART_BYTES)
             if parts > 1:
                 try:
                     data = _read_parts(fh.fileno(), first, len(header), parts)
@@ -281,10 +281,7 @@ def read_table(path):
                     pass
             if data is None:
                 try:
-                    if stat.S_ISREG(st.st_mode):
-                        data = _read_parts(fh.fileno(), first, len(header), 1)
-                    else:   # a pipe is read once, with no line count
-                        data = np.ascontiguousarray(_load_rows(fh, len(header)).T).T
+                    data = _read_parts(fh.fileno(), first, len(header), 1)
                 except ValueError:
                     fh.seek(0)
                     rows = _parse_rows(path, fh.read().splitlines(), len(header))
@@ -294,6 +291,20 @@ def read_table(path):
     if data.size == 0:
         raise ParseError(f"{path}: no data rows")
     return header, data
+
+
+@contextmanager
+def _seekable(path):
+    """path opened as UTF-8 text; a pipe or other file that is not a regular
+    one is first copied into an unnamed temporary file, and that is opened."""
+    with open(path, "rb") as raw:
+        if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+            yield io.TextIOWrapper(raw, encoding="utf-8")
+            return
+        with tempfile.TemporaryFile() as copy:
+            shutil.copyfileobj(raw, copy)
+            copy.seek(0)
+            yield io.TextIOWrapper(copy, encoding="utf-8")
 
 
 def _load_rows(stream, width):
@@ -400,13 +411,16 @@ def _read_parts(fd, first, width, parts):
             if len(count) != 8:
                 raise _PartFailed
             counts.append(int.from_bytes(count, "little"))
-        at = counts[0]
-        for offset, count in zip(offsets[1:], counts[1:]):
-            if at < offset:     # close the gap a short range left
-                for column in buf:
-                    column[at:at + count] = column[offset:offset + count]
-            at += count
-        return buf[:, :at].T
+        rows = sum(counts)
+        if rows < offsets[-1]:  # blank lines: pack the rows read to the front
+            flat = buf.reshape(-1)
+            for j in range(width):
+                at = j * rows
+                for offset, count in zip(offsets, counts):
+                    flat[at:at + count] = buf[j, offset:offset + count]
+                    at += count
+            return flat[:width * rows].reshape(width, rows).T
+        return buf.T
 
     return _run_parts(parts, child, lambda: fill(0), gather)
 

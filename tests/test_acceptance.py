@@ -337,8 +337,7 @@ def _determinism_commands(tmp_path) -> dict:
 
     return {
         "fit-marginals": ["fit-marginals", str(series), "--seed", "1"],
-        "sample": ["sample", str(model_path), "--n", "500", "--lanes", "4",
-                   "--seed", "5"],
+        "sample": ["sample", str(model_path), "--n", "500", "--seed", "5"],
         "risk": ["risk", str(model_path), "--n", "5000", "--seed", "2"],
         "optimize": ["optimize", str(model_path), "--config", str(opt_cfg),
                      "--seed", "3", "--verbose"],

@@ -80,6 +80,15 @@ def test_fit_marginals_constant_channel(tmp_path, capsys):
     assert "stuck" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_fit_marginals_names_a_non_finite_channel(tmp_path, capsys, cell):
+    path = tmp_path / "odd.csv"
+    path.write_text(f"live,odd\n1,2\n3,{cell}\n4,5\n")
+    code = cli.main(["fit-marginals", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "channel 'odd': samples must be finite" in capsys.readouterr().err
+
+
 def test_fit_marginals_window_option(tmp_path):
     csv = make_series_csv(tmp_path, t=200)
     out = tmp_path / "out"
@@ -107,13 +116,15 @@ def test_sample_deterministic_reruns(tmp_path, capsys):
     assert len(bytes_a.decode().splitlines()) == 201
 
 
-def test_sample_lanes(tmp_path):
+@pytest.mark.parametrize("lanes", ["4", "0"])
+def test_sample_lanes(tmp_path, lanes):
+    # --lanes is parsed and ignored
     model = make_model_json(tmp_path)
-    out = tmp_path / "lanes"
-    assert cli.main(["sample", model, "--n", "101", "--lanes", "4",
-                     "--out", str(out)]) == 0
-    _, data = read_series_csv(out / "events.csv")
-    assert data.shape == (101, 1)
+    assert cli.main(["sample", model, "--n", "101", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(["sample", model, "--n", "101", "--lanes", lanes,
+                     "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "b" / "events.csv").read_bytes()
+            == (tmp_path / "a" / "events.csv").read_bytes())
 
 
 def test_sample_bad_n(tmp_path, capsys):
@@ -206,6 +217,15 @@ def test_risk_bad_weights(tmp_path, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert "--weights needs 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", ["1,nan", "1,inf", "1,-inf"])
+def test_risk_refuses_non_finite_weights(tmp_path, capsys, weights):
+    model = _two_channel_model(tmp_path)
+    code = cli.main(["risk", str(model), "--weights", weights, "--n", "10",
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"--weights must be finite, got {weights!r}" in capsys.readouterr().err
 
 
 def test_optimize_feasible(tmp_path):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -75,25 +76,36 @@ def copula_models(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(model=copula_models(), n=st.integers(0, 3000),
-       seed=st.integers(0, 2 ** 63 - 1), lanes=st.integers(1, 8))
-def test_lanes_never_change_the_batch(model, n, seed, lanes):
-    single = sample_events(model, n, seed, lanes=1)
-    dx = sample_events(model, n, seed, lanes=lanes)
+       seed=st.integers(0, 2 ** 63 - 1))
+def test_batch_is_the_seed_normals_colored_and_mapped_per_column(model, n, seed):
+    dx = sample_events(model, n, seed)
     assert dx.shape == (n, model.dim)
-    assert dx.tobytes() == single.tobytes()
     # one stream, row by row: dz is the seed's first n*N normals
     dy = whitened(model, n, seed) @ model.correlation.cholesky.T
     for j, marg in enumerate(model.marginals):
         assert np.array_equal(dx[:, j], from_gaussian(marg, dy[:, j]))
 
 
-def test_lane_zero_is_prefix_of_single_lane_run():
-    model = make_model()
-    multi = sample_events(model, 999, seed=21, lanes=3)
-    single = sample_events(model, 999, seed=21, lanes=1)
-    # lanes split the channels of each row block, never the rows, so a row
-    # prefix of the three-lane batch is that of the one-lane batch
-    assert np.array_equal(multi[:333], single[:333])
+def test_maps_run_in_the_calling_thread(monkeypatch):
+    """No thread is started: modelfile and anneal fork only while no other
+    thread runs, so a sampling thread would turn off forked CSV parts and
+    the EEG cost worker."""
+    model = _model_of_dim(3)
+    caller, before = threading.current_thread(), threading.active_count()
+    seen = []
+
+    def recording(marginal, dy):
+        seen.append((threading.current_thread() is caller,
+                     threading.active_count()))
+        return from_gaussian(marginal, dy)
+
+    monkeypatch.setattr(events, "from_gaussian", recording)
+    n = 3 * (events._BLOCK_VALUES // 3) + 5     # four row blocks
+    sample_events(model, n, 4)
+    for _ in events.row_blocks(model, n, 4):
+        pass
+    assert len(seen) == 2 * 3 * len(events._cuts(n, 3)[1:])
+    assert set(seen) == {(True, before)}
 
 
 def _model_of_dim(dim, seed=0):
@@ -121,15 +133,14 @@ def test_row_blocks_match_the_one_call_reference_bitwise(dim, extra):
     want = whitened(model, n, 17) @ model.correlation.cholesky.T
     for j, marg in enumerate(model.marginals):
         want[:, j] = from_gaussian(marg, want[:, j])
-    for lanes in (1, 2):
-        assert sample_events(model, n, 17, lanes=lanes).tobytes() == want.tobytes()
+    assert sample_events(model, n, 17).tobytes() == want.tobytes()
 
 
 def test_sample_peak_memory_near_its_table():
     # one (n, N) table plus a row block of draws and map temporaries
     model = _model_of_dim(8)
     n = 200_000
-    assert traced_peak(lambda: sample_events(model, n, 3, lanes=2)) < 1.35 * 8 * 8 * n
+    assert traced_peak(lambda: sample_events(model, n, 3)) < 1.35 * 8 * 8 * n
 
 
 def test_coloring_and_marginal_map_exact():
@@ -163,8 +174,6 @@ def test_argument_guards():
     model = make_model()
     with pytest.raises(OutOfDomain):
         sample_events(model, -1, seed=0)
-    with pytest.raises(OutOfDomain):
-        sample_events(model, 10, seed=0, lanes=0)
 
 
 def test_csv_round_trip(tmp_path):
