@@ -60,6 +60,8 @@ def cmd_fit_marginals(args) -> int:
     cfg = read_config(args.config)
     out = ensure_out_dir(args.out)
     names, data = read_series_csv(args.csv)
+    if not names:
+        raise ParseError(f"{args.csv}: no channel column beside the index")
     window = cfg.get("marginal_window")
     if window is not None:
         if window < 2:

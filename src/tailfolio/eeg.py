@@ -251,6 +251,8 @@ class RegionNet:
     denominator_approx: bool = True
 
     def __post_init__(self):
+        if not self.sites:
+            raise OutOfDomain("'sites' must list at least one site")
         names = [s.name for s in self.sites]
         if len(set(names)) != len(names):
             raise OutOfDomain("site names must be unique")

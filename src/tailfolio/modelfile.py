@@ -15,7 +15,11 @@ A table is read channel-major: read_table returns the transpose of a
 C-order (cols, rows) array, sized from the file's line count before any
 row is parsed and filled in chunks of bounded size, so a column is
 contiguous and table.T hands the whole table over as (channels, rows)
-rows, to be mapped and pre-averaged in place.
+rows, to be mapped and pre-averaged in place. The chunk is the unit of
+parsing: np.loadtxt parses each one, and a chunk it rejects, and only
+that chunk, is parsed again line by line, skipping whitespace-only lines
+and naming a line that is not UTF-8 or not one number per column by its
+line number in the file.
 
 A large table is written and read in contiguous parts, one per CPU this
 process may run on: the first part here, each other one in an os.fork
@@ -31,10 +35,12 @@ part.
 
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import mmap
 import os
+import re
 import shutil
 import signal
 import stat
@@ -89,6 +95,8 @@ def load_json(path) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     except TypeError as exc:    # not a JSON object, or path is not a path
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -104,6 +112,7 @@ _BLOCK_VALUES = 1 << 15     # values formatted per % call
 _PART_VALUES = 1 << 18
 _PART_BYTES = 1 << 22
 _CHUNK_BYTES = 1 << 18      # bytes of text read or parsed per call
+_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
 class _PartFailed(Exception):
@@ -247,7 +256,8 @@ def read_table(path):
     The table is the transpose of a C-order (cols, rows) array, so each
     column is contiguous and table.T is a channel-major array of its own
     memory; tobytes() still gives the (rows, cols) C-order bytes. Blank
-    lines are skipped.
+    and whitespace-only lines are skipped, and a leading UTF-8 byte order
+    mark is not part of the first column name.
 
     The rows after the header are cut at newlines into contiguous byte
     ranges, one per part. Each range's lines are counted first, and the
@@ -257,15 +267,22 @@ def read_table(path):
     in a forked child that writes into the same shared array and reports
     its row count through its own in-memory file. A range with blank lines
     parses fewer rows than its count; the rows read are then packed, in
-    order, to the front of the array. When np.loadtxt fails, the rows are
-    parsed again one by one to name the line at fault. The part count never
-    changes a bit; when a part fails, the file is parsed again from the
-    start as one part. A file that is not a regular one, such as a pipe, is
-    parsed from a copy (see _seekable).
+    order, to the front of the array. When np.loadtxt rejects a chunk, only
+    that chunk's lines are parsed one by one: whitespace-only lines are
+    skipped, and a line that is not UTF-8 or not one number per column
+    raises a ParseError naming its file line. The part count never changes
+    a bit; when a part fails, the file is parsed again from the start as
+    one part, so an error names the line the one-part parse names. A file
+    that is not a regular one, such as a pipe, is parsed from a copy (see
+    _seekable).
     """
     try:
         with _seekable(path) as fh:
             first = fh.readline()
+            try:    # the body is decoded, and checked, chunk by chunk
+                first.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:1: {exc}") from exc
             if not first.strip():
                 raise ParseError(f"{path}: no data rows")
             header = tuple(name.strip() for name in first.split(","))
@@ -276,16 +293,11 @@ def read_table(path):
             parts = _part_count(os.fstat(fh.fileno()).st_size, _PART_BYTES)
             if parts > 1:
                 try:
-                    data = _read_parts(fh.fileno(), first, len(header), parts)
-                except (OSError, ValueError, _PartFailed):
+                    data = _read_parts(path, fh.fileno(), first, len(header), parts)
+                except (OSError, _PartFailed):
                     pass
             if data is None:
-                try:
-                    data = _read_parts(fh.fileno(), first, len(header), 1)
-                except ValueError:
-                    fh.seek(0)
-                    rows = _parse_rows(path, fh.read().splitlines(), len(header))
-                    data = np.ascontiguousarray(rows.T).T
+                data = _read_parts(path, fh.fileno(), first, len(header), 1)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if data.size == 0:
@@ -295,16 +307,18 @@ def read_table(path):
 
 @contextmanager
 def _seekable(path):
-    """path opened as UTF-8 text; a pipe or other file that is not a regular
-    one is first copied into an unnamed temporary file, and that is opened."""
+    """path opened as text for its header line: UTF-8 after any byte order
+    mark, with undecodable bytes kept as surrogates; a pipe or other file
+    that is not a regular one is first copied into an unnamed temporary
+    file, and that is opened."""
     with open(path, "rb") as raw:
         if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
-            yield io.TextIOWrapper(raw, encoding="utf-8")
+            yield io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape")
             return
         with tempfile.TemporaryFile() as copy:
             shutil.copyfileobj(raw, copy)
             copy.seek(0)
-            yield io.TextIOWrapper(copy, encoding="utf-8")
+            yield io.TextIOWrapper(copy, encoding="utf-8-sig", errors="surrogateescape")
 
 
 def _load_rows(stream, width):
@@ -314,38 +328,38 @@ def _load_rows(stream, width):
         # an empty body warns; read_table reports it as no data rows
         warnings.simplefilter("ignore", UserWarning)
         data = np.loadtxt(stream, delimiter=",", comments=None, ndmin=2)
-    if data.size == 0:
-        return data.reshape(0, width)
-    if data.shape[1] != width:
+    if data.shape[1] != width:  # also a chunk of blank lines, as (0, 1)
         raise ValueError("row width does not match header")
     return data
 
 
-class _ByteRange(io.RawIOBase):
-    """Bytes [pos, end) of an open file, read with preadv."""
-
-    def __init__(self, fd, pos, end):
-        super().__init__()
-        self.fd, self.pos, self.end = fd, pos, end
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        n = os.preadv(self.fd, [memoryview(buf)[:self.end - self.pos]], self.pos)
-        self.pos += n
-        return n
+def _load_line(line, out) -> int:
+    """Parse one line of bytes into out, a column of len(out) values: 1, or
+    0 for a whitespace-only line. ValueError, with Python's message, for a
+    line that is not UTF-8 or not one number per column."""
+    text = line.decode("utf-8")
+    if not text.strip():
+        return 0
+    cells = text.split(",")
+    if len(cells) != len(out):
+        raise ValueError(f"expected {len(out)} fields, got {len(cells)}")
+    [float(c) for c in cells]   # Python's message for a non-number
+    out[:] = np.loadtxt([text], delimiter=",", comments=None, ndmin=1)
+    return 1
 
 
 def _line_start(fd, pos, end) -> int:
-    """The offset just past the first newline at or after pos, or end."""
+    """The offset just past the first line break ("\n", "\r\n" or a lone
+    "\r") at or after pos, or end; never between a "\r" and its "\n"."""
     while pos < end:
         chunk = os.pread(fd, 1 << 16, pos)
         if not chunk:
             break
-        i = chunk.find(b"\n")
-        if i >= 0:
-            return min(pos + i + 1, end)
+        if found := _BREAK.search(chunk):
+            stop = pos + found.end()
+            if found[0] == b"\r" and os.pread(fd, 1, stop) == b"\n":
+                stop += 1   # a "\r\n" split between two reads
+            return min(stop, end)
         pos += len(chunk)
     return end
 
@@ -368,15 +382,17 @@ def _line_count(fd, pos, end) -> int:
     return lines + (last not in b"\r\n")
 
 
-def _read_parts(fd, first, width, parts):
+def _read_parts(path, fd, first, width, parts):
     """The rows after the header line first of file fd, parsed in parts byte
     ranges cut just past newlines, into one (width, rows) array; its
-    transpose. Each range and chunk is cut just past a newline and decoded
-    with universal newlines, as open() decodes the whole file: a cut after
-    "\n" never falls inside a line, nor between the "\r" and "\n" of one
-    break."""
+    transpose. Each range and chunk is cut just past a line break and
+    decoded with universal newlines, as open() decodes the whole file: a
+    cut never falls inside a line, nor between the "\r" and "\n" of one
+    break. A bad line raises a ParseError naming path and its line."""
     end = os.fstat(fd).st_size
-    start = len(first.encode("utf-8"))
+    start = len(first.encode("utf-8", "surrogateescape"))
+    if os.pread(fd, 3, 0) == codecs.BOM_UTF8:
+        start += 3      # the header was decoded past its byte order mark
     if first.endswith("\n") and os.pread(fd, 2, start - 1) == b"\r\n":
         start += 1      # text mode read the header's "\r\n" as one "\n"
     cuts = [start] + [_line_start(fd, start + (end - start) * i // parts, end)
@@ -392,13 +408,21 @@ def _read_parts(fd, first, width, parts):
         at, pos, last = offsets[i], cuts[i], cuts[i + 1]
         while pos < last:
             stop = _line_start(fd, min(pos + _CHUNK_BYTES, last), last)
-            raw = io.BufferedReader(_ByteRange(fd, pos, stop), 1 << 16)
-            with io.TextIOWrapper(raw, encoding="utf-8") as stream:
-                rows = _load_rows(stream, width).reshape(-1, width)
-            if at + len(rows) > offsets[i + 1]:
-                raise ValueError("more rows than lines")
-            buf[:, at:at + len(rows)] = rows.T
-            at, pos = at + len(rows), stop
+            raw = os.pread(fd, stop - pos, pos)
+            try:
+                rows = _load_rows(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
+                                  width)
+            except ValueError:  # a whitespace-only, bad or non-UTF-8 line
+                for k, line in enumerate(raw.splitlines()):
+                    try:
+                        at += _load_line(line, buf[:, at])
+                    except ValueError as exc:
+                        lineno = 2 + offsets[i] + _line_count(fd, cuts[i], pos) + k
+                        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            else:
+                buf[:, at:at + len(rows)] = rows.T
+                at += len(rows)
+            pos = stop
         return at - offsets[i]
 
     def child(i, part):
@@ -423,24 +447,6 @@ def _read_parts(fd, first, width, parts):
         return buf.T
 
     return _run_parts(parts, child, lambda: fill(0), gather)
-
-
-def _parse_rows(path, lines, width):
-    """The data rows of lines, line by line, or a ParseError naming the line."""
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} fields, "
-                             f"got {len(parts)}")
-        try:
-            [float(p) for p in parts]   # Python's message for a non-number
-            rows.append(np.loadtxt([line], delimiter=",", comments=None, ndmin=1))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(rows).reshape(-1, width)
 
 
 def write_series_csv(path, values, columns, index_name: str = "epoch") -> None:

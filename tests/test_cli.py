@@ -62,12 +62,15 @@ def test_fit_marginals_writes_model(tmp_path, capsys):
     assert "wrote" in text
 
 
-def test_fit_marginals_empty_csv(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ("", "empty.csv: no data rows"),
+    ("epoch\n0\n1\n2\n3\n", "empty.csv: no channel column beside the index")])
+def test_fit_marginals_empty_csv(tmp_path, capsys, text, message):
     bad = tmp_path / "empty.csv"
-    bad.write_text("")
+    bad.write_text(text)
     code = cli.main(["fit-marginals", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "no data rows" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_fit_marginals_constant_channel(tmp_path, capsys):
@@ -845,6 +848,7 @@ SCHEMA_FAULTS = [
     ("offset", lambda t: _net_case(t, lambda d: d["sites"][0].update(offset="0.5"))),
     ("dt_ms", lambda t: _net_case(t, lambda d: d.update(dt_ms="5.2"))),
     ("dt", lambda t: _net_case(t, lambda d: d.update(dt=5.2))),
+    ("sites", lambda t: _net_case(t, lambda d: d.update(sites=[], couplings=[]))),
     ("m", lambda t: _model_case(t, lambda d: d["marginals"][0].update(m="0.1"))),
     ("sigma", lambda t: _model_case(t, lambda d: d["marginals"][1].update(sigma=1))),
 ]
@@ -877,6 +881,30 @@ def test_bounds_of_the_other_command_shape_exit_2(tmp_path, capsys):
 def _fit_marginals_case(tmp_path, **cfg):
     return ["fit-marginals", make_series_csv(tmp_path), "--config",
             write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+
+
+# (id, argv of tmp_path, index in argv of the file to spoil, line of it to
+# spoil, what the error names)
+NON_UTF8 = [
+    ("csv", _fit_marginals_case, 1, 3, "series.csv:3: "),
+    ("config", _fit_marginals_case, 3, 1, "config.json: "),
+    ("model", lambda t: _model_case(t, lambda d: None), 1, 1, "model2.json: "),
+    ("net", lambda t: _net_case(t, lambda d: None), 2, 1, "net.json: "),
+]
+
+
+@pytest.mark.parametrize("case, at, line, named", [c[1:] for c in NON_UTF8],
+                         ids=[c[0] for c in NON_UTF8])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, case, at,
+                                                    line, named):
+    args = case(tmp_path)
+    path = Path(args[at])
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]     # never a UTF-8 byte
+    path.write_bytes(b"\n".join(lines))
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert named in err and "can't decode byte 0xff" in err
 
 
 def _indicators_case(tmp_path, *methods):

@@ -2,6 +2,7 @@ import builtins
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -115,6 +116,14 @@ def test_read_table_names_the_file_line(tmp_path):
     with pytest.raises(ParseError, match=r"underscore\.csv:3"):
         read_table(underscore)
 
+    # a byte that is never UTF-8: in the header, and past its read buffer
+    for text, line in ((b"a,\xffb\n1,2\n", 1),
+                       (b"a\n" + b"1\n" * 5000 + b"\xff\n", 5002)):
+        late.write_bytes(text)
+        with pytest.raises(ParseError, match=rf"late\.csv:{line}: 'utf-8' codec "
+                                             rf"can't decode byte 0xff"):
+            read_table(late)
+
     blank_only = tmp_path / "blank.csv"
     blank_only.write_text("a,b\n\n  \n")
     with pytest.raises(ParseError, match="no data rows"):
@@ -130,6 +139,17 @@ def test_read_table_skips_blank_and_whitespace_lines(tmp_path):
     single = tmp_path / "single.csv"
     single.write_text("x\n5.0\n")
     assert read_table(single)[1].shape == (1, 1)
+
+
+def test_read_table_drops_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    for newline in (b"\n", b"\r\n", b"\r"):
+        plain.write_bytes(newline.join([b"epoch,a", b"0,1.5", b"1,2.5", b""]))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        header, data = read_table(marked)
+        assert header == ("epoch", "a")
+        assert data.tobytes() == read_table(plain)[1].tobytes()
+        assert read_series_csv(marked)[0] == ("a",)
 
 
 def test_read_table_errors(tmp_path):
@@ -272,13 +292,78 @@ def test_split_tables_match_the_one_part_path(tmp_path, case):
         pids, runs = counted_forks(mp), counted_runs(mp)
         got = read_outcome(one)
     assert got == want
-    # a blank line of spaces fails np.loadtxt, and so the part holding it
-    assert blanks or all(done for _, done in runs)
+    assert all(done for _, done in runs)
     assert len(pids) <= cpus - 1
     assert_reaped(pids)
     assert sorted(os.listdir(tmp_path)) == ["one.csv", "split.csv"]
     for path in (one, split):
         path.unlink()       # rewriting a file in place can stall on writeback
+
+
+BOM = b"\xef\xbb\xbf"
+CELLS = [b"0", b"7", b"-1.5", b"2e-3", b"1e400", b"nan", b"-inf", b" 4 "]
+JUNK = [*(b"%d" % d for d in range(10)), b".", b"-", b"e", b",", b" ", b"x",
+        b"\xff", BOM, b"nan", b"inf"]
+NEWLINES = [b"\n", b"\r\n", b"\r"]
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV of 1-3 columns, maybe after a byte order mark: rows of numbers
+    with a few junk lines drawn from digits, ".-e,", spaces, "x", a byte
+    that is never UTF-8, a byte order mark, "nan" and "inf"; with the parts
+    and chunk bytes to read it in."""
+    cols = draw(st.integers(1, 3))
+    row = st.lists(st.sampled_from(CELLS), min_size=cols, max_size=cols).map(b",".join)
+    lines = [b",".join(b"c%d" % j for j in range(cols)),
+             *draw(st.lists(row, max_size=40))]
+    for at, junk in draw(st.lists(st.tuples(st.floats(0.0, 1.0),
+                                            st.lists(st.sampled_from(JUNK), max_size=6)),
+                                  max_size=3)):
+        lines.insert(1 + int(at * (len(lines) - 1)), b"".join(junk))
+    text = draw(st.sampled_from([b"", BOM])) + lines[0]
+    for line in lines[1:]:
+        text += draw(st.sampled_from(NEWLINES)) + line
+    text += draw(st.sampled_from([b"", *NEWLINES]))
+    return text, cols, draw(st.integers(2, 4)), draw(st.integers(1, 64)), \
+        draw(st.integers(1, 64))
+
+
+def line_by_line_parse(text, cols):
+    """The rows of a CSV's text parsed one line at a time, whitespace-only
+    lines skipped."""
+    lines = [line.decode("utf-8") for line in text.removeprefix(BOM).splitlines()[1:]]
+    rows = [np.loadtxt([line], delimiter=",", comments=None, ndmin=1)
+            for line in lines if line.strip()]
+    return np.array(rows).reshape(-1, cols)
+
+
+@needs_fork
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_files())
+def test_read_table_returns_the_one_part_table_or_a_parse_error(tmp_path, case):
+    """Whatever the bytes, read_table gives the table a line-by-line parse
+    of the whole file gives, or a ParseError naming a line (read_outcome
+    lets any other error through), in one part as split into parts."""
+    text, cols, cpus, part, chunk = case
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelfile, "_CHUNK_BYTES", chunk)
+        split_into(mp, 1)
+        want = read_outcome(path)
+        split_into(mp, cpus, part)
+        pids = counted_forks(mp)
+        got = read_outcome(path)
+    path.unlink()
+    assert got == want
+    assert_reaped(pids)
+    if isinstance(want, str):
+        assert re.fullmatch(r".*t\.csv(:\d+)?: .+", want, re.S)
+    else:
+        assert want[0] == tuple(f"c{j}" for j in range(cols))
+        assert want[2] == line_by_line_parse(text, cols).tobytes()
 
 
 def whole_file_parse(path):
@@ -343,11 +428,16 @@ def test_read_table_names_the_bad_line_of_a_pipe(tmp_path):
         writer.join(60.0)
 
 
-def test_read_table_peak_memory_near_its_table(tmp_path, monkeypatch):
+@pytest.mark.parametrize("case", ["lf", "spaces", "lone cr"])
+def test_read_table_peak_memory_near_its_table(tmp_path, monkeypatch, case):
     # one part: a forked part's shared mapping is not traced
     values = np.random.default_rng(9).standard_normal((100_000, 8))
     path = tmp_path / "t.csv"
     write_table(path, tuple(f"c{j}" for j in range(8)), values)
+    lines = path.read_bytes().split(b"\n")
+    if case == "spaces":    # np.loadtxt rejects its chunk, parsed line by line
+        lines.insert(50_001, b"  ")
+    path.write_bytes((b"\r" if case == "lone cr" else b"\n").join(lines))
     split_into(monkeypatch, 1)
     assert traced_peak(lambda: read_table(path)) < 1.2 * values.nbytes
 
@@ -419,20 +509,23 @@ def test_a_failed_part_redoes_the_table_as_one_part(tmp_path, monkeypatch, failu
     write_table(want, header, values)
     fds = len(os.listdir("/proc/self/fd"))
     split_into(monkeypatch, 4, 1000)
-    pids = counted_forks(monkeypatch)
+    pids, runs = counted_forks(monkeypatch), counted_runs(monkeypatch)
+    # a ValueError from np.loadtxt is a bad line, parsed again line by line
+    # in its own chunk; a part fails on any other error
     if failure == "child":
         _fail_in_children(monkeypatch, "open", OSError("no room"))
-        _fail_in_children(monkeypatch, "_load_rows", ValueError("bad"))
+        _fail_in_children(monkeypatch, "_load_rows", OSError("bad"))
     elif failure == "fork":
         _fork_twice(monkeypatch)
     else:
         # after the children exit when writing, while they run when reading
         _fail_once_in_parent(monkeypatch, "_append", OSError("disk full"))
-        _fail_once_in_parent(monkeypatch, "_load_rows", ValueError("bad"))
+        _fail_once_in_parent(monkeypatch, "_load_rows", OSError("bad"))
     write_table(path, header, values)
     header_back, data = read_table(path)
     assert path.read_bytes() == want.read_bytes()
     assert header_back == header and data.tobytes() == values.tobytes()
+    assert runs == [[4, False], [1, True]] * 2
     assert len(pids) == {"child": 6, "fork": 2, "parent": 6}[failure]
     assert_reaped(pids)
     assert sorted(os.listdir(tmp_path)) == ["t.csv", "want.csv"]
@@ -518,10 +611,11 @@ def test_a_part_of_partial_rows_is_refused(tmp_path, monkeypatch):
     split_into(monkeypatch, 4, 1000)
     pids, runs = counted_forks(monkeypatch), counted_runs(monkeypatch)
     parent, real = os.getpid(), modelfile._load_rows
-    # each of the 3 children parses a chunk as 2 values, no whole 3-value
-    # row: the split fails, and the table is read again as one part
+    # each of the 3 children parses a chunk as one row of 2 values, no whole
+    # 3-value row, which does not fit its columns: the split fails, and the
+    # table is read again as one part
     monkeypatch.setattr(modelfile, "_load_rows", lambda stream, width: (
-        real(stream, width) if os.getpid() == parent else np.zeros(2)))
+        real(stream, width) if os.getpid() == parent else np.zeros((1, 2))))
     _, data = read_table(path)
     assert data.tobytes() == values.tobytes()
     assert runs == [[4, False], [1, True]] and len(pids) == 3
