@@ -11,15 +11,16 @@ boolean, string, array, nullable). A block must be a JSON object; a key
 its table does not list, a missing required key and a value of the wrong
 type raise a ParseError naming the key.
 
-A table is read channel-major: read_table returns the transpose of a
-C-order (cols, rows) array, sized from the file's line count before any
-row is parsed and filled in chunks of bounded size, so a column is
-contiguous and table.T hands the whole table over as (channels, rows)
-rows, to be mapped and pre-averaged in place. The chunk is the unit of
-parsing: np.loadtxt parses each one, and a chunk it rejects, and only
-that chunk, is parsed again line by line, skipping whitespace-only lines
-and naming a line that is not UTF-8 or not one number per column by its
-line number in the file.
+A table is read from one scan of its bytes (_chunks), which cuts them at
+line breaks into chunks of about _CHUNK_BYTES bytes and notes the line
+each starts on; that chunk table gives the header, the parts, the row
+count and the line of every row. read_table returns the transpose of a
+C-order (cols, rows) array, so a column is contiguous and table.T hands
+the whole table over as (channels, rows) rows, to be mapped and
+pre-averaged in place. The chunk is the unit of parsing: np.loadtxt
+parses each one, and a chunk it rejects, and only that chunk, is parsed
+again line by line, skipping whitespace-only lines and naming a line that
+is not UTF-8 or not one number per column by its line number in the file.
 
 A large table is written and read in contiguous parts, one per CPU this
 process may run on: the first part here, each other one in an os.fork
@@ -35,17 +36,16 @@ part.
 
 from __future__ import annotations
 
-import codecs
 import io
 import json
 import mmap
 import os
-import re
 import shutil
 import signal
 import stat
 import tempfile
 import warnings
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import asdict
 
@@ -88,8 +88,9 @@ def _naming(path):
 
 
 def load_json(path) -> dict:
+    """A JSON object file as a dict; UTF-8, after any byte order mark."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return _dict(json.load(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -112,7 +113,6 @@ _BLOCK_VALUES = 1 << 15     # values formatted per % call
 _PART_VALUES = 1 << 18
 _PART_BYTES = 1 << 22
 _CHUNK_BYTES = 1 << 18      # bytes of text read or parsed per call
-_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
 class _PartFailed(Exception):
@@ -259,45 +259,41 @@ def read_table(path):
     and whitespace-only lines are skipped, and a leading UTF-8 byte order
     mark is not part of the first column name.
 
-    The rows after the header are cut at newlines into contiguous byte
-    ranges, one per part. Each range's lines are counted first, and the
-    array is sized from those counts, before any row is parsed. Each range
-    is then parsed by np.loadtxt in chunks of about _CHUNK_BYTES bytes, each
-    written into its range's columns: the first range here, each other one
-    in a forked child that writes into the same shared array and reports
-    its row count through its own in-memory file. A range with blank lines
-    parses fewer rows than its count; the rows read are then packed, in
-    order, to the front of the array. When np.loadtxt rejects a chunk, only
-    that chunk's lines are parsed one by one: whitespace-only lines are
-    skipped, and a line that is not UTF-8 or not one number per column
-    raises a ParseError naming its file line. The part count never changes
-    a bit; when a part fails, the file is parsed again from the start as
-    one part, so an error names the line the one-part parse names. A file
-    that is not a regular one, such as a pipe, is parsed from a copy (see
-    _seekable).
+    One scan of the file's bytes (_chunks) cuts them at line breaks into
+    chunks and notes the line each chunk starts on. The header is chunk
+    0's first line, decoded as UTF-8 after any byte order mark, and chunk 0
+    then starts past it. _read_parts parses the chunks into an array sized
+    from that table's line count: in parts of whole chunks, the first here
+    and each other one in a forked child. The part count never changes a
+    bit; when a part fails, the same chunks are parsed again as one part,
+    so an error names the line the one-part parse names. A file that is not
+    a regular one, such as a pipe, is parsed from a copy (see _seekable).
     """
     try:
         with _seekable(path) as fh:
-            first = fh.readline()
+            fd = fh.fileno()
+            cuts, lines = _chunks(fd, 0, os.fstat(fd).st_size)
+            first = (os.pread(fd, cuts[1], 0).splitlines(True) or [b""])[0]
             try:    # the body is decoded, and checked, chunk by chunk
-                first.encode("utf-8", "surrogateescape").decode("utf-8")
+                text = first.decode("utf-8-sig")
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}:1: {exc}") from exc
-            if not first.strip():
+            if not text.strip():
                 raise ParseError(f"{path}: no data rows")
-            header = tuple(name.strip() for name in first.split(","))
+            header = tuple(name.strip() for name in text.split(","))
             if len(set(header)) != len(header):
                 raise ParseError(f"{path}: column names must be unique, "
                                  f"got {list(header)}")
+            cuts[0], lines[0] = len(first), 1
             data = None
-            parts = _part_count(os.fstat(fh.fileno()).st_size, _PART_BYTES)
+            parts = _part_count(cuts[-1], _PART_BYTES)
             if parts > 1:
                 try:
-                    data = _read_parts(path, fh.fileno(), first, len(header), parts)
+                    data = _read_parts(path, fd, cuts, lines, len(header), parts)
                 except (OSError, _PartFailed):
                     pass
             if data is None:
-                data = _read_parts(path, fh.fileno(), first, len(header), 1)
+                data = _read_parts(path, fd, cuts, lines, len(header), 1)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if data.size == 0:
@@ -307,18 +303,57 @@ def read_table(path):
 
 @contextmanager
 def _seekable(path):
-    """path opened as text for its header line: UTF-8 after any byte order
-    mark, with undecodable bytes kept as surrogates; a pipe or other file
-    that is not a regular one is first copied into an unnamed temporary
-    file, and that is opened."""
+    """path opened as a binary file; a pipe or other file that is not a
+    regular one is first copied into an unnamed temporary file, flushed so
+    that os.pread reads all of it, and that is yielded."""
     with open(path, "rb") as raw:
         if stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
-            yield io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape")
+            yield raw
             return
         with tempfile.TemporaryFile() as copy:
             shutil.copyfileobj(raw, copy)
-            copy.seek(0)
-            yield io.TextIOWrapper(copy, encoding="utf-8-sig", errors="surrogateescape")
+            copy.flush()
+            yield copy
+
+
+def _chunks(fd, pos, end):
+    """Bytes [pos, end) of file fd, read once, _CHUNK_BYTES at a time, and
+    cut just past the last line break ("\n", "\r\n" or a lone "\r", as
+    universal newlines read them) of each read, never between a "\r" and
+    its "\n"; a read without a break grows its chunk into the next read.
+
+    As (cuts, lines): chunk k is bytes [cuts[k], cuts[k + 1]) and starts on
+    line lines[k], counted from 0; lines[-1] is the range's line count, its
+    breaks plus one for a last line without a break. There is always at
+    least one chunk, empty for an empty range."""
+    cuts, lines, count, last = [pos], [0], 0, b""
+    while pos < end:
+        block = os.pread(fd, min(_CHUNK_BYTES, end - pos), pos)
+        if not block:
+            break
+        if last == b"\r" and block[:1] == b"\n":
+            count -= 1      # one "\r\n", split between two reads
+        # a "\r" that ends a read, but not the range, may start a "\r\n"
+        stop = len(block) - (block[-1:] == b"\r" and pos + len(block) < end)
+        cut = 1 + max(block.rfind(b"\n", 0, stop), block.rfind(b"\r", 0, stop))
+        breaks = _breaks(block)
+        if cut:
+            cuts.append(pos + cut)
+            lines.append(count + breaks - _breaks(block, cut))
+        count += breaks
+        pos, last = pos + len(block), block[-1:]
+    if cuts[-1] < pos or len(cuts) == 1:
+        cuts.append(pos)
+        lines.append(count + (last not in b"\r\n"))
+    return cuts, lines
+
+
+def _breaks(raw, start=0) -> int:
+    """The line breaks in raw[start:]: each "\n", and each "\r" not
+    followed by a "\n"."""
+    if raw.find(b"\r", start) < 0:
+        return raw.count(b"\n", start)
+    return raw.count(b"\n", start) + raw.count(b"\r", start) - raw.count(b"\r\n", start)
 
 
 def _load_rows(stream, width):
@@ -348,81 +383,43 @@ def _load_line(line, out) -> int:
     return 1
 
 
-def _line_start(fd, pos, end) -> int:
-    """The offset just past the first line break ("\n", "\r\n" or a lone
-    "\r") at or after pos, or end; never between a "\r" and its "\n"."""
-    while pos < end:
-        chunk = os.pread(fd, 1 << 16, pos)
-        if not chunk:
-            break
-        if found := _BREAK.search(chunk):
-            stop = pos + found.end()
-            if found[0] == b"\r" and os.pread(fd, 1, stop) == b"\n":
-                stop += 1   # a "\r\n" split between two reads
-            return min(stop, end)
-        pos += len(chunk)
-    return end
+def _read_parts(path, fd, cuts, lines, width, parts):
+    """The rows of the chunks of file fd that cuts and lines give (see
+    _chunks), parsed into one (width, rows) array; its transpose.
 
-
-def _line_count(fd, pos, end) -> int:
-    """The lines of bytes [pos, end) of file fd: its line breaks ("\n",
-    "\r\n" or a lone "\r", as universal newlines read them), plus one for a
-    last line without a break."""
-    lines, last = 0, b"\n"
-    while pos < end:
-        chunk = os.pread(fd, min(_CHUNK_BYTES, end - pos), pos)
-        if not chunk:
-            break
-        lines += chunk.count(b"\n")
-        if b"\r" in chunk:
-            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-        if last == b"\r" and chunk[:1] == b"\n":
-            lines -= 1      # one "\r\n", split between two reads
-        pos, last = pos + len(chunk), chunk[-1:]
-    return lines + (last not in b"\r\n")
-
-
-def _read_parts(path, fd, first, width, parts):
-    """The rows after the header line first of file fd, parsed in parts byte
-    ranges cut just past newlines, into one (width, rows) array; its
-    transpose. Each range and chunk is cut just past a line break and
-    decoded with universal newlines, as open() decodes the whole file: a
-    cut never falls inside a line, nor between the "\r" and "\n" of one
-    break. A bad line raises a ParseError naming path and its line."""
-    end = os.fstat(fd).st_size
-    start = len(first.encode("utf-8", "surrogateescape"))
-    if os.pread(fd, 3, 0) == codecs.BOM_UTF8:
-        start += 3      # the header was decoded past its byte order mark
-    if first.endswith("\n") and os.pread(fd, 2, start - 1) == b"\r\n":
-        start += 1      # text mode read the header's "\r\n" as one "\n"
-    cuts = [start] + [_line_start(fd, start + (end - start) * i // parts, end)
-                      for i in range(1, parts)] + [end]
-    caps = [_line_count(fd, a, b) for a, b in zip(cuts, cuts[1:])]
-    offsets = np.cumsum([0] + caps).tolist()
+    A part is a run of whole chunks: part i starts at the first chunk that
+    starts at or past i / parts of the bytes, and its rows at the lines
+    before that chunk, so the array is sized before any row is parsed. Each
+    chunk is read once and parsed by np.loadtxt, decoded with universal
+    newlines as open() decodes the whole file. When np.loadtxt rejects a
+    chunk, its lines are parsed one by one, and a bad line raises a
+    ParseError naming path and its line: 1 + the line its chunk starts on
+    + its place in the chunk."""
+    start, end = cuts[0], cuts[-1]
+    runs = [bisect_left(cuts, start + (end - start) * i // parts)
+            for i in range(parts)] + [len(cuts) - 1]
+    offsets = [lines[k] - lines[0] for k in runs]
     size = width * offsets[-1]
     # the children write into a shared mapping; one part needs none
     buf = (np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float) if parts > 1 and size
            else np.empty(size)).reshape(width, offsets[-1])
 
     def fill(i) -> int:
-        at, pos, last = offsets[i], cuts[i], cuts[i + 1]
-        while pos < last:
-            stop = _line_start(fd, min(pos + _CHUNK_BYTES, last), last)
-            raw = os.pread(fd, stop - pos, pos)
+        at = offsets[i]
+        for k in range(runs[i], runs[i + 1]):
+            raw = os.pread(fd, cuts[k + 1] - cuts[k], cuts[k])
             try:
                 rows = _load_rows(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"),
                                   width)
             except ValueError:  # a whitespace-only, bad or non-UTF-8 line
-                for k, line in enumerate(raw.splitlines()):
+                for j, line in enumerate(raw.splitlines()):
                     try:
                         at += _load_line(line, buf[:, at])
                     except ValueError as exc:
-                        lineno = 2 + offsets[i] + _line_count(fd, cuts[i], pos) + k
-                        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                        raise ParseError(f"{path}:{1 + lines[k] + j}: {exc}") from exc
             else:
                 buf[:, at:at + len(rows)] = rows.T
                 at += len(rows)
-            pos = stop
         return at - offsets[i]
 
     def child(i, part):
@@ -451,9 +448,6 @@ def _read_parts(path, fd, first, width, parts):
 
 def write_series_csv(path, values, columns, index_name: str = "epoch") -> None:
     """Series table with a leading integer index column."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != len(columns):
-        raise ParseError("values must be (rows, len(columns))")
     write_table(path, (index_name, *columns), values, first_index=0)
 
 

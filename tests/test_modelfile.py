@@ -130,6 +130,21 @@ def test_read_table_names_the_file_line(tmp_path):
         read_table(blank_only)
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_read_table_names_the_line_whatever_its_chunks(tmp_path, monkeypatch, newline):
+    """Chunks cut at every byte, "\\r\\n" split between two reads included,
+    name the file line of a bad value, and the row count of a good file."""
+    path = tmp_path / "t.csv"
+    lines = [b"a,b", b"1,2", b"", b"3,4", b"5,x", b"6,7"]
+    for chunk in range(1, 16):
+        monkeypatch.setattr(modelfile, "_CHUNK_BYTES", chunk)
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(ParseError, match=r"t\.csv:5: could not convert string to float"):
+            read_table(path)
+        path.write_bytes(newline.join(lines[:4]) + newline + b"5,8")
+        assert read_table(path)[1].tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 8.0]]
+
+
 def test_read_table_skips_blank_and_whitespace_lines(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("a,b\n1.0,2.0\n\n   \n3.0, 4.0 \n")
@@ -401,6 +416,27 @@ def test_read_table_gives_the_whole_file_parse_channel_major(tmp_path, monkeypat
     assert data.T.flags.c_contiguous
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_read_table_scans_the_file_once(tmp_path, monkeypatch, newline):
+    """A one-part read preads the file's bytes once to cut them into chunks
+    at line breaks and once to parse them, and chunk 0 for the header."""
+    values = np.random.default_rng(10).standard_normal((9000, 3)) * 1e3
+    path = tmp_path / "t.csv"
+    write_table(path, ("x", "y", "z"), values)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    monkeypatch.setattr(modelfile, "_CHUNK_BYTES", 1 << 14)
+    split_into(monkeypatch, 1)
+    sizes, real = [], os.pread
+
+    def pread(fd, n, offset):
+        sizes.append(len(raw := real(fd, n, offset)))
+        return raw
+
+    monkeypatch.setattr(modelfile.os, "pread", pread)
+    assert read_table(path)[1].tobytes() == values.tobytes()
+    assert sum(sizes) <= 2 * path.stat().st_size + (1 << 14)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_read_table_reads_a_pipe(tmp_path):
     fifo = tmp_path / "pipe.csv"
@@ -449,6 +485,7 @@ def test_a_bad_value_in_a_later_part_names_its_line(tmp_path, monkeypatch):
     lines = path.read_text().splitlines()
     lines[9000] = "1,2,oops,4"
     path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(modelfile, "_CHUNK_BYTES", 1 << 12)    # chunks in every part
     split_into(monkeypatch, 1)
     with pytest.raises(ParseError) as one:
         read_table(path)
@@ -608,6 +645,7 @@ def test_a_part_of_partial_rows_is_refused(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
     write_table(path, ("x", "y", "z"), values)
     fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(modelfile, "_CHUNK_BYTES", 1 << 14)    # chunks in every part
     split_into(monkeypatch, 4, 1000)
     pids, runs = counted_forks(monkeypatch), counted_runs(monkeypatch)
     parent, real = os.getpid(), modelfile._load_rows
@@ -699,6 +737,15 @@ def test_series_csv_peak_memory_is_a_block(tmp_path):
     assert peak < 0.3 * values.nbytes
 
 
+@pytest.mark.parametrize("values", [np.zeros(3), np.zeros((3, 1)), np.zeros((3, 3))])
+def test_series_csv_refuses_values_that_do_not_fit_its_columns(tmp_path, values):
+    path = tmp_path / "series.csv"
+    with pytest.raises(ParseError, match="row width does not match header") as info:
+        write_series_csv(path, values, ("a", "b"))
+    assert exit_code_for(info.value) == 2
+    assert not path.exists()
+
+
 def test_series_csv_plain_header_kept(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("x,y\n1.0,2.0\n")
@@ -745,6 +792,22 @@ def test_load_json_errors(tmp_path):
         load_json(bad)
     with pytest.raises(ParseError, match="cannot read"):
         load_json(tmp_path / "gone.json")
+
+
+def test_json_files_load_after_a_byte_order_mark(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"marginal_window": 3, "anneal": {"seed": 5}}))
+    model, net = tmp_path / "model.json", tmp_path / "net.json"
+    save_model(model, make_model())
+    save_net(net, two_site_net(weight=0.07, delay=2))
+    plain = read_config(config), load_model(model), load_net(net)
+    for path in (config, model, net):
+        path.write_bytes(BOM + path.read_bytes())
+    marked = read_config(config), load_model(model), load_net(net)
+    assert marked[0] == plain[0] and marked[2] == plain[2]
+    assert marked[1].channels == plain[1].channels
+    assert marked[1].marginals == plain[1].marginals
+    assert np.array_equal(marked[1].correlation.matrix, plain[1].correlation.matrix)
 
 
 def make_model():
