@@ -24,11 +24,11 @@ from . import eeg, indicators
 from .anneal import AnnealConfig
 from .copula import CopulaModel, correlation_in_place, to_gaussian
 from .errors import EngineError, IllConditioned, ParseError
-from .events import row_blocks, sample_events
+from .events import EventBatch, sample_events
 from .marginals import fit_channels
 from .modelfile import (ensure_out_dir, fmt, load_model, load_net, read_config,
-                        read_series_csv, save_json, save_model, save_net,
-                        write_bins_csv, write_series_csv, write_trace_csv)
+                        read_series_csv, reduce_rows, save_json, save_model,
+                        save_net, write_bins_csv, write_series_csv, write_trace_csv)
 from .risk import (Q_TARGET, VAR_LEVEL, ContractPortfolio, LinearPortfolio,
                    RiskConfig, optimize_positions, portfolio_returns, risk_report)
 
@@ -87,14 +87,14 @@ def cmd_fit_marginals(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    out = ensure_out_dir(args.out)
     model = load_model(args.model)
     if args.n < 1:
         raise ParseError("--n must be >= 1")
-    dx = sample_events(model, args.n, args.seed)
-    path = os.path.join(out, "events.csv")
-    write_series_csv(path, dx, model.channels, index_name="event_index")
-    print(f"sampled {len(dx)} events x {len(model.channels)} channel(s)")
+    path = os.path.join(ensure_out_dir(args.out), "events.csv")
+    # each part of the CSV makes the rows it formats; no table is held
+    write_series_csv(path, EventBatch(model, args.n, args.seed), model.channels,
+                     index_name="event_index")
+    print(f"sampled {args.n} events x {len(model.channels)} channel(s)")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -115,24 +115,23 @@ def _parse_weights(text: str | None, dim: int) -> tuple[float, ...]:
 
 def _streamed_returns(model, n, seed, portfolio) -> np.ndarray:
     """portfolio_returns(sample_events(model, n, seed), portfolio), made one
-    row block at a time, so that the (n, N) table is never held. The bits
-    are those of the whole-table product wherever that product computes
-    every row in its BLAS kernel's 4-row groups: always on one BLAS thread,
-    and for n a multiple of 8 on two."""
-    dm = np.empty(n)
-    for a, rows in row_blocks(model, n, seed):
-        dm[a:a + len(rows)] = portfolio_returns(rows, portfolio)
-    return dm
+    row block at a time, in parts (modelfile.reduce_rows), so that the
+    (n, N) table is never held. Each row has the bits of one whole-table
+    product on one BLAS thread, on any thread count (see
+    risk.portfolio_returns); on two threads such a product differs in a
+    few rows' last bits for n off the 8-row grid."""
+    return reduce_rows(EventBatch(model, n, seed),
+                       lambda rows: portfolio_returns(rows, portfolio))
 
 
 def cmd_risk(args) -> int:
-    out = ensure_out_dir(args.out)
     model = load_model(args.model)
     dim = len(model.channels)
     weights = _parse_weights(args.weights, dim)
     if args.n < 2:
         raise ParseError(f"--n must be >= 2, got {args.n}")
     config = RiskConfig(var_level=args.var, q_target=args.q)
+    out = ensure_out_dir(args.out)
     dm = _streamed_returns(model, args.n, args.seed,
                            LinearPortfolio(weights=weights, offsets=(0.0,) * dim))
     report, dist = risk_report(dm, config)

@@ -55,8 +55,11 @@ class ExponentialMarginal:
         return self.chi_plus if self.chi_plus is not None else self.chi
 
     def side_width(self, t):
-        """Width on the side of m where each offset t = dx - m (or dy) lies."""
-        return np.where(t < 0.0, self.width_below(), self.width_above())
+        """Width on the side of m where each offset t = dx - m (or dy) lies:
+        chi itself, a float, when both sides share it."""
+        if self.chi_minus is None:
+            return self.chi
+        return np.where(t < 0.0, self.chi_minus, self.chi_plus)
 
 
 def fit_exponential(samples, asymmetric: bool = False) -> ExponentialMarginal:

@@ -13,8 +13,10 @@ type raise a ParseError naming the key.
 
 A table is read from one scan of its bytes (_chunks), which cuts them at
 line breaks into chunks of about _CHUNK_BYTES bytes and notes the line
-each starts on; that chunk table gives the header, the parts, the row
-count and the line of every row. read_table returns the transpose of a
+each starts on; that chunk table gives the parts, the row count and the
+line of every row, and the header line is read on its own, in a small
+pread. A series table's index column is parsed but not kept. read_table
+returns the transpose of a
 C-order (cols, rows) array, so a column is contiguous and table.T hands
 the whole table over as (channels, rows) rows, to be mapped and
 pre-averaged in place. The chunk is the unit of parsing: np.loadtxt
@@ -24,12 +26,17 @@ is not UTF-8 or not one number per column by its line number in the file.
 
 A large table is written and read in contiguous parts, one per CPU this
 process may run on: the first part here, each other one in an os.fork
-child that ends in os._exit. A written part returns its text through its
-own in-memory file (os.memfd_create), never a file on disk; a read part
-parses into its columns of one shared array and returns its row count the
-same way. The part count never changes a byte written or a bit read, and
-any failure of a part redoes the table as one part, so errors and their
-messages are those of the one-part path. Without fork, sched_getaffinity
+child that ends in os._exit. A table made on demand in row blocks (an
+events.EventBatch) is split into runs of whole blocks, and each part makes
+the rows it handles: write_table formats them, and reduce_rows reduces
+each block to one value a row, so no process holds the whole table. A
+written part returns its text through its own in-memory file
+(os.memfd_create), never a file on disk; a read part parses into its
+columns of one shared array and returns its row count the same way, and a
+reduced part fills its rows of one shared array. The part count never
+changes a byte written or a bit read or made, and any failure of a part
+redoes the table as one part, so errors and their messages are those of
+the one-part path. Without fork, sched_getaffinity
 and memfd_create, and while another thread runs, a table is always one
 part.
 """
@@ -113,6 +120,7 @@ _BLOCK_VALUES = 1 << 15     # values formatted per % call
 _PART_VALUES = 1 << 18
 _PART_BYTES = 1 << 22
 _CHUNK_BYTES = 1 << 18      # bytes of text read or parsed per call
+_HEAD_BYTES = 1 << 10       # bytes of the first read for a CSV header
 
 
 class _PartFailed(Exception):
@@ -178,23 +186,38 @@ def _run_parts(parts, child, own, gather):
             os.close(fd)
 
 
-def write_table(path, header, values, first_index=None) -> None:
-    """Write a (rows, len(header)) numeric array under a one-line header.
+def _in_parts(parts, run):
+    """run(parts), or run(1) when a split into more parts fails."""
+    if parts > 1:
+        try:
+            return run(parts)
+        except (OSError, _PartFailed):
+            pass
+    return run(1)
 
-    With first_index, the first column holds the row numbers counted from
-    first_index and values holds the other columns; that column is made per
-    formatting block, never for the whole table.
+
+def write_table(path, header, values, first_index=None) -> None:
+    """Write a (rows, len(header)) numeric table under a one-line header.
+
+    values is an array, or a table made on demand in row blocks, such as an
+    events.EventBatch: one with shape, cuts and blocks(first, last), which
+    yields (a, rows) for its blocks first .. last - 1. With first_index,
+    the first column holds the row numbers counted from first_index and
+    values holds the other columns; that column is made per formatting
+    block, never for the whole table.
 
     Rows are formatted about _BLOCK_VALUES values at a time, with one % on
     a repeated "%.17g,...\\n" row template. A large table is split into
-    contiguous row ranges: the first is written here and each other one by
+    contiguous row ranges, of whole blocks for a table of blocks, each made
+    where it is formatted: the first is written here and each other one by
     a forked child into its own in-memory file, appended to path in order
     once all are done; no other file is created. The part count never
-    changes a byte; when a part fails, the table is written again from the
-    start as one part.
+    changes a byte; when a part fails, the table is made and written again
+    from the start as one part.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] + (first_index is not None) != len(header):
+    if not hasattr(values, "blocks"):
+        values = np.asarray(values, dtype=float)
+    if len(values.shape) != 2 or values.shape[1] + (first_index is not None) != len(header):
         raise ParseError("row width does not match header")
     for i, name in enumerate(header):   # each must read back through read_table
         if name in header[:i] or name != name.strip() or any(c in name for c in ",\r\n"):
@@ -204,29 +227,42 @@ def write_table(path, header, values, first_index=None) -> None:
             name.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ParseError(f"CSV column name {name!r} UTF-8 cannot encode") from exc
-    parts = _part_count(values.shape[0] * len(header), _PART_VALUES)
-    if parts > 1:
-        try:
-            return _write_parts(path, header, values, first_index, parts)
-        except (OSError, _PartFailed):
-            pass
-    _write_parts(path, header, values, first_index, 1)
+    _in_parts(_block_parts(values, values.shape[0] * len(header)),
+              lambda parts: _write_parts(path, header, values, first_index, parts))
+
+
+def _block_parts(values, size) -> int:
+    """Parts for a table of size values (see _part_count), and no more than
+    its blocks when values is made in blocks."""
+    parts = _part_count(size, _PART_VALUES)
+    return parts if isinstance(values, np.ndarray) else min(parts, len(values.cuts) - 1)
+
+
+def _part_blocks(values, parts):
+    """A function of i that gives (a, rows) for each row block of part i of
+    values, in order: a run of whole blocks of a table made in blocks, or
+    one contiguous row range of an array."""
+    if isinstance(values, np.ndarray):
+        cuts = [values.shape[0] * i // parts for i in range(parts + 1)]
+        return lambda i: [(cuts[i], values[cuts[i]:cuts[i + 1]])]
+    runs = [(len(values.cuts) - 1) * i // parts for i in range(parts + 1)]
+    return lambda i: values.blocks(runs[i], runs[i + 1])
 
 
 def _write_parts(path, header, values, first_index, parts) -> None:
     row = ",".join(["%.17g"] * len(header)) + "\n"
     step = max(1, _BLOCK_VALUES // len(header))
-    cuts = [values.shape[0] * i // parts for i in range(parts + 1)]
+    blocks = _part_blocks(values, parts)
 
     def write_rows(i, fd):
         with open(fd, "w", encoding="utf-8", newline="\n", closefd=False) as fh:
-            for start in range(cuts[i], cuts[i + 1], step):
-                stop = min(start + step, cuts[i + 1])
-                block = values[start:stop]
-                if first_index is not None:
-                    block = np.column_stack(
-                        [np.arange(start + first_index, stop + first_index), block])
-                fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+            for a, rows in blocks(i):
+                for start in range(0, len(rows), step):
+                    block = rows[start:start + step]
+                    if first_index is not None:
+                        at = a + start + first_index
+                        block = np.column_stack([np.arange(at, at + len(block)), block])
+                    fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -240,6 +276,40 @@ def _write_parts(path, header, values, first_index, parts) -> None:
         _run_parts(parts, write_rows, lambda: write_rows(0, out), append)
 
 
+def reduce_rows(values, reduce) -> np.ndarray:
+    """The (rows,) array whose rows [a, a + len(block)) are reduce(block),
+    for each row block (a, block) of values, a table made on demand in
+    blocks (see write_table).
+
+    The blocks are split into parts as write_table splits them, each made
+    and reduced where it fills its rows of one array: the first here, and
+    each other one in a forked child, into a shared mapping. The part count
+    never changes a bit; when a part fails, all rows are made again as one
+    part.
+    """
+    return _in_parts(_block_parts(values, values.shape[0] * values.shape[1]),
+                     lambda parts: _reduce_parts(values, reduce, parts))
+
+
+def _reduce_parts(values, reduce, parts) -> np.ndarray:
+    out = _buffer(values.shape[0], parts)
+    blocks = _part_blocks(values, parts)
+
+    def fill(i, _part=None):
+        for a, rows in blocks(i):
+            out[a:a + len(rows)] = reduce(rows)
+
+    return _run_parts(parts, fill, lambda: fill(0), lambda *_: out)
+
+
+def _buffer(size, parts) -> np.ndarray:
+    """size floats: shared with forked children, in an anonymous mapping,
+    when there is more than one part, else a plain array."""
+    if parts > 1 and size:
+        return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
+    return np.empty(size)
+
+
 def _append(out_fd, in_fd) -> None:
     """Append all of file in_fd at out_fd's position."""
     size, offset = os.fstat(in_fd).st_size, 0
@@ -250,21 +320,25 @@ def _append(out_fd, in_fd) -> None:
         offset += sent
 
 
-def read_table(path):
+def read_table(path, *, skip_index=False):
     """Read a numeric CSV into (header tuple, float array (rows, cols)).
 
     The table is the transpose of a C-order (cols, rows) array, so each
     column is contiguous and table.T is a channel-major array of its own
     memory; tobytes() still gives the (rows, cols) C-order bytes. Blank
     and whitespace-only lines are skipped, and a leading UTF-8 byte order
-    mark is not part of the first column name.
+    mark is not part of the first column name. With skip_index, a first
+    column named as an index (INDEX_NAMES) is parsed and checked as every
+    column is, but neither stored nor returned, nor its name; it is an
+    option, not the rule, because a plain table may hold data in a column
+    named t or index.
 
     One scan of the file's bytes (_chunks) cuts them at line breaks into
-    chunks and notes the line each chunk starts on. The header is chunk
-    0's first line, decoded as UTF-8 after any byte order mark, and chunk 0
-    then starts past it. _read_parts parses the chunks into an array sized
-    from that table's line count: in parts of whole chunks, the first here
-    and each other one in a forked child. The part count never changes a
+    chunks and notes the line each chunk starts on. The header is the
+    file's first line, read by _first_line and decoded as UTF-8 after any
+    byte order mark, and chunk 0 then starts past it. _read_parts parses
+    the chunks into an array sized from that table's line count: in parts
+    of whole chunks, the first here and each other one in a forked child. The part count never changes a
     bit; when a part fails, the same chunks are parsed again as one part,
     so an error names the line the one-part parse names. A file that is not
     a regular one, such as a pipe, is parsed from a copy (see _seekable).
@@ -273,7 +347,7 @@ def read_table(path):
         with _seekable(path) as fh:
             fd = fh.fileno()
             cuts, lines = _chunks(fd, 0, os.fstat(fd).st_size)
-            first = (os.pread(fd, cuts[1], 0).splitlines(True) or [b""])[0]
+            first = _first_line(fd, cuts[1])
             try:    # the body is decoded, and checked, chunk by chunk
                 text = first.decode("utf-8-sig")
             except UnicodeDecodeError as exc:
@@ -285,20 +359,27 @@ def read_table(path):
                 raise ParseError(f"{path}: column names must be unique, "
                                  f"got {list(header)}")
             cuts[0], lines[0] = len(first), 1
-            data = None
-            parts = _part_count(cuts[-1], _PART_BYTES)
-            if parts > 1:
-                try:
-                    data = _read_parts(path, fd, cuts, lines, len(header), parts)
-                except (OSError, _PartFailed):
-                    pass
-            if data is None:
-                data = _read_parts(path, fd, cuts, lines, len(header), 1)
+            skip = int(skip_index and header[0].lower() in INDEX_NAMES)
+            data = _in_parts(_part_count(cuts[-1], _PART_BYTES), lambda parts: _read_parts(
+                path, fd, cuts, lines, len(header), skip, parts))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if data.size == 0:
+    if not len(data):
         raise ParseError(f"{path}: no data rows")
-    return header, data
+    return header[skip:], data
+
+
+def _first_line(fd, end) -> bytes:
+    """The first line of file fd, with its break, from bytes [0, end),
+    where end is past a line break or the file's end. It is read in
+    _HEAD_BYTES, then twice as many bytes at each try, until a read holds
+    a break that a following "\n" cannot extend, or reaches end."""
+    size = _HEAD_BYTES
+    head = os.pread(fd, min(size, end), 0)
+    while len(head) == size < end and b"\n" not in head and b"\r" not in head[:-1]:
+        size *= 2
+        head = os.pread(fd, min(size, end), 0)
+    return (head.splitlines(True) or [b""])[0]
 
 
 @contextmanager
@@ -368,24 +449,26 @@ def _load_rows(stream, width):
     return data
 
 
-def _load_line(line, out) -> int:
-    """Parse one line of bytes into out, a column of len(out) values: 1, or
-    0 for a whitespace-only line. ValueError, with Python's message, for a
-    line that is not UTF-8 or not one number per column."""
+def _load_line(line, out, width) -> int:
+    """Parse one line of bytes of width cells into out, a column of its
+    last len(out) values: 1, or 0 for a whitespace-only line. ValueError,
+    with Python's message, for a line that is not UTF-8 or not one number
+    per column."""
     text = line.decode("utf-8")
     if not text.strip():
         return 0
     cells = text.split(",")
-    if len(cells) != len(out):
-        raise ValueError(f"expected {len(out)} fields, got {len(cells)}")
+    if len(cells) != width:
+        raise ValueError(f"expected {width} fields, got {len(cells)}")
     [float(c) for c in cells]   # Python's message for a non-number
-    out[:] = np.loadtxt([text], delimiter=",", comments=None, ndmin=1)
+    out[:] = np.loadtxt([text], delimiter=",", comments=None, ndmin=1)[width - len(out):]
     return 1
 
 
-def _read_parts(path, fd, cuts, lines, width, parts):
+def _read_parts(path, fd, cuts, lines, width, skip, parts):
     """The rows of the chunks of file fd that cuts and lines give (see
-    _chunks), parsed into one (width, rows) array; its transpose.
+    _chunks), parsed, width values a row, into one (width - skip, rows)
+    array that holds all but their first skip columns; its transpose.
 
     A part is a run of whole chunks: part i starts at the first chunk that
     starts at or past i / parts of the bytes, and its rows at the lines
@@ -399,10 +482,9 @@ def _read_parts(path, fd, cuts, lines, width, parts):
     runs = [bisect_left(cuts, start + (end - start) * i // parts)
             for i in range(parts)] + [len(cuts) - 1]
     offsets = [lines[k] - lines[0] for k in runs]
-    size = width * offsets[-1]
+    kept = width - skip
     # the children write into a shared mapping; one part needs none
-    buf = (np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float) if parts > 1 and size
-           else np.empty(size)).reshape(width, offsets[-1])
+    buf = _buffer(kept * offsets[-1], parts).reshape(kept, offsets[-1])
 
     def fill(i) -> int:
         at = offsets[i]
@@ -414,11 +496,11 @@ def _read_parts(path, fd, cuts, lines, width, parts):
             except ValueError:  # a whitespace-only, bad or non-UTF-8 line
                 for j, line in enumerate(raw.splitlines()):
                     try:
-                        at += _load_line(line, buf[:, at])
+                        at += _load_line(line, buf[:, at], width)
                     except ValueError as exc:
                         raise ParseError(f"{path}:{1 + lines[k] + j}: {exc}") from exc
             else:
-                buf[:, at:at + len(rows)] = rows.T
+                buf[:, at:at + len(rows)] = rows[:, skip:].T
                 at += len(rows)
         return at - offsets[i]
 
@@ -435,12 +517,12 @@ def _read_parts(path, fd, cuts, lines, width, parts):
         rows = sum(counts)
         if rows < offsets[-1]:  # blank lines: pack the rows read to the front
             flat = buf.reshape(-1)
-            for j in range(width):
+            for j in range(kept):
                 at = j * rows
                 for offset, count in zip(offsets, counts):
                     flat[at:at + count] = buf[j, offset:offset + count]
                     at += count
-            return flat[:width * rows].reshape(width, rows).T
+            return flat[:kept * rows].reshape(kept, rows).T
         return buf.T
 
     return _run_parts(parts, child, lambda: fill(0), gather)
@@ -454,12 +536,10 @@ def write_series_csv(path, values, columns, index_name: str = "epoch") -> None:
 def read_series_csv(path):
     """Series table back as (channel names, (rows, channels) array).
 
-    A leading index-like column (epoch, event_index, index, t) is dropped.
+    A leading index-like column (epoch, event_index, index, t) is parsed
+    but not kept.
     """
-    header, data = read_table(path)
-    if header and header[0].lower() in INDEX_NAMES:
-        return tuple(header[1:]), data[:, 1:]
-    return tuple(header), data
+    return read_table(path, skip_index=True)
 
 
 def write_bins_csv(path, distribution) -> None:

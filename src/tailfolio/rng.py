@@ -4,9 +4,11 @@ All stochastic code in the package draws from counter-based Philox streams
 through this module, and every normal variate is produced by inverse-CDF
 transformation of a uniform. The k-th uniform of a given (seed, stream) pair
 is a pure function of (seed, stream, k) on every platform and under any
-serial/parallel lane schedule. The k-th normal is fixed for one scipy build
-and one libm: the inverse CDF is scipy's ndtri, the standard normal
-quantile, whose last bits can move with glibc's FMA/AVX2 choice.
+serial/parallel lane schedule, and a stream can start at any k (start), so
+that each forked part of a bulk command draws only its own rows. The k-th
+normal is fixed for one scipy build and one libm: the inverse CDF is
+scipy's ndtri, the standard normal quantile, whose last bits can move with
+glibc's FMA/AVX2 choice.
 """
 
 from __future__ import annotations
@@ -38,18 +40,25 @@ class UniformStream:
 
     Values are (i >> 11 + 0.5) * 2^-53 from raw Philox 64-bit words, so 0 and
     1 are never produced and every value is a deterministic function of the
-    draw index alone.
+    draw index alone. A stream made with start = k begins at draw k: its
+    counter is advanced k // 4 steps, of 4 words each, and k % 4 words are
+    then drawn and dropped, so its draws are those of a stream from 0
+    after its first k.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int, stream: int = 0, start: int = 0):
         self._bitgen = _philox(seed, stream)
+        if start:
+            self._bitgen.advance(start // 4)
+            self._bitgen.random_raw(start % 4)
         self._buf = np.empty(0)
         self._pos = 0
 
-    def _draw(self, n: int) -> np.ndarray:
-        """The next n uniforms of the stream, in one float array filled from
-        raw words _RAW_BLOCK at a time, so no whole-size word array is held."""
-        out = np.empty(n)
+    def _draw(self, n: int, out=None) -> np.ndarray:
+        """The next n uniforms of the stream, in out or a new float array,
+        filled from raw words _RAW_BLOCK at a time, so no whole-size word
+        array is held."""
+        out = np.empty(n) if out is None else out
         for start in range(0, n, _RAW_BLOCK):
             raw = self._bitgen.random_raw(min(_RAW_BLOCK, n - start))
             raw >>= np.uint64(11)
@@ -58,19 +67,25 @@ class UniformStream:
         out *= _INV_2_53
         return out
 
-    def take(self, n: int) -> np.ndarray:
-        """The next n uniforms, in an array the caller owns."""
+    def take(self, n: int, out=None) -> np.ndarray:
+        """The next n uniforms, in an array the caller owns: out, a float
+        array of n values, when given."""
         need = n - (self._buf.size - self._pos)
         if need >= _BLOCK:
-            # a block or more: hand the fresh array over instead of buffering it
+            # a block or more: drawn straight into the result, never buffered
             left, self._buf, self._pos = self._buf[self._pos:], np.empty(0), 0
-            fresh = self._draw(need)
-            return np.concatenate([left, fresh]) if left.size else fresh
+            out = np.empty(n) if out is None else out
+            out[:left.size] = left
+            self._draw(need, out[left.size:])
+            return out
         if need > 0:    # the unread tail and one fresh block
             self._buf = np.concatenate([self._buf[self._pos:], self._draw(_BLOCK)])
             self._pos = 0
-        out = self._buf[self._pos:self._pos + n].copy()
+        taken = self._buf[self._pos:self._pos + n]
         self._pos += n
+        if out is None:     # the annealer's many small takes: one copy
+            return taken.copy()
+        out[:] = taken
         return out
 
     def one(self) -> float:
@@ -93,12 +108,15 @@ class UniformStream:
 
 
 class NormalStream:
-    """Standard normal stream via inverse-CDF of a UniformStream."""
+    """Standard normal stream via inverse-CDF of a UniformStream, which
+    starts at its draw start."""
 
-    def __init__(self, seed: int, stream: int = 0):
-        self._uniforms = UniformStream(seed, stream)
+    def __init__(self, seed: int, stream: int = 0, start: int = 0):
+        self._uniforms = UniformStream(seed, stream, start)
 
-    def draw(self, n: int) -> np.ndarray:
-        u = self._uniforms.take(int(n))
+    def draw(self, n: int, out=None) -> np.ndarray:
+        """The next n normals, in out, a float array of n values, when
+        given, else in a new array."""
+        u = self._uniforms.take(int(n), out)
         return special.ndtri(u, out=u)
 

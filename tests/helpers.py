@@ -50,14 +50,15 @@ _LAUNCHER = ("import os, sys\n"
 _CLI = "import sys; from tailfolio.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def command_peak_mb(args) -> float:
+def command_peak_mb(args, env=None) -> float:
     """The peak RSS in MB of one CLI command, `tailfolio *args`, read by
     wait4 from a launcher that imports nothing, so that the peak is the
-    command's own and not this process's; the command must exit 0."""
+    command's own and not this process's; the command must exit 0. env
+    holds variables set for the command on top of this process's."""
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _LAUNCHER, "-c", _CLI, *map(str, args)],
         capture_output=True, text=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": SRC})
+        env={**os.environ, **(env or {}), "PYTHONPATH": SRC})
     code, kb = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
     return int(kb) / 1024.0

@@ -1159,3 +1159,61 @@ def test_risk_bytes_pinned_for_n_off_the_8_row_grid(tmp_path):
     assert digests == {
         "risk.json": "9078cbb6aa82767f2730ad4cb85c4c6694120bc7181150695ac2a8c565bf4cf7",
         "bins.csv": "6a7307088bde480254d7b14d034859b08ff0a20712afacff024f30a28f3bf535"}
+
+
+def test_sample_peak_memory_does_not_grow_with_n(tmp_path):
+    """sample never holds its (n, N) table: each part draws, colors and
+    maps a row block at a time and formats it into its file, so 4 times
+    the rows add less than 2 MB; a whole table would add 19.2 MB."""
+    model = tmp_path / "model.json"
+    save_model(model, CopulaModel(
+        marginals=(ExponentialMarginal(m=0.0, chi=0.01),) * 8,
+        correlation=CorrelationMatrix.from_matrix(np.eye(8))))
+    peaks = [command_peak_mb(["sample", model, "--n", n, "--out", tmp_path / f"s{n}"])
+             for n in (100_000, 400_000)]
+    assert abs(peaks[1] - peaks[0]) < 2.0, peaks
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sample_and_risk_keep_their_bytes_in_parts(tmp_path, threads):
+    """At n off the 8-row grid, the commands, in as many parts as this
+    machine gives them, write the bytes of one part in this process."""
+    dim = 8
+    model = tmp_path / "model.json"
+    save_model(model, CopulaModel(
+        marginals=tuple(ExponentialMarginal(m=0.001 * j, chi=0.01 + 0.002 * j)
+                        for j in range(dim)),
+        correlation=CorrelationMatrix.from_matrix(
+            np.full((dim, dim), 0.3) + 0.7 * np.eye(dim))))
+    runs = (["sample", model, "--n", 77_777], ["risk", model, "--n", 300_007])
+    for i, args in enumerate(runs):
+        command_peak_mb([*args, "--seed", 3, "--out", tmp_path / f"parts{i}"],
+                        env={"OPENBLAS_NUM_THREADS": threads})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelfile, "_PART_VALUES", 1 << 62)
+        for i, args in enumerate(runs):
+            assert cli.main([*map(str, args), "--seed", "3",
+                             "--out", str(tmp_path / f"one{i}")]) == 0
+    for i, name in ((0, "events.csv"), (1, "risk.json"), (1, "bins.csv")):
+        assert ((tmp_path / f"parts{i}" / name).read_bytes()
+                == (tmp_path / f"one{i}" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sample", "{model}", "--n", "0"], "--n must be >= 1"),
+    (["sample", "{missing}"], "cannot read"),
+    (["risk", "{model}", "--n", "1"], "--n must be >= 2, got 1"),
+    (["risk", "{model}", "--weights", "1,2"], "--weights needs 8 value(s), got 2"),
+    (["risk", "{model}", "--var", "-1"], "'var_level' must be > 0"),
+])
+def test_sample_and_risk_create_no_out_dir_when_they_refuse(tmp_path, capsys, args,
+                                                            message):
+    model = tmp_path / "model.json"
+    save_model(model, CopulaModel(
+        marginals=(ExponentialMarginal(m=0.0, chi=0.01),) * 8,
+        correlation=CorrelationMatrix.from_matrix(np.eye(8))))
+    out = tmp_path / "out"
+    argv = [a.format(model=model, missing=tmp_path / "missing.json") for a in args]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -1,7 +1,9 @@
+import ast
 import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,9 +104,9 @@ def test_maps_run_in_the_calling_thread(monkeypatch):
     monkeypatch.setattr(events, "from_gaussian", recording)
     n = 3 * (events._BLOCK_VALUES // 3) + 5     # four row blocks
     sample_events(model, n, 4)
-    for _ in events.row_blocks(model, n, 4):
+    for _ in events.EventBatch(model, n, 4).blocks():
         pass
-    assert len(seen) == 2 * 3 * len(events._cuts(n, 3)[1:])
+    assert len(seen) == 2 * 3 * len(events.EventBatch(model, n, 4).cuts[1:])
     assert set(seen) == {(True, before)}
 
 
@@ -228,3 +230,61 @@ def test_streamed_returns_match_the_whole_table_product(threads, residues):
                                "PYTHONPATH": os.pathsep.join([SRC, tests])})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def part_mismatches(tmp):
+    """(N, n, parts, what) for each case where sample's CSV or risk's
+    returns, made in 2 or 3 forked parts, differ from those of one part,
+    or one part's from the whole-table sample_events; then the forks made.
+    N = 1, 3, 8 and 64, and n at -1, 0, +1 and +7 rows around 1 and 3 row
+    blocks of 2^12 values, whose cuts are the part cuts."""
+    from tailfolio import cli, modelfile
+    from tailfolio.risk import LinearPortfolio, portfolio_returns
+
+    events._BLOCK_VALUES = 1 << 12
+    modelfile._PART_VALUES = 1
+    forks, fork = [], os.fork
+    os.fork = lambda: forks.append(1) or fork()
+    found = []
+    for dim in (1, 3, 8, 64):
+        model = _model_of_dim(dim)
+        weights = tuple(np.random.default_rng(dim).uniform(-1.0, 1.0, dim))
+        portfolio = LinearPortfolio(weights=weights, offsets=(0.0,) * dim)
+        block = events._BLOCK_VALUES // dim
+        for n in [k * block + d for k in (1, 3) for d in (-1, 0, 1, 7)]:
+            path = os.path.join(tmp, "want.csv")
+            dx = sample_events(model, n, 29)
+            os.sched_getaffinity = lambda pid: {0}
+            write_series_csv(path, dx, model.channels, index_name="event_index")
+            want = (Path(path).read_bytes(), portfolio_returns(dx, portfolio).tobytes())
+            for parts in (1, 2, 3):
+                os.sched_getaffinity = lambda pid, parts=parts: set(range(parts))
+                write_series_csv(path, events.EventBatch(model, n, 29), model.channels,
+                                 index_name="event_index")
+                got = (Path(path).read_bytes(),
+                       cli._streamed_returns(model, n, 29, portfolio).tobytes())
+                found += [(dim, n, parts, what) for what, a, b
+                          in zip(("sample", "risk"), got, want) if a != b]
+    return found, len(forks)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_parts_make_the_bytes_of_one_part(tmp_path, threads):
+    """Each forked part draws its run of row blocks from a stream started
+    at its first row, so the part count never changes a byte of sample's
+    CSV or a bit of risk's returns, on one BLAS thread or two."""
+    code = ("import sys\n"
+            "from test_events import part_mismatches\n"
+            "print(part_mismatches(sys.argv[1]))\n")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                          text=True, timeout=300, cwd=tests,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                               "PYTHONPATH": os.pathsep.join([SRC, tests])})
+    assert proc.returncode == 0, proc.stderr
+    found, forks = ast.literal_eval(proc.stdout)
+    assert found == []
+    # of each N's 8 n, 2 make one block (no fork at any part count), 2 make
+    # two (one fork at 2 and at 3 parts) and 4 make three or four (one fork
+    # at 2 parts, two at 3); the CSV and the returns fork alike
+    assert forks == 4 * 2 * (2 * 2 + 4 * 3)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailfolio import marginals
 from tailfolio.errors import DegenerateData, OutOfDomain
@@ -94,3 +96,35 @@ def test_sample_deterministic_and_calibrated():
     assert np.array_equal(a, b)
     assert float(np.mean(a)) == pytest.approx(0.4, abs=4 * 0.05 * np.sqrt(2 / 50000))
     assert float(np.std(a)) == pytest.approx(0.05 * np.sqrt(2), rel=0.05)
+
+
+def _where_width(marginal, t):
+    """The full-size side width that side_width gave before a symmetric
+    marginal returned its chi as a float."""
+    return np.where(t < 0.0, marginal.width_below(), marginal.width_above())
+
+
+_VALUES = st.lists(st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0]),
+                   min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.floats(-2.0, 2.0), chi=st.floats(0.01, 3.0),
+       sides=st.none() | st.tuples(st.floats(0.01, 3.0), st.floats(0.01, 3.0)),
+       values=_VALUES)
+def test_the_side_width_keeps_every_map_bitwise(m, chi, sides, values):
+    """A symmetric marginal's width is one float; each map multiplies or
+    divides by it, so its values keep the bits of the full-size width."""
+    from tailfolio.copula import from_gaussian, to_gaussian
+
+    mg = ExponentialMarginal(m, chi, *(sides or (None, None)))
+    x = np.asarray(values)
+    # from_gaussian takes normal coordinates, which to_gaussian clamps to 8
+    cases = ((to_gaussian, x), (from_gaussian, x * 0.16), (marginals.cdf, x))
+    got = [np.asarray(f(mg, v)).tobytes() for f, v in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExponentialMarginal, "side_width", _where_width)
+        want = [np.asarray(f(mg, v)).tobytes() for f, v in cases]
+    assert got == want
+    if sides is None:
+        assert mg.side_width(x) == chi

@@ -419,7 +419,8 @@ def test_read_table_gives_the_whole_file_parse_channel_major(tmp_path, monkeypat
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
 def test_read_table_scans_the_file_once(tmp_path, monkeypatch, newline):
     """A one-part read preads the file's bytes once to cut them into chunks
-    at line breaks and once to parse them, and chunk 0 for the header."""
+    at line breaks and once to parse them, and at most 1 kB for a short
+    header."""
     values = np.random.default_rng(10).standard_normal((9000, 3)) * 1e3
     path = tmp_path / "t.csv"
     write_table(path, ("x", "y", "z"), values)
@@ -434,7 +435,34 @@ def test_read_table_scans_the_file_once(tmp_path, monkeypatch, newline):
 
     monkeypatch.setattr(modelfile.os, "pread", pread)
     assert read_table(path)[1].tobytes() == values.tobytes()
-    assert sum(sizes) <= 2 * path.stat().st_size + (1 << 14)
+    assert sum(sizes) <= 2 * path.stat().st_size + (1 << 10)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("width", [6, 1021, 1022, 1023, 1024, 1025, 5000])
+def test_a_header_is_read_in_preads_that_grow_until_it_ends(tmp_path, monkeypatch,
+                                                            newline, width):
+    """The header line is read from a first pread of 1 kB, then of twice
+    as many bytes until one holds its break; a "\r" at the end of a read
+    may start a "\r\n", so that read does not end it."""
+    names = [f"c{j}" for j in range(width // 4)]
+    names[-1] += "x" * (width - len(",".join(names)) - 1)
+    text = ",".join(names)
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode() + newline + b",".join([b"1"] * len(names)) + newline)
+    offsets, real = [], os.pread
+
+    def pread(fd, n, offset):
+        offsets.append((offset, len(raw := real(fd, n, offset))))
+        return raw
+
+    monkeypatch.setattr(modelfile.os, "pread", pread)
+    header, data = read_table(path)
+    assert header == tuple(names) and data.tolist() == [[1.0] * len(names)]
+    # the first pread at 0 is the scan's; the others read the header
+    head = [n for offset, n in offsets if offset == 0][1:]
+    assert head[0] == min(1024, path.stat().st_size)
+    assert sum(head) <= 1024 + 4 * (len(text) + len(newline))
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
@@ -569,6 +597,51 @@ def test_a_failed_part_redoes_the_table_as_one_part(tmp_path, monkeypatch, failu
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
+@needs_fork
+@pytest.mark.parametrize("failure", ["child", "fork", "parent"])
+def test_a_failed_part_makes_the_rows_again_as_one_part(tmp_path, monkeypatch, failure):
+    """A table made in blocks, written or reduced in parts, is made again
+    from its first row, as one part, when any part fails."""
+    from tailfolio import events
+
+    model = CopulaModel(marginals=(ExponentialMarginal(m=0.0, chi=1.0),) * 3,
+                        correlation=CorrelationMatrix.from_matrix(np.eye(3)),
+                        channels=("a", "b", "c"))
+    monkeypatch.setattr(events, "_BLOCK_VALUES", 3000)
+    dx = events.sample_events(model, 9000, 5)
+    want, path = tmp_path / "want.csv", tmp_path / "t.csv"
+    write_series_csv(want, dx, model.channels, index_name="event_index")
+    fds = len(os.listdir("/proc/self/fd"))
+    split_into(monkeypatch, 4, 1000)
+    pids, runs = counted_forks(monkeypatch), counted_runs(monkeypatch)
+    parent, raised = os.getpid(), []
+
+    def reduce(rows):
+        if failure == "child" and os.getpid() != parent:
+            raise OSError("no room")
+        if failure == "parent" and not raised:     # in the parent's first block
+            raised.append(1)
+            raise OSError("no room")
+        return rows[:, 0] - rows[:, 2]
+
+    if failure == "child":
+        _fail_in_children(monkeypatch, "open", OSError("no room"))
+    elif failure == "fork":
+        _fork_twice(monkeypatch)
+    else:
+        _fail_once_in_parent(monkeypatch, "_append", OSError("disk full"))
+    batch = events.EventBatch(model, 9000, 5)
+    write_series_csv(path, batch, model.channels, index_name="event_index")
+    got = modelfile.reduce_rows(batch, reduce)
+    assert path.read_bytes() == want.read_bytes()
+    assert got.tobytes() == (dx[:, 0] - dx[:, 2]).tobytes()
+    assert runs == [[4, False], [1, True]] * 2
+    assert len(pids) == {"child": 6, "fork": 2, "parent": 6}[failure]
+    assert_reaped(pids)
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "want.csv"]
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
 def test_a_table_is_one_part_without_memfd_create(tmp_path, monkeypatch):
     split_into(monkeypatch, 4)
     monkeypatch.delattr(os, "memfd_create", raising=False)
@@ -671,8 +744,9 @@ def test_sample_prints_its_stdout_once(tmp_path):
                                   channels=("a", "b")))
     script = (
         "import os, sys\n"
-        "from tailfolio import cli, modelfile\n"
+        "from tailfolio import cli, events, modelfile\n"
         "modelfile._PART_VALUES = modelfile._PART_BYTES = 1000\n"
+        "events._BLOCK_VALUES = 1000\n"     # a part is a run of whole row blocks
         "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
         "forks, real = [], os.fork\n"
         "os.fork = lambda: forks.append(1) or real()\n"

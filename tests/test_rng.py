@@ -190,3 +190,34 @@ def test_seek_returns_to_the_told_position_across_refills(seed, before, between,
     assert _draw(s, after) == _draw(twin, after)
     assert s.take(3).tobytes() == twin.take(3).tobytes()
     assert s.one() == twin.one()
+
+
+# a start k across the 4-word Philox counter step, the 8 192-value buffer
+# block and the 65 536-word raw block, and anywhere below 3 raw blocks
+_STARTS = st.one_of(st.integers(0, 9), st.integers(8186, 8198),
+                    st.integers(65530, 65542), st.integers(0, 3 * 65536))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), k=_STARTS,
+       m=st.one_of(_SIZES, st.integers(65530, 65542)))
+def test_a_stream_started_at_k_is_a_stream_past_its_first_k(seed, k, m):
+    ref = UniformStream(seed, stream=2).take(k + m)
+    assert UniformStream(seed, stream=2, start=k).take(m).tobytes() == ref[k:].tobytes()
+    normals = NormalStream(seed, stream=2, start=k).draw(m)
+    assert normals.tobytes() == scipy.special.ndtri(ref[k:]).tobytes()
+
+
+@pytest.mark.parametrize("before, n", [(0, 5), (0, 20000), (7, 40), (7, 20000),
+                                       (8000, 500)])
+def test_a_take_into_an_array_fills_it(before, n):
+    ref = UniformStream(6).take(before + n + 3)
+    s = UniformStream(6)
+    s.take(before)
+    out = np.full(n, -1.0)
+    assert s.take(n, out=out) is out
+    assert out.tobytes() == ref[before:before + n].tobytes()
+    assert s.take(3).tobytes() == ref[before + n:].tobytes()
+    normals = np.empty(n)
+    assert NormalStream(6).draw(n, out=normals) is normals
+    assert normals.tobytes() == NormalStream(6).draw(n).tobytes()
