@@ -71,6 +71,7 @@ from __future__ import annotations
 import math
 import os
 import select
+import signal
 import socket
 import struct
 import threading
@@ -213,6 +214,31 @@ def fork_cpus(*needs: str) -> int:
     return len(os.sched_getaffinity(0))
 
 
+def fork_child(work) -> int:
+    """Fork a child that runs work() and leaves through os._exit however
+    work ends, so that it never unwinds into the caller's frames, runs
+    atexit handlers or flushes the parent's buffers; the child's pid."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            work()
+        finally:
+            os._exit(0)
+    return pid
+
+
+def reap(pids, kill=False) -> None:
+    """Wait for every child in pids, killing each first when kill is set;
+    one already gone, as under SIGCHLD ignored, is passed over."""
+    for pid in pids:
+        try:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ChildProcessError, ProcessLookupError):
+            pass
+
+
 def _poll(sock, until: float) -> bool:
     """Whether sock has data by perf_counter time until; spins, so that a
     process whose peer answers within microseconds is never put to sleep."""
@@ -232,10 +258,9 @@ class _CostWorker:
     itself, so that the same exception is raised at the same trial. At most
     one request is owed a reply: no point is sent while the reply to the
     last one, a dropped or taken-over trial's, is still to come, so neither
-    direction ever holds more than one message. The child serves until its
-    end of the pair closes or fails, and then leaves through os._exit: it
-    never unwinds into the caller's frames, runs atexit handlers or flushes
-    the parent's buffers. Once the pair fails here the worker is gone.
+    direction ever holds more than one message. The child (fork_child)
+    serves until its end of the pair closes or fails, and close() reaps it
+    (reap). Once the pair fails here the worker is gone.
 
     The worker spins up to _SPIN for a request before it sleeps, and this
     process spins for a reply, since waking a sleeping process can take
@@ -254,23 +279,22 @@ class _CostWorker:
     def __init__(self, cost, d: int):
         self._cost = cost
         self._sock, peer = socket.socketpair()
+
+        def serve():
+            self._sock.close()
+            while True:
+                _poll(peer, time.perf_counter() + _SPIN)
+                data = peer.recv(8 * d, socket.MSG_WAITALL)
+                if len(data) < 8 * d:
+                    return
+                peer.sendall(_REPLY.pack(cost(np.frombuffer(data).copy())))
+
         with peer:
             try:
-                self.pid = os.fork()
+                self.pid = fork_child(serve)
             except OSError:
                 self._sock.close()
                 raise
-            if self.pid == 0:
-                try:
-                    self._sock.close()
-                    while True:
-                        _poll(peer, time.perf_counter() + _SPIN)
-                        data = peer.recv(8 * d, socket.MSG_WAITALL)
-                        if len(data) < 8 * d:
-                            break
-                        peer.sendall(_REPLY.pack(cost(np.frombuffer(data).copy())))
-                finally:
-                    os._exit(0)
         self.alive = True
         self._owed = None   # when the request whose reply is unread was sent
 
@@ -319,10 +343,7 @@ class _CostWorker:
     def close(self) -> None:
         """Close this end of the pair, which ends the child, and reap it."""
         self._sock.close()
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:   # reaped already, as under SIGCHLD ignored
-            pass
+        reap([self.pid])
 
 
 def minimize(cost, bounds, config: AnnealConfig | None = None, *,

@@ -25,20 +25,20 @@ again line by line, skipping whitespace-only lines and naming a line that
 is not UTF-8 or not one number per column by its line number in the file.
 
 A large table is written and read in contiguous parts, one per CPU this
-process may run on: the first part here, each other one in an os.fork
-child that ends in os._exit. A table made on demand in row blocks (an
+process may run on: the first part here, each other one in a forked
+child (anneal.fork_child). A table made on demand in row blocks (an
 events.EventBatch) is split into runs of whole blocks, and each part makes
 the rows it handles: write_table formats them, and reduce_rows reduces
 each block to one value a row, so no process holds the whole table. A
-written part returns its text through its own in-memory file
-(os.memfd_create), never a file on disk; a read part parses into its
-columns of one shared array and returns its row count the same way, and a
-reduced part fills its rows of one shared array. The part count never
-changes a byte written or a bit read or made, and any failure of a part
-redoes the table as one part, so errors and their messages are those of
-the one-part path. Without fork, sched_getaffinity
-and memfd_create, and while another thread runs, a table is always one
-part.
+child reports through shared memory, never its exit status: a written
+part formats its text into its own in-memory file (os.memfd_create),
+never a file on disk; a read part parses into its columns of one shared
+array and puts its row count in another; a reduced part fills its rows
+of one shared array. The part count never changes a byte written or a
+bit read or made, and any failure of a part redoes the table as one
+part, so errors and their messages are those of the one-part path.
+Without fork, sched_getaffinity and memfd_create, and while another
+thread runs, a table is always one part.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import json
 import mmap
 import os
 import shutil
-import signal
 import stat
 import tempfile
 import warnings
@@ -58,7 +57,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .anneal import fork_cpus
+from .anneal import fork_child, fork_cpus, reap
 from .copula import CopulaModel, CorrelationMatrix
 from .eeg import ColumnParams, Coupling, ElectrodeSite, RegionNet
 from .errors import EngineError, OutOfDomain, ParseError
@@ -137,53 +136,28 @@ def _part_count(size, part_size) -> int:
     return min(fork_cpus("memfd_create"), size // part_size)
 
 
-def _reap(pids, kill=False) -> bool:
-    """Wait for every child in pids, killing each first when kill is set;
-    True when all of them exited with status 0."""
-    ok = True
-    for pid in pids:
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        ok = os.waitpid(pid, 0)[1] == 0 and ok
-    return ok
+def _run_parts(parts, part) -> None:
+    """Run part(i) for i = 1 .. parts - 1, each in a forked child
+    (fork_child), and part(0) here. A child reports through the shared
+    memory it fills: once part(i) has returned, it sets its slot of a shared
+    array, and a slot left unset raises _PartFailed. Every child is reaped
+    before this returns or raises, and killed first when part(0) raises."""
+    done, pids = _buffer(parts, parts), []
 
+    def child(i):
+        part(i)
+        done[i] = 1.0
 
-def _run_parts(parts, child, own, gather):
-    """Run child(i, fd) for i = 1 .. parts - 1, each in a forked child that
-    writes its whole result to fd, an in-memory file (os.memfd_create) made
-    for it before its fork, and own() here; once every child has exited with
-    0, return gather(own's result, the part files in order).
-
-    A child ends in os._exit, with status 1 when child(i, fd) raised, so it
-    never unwinds into the caller's frames or flushes the parent's buffers.
-    Every child is reaped before this returns or raises, and killed first
-    when own() raises. A child's nonzero exit raises _PartFailed. Every part
-    file is closed here, on every path.
-    """
-    files, pids = [], []
     try:
-        try:
-            for i in range(1, parts):
-                files.append(os.memfd_create(f"part{i}"))
-                pid = os.fork()
-                if pid == 0:
-                    status = 1
-                    try:
-                        child(i, files[-1])
-                        status = 0
-                    finally:
-                        os._exit(status)
-                pids.append(pid)
-            result = own()
-        except BaseException:
-            _reap(pids, kill=True)
-            raise
-        if not _reap(pids):
-            raise _PartFailed
-        return gather(result, files)
-    finally:
-        for fd in files:
-            os.close(fd)
+        for i in range(1, parts):
+            pids.append(fork_child(lambda i=i: child(i)))
+        part(0)
+    except BaseException:
+        reap(pids, kill=True)
+        raise
+    reap(pids)
+    if not done[1:].all():
+        raise _PartFailed
 
 
 def _in_parts(parts, run):
@@ -264,16 +238,20 @@ def _write_parts(path, header, values, first_index, parts) -> None:
                         block = np.column_stack([np.arange(at, at + len(block)), block])
                     fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.flush()
-        out = fh.fileno()
-
-        def append(_, files):
+    files = []
+    try:
+        for i in range(1, parts):
+            files.append(os.memfd_create(f"part{i}"))
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.flush()
+            out = fh.fileno()
+            _run_parts(parts, lambda i: write_rows(i, files[i - 1] if i else out))
             for fd in files:
                 _append(out, fd)
-
-        _run_parts(parts, write_rows, lambda: write_rows(0, out), append)
+    finally:
+        for fd in files:
+            os.close(fd)
 
 
 def reduce_rows(values, reduce) -> np.ndarray:
@@ -295,11 +273,12 @@ def _reduce_parts(values, reduce, parts) -> np.ndarray:
     out = _buffer(values.shape[0], parts)
     blocks = _part_blocks(values, parts)
 
-    def fill(i, _part=None):
+    def fill(i):
         for a, rows in blocks(i):
             out[a:a + len(rows)] = reduce(rows)
 
-    return _run_parts(parts, fill, lambda: fill(0), lambda *_: out)
+    _run_parts(parts, fill)
+    return out
 
 
 def _buffer(size, parts) -> np.ndarray:
@@ -483,10 +462,11 @@ def _read_parts(path, fd, cuts, lines, width, skip, parts):
             for i in range(parts)] + [len(cuts) - 1]
     offsets = [lines[k] - lines[0] for k in runs]
     kept = width - skip
-    # the children write into a shared mapping; one part needs none
+    # the children fill shared mappings; one part needs none
     buf = _buffer(kept * offsets[-1], parts).reshape(kept, offsets[-1])
+    counts = _buffer(parts, parts)
 
-    def fill(i) -> int:
+    def fill(i):
         at = offsets[i]
         for k in range(runs[i], runs[i + 1]):
             raw = os.pread(fd, cuts[k + 1] - cuts[k], cuts[k])
@@ -502,30 +482,19 @@ def _read_parts(path, fd, cuts, lines, width, skip, parts):
             else:
                 buf[:, at:at + len(rows)] = rows[:, skip:].T
                 at += len(rows)
-        return at - offsets[i]
+        counts[i] = at - offsets[i]
 
-    def child(i, part):
-        os.write(part, fill(i).to_bytes(8, "little"))
-
-    def gather(head, files):
-        counts = [head]
-        for part in files:
-            count = os.pread(part, 9, 0)
-            if len(count) != 8:
-                raise _PartFailed
-            counts.append(int.from_bytes(count, "little"))
-        rows = sum(counts)
-        if rows < offsets[-1]:  # blank lines: pack the rows read to the front
-            flat = buf.reshape(-1)
-            for j in range(kept):
-                at = j * rows
-                for offset, count in zip(offsets, counts):
-                    flat[at:at + count] = buf[j, offset:offset + count]
-                    at += count
-            return flat[:kept * rows].reshape(kept, rows).T
-        return buf.T
-
-    return _run_parts(parts, child, lambda: fill(0), gather)
+    _run_parts(parts, fill)
+    rows = int(counts.sum())
+    if rows < offsets[-1]:  # blank lines: pack the rows read to the front
+        flat = buf.reshape(-1)
+        for j in range(kept):
+            at = j * rows
+            for offset, count in zip(offsets, counts.astype(int)):
+                flat[at:at + count] = buf[j, offset:offset + count]
+                at += count
+        return flat[:kept * rows].reshape(kept, rows).T
+    return buf.T
 
 
 def write_series_csv(path, values, columns, index_name: str = "epoch") -> None:
@@ -772,5 +741,10 @@ def read_config(path) -> dict:
 
 
 def ensure_out_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
+    """path, made a directory with its parents; a ParseError naming --out
+    and path where it cannot be one, as where it or a parent is a file."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"--out {path}: {exc.strerror}") from exc
     return str(path)

@@ -3,9 +3,9 @@
 All stochastic code in the package draws from counter-based Philox streams
 through this module, and every normal variate is produced by inverse-CDF
 transformation of a uniform. The k-th uniform of a given (seed, stream) pair
-is a pure function of (seed, stream, k) on every platform and under any
-serial/parallel lane schedule, and a stream can start at any k (start), so
-that each forked part of a bulk command draws only its own rows. The k-th
+is a pure function of (seed, stream, k) on every platform, whichever
+process draws it, and a stream can start at any k (start), so that each
+forked part of a bulk command draws only its own rows. The k-th
 normal is fixed for one scipy build and one libm: the inverse CDF is
 scipy's ndtri, the standard normal quantile, whose last bits can move with
 glibc's FMA/AVX2 choice.

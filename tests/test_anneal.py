@@ -810,6 +810,33 @@ def test_a_worker_killed_before_it_reads_a_point_leaves_the_rest_to_this_process
 
 
 @needs_fork
+def test_a_paired_run_with_sigchld_ignored_gives_the_unpaired_run(monkeypatch):
+    """Under SIGCHLD ignored the worker is reaped as it exits, and closing
+    it finds no child to wait for."""
+    bounds, cfg = _loop_case(8, {}, False, False)
+    want = minimize(_interior, bounds, cfg)
+    sent, _ = _paired(monkeypatch)
+    pids, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(anneal.os, "fork", counting)
+    before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        got = minimize(_interior, bounds, cfg, pure_cost=True)
+    finally:
+        signal.signal(signal.SIGCHLD, before)
+    _assert_same_run(got, want)
+    assert sent and len(pids) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+
+
+@needs_fork
 def test_a_late_worker_is_taken_over_with_the_same_run(monkeypatch):
     bounds, cfg = _loop_case(8, {}, False, False)
     parent = os.getpid()

@@ -1064,6 +1064,35 @@ def test_errors_building_a_model_or_net_name_the_file(tmp_path, capsys, code, ca
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+# every command, with inputs it runs on
+OUT_CASES = [
+    ("fit-marginals", _fit_marginals_case),
+    ("sample", lambda t: _model_case(t, lambda d: None)),
+    ("risk", lambda t: ["risk", str(_two_channel_model(t)), "--n", "5",
+                        "--out", str(t / "o")]),
+    ("optimize", _optimize_case),
+    ("eeg-simulate", lambda t: _net_case(t, lambda d: None)),
+    ("eeg-fit", lambda t: _eeg_fit_case(t, ["Fz.offset"], {"Fz.offset": [-1.0, 1.0]})),
+    ("eeg-check", lambda t: ["eeg", "check", *_eeg_fit_case(t, [], {})[2:]]),
+    ("indicators", lambda t: _indicators_case(t, {}, {})),
+]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("case", [c[1] for c in OUT_CASES], ids=[c[0] for c in OUT_CASES])
+def test_an_out_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, capsys, case,
+                                                            under):
+    argv = case(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "o" if under else taken
+    argv[argv.index("--out") + 1] = str(out)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ") and "internal error" not in err
+    assert taken.read_text() == "kept\n"
+
+
 def test_a_singular_centering_solve_is_an_input_fault():
     assert cli.exit_code_for(NoSolution("x")) == 2
 
@@ -1172,6 +1201,48 @@ def test_sample_peak_memory_does_not_grow_with_n(tmp_path):
     peaks = [command_peak_mb(["sample", model, "--n", n, "--out", tmp_path / f"s{n}"])
              for n in (100_000, 400_000)]
     assert abs(peaks[1] - peaks[0]) < 2.0, peaks
+
+
+@pytest.mark.parametrize("template", ["linear", "contracts"])
+def test_optimize_keeps_its_bytes_on_one_and_two_blas_threads(tmp_path, template):
+    """optimize costs each trial with one dx @ vec over the whole table; at
+    n = 20 001, off the 8-row grid, positions.json and the trace are the
+    same on one OpenBLAS thread as on two."""
+    dim = 8
+    rng = np.random.default_rng(17)
+    loads = rng.uniform(0.2, 0.6, dim)
+    corr = np.outer(loads, loads)
+    np.fill_diagonal(corr, 1.0)
+    model = tmp_path / "model.json"
+    save_model(model, CopulaModel(
+        marginals=tuple(ExponentialMarginal(m=m, chi=chi) for m, chi in
+                        zip(rng.uniform(0.0005, 0.003, dim), rng.uniform(0.01, 0.03, dim))),
+        correlation=CorrelationMatrix.from_matrix(corr),
+        channels=tuple(f"a{j}" for j in range(dim))))
+    prices = rng.uniform(20.0, 120.0, dim)
+    shape = {"linear": {"template": {"type": "linear"}, "bounds": [[0.0, 1.0]] * dim},
+             "contracts": {"template": {"type": "contracts", "prices": prices.tolist(),
+                                        "entry_prices": (1.05 * prices).tolist(),
+                                        "cash": 10000.0},
+                           "bounds": [[0.0, 20.0]] * dim}}[template]
+    config = write_config(tmp_path, {**shape, "n": 20_001, "refine_calls": 50,
+                                     "risk": {"penalty_weight": 1e3},
+                                     "anneal": {"seed": 7, "max_trials": 400,
+                                                "window_repeat_tol": -1.0}})
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        # a plain run: an infeasible result exits 5, and still writes
+        proc = subprocess.run(
+            [sys.executable, "-m", "tailfolio.cli", "optimize", str(model), "--config",
+             config, "--seed", "1", "--verbose", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": SRC})
+        assert proc.returncode in (0, 5), proc.stderr
+        runs.append((proc.returncode, proc.stdout.replace(str(out), "out"), proc.stderr,
+                     (out / "positions.json").read_bytes(),
+                     (out / "trace_optimize.csv").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

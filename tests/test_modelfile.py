@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -583,14 +584,15 @@ def test_a_failed_part_redoes_the_table_as_one_part(tmp_path, monkeypatch, failu
     elif failure == "fork":
         _fork_twice(monkeypatch)
     else:
-        # after the children exit when writing, while they run when reading
+        # after the parts have run when writing, while they run when reading
         _fail_once_in_parent(monkeypatch, "_append", OSError("disk full"))
         _fail_once_in_parent(monkeypatch, "_load_rows", OSError("bad"))
     write_table(path, header, values)
     header_back, data = read_table(path)
     assert path.read_bytes() == want.read_bytes()
     assert header_back == header and data.tobytes() == values.tobytes()
-    assert runs == [[4, False], [1, True]] * 2
+    # a write appends its part files once _run_parts has returned
+    assert runs == [[4, failure == "parent"], [1, True], [4, False], [1, True]]
     assert len(pids) == {"child": 6, "fork": 2, "parent": 6}[failure]
     assert_reaped(pids)
     assert sorted(os.listdir(tmp_path)) == ["t.csv", "want.csv"]
@@ -635,11 +637,79 @@ def test_a_failed_part_makes_the_rows_again_as_one_part(tmp_path, monkeypatch, f
     got = modelfile.reduce_rows(batch, reduce)
     assert path.read_bytes() == want.read_bytes()
     assert got.tobytes() == (dx[:, 0] - dx[:, 2]).tobytes()
-    assert runs == [[4, False], [1, True]] * 2
+    # a write appends its part files once _run_parts has returned
+    assert runs == [[4, failure == "parent"], [1, True], [4, False], [1, True]]
     assert len(pids) == {"child": 6, "fork": 2, "parent": 6}[failure]
     assert_reaped(pids)
     assert sorted(os.listdir(tmp_path)) == ["t.csv", "want.csv"]
     assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def _split_batch(mp):
+    """An events.EventBatch of 9 blocks, and the one-part bytes of its
+    events CSV, its table read back and a reduction of it; tables split into
+    4 parts from now on, with chunks in every part when read."""
+    from tailfolio import events
+
+    model = CopulaModel(marginals=(ExponentialMarginal(m=0.0, chi=1.0),) * 3,
+                        correlation=CorrelationMatrix.from_matrix(np.eye(3)),
+                        channels=("a", "b", "c"))
+    mp.setattr(events, "_BLOCK_VALUES", 3000)
+    dx = events.sample_events(model, 9000, 5)
+    text = io.StringIO()
+    text.write("event_index,a,b,c\n")
+    for i, row in enumerate(dx):
+        text.write(",".join(fmt(v) for v in (i, *row)) + "\n")
+    mp.setattr(modelfile, "_CHUNK_BYTES", 1 << 14)
+    split_into(mp, 4, 1000)
+    return (events.EventBatch(model, 9000, 5), text.getvalue().encode(), dx,
+            dx[:, 0] - dx[:, 2])
+
+
+def _write_read_reduce(batch, path):
+    write_series_csv(path, batch, ("a", "b", "c"), index_name="event_index")
+    return (path.read_bytes(), read_series_csv(path)[1],
+            modelfile.reduce_rows(batch, lambda rows: rows[:, 0] - rows[:, 2]))
+
+
+@needs_fork
+def test_a_split_runs_once_with_sigchld_ignored(tmp_path, monkeypatch):
+    """Under SIGCHLD ignored a child is reaped as it exits, and waitpid
+    finds none to wait for; no part's outcome is read from its exit status,
+    so a split write, read and reduction each still run once, in parts."""
+    batch, *want = _split_batch(monkeypatch)
+    pids, runs = counted_forks(monkeypatch), counted_runs(monkeypatch)
+    before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        text, table, reduced = _write_read_reduce(batch, tmp_path / "t.csv")
+    finally:
+        signal.signal(signal.SIGCHLD, before)
+    assert text == want[0]
+    assert table.tobytes() == want[1].tobytes()
+    assert reduced.tobytes() == want[2].tobytes()
+    assert runs == [[4, True]] * 3 and len(pids) == 9
+    assert_reaped(pids)
+
+
+@needs_fork
+def test_only_a_split_write_makes_part_files(tmp_path, monkeypatch):
+    """A written part formats its text into an in-memory file; a read or
+    reduced part fills shared memory and needs none."""
+    batch, *want = _split_batch(monkeypatch)
+    runs = counted_runs(monkeypatch)
+    real, calls = os.memfd_create, []
+
+    def memfd_create(*args):
+        calls.append(len(runs))
+        return real(*args)
+
+    monkeypatch.setattr(modelfile.os, "memfd_create", memfd_create)
+    text, table, reduced = _write_read_reduce(batch, tmp_path / "t.csv")
+    assert text == want[0]
+    assert table.tobytes() == want[1].tobytes()
+    assert reduced.tobytes() == want[2].tobytes()
+    assert runs == [[4, True]] * 3
+    assert calls == [0, 0, 0]   # all before the write's _run_parts
 
 
 def test_a_table_is_one_part_without_memfd_create(tmp_path, monkeypatch):
@@ -703,10 +773,12 @@ def test_a_failed_second_part_file_leaves_one_part(tmp_path, monkeypatch):
     monkeypatch.setattr(modelfile.os, "memfd_create", memfd_create)
     write_table(path, header, values)
     assert path.read_bytes() == want.read_bytes()
+    # the part files are all made before any fork; a read makes none
+    assert len(calls) == 2 and pids == []
     calls.clear()
     header_back, data = read_table(path)
     assert header_back == header and data.tobytes() == values.tobytes()
-    assert len(calls) == 2 and len(pids) == 2
+    assert len(calls) == 0 and len(pids) == 3
     assert_reaped(pids)
     assert sorted(os.listdir(tmp_path)) == ["t.csv", "want.csv"]
     assert len(os.listdir("/proc/self/fd")) == fds
