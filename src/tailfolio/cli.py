@@ -22,7 +22,7 @@ import numpy as np
 
 from . import eeg, indicators
 from .anneal import AnnealConfig
-from .copula import CopulaModel, correlation_in_place, to_gaussian
+from .copula import CopulaModel, CorrelationMatrix, correlation_in_place, to_gaussian
 from .errors import EngineError, IllConditioned, ParseError
 from .events import EventBatch, sample_events
 from .marginals import fit_channels
@@ -56,12 +56,14 @@ def _anneal_config(cfg: dict, seed: int, **defaults) -> AnnealConfig:
 
 # ------------------------------------------------------------------ commands
 
-def cmd_fit_marginals(args) -> int:
-    cfg = read_config(args.config)
-    out = ensure_out_dir(args.out)
-    names, data = read_series_csv(args.csv)
+def _fit_series(path, cfg):
+    """The channel names, row count, marginals and clipped correlation
+    entries (copula.correlation_in_place) of the series CSV at path. No
+    reference to the table outlives this call, so it is freed before the
+    caller factors the correlation, the refit's first scipy.linalg call."""
+    names, data = read_series_csv(path)
     if not names:
-        raise ParseError(f"{args.csv}: no channel column beside the index")
+        raise ParseError(f"{path}: no channel column beside the index")
     window = cfg.get("marginal_window")
     if window is not None:
         if window < 2:
@@ -75,8 +77,16 @@ def cmd_fit_marginals(args) -> int:
     for mg, channel in zip(marginals, y):
         for a in range(0, rows, _MAP_BLOCK):
             channel[a:a + _MAP_BLOCK] = to_gaussian(mg, channel[a:a + _MAP_BLOCK])
-    corr = correlation_in_place(y, **_present(cfg, "pre_average_window"))
-    model = CopulaModel(marginals=marginals, correlation=corr,
+    return names, rows, marginals, correlation_in_place(
+        y, **_present(cfg, "pre_average_window"))
+
+
+def cmd_fit_marginals(args) -> int:
+    cfg = read_config(args.config)
+    out = ensure_out_dir(args.out)
+    names, rows, marginals, entries = _fit_series(args.csv, cfg)
+    model = CopulaModel(marginals=marginals,
+                        correlation=CorrelationMatrix.from_matrix(entries),
                         channels=tuple(names))
     save_model(os.path.join(out, "model.json"), model)
     print(f"fitted {len(names)} channel(s) from {rows} rows")

@@ -16,6 +16,11 @@ Cholesky factor.
 
 Correlation is estimated from trailing moving-average pre-smoothed dy series,
 normalized to unit diagonal.
+
+scipy is imported where its kernels first run: scipy.special in
+to_gaussian and from_gaussian, scipy.linalg in cholesky_lower. A command
+that calls none of them never loads scipy, and one that does loads it only
+from that first call on.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.special import erfc, ndtri
 
 from .errors import IllConditioned, OutOfDomain
 from .marginals import ExponentialMarginal
@@ -42,6 +45,7 @@ def to_gaussian(marginal: ExponentialMarginal, dx):
     tail mass beyond |t|, which keeps full relative accuracy however small
     that mass is.
     """
+    from scipy.special import ndtri
     t = np.asarray(dx, dtype=float) - marginal.m
     chi = marginal.side_width(t)
     dy = np.sign(-t) * ndtri(0.5 * np.exp(-np.abs(t) / chi))
@@ -51,6 +55,7 @@ def to_gaussian(marginal: ExponentialMarginal, dx):
 
 def from_gaussian(marginal: ExponentialMarginal, dy):
     """Inverse of to_gaussian (for unclamped |dy|)."""
+    from scipy.special import erfc
     y = np.asarray(dy, dtype=float)
     sign = np.sign(y)
     chi = marginal.side_width(y)
@@ -66,6 +71,7 @@ def cholesky_lower(matrix, pivot_floor: float = 0.0) -> np.ndarray:
     LAPACK stops on a non-positive pivot, or where diag(C)^2 is at or below
     the floor.
     """
+    from scipy.linalg import lapack
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise OutOfDomain("matrix must be square")
@@ -145,13 +151,16 @@ def estimate_correlation(y_series, pre_average_window: int = 3) -> CorrelationMa
     before the population covariance is taken and normalized to unit diagonal.
     y_series is never written: this runs correlation_in_place on a copy.
     """
-    return correlation_in_place(np.array(y_series, dtype=float), pre_average_window)
+    return CorrelationMatrix.from_matrix(
+        correlation_in_place(np.array(y_series, dtype=float), pre_average_window))
 
 
-def correlation_in_place(y: np.ndarray, pre_average_window: int = 3) -> CorrelationMatrix:
-    """estimate_correlation of a (channels, epochs) float array, whose rows
+def correlation_in_place(y: np.ndarray, pre_average_window: int = 3) -> np.ndarray:
+    """The entries of estimate_correlation of a (channels, epochs) float
+    array, clipped to [-1, 1] but neither validated nor factored, whose rows
     it pre-averages and centres in place: y is overwritten. A channel-major
-    table hands over its memory this way, as table.T."""
+    table hands over its memory this way, as table.T, and can be freed
+    before CorrelationMatrix.from_matrix factors the entries."""
     if y.ndim != 2:
         raise OutOfDomain("y_series must be 2-D (channels, epochs)")
     n, t = y.shape
@@ -171,8 +180,7 @@ def correlation_in_place(y: np.ndarray, pre_average_window: int = 3) -> Correlat
     if np.any(d <= 0.0):
         raise IllConditioned("a channel has zero variance after pre-averaging")
     # from_matrix symmetrizes and sets the unit diagonal
-    corr = np.clip(cov / np.outer(d, d), -1.0, 1.0)
-    return CorrelationMatrix.from_matrix(corr)
+    return np.clip(cov / np.outer(d, d), -1.0, 1.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,8 +77,19 @@ def _numpy_to_json(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _create(path):
+    """path opened for UTF-8 text with LF line endings, created or emptied;
+    a ParseError naming path where it cannot be, as where it is a directory.
+    A write that fails once the file is open is not an input fault, and its
+    OSError stays."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def save_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2, default=_numpy_to_json)
         fh.write("\n")
 
@@ -242,7 +253,8 @@ def _write_parts(path, header, values, first_index, parts) -> None:
     try:
         for i in range(1, parts):
             files.append(os.memfd_create(f"part{i}"))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        # its ParseError is not one _in_parts catches: no part is redone
+        with _create(path) as fh:
             fh.write(",".join(header) + "\n")
             fh.flush()
             out = fh.fileno()

@@ -9,12 +9,15 @@ forked part of a bulk command draws only its own rows. The k-th
 normal is fixed for one scipy build and one libm: the inverse CDF is
 scipy's ndtri, the standard normal quantile, whose last bits can move with
 glibc's FMA/AVX2 choice.
+
+scipy.special is imported where a kernel first runs (NormalStream.draw,
+erfinv), not with this module, so a command that draws no normal never
+loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = 2.0 ** -53
@@ -32,6 +35,7 @@ def erfinv(z):
     z = np.asarray(z, dtype=float)
     if np.any(np.abs(z) > 1.0):
         raise ValueError("erfinv argument must lie in [-1, 1]")
+    from scipy import special
     return special.erfinv(z)
 
 
@@ -117,6 +121,7 @@ class NormalStream:
     def draw(self, n: int, out=None) -> np.ndarray:
         """The next n normals, in out, a float array of n values, when
         given, else in a new array."""
+        from scipy import special
         u = self._uniforms.take(int(n), out)
         return special.ndtri(u, out=u)
 

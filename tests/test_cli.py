@@ -6,12 +6,13 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tailfolio import anneal, cli, eeg, errors, modelfile
+from tailfolio import anneal, cli, copula, eeg, errors, modelfile
 from tailfolio.copula import CopulaModel, CorrelationMatrix
 from tailfolio.errors import NoSolution, OutOfDomain
 from tailfolio.marginals import ExponentialMarginal, sample
@@ -646,16 +647,31 @@ def test_python_m_runs_the_cli(tmp_path):
     assert (tmp_path / "o" / "events.csv").is_file()
 
 
+_LOADED = ("print(sorted(m for m in sys.modules "
+           "if m.split('.')[0] in ('multiprocessing', 'scipy')))")
+
+
 def test_cli_import_does_not_load_multiprocessing():
     # multiprocessing costs about 0.1 s of start-up; the table codec forks
-    # with os primitives instead
-    script = ("import sys, tailfolio.cli; "
-              "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    # with os primitives instead. scipy, about 0.3 s and 30 MB, is loaded
+    # where a kernel first runs
+    script = "import sys, tailfolio.cli; " + _LOADED
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_eeg_check_loads_no_scipy(tmp_path):
+    """eeg check calls no scipy kernel, so a whole run never imports scipy."""
+    argv = ["eeg", "check", *_eeg_fit_case(tmp_path, [], {})[2:]]
+    script = ("import sys; from tailfolio.cli import main; "
+              f"code = main({argv!r}); " + _LOADED + "; sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "o" / "centering.json").is_file()
 
 
 def _capture_kwargs(monkeypatch, owner, name):
@@ -1093,6 +1109,68 @@ def test_an_out_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, capsys, c
     assert taken.read_text() == "kept\n"
 
 
+# every command, with inputs it runs on to its end
+WRITING_CASES = {**dict(OUT_CASES), "indicators": lambda t: _indicators_case(
+    t, {"column": "a"}, {"column": "b"})}
+# every output a command writes: (command, output name, --verbose)
+OUTPUT_NAMES = [
+    ("fit-marginals", "model.json", False),
+    ("sample", "events.csv", False),
+    ("risk", "risk.json", False),
+    ("risk", "bins.csv", False),
+    ("optimize", "positions.json", False),
+    ("optimize", "trace_optimize.csv", True),
+    ("eeg-simulate", "series.csv", False),
+    ("eeg-fit", "net.json", False),
+    ("eeg-fit", "fit_report.json", False),
+    ("eeg-fit", "trace_fit.csv", True),
+    ("eeg-check", "centering.json", False),
+    ("indicators", "indicators.json", False),
+    ("indicators", "indicator_model.json", False),
+]
+
+
+@pytest.mark.parametrize("command, name, verbose", OUTPUT_NAMES,
+                         ids=[f"{c}-{n}" for c, n, _ in OUTPUT_NAMES])
+def test_an_output_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, command,
+                                                         name, verbose):
+    argv = WRITING_CASES[command](tmp_path)
+    taken = Path(argv[argv.index("--out") + 1]) / name
+    taken.mkdir(parents=True)
+    assert cli.main([*argv, *["--verbose"] * verbose]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {taken}: ") and "internal error" not in err
+    assert taken.is_dir() and not any(taken.iterdir())
+
+
+@pytest.mark.parametrize("cfg", [{}, {"marginal_window": 200}],
+                         ids=["whole", "marginal-window"])
+def test_fit_marginals_frees_its_table_before_the_cholesky(tmp_path, monkeypatch, cfg):
+    """The refit's first scipy.linalg call, the correlation's Cholesky,
+    comes once no reference to the table read_series_csv returned, nor to
+    the array that owns its memory, is left."""
+    refs, alive = [], []
+    real_read, real_factor = cli.read_series_csv, copula.cholesky_lower
+
+    def read(path):
+        names, data = real_read(path)
+        array = data
+        while isinstance(array, np.ndarray):
+            refs.append(weakref.ref(array))
+            array = array.base
+        return names, data
+
+    def factor(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return real_factor(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_series_csv", read)
+    monkeypatch.setattr(copula, "cholesky_lower", factor)
+    argv = _fit_marginals_case(tmp_path, **cfg)
+    assert cli.main(argv) == 0
+    assert len(refs) == 2 and alive == [[False, False]]
+
+
 def test_a_singular_centering_solve_is_an_input_fault():
     assert cli.exit_code_for(NoSolution("x")) == 2
 
@@ -1149,6 +1227,10 @@ def test_risk_peak_memory_does_not_grow_with_channels(tmp_path):
 def test_fit_marginals_peak_memory_near_its_table(tmp_path, monkeypatch):
     """The normal coordinates and their pre-averaged, centred rows are the
     read table's own memory."""
+    # the command imports these at its first kernel call; that import is
+    # not the table, so it is made before tracing
+    import scipy.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
     values = np.random.default_rng(10).standard_normal((100_000, 8))
     path = tmp_path / "events.csv"
     write_series_csv(path, values, [f"c{j}" for j in range(8)], index_name="event_index")

@@ -219,15 +219,16 @@ def _former_estimate(y, w):
 def test_correlation_in_place_gives_the_estimate_bits(n, t, w):
     """Across the moving-average blocks, on the rows of a channel-major
     table's transpose (rows not adjacent in memory), the in-place kernel
-    gives the bits of estimate_correlation and of the former whole-row
-    form; estimate_correlation leaves its argument as it was."""
+    gives the entries whose CorrelationMatrix has the bits of
+    estimate_correlation and of the former whole-row form;
+    estimate_correlation leaves its argument as it was."""
     table = np.random.default_rng(t).standard_normal((t + 4, n + 1))
     y = np.ascontiguousarray(table.T)[1:, 4:]     # (n, t), row stride t + 4
     before = y.copy()
     want = estimate_correlation(y, pre_average_window=w)
     assert y.tobytes() == before.tobytes()
     assert want.matrix.tobytes() == _former_estimate(before, w).matrix.tobytes()
-    got = copula.correlation_in_place(y, w)
+    got = CorrelationMatrix.from_matrix(copula.correlation_in_place(y, w))
     assert got.matrix.tobytes() == want.matrix.tobytes()
     assert got.cholesky.tobytes() == want.cholesky.tobytes()
     assert not np.array_equal(y, before)    # the rows were overwritten

@@ -712,6 +712,23 @@ def test_only_a_split_write_makes_part_files(tmp_path, monkeypatch):
     assert calls == [0, 0, 0]   # all before the write's _run_parts
 
 
+@needs_fork
+@pytest.mark.parametrize("path_of", [lambda d: d, lambda d: d / "missing" / "t.csv"],
+                         ids=["a-directory", "under-a-missing-directory"])
+def test_a_table_path_that_cannot_be_made_fails_before_its_parts(tmp_path, monkeypatch,
+                                                                path_of):
+    """A path that cannot be opened for writing is an input fault: a
+    ParseError naming it, before any part runs and without the redo as one
+    part."""
+    split_into(monkeypatch, 4)
+    runs, pids = counted_runs(monkeypatch), counted_forks(monkeypatch)
+    (tmp_path / "t.csv").mkdir()
+    path = path_of(tmp_path / "t.csv")
+    with pytest.raises(ParseError, match=f"^cannot write {re.escape(str(path))}: "):
+        write_table(path, ("x", "y"), np.ones((400, 2)))
+    assert runs == [] and pids == []
+
+
 def test_a_table_is_one_part_without_memfd_create(tmp_path, monkeypatch):
     split_into(monkeypatch, 4)
     monkeypatch.delattr(os, "memfd_create", raising=False)
