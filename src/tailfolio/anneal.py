@@ -1,7 +1,7 @@
 """Adaptive simulated annealing with per-parameter reannealing.
 
-Generation temperatures follow T_i(k_i) = T0_i exp(-c_i k_i^(1/D)) where D is
-the search dimension and each parameter carries its own annealing-time counter
+Generation temperatures follow T_i(k_i) = T0 exp(-c k_i^(1/D)) where D is the
+search dimension and each parameter carries its own annealing-time counter
 k_i. Candidate steps use the heavy-tailed generating law
 
     delta = sgn(u - 1/2) T [(1 + 1/T)^{|2u - 1|} - 1] * (hi - lo)
@@ -116,8 +116,8 @@ def _delta(u, t, base):
 class AnnealConfig:
     """Knobs for minimize(); defaults follow the protocol in the module doc."""
 
-    t0: float | np.ndarray = 1.0
-    c: float | np.ndarray | None = None     # default: sized to max_trials and D
+    t0: float = 1.0
+    c: float | None = None             # default: sized to max_trials and D
     accept_t0: float | None = None     # default: the cost scale
     accept_c: float | None = None      # default: as c
     reanneal_interval: int = 100       # acceptances between sensitivity rescales
@@ -364,15 +364,15 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
     free = rangev > 0.0
     inv_d = 1.0 / d
 
-    t0v = np.broadcast_to(np.asarray(cfg.t0, dtype=float), (d,)).copy()
     # the bounds of docs/schemas, all checked before anything is derived from
     # them; NaN fails every one
-    for key, value in (("t0", t0v), ("c", cfg.c), ("accept_c", cfg.accept_c),
+    for key, value in (("t0", cfg.t0), ("c", cfg.c), ("accept_c", cfg.accept_c),
                        ("accept_t0", cfg.accept_t0)):
-        if value is None:   # derived below
-            continue
-        if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
+        if value is not None and not 0.0 < value < math.inf:    # None: derived below
             raise OutOfDomain(f"{key!r} must be positive and finite, got {value!r}")
+    if math.isnan(cfg.window_repeat_tol):
+        raise OutOfDomain(f"'window_repeat_tol' must be a number, "
+                          f"got {cfg.window_repeat_tol!r}")
     if not cfg.sensitivity_step > 0.0:
         raise OutOfDomain(f"'sensitivity_step' must be positive, "
                           f"got {cfg.sensitivity_step!r}")
@@ -412,8 +412,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
     scale = spread if 0.0 < spread < math.inf else 1.0
 
     sized_c = -math.log(TEMPERATURE_RATIO) * cfg.max_trials ** -inv_d
-    cv = np.broadcast_to(np.asarray(sized_c if cfg.c is None else cfg.c, dtype=float),
-                         (d,)).copy()
+    c = sized_c if cfg.c is None else cfg.c
     accept_c = sized_c if cfg.accept_c is None else cfg.accept_c
     accept_t0 = scale if cfg.accept_t0 is None else cfg.accept_t0
 
@@ -442,10 +441,10 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
         s_max = sens.max()
         if s_max <= 0.0:
             return
-        cur_t = temperature(np.maximum(k_gen, 0.0), t0v, cv, d)
+        cur_t = temperature(np.maximum(k_gen, 0.0), cfg.t0, c, d)
         active = free & (sens > 0.0)
         t_new = cur_t[active] * (s_max / sens[active])
-        arg = np.maximum(np.log(t0v[active] / np.maximum(t_new, _T_FLOOR)) / cv[active], 0.0)
+        arg = np.maximum(np.log(cfg.t0 / np.maximum(t_new, _T_FLOOR)) / c, 0.0)
         k_gen[active] = np.clip(arg ** d, 1.0, cfg.k_max)
 
     def judge(cand, fc) -> bool:
@@ -503,7 +502,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
                 ks = np.ones((rows + 1, d))
                 ks[0] = k_gen
                 np.add.accumulate(ks, axis=0, out=ks)
-                temps = np.maximum(temperature(ks[:rows], t0v, cv, d), _T_FLOOR)
+                temps = np.maximum(temperature(ks[:rows], cfg.t0, c, d), _T_FLOOR)
                 bases = 1.0 / temps
                 bases += 1.0
                 k_gen, row = ks[rows], 0

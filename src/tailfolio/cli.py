@@ -20,15 +20,17 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import eeg, indicators
+# a table is read as modelfile.read_table, looked up at each call, so that
+# a wrapper set on it (bench/trace_child.py) sees every read
+from . import eeg, indicators, modelfile
 from .anneal import AnnealConfig
 from .copula import CopulaModel, CorrelationMatrix, correlation_in_place, to_gaussian
 from .errors import EngineError, IllConditioned, ParseError
 from .events import EventBatch, sample_events
 from .marginals import fit_channels
 from .modelfile import (ensure_out_dir, fmt, load_model, load_net, read_config,
-                        read_series_csv, reduce_rows, save_json, save_model,
-                        save_net, write_bins_csv, write_series_csv, write_trace_csv)
+                        reduce_rows, save_json, save_model, save_net,
+                        write_bins_csv, write_series_csv, write_trace_csv)
 from .risk import (Q_TARGET, VAR_LEVEL, ContractPortfolio, LinearPortfolio,
                    RiskConfig, optimize_positions, portfolio_returns, risk_report)
 
@@ -61,7 +63,7 @@ def _fit_series(path, cfg):
     entries (copula.correlation_in_place) of the series CSV at path. No
     reference to the table outlives this call, so it is freed before the
     caller factors the correlation, the refit's first scipy.linalg call."""
-    names, data = read_series_csv(path)
+    names, data = modelfile.read_table(path)
     if not names:
         raise ParseError(f"{path}: no channel column beside the index")
     window = cfg.get("marginal_window")
@@ -215,7 +217,7 @@ def cmd_optimize(args) -> int:
 
 
 def _series_for_net(net, csv_path):
-    names, data = read_series_csv(csv_path)
+    names, data = modelfile.read_table(csv_path)
     if set(names) != set(net.names):
         raise ParseError(f"{csv_path}: columns {list(names)} do not match "
                          f"net sites {list(net.names)}")
@@ -282,7 +284,7 @@ def cmd_indicators(args) -> int:
         name, csv_path = block["name"], block["csv"]
         kind = block.get("kind", "values")
         if kind == "values":
-            names, data = read_series_csv(csv_path)
+            names, data = modelfile.read_table(csv_path)
             col = block.get("column", names[0] if len(names) == 1 else None)
             if col not in names:
                 raise ParseError(f"{csv_path}: pick one of {list(names)} "

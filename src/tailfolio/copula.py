@@ -119,8 +119,7 @@ class CorrelationMatrix:
                                   f"got {float(g[i, j])!r} at ({i}, {j})")
         g = 0.5 * (g + g.T)
         np.fill_diagonal(g, 1.0)
-        floor = EPS_PD * float(np.max(np.diag(g)))
-        return cls(matrix=g, cholesky=cholesky_lower(g, pivot_floor=floor))
+        return cls(matrix=g, cholesky=cholesky_lower(g, pivot_floor=EPS_PD))
 
 
 def _average_in_place(y: np.ndarray, window: int) -> np.ndarray:

@@ -44,8 +44,7 @@ from graphlib import CycleError, TopologicalSorter
 import numpy as np
 
 from . import anneal
-from .errors import (DegenerateVariance, NonPositiveDenominator, NoSolution,
-                     OutOfDomain, SingularInversion)
+from .errors import DegenerateData, OutOfDomain, SingularNet
 from .rng import NormalStream
 
 CLAMP_FLAG_FRACTION = 0.01
@@ -164,12 +163,12 @@ def _transition_moments(cols: ColumnParams, denominator_approx, gains, slope,
     # F^G = num / sqrt(pi den)
     if denominator_approx:
         if not view.den0_ok:
-            raise NonPositiveDenominator("variance aggregate must be positive")
+            raise SingularNet("variance aggregate must be positive")
         root_den = view.root_den0
     else:
         den = den0 + de * m_e + di * m_i + dlr * m_lr
         if np.any(den <= 0.0):
-            raise NonPositiveDenominator("variance aggregate must be positive")
+            raise SingularNet("variance aggregate must be positive")
         root_den = np.sqrt(_PI * den)
     f = (num0 - ce * m_e - ci * m_i - clr * m_lr) / root_den
     # g^G = -(M^G + N^G tanh F^G) / tau and g^GG = N^G sech^2(F^G) / tau,
@@ -182,7 +181,7 @@ def _transition_moments(cols: ColumnParams, denominator_approx, gains, slope,
     m = drift[0] + drift[1]
     var = diffusion[0] + diffusion[1]
     if np.any(var <= 0.0):
-        raise DegenerateVariance("conditional variance must be positive")
+        raise DegenerateData("conditional variance must be positive")
     return m, var
 
 
@@ -194,7 +193,7 @@ def _log_density(phidot, m, var, dt):
 def centering_shift(cols: ColumnParams) -> ColumnParams:
     """Shift B^G_E so both threshold factors vanish at the firing origin.
 
-    Long-range background is left untouched. Idempotent. Raises NoSolution
+    Long-range background is left untouched. Idempotent. Raises SingularNet
     when an excitatory-source term v^G_E N^E is zero.
     """
     view = cols._view
@@ -203,7 +202,7 @@ def centering_shift(cols: ColumnParams) -> ColumnParams:
     for g in range(2):
         scale = v[g, 0] * cols.n_e
         if abs(scale) < 1e-300 or not np.isfinite(scale):
-            raise NoSolution("excitatory-source centering term is zero")
+            raise SingularNet("excitatory-source centering term is zero")
         b[g, 0] += view.num0[g] / scale
     return replace(cols, background=((float(b[0, 0]), float(b[0, 1])),
                                      (float(b[1, 0]), float(b[1, 1]))))
@@ -350,7 +349,7 @@ def _site_arrays(cols: ColumnParams, sites: np.ndarray):
     offset, gains, slope = columns[0], columns[1:3], columns[3]
     denom = gains[0] + gains[1] * slope
     if np.any(np.abs(denom) < 1e-12):
-        raise SingularInversion("combined electrode gain is zero")
+        raise SingularNet("combined electrode gain is zero")
     # the firing bound min(n_e, n_i / |slope|) with |slope| raised to
     # slope_cut, which leaves it as it is, and divides no n_i by 0
     bound = np.abs(slope)
@@ -554,7 +553,7 @@ def _fit_cost(net: RegionNet, keys, phi, penalty_weight: float):
     site_pos, site_slot, coup_pos, coup_slot = _param_slots(net, keys)
     try:
         tr = _Transitions(replace(net, columns=centering_shift(net.columns)))
-    except NoSolution:
+    except SingularNet:
         return lambda vec: np.inf
     phi, phidot = tr.site_major(phi)
 
@@ -566,7 +565,7 @@ def _fit_cost(net: RegionNet, keys, phi, penalty_weight: float):
         weights[coup_slot] = vec[coup_pos]
         try:
             terms, _, excess = tr.log_terms(phi, phidot, sites, weights)
-        except (SingularInversion, DegenerateVariance, NonPositiveDenominator):
+        except (SingularNet, DegenerateData):
             return np.inf
         return -float(np.sum(terms)) + penalty_weight * excess
 

@@ -5,9 +5,13 @@ callers can tell engine conditions apart from programming mistakes. Each
 type carries the CLI exit code it maps to (README, "Exit codes"): 2 for an
 input, config or domain fault, 3 for degenerate data, 4 for a correlation
 that is not positive definite. A fault gets a type of its own only where
-some caller catches it by name; every other input fault is an OutOfDomain
-(wrong shapes and lengths, short windows, zero capital, bad search bounds
-or knobs, a non-finite start cost), told apart by its message.
+some caller catches it by name, and one type serves every fault its
+callers treat alike: an EEG net the model cannot score, whatever the
+reason, is a SingularNet, and a variance that is not positive, of data or
+of an EEG transition, is DegenerateData. Every other input fault is an
+OutOfDomain (wrong shapes and lengths, short windows, zero capital, bad
+search bounds or knobs, a non-finite start cost), told apart by its
+message.
 """
 
 
@@ -22,7 +26,8 @@ class ParseError(EngineError):
 
 
 class DegenerateData(EngineError):
-    """Sample variance below the floor; no usable width."""
+    """A variance at or below its floor: a sample with no usable width, or
+    an EEG conditional variance that is not positive."""
     exit_code = 3
 
 
@@ -37,21 +42,8 @@ class IllConditioned(EngineError):
     exit_code = 4
 
 
-class NonPositiveDenominator(EngineError):
-    """Threshold-factor variance aggregate is not positive."""
-    exit_code = 2
-
-
-class NoSolution(EngineError):
-    """Centering solve is singular."""
-    exit_code = 2
-
-
-class DegenerateVariance(EngineError):
-    """Conditional variance is not positive."""
-    exit_code = 3
-
-
-class SingularInversion(EngineError):
-    """Potential-to-firing inversion has a zero combined gain."""
+class SingularNet(EngineError):
+    """An EEG net the model cannot score: a threshold-factor variance
+    aggregate that is not positive, a singular centering solve, or a zero
+    combined electrode gain in the potential-to-firing inversion."""
     exit_code = 2

@@ -15,11 +15,11 @@ A table is read from one scan of its bytes (_chunks), which cuts them at
 line breaks into chunks of about _CHUNK_BYTES bytes and notes the line
 each starts on; that chunk table gives the parts, the row count and the
 line of every row, and the header line is read on its own, in a small
-pread. A series table's index column is parsed but not kept. read_table
-returns the transpose of a
-C-order (cols, rows) array, so a column is contiguous and table.T hands
-the whole table over as (channels, rows) rows, to be mapped and
-pre-averaged in place. The chunk is the unit of parsing: np.loadtxt
+pread. A first column named as an index (INDEX_NAMES), as every series
+table this package writes has, is parsed but not kept. read_table returns
+the transpose of a C-order (cols, rows) array, so a column is contiguous
+and table.T hands the whole table over as (channels, rows) rows, to be
+mapped and pre-averaged in place. The chunk is the unit of parsing: np.loadtxt
 parses each one, and a chunk it rejects, and only that chunk, is parsed
 again line by line, skipping whitespace-only lines and naming a line that
 is not UTF-8 or not one number per column by its line number in the file.
@@ -311,18 +311,17 @@ def _append(out_fd, in_fd) -> None:
         offset += sent
 
 
-def read_table(path, *, skip_index=False):
-    """Read a numeric CSV into (header tuple, float array (rows, cols)).
+def read_table(path):
+    """Read a numeric CSV into (column names, float array (rows, columns)).
 
     The table is the transpose of a C-order (cols, rows) array, so each
     column is contiguous and table.T is a channel-major array of its own
     memory; tobytes() still gives the (rows, cols) C-order bytes. Blank
     and whitespace-only lines are skipped, and a leading UTF-8 byte order
-    mark is not part of the first column name. With skip_index, a first
-    column named as an index (INDEX_NAMES) is parsed and checked as every
-    column is, but neither stored nor returned, nor its name; it is an
-    option, not the rule, because a plain table may hold data in a column
-    named t or index.
+    mark is not part of the first column name. A first column named as an
+    index (INDEX_NAMES, any case) is parsed and checked as every column
+    is, but neither stored nor returned, nor its name: the names and the
+    array are those of the other columns.
 
     One scan of the file's bytes (_chunks) cuts them at line breaks into
     chunks and notes the line each chunk starts on. The header is the
@@ -350,7 +349,7 @@ def read_table(path, *, skip_index=False):
                 raise ParseError(f"{path}: column names must be unique, "
                                  f"got {list(header)}")
             cuts[0], lines[0] = len(first), 1
-            skip = int(skip_index and header[0].lower() in INDEX_NAMES)
+            skip = int(header[0].lower() in INDEX_NAMES)
             data = _in_parts(_part_count(cuts[-1], _PART_BYTES), lambda parts: _read_parts(
                 path, fd, cuts, lines, len(header), skip, parts))
     except OSError as exc:
@@ -512,15 +511,6 @@ def _read_parts(path, fd, cuts, lines, width, skip, parts):
 def write_series_csv(path, values, columns, index_name: str = "epoch") -> None:
     """Series table with a leading integer index column."""
     write_table(path, (index_name, *columns), values, first_index=0)
-
-
-def read_series_csv(path):
-    """Series table back as (channel names, (rows, channels) array).
-
-    A leading index-like column (epoch, event_index, index, t) is parsed
-    but not kept.
-    """
-    return read_table(path, skip_index=True)
 
 
 def write_bins_csv(path, distribution) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 from tailfolio import eeg
 from tailfolio.anneal import (COST_SAMPLES, TEMPERATURE_RATIO, OptResult, _check_bounds,
                               generate_candidate, tangents, temperature)
-from tailfolio.errors import DegenerateVariance, NonPositiveDenominator, OutOfDomain
+from tailfolio.errors import DegenerateData, OutOfDomain, SingularNet
 from tailfolio.rng import UniformStream
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "schemas")
@@ -161,7 +161,7 @@ def threshold_factor(cols: eeg.ColumnParams, m_e, m_i, m_lr=0.0,
             den = den + de[g] * m_e + di[g] * m_i + dlr * m_lr
         den = np.asarray(den, dtype=float)
         if np.any(den <= 0.0):
-            raise NonPositiveDenominator("variance aggregate must be positive")
+            raise SingularNet("variance aggregate must be positive")
         f = num / np.sqrt(np.pi * den)
         out.append(float(f) if f.ndim == 0 else f)
     return out[0], out[1]
@@ -213,7 +213,7 @@ def electrode_moments(net: eeg.RegionNet, site: str, m_e, m_lr=0.0):
     # one ulp off
     var = np.square(s.gain_e) * g_ee + np.square(s.gain_i) * g_ii
     if np.any(var <= 0.0):
-        raise DegenerateVariance("conditional variance must be positive")
+        raise DegenerateData("conditional variance must be positive")
     return m, var
 
 

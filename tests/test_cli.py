@@ -14,11 +14,10 @@ import pytest
 
 from tailfolio import anneal, cli, copula, eeg, errors, modelfile
 from tailfolio.copula import CopulaModel, CorrelationMatrix
-from tailfolio.errors import NoSolution, OutOfDomain
+from tailfolio.errors import OutOfDomain, SingularNet
 from tailfolio.marginals import ExponentialMarginal, sample
-from tailfolio.modelfile import (load_json, load_net, read_series_csv,
-                                 save_json, save_model, save_net,
-                                 write_series_csv)
+from tailfolio.modelfile import (load_json, load_net, read_table, save_json,
+                                 save_model, save_net, write_series_csv)
 
 from helpers import (SRC, command_peak_mb, traced_peak, two_site_net,
                      validate_schema)
@@ -99,7 +98,7 @@ def test_fit_marginals_window_option(tmp_path):
     cfg = write_config(tmp_path, {"marginal_window": 100})
     code = cli.main(["fit-marginals", csv, "--config", cfg, "--out", str(out)])
     assert code == 0
-    names, data = read_series_csv(csv)
+    names, data = read_table(csv)
     payload = load_json(out / "model.json")
     tail_mean = float(np.mean(data[-100:, 0]))
     assert payload["marginals"][0]["m"] == pytest.approx(tail_mean, rel=1e-12)
@@ -186,7 +185,7 @@ def test_risk_report_consistent(tmp_path):
     validate_schema(payload, "risk.schema.json")
     expected_q = 0.5 * np.exp(-abs(-0.05 - payload["mean"]) / payload["width"])
     assert payload["q_analytic"] == pytest.approx(expected_q, rel=1e-12)
-    header, bins = read_series_csv(out / "bins.csv")
+    header, bins = read_table(out / "bins.csv")
     assert bins.shape[0] == 201
     assert int(bins[:, 2].sum()) == 20000
 
@@ -355,7 +354,7 @@ def test_eeg_fit_one_parameter(tmp_path, monkeypatch, capsys):
                      "--out", str(out_fit), "--verbose"])
     assert code == 0
     from tailfolio.eeg import joint_loglikelihood
-    _, data = read_series_csv(out_sim / "series.csv")
+    _, data = read_table(out_sim / "series.csv")
     start_ll = joint_loglikelihood(load_net(start_path), data)
     payload = load_json(out_fit / "fit_report.json")
     assert payload["loglik"] >= start_ll
@@ -786,6 +785,18 @@ def test_optimize_rejects_an_infinite_anneal_t0(tmp_path, capsys):
     assert "'t0' must be a finite number" in capsys.readouterr().err
 
 
+def test_optimize_rejects_a_nan_window_repeat_tol(tmp_path, capsys):
+    # JSON's NaN literal loads and passes the number cast; without the check
+    # the cost-repeat exit is silently off
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"bounds": [[0.0, 1.0]], "n": 10, '
+                   '"anneal": {"window_repeat_tol": NaN}}\n')
+    code = cli.main(["optimize", make_model_json(tmp_path), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "'window_repeat_tol' must be a number, got nan" in capsys.readouterr().err
+
+
 def test_eeg_fit_on_one_epoch_exits_2(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     save_net(net_path, two_site_net())
@@ -1109,6 +1120,23 @@ def test_an_out_that_cannot_be_a_directory_exits_2_naming_it(tmp_path, capsys, c
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("case", [c[1] for c in OUT_CASES], ids=[c[0] for c in OUT_CASES])
+def test_an_out_that_cannot_be_made_exits_2_with_its_reason(tmp_path, capsys,
+                                                           monkeypatch, case):
+    """Any other failure to make --out, here a denied permission, which a
+    run as root never meets on disk, exits 2 naming --out and the reason."""
+    argv = case(tmp_path)
+    out = argv[argv.index("--out") + 1]
+
+    def denied(path, mode=0o777, exist_ok=False):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(modelfile.os, "makedirs", denied)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out}: Permission denied\n"
+
+
 # every command, with inputs it runs on to its end
 WRITING_CASES = {**dict(OUT_CASES), "indicators": lambda t: _indicators_case(
     t, {"column": "a"}, {"column": "b"})}
@@ -1147,10 +1175,10 @@ def test_an_output_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, comma
                          ids=["whole", "marginal-window"])
 def test_fit_marginals_frees_its_table_before_the_cholesky(tmp_path, monkeypatch, cfg):
     """The refit's first scipy.linalg call, the correlation's Cholesky,
-    comes once no reference to the table read_series_csv returned, nor to
+    comes once no reference to the table read_table returned, nor to
     the array that owns its memory, is left."""
     refs, alive = [], []
-    real_read, real_factor = cli.read_series_csv, copula.cholesky_lower
+    real_read, real_factor = modelfile.read_table, copula.cholesky_lower
 
     def read(path):
         names, data = real_read(path)
@@ -1164,7 +1192,7 @@ def test_fit_marginals_frees_its_table_before_the_cholesky(tmp_path, monkeypatch
         alive.append([ref() is not None for ref in refs])
         return real_factor(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "read_series_csv", read)
+    monkeypatch.setattr(modelfile, "read_table", read)
     monkeypatch.setattr(copula, "cholesky_lower", factor)
     argv = _fit_marginals_case(tmp_path, **cfg)
     assert cli.main(argv) == 0
@@ -1172,15 +1200,13 @@ def test_fit_marginals_frees_its_table_before_the_cholesky(tmp_path, monkeypatch
 
 
 def test_a_singular_centering_solve_is_an_input_fault():
-    assert cli.exit_code_for(NoSolution("x")) == 2
+    assert cli.exit_code_for(SingularNet("x")) == 2
 
 
 # each engine error type and the README row its exit code falls under
 ERROR_CODES = {
-    errors.ParseError: 2, errors.OutOfDomain: 2, errors.NonPositiveDenominator: 2,
-    errors.NoSolution: 2, errors.SingularInversion: 2,
-    errors.DegenerateData: 3, errors.DegenerateVariance: 3,
-    errors.IllConditioned: 4,
+    errors.ParseError: 2, errors.OutOfDomain: 2, errors.SingularNet: 2,
+    errors.DegenerateData: 3, errors.IllConditioned: 4,
 }
 
 

@@ -15,7 +15,7 @@ from tailfolio.copula import CopulaModel, CorrelationMatrix, from_gaussian
 from tailfolio.errors import OutOfDomain
 from tailfolio.events import sample_events
 from tailfolio.marginals import ExponentialMarginal
-from tailfolio.modelfile import read_series_csv, write_series_csv
+from tailfolio.modelfile import read_table, write_series_csv
 from tailfolio.rng import NormalStream
 
 from helpers import SRC, traced_peak
@@ -185,7 +185,7 @@ def test_csv_round_trip(tmp_path):
     write_series_csv(path, dx, model.channels, index_name="event_index")
     first = path.read_text().splitlines()[0]
     assert first == "event_index,alpha,beta,gamma"
-    header, data = read_series_csv(path)
+    header, data = read_table(path)
     assert header == ("alpha", "beta", "gamma")
     assert np.array_equal(data, dx)
 
