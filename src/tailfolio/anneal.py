@@ -52,10 +52,10 @@ toward that exit, measured from the first trial, so a start point better
 than every trial does not end the run; x0, the samples and reanneal probes
 still update the returned best.
 
-A caller whose cost is a pure function of the point may say so
-(pure_cost): then, where fork_cpus finds a second CPU, a forked worker
-costs the block's next trial, made from the same point, while this process
-costs the current one, as ASA_PARALLEL does. A cold chain rejects most
+Where fork_cpus finds a second CPU, a forked worker costs the block's
+next trial, made from the same point, while this process costs the
+current one, as ASA_PARALLEL does; so the cost must be a pure function of
+the point (minimize). A cold chain rejects most
 trials, so the next one is usually kept; when the current trial moves the
 chain or ends the run, it is dropped and the generation stream is rewound
 to its first uniform. The trials are judged in order either way, so the
@@ -270,10 +270,10 @@ class _CostWorker:
     at most _PATIENCE times as long as it has worked since the request,
     then costs the point itself, and pairs no trial until the late reply
     has come. Timing decides only where a cost is computed, never its value.
-    The take-over bounds what other work costs, but does not remove it: on
-    two CPUs beside one busy-looping process, the EEG fit of the benchmark
-    (seed 1, no polish) took 6.8 s paired against 4.6 s unpaired, where
-    without that process it took 3.7 s paired against 4.9 s.
+    The take-over bounds what other work costs any caller, but does not
+    remove it: on two CPUs beside one busy-looping process, the EEG fit of
+    the benchmark (seed 1, no polish) took 6.8 s paired against 4.6 s
+    unpaired, where without that process it took 3.7 s paired against 4.9 s.
     """
 
     def __init__(self, cost, d: int):
@@ -346,16 +346,14 @@ class _CostWorker:
         reap([self.pid])
 
 
-def minimize(cost, bounds, config: AnnealConfig | None = None, *,
-             pure_cost: bool = False) -> OptResult:
+def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     """Anneal cost over the box; returns the best point ever evaluated.
 
-    pure_cost is the caller's promise that cost is a pure function of the
-    point: the same point always gives the same value or raises the same
-    exception, with no effect that matters, and it may run in a forked
-    process. Then, where fork_cpus() finds two CPUs, the trials are costed
-    in pairs on two processes (module doc), with the same result to the
-    bit. The cost samples and reanneal probes stay in this process.
+    cost must be a pure function of the point (the same value or exception
+    for the same point, no effect that matters) that may run in a forked
+    process: where fork_cpus() finds two CPUs, the trials are costed in
+    pairs on two processes (module doc), with the same result to the bit.
+    The cost samples and reanneal probes stay in this process.
     """
     cfg = config or AnnealConfig()
     lo, hi = _check_bounds(bounds)
@@ -487,7 +485,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None, *,
     t_acc = acceptance_temperature()
     row = rows = 0
     worker = None
-    if pure_cost and fork_cpus() > 1:
+    if fork_cpus() > 1:
         try:
             worker = _CostWorker(cost, d)
         except OSError:     # no fork: the trials are costed one by one
@@ -569,7 +567,7 @@ def local_refine(cost, x0, bounds, max_calls: int = 1000) -> OptResult:
 
 
 def search(cost, bounds, config: AnnealConfig | None = None,
-           refine_calls: int = 1000, *, pure_cost: bool = False) -> OptResult:
+           refine_calls: int = 1000) -> OptResult:
     """Anneal, then polish the annealed point with local_refine.
 
     Returns one OptResult. When the polish runs, its point and cost replace
@@ -578,11 +576,11 @@ def search(cost, bounds, config: AnnealConfig | None = None,
     acceptances, exit_reason and trace stay the anneal's. When
     refine_calls is 0 or the annealed cost is not below SENTINEL, the polish
     is skipped and the anneal's result is returned unchanged; a negative or
-    NaN refine_calls raises OutOfDomain. pure_cost is minimize's.
+    NaN refine_calls raises OutOfDomain. cost must be pure, as minimize's.
     """
     if not refine_calls >= 0:   # NaN fails too
         raise OutOfDomain(f"'refine_calls' must be >= 0, got {refine_calls!r}")
-    res = minimize(cost, bounds, config, pure_cost=pure_cost)
+    res = minimize(cost, bounds, config)
     if refine_calls <= 0 or res.cost >= SENTINEL:
         return res
     polish = local_refine(cost, res.x, bounds, max_calls=refine_calls)

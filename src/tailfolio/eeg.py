@@ -548,13 +548,10 @@ def _fit_cost(net: RegionNet, keys, phi, penalty_weight: float):
     weights. The columns are never free, so they are centered once; the
     coupling edges, the site-major series and its phidot are fixed too.
     Unknown sites and couplings raise OutOfDomain here, before any
-    evaluation.
+    evaluation, and then columns that cannot be centered raise SingularNet.
     """
     site_pos, site_slot, coup_pos, coup_slot = _param_slots(net, keys)
-    try:
-        tr = _Transitions(replace(net, columns=centering_shift(net.columns)))
-    except SingularNet:
-        return lambda vec: np.inf
+    tr = _Transitions(replace(net, columns=centering_shift(net.columns)))
     phi, phidot = tr.site_major(phi)
 
     def cost(vec):
@@ -590,6 +587,9 @@ def fit_net(series, net: RegionNet, free, bounds,
     keys = list(free)
     fitted, res = net, None
     if keys:
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise OutOfDomain(f"free parameter {key!r} is repeated")
         try:
             box = [(float(bounds[k][0]), float(bounds[k][1])) for k in keys]
         except KeyError as exc:
@@ -597,7 +597,7 @@ def fit_net(series, net: RegionNet, free, bounds,
         except TypeError as exc:
             raise OutOfDomain("bounds must map each free key to (lo, hi)") from exc
         cost = _fit_cost(net, keys, _series(net, phi, min_epochs=2), penalty_weight)
-        res = anneal.search(cost, box, config, refine_calls, pure_cost=True)
+        res = anneal.search(cost, box, config, refine_calls)
         fitted = apply_params(net, dict(zip(keys, res.x)))
         fitted = replace(fitted, columns=centering_shift(fitted.columns))
     det = loglikelihood_details(fitted, phi)

@@ -10,8 +10,9 @@ from array import array
 
 import jsonschema
 import numpy as np
+import pytest
 
-from tailfolio import eeg
+from tailfolio import anneal, eeg
 from tailfolio.anneal import (COST_SAMPLES, TEMPERATURE_RATIO, OptResult, _check_bounds,
                               generate_candidate, tangents, temperature)
 from tailfolio.errors import DegenerateData, OutOfDomain, SingularNet
@@ -62,6 +63,46 @@ def command_peak_mb(args, env=None) -> float:
     code, kb = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
     return int(kb) / 1024.0
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+def alone_and_paired(monkeypatch, run):
+    """run()'s results with minimize finding one CPU and then two. Each run
+    leaves no child and no descriptor behind, and only the run on two CPUs
+    forks, once: its cost worker, whose replies are always waited for, so
+    that a paired trial is costed there however late its reply."""
+    monkeypatch.setattr(anneal, "_PATIENCE", math.inf)
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(anneal, "fork_cpus", lambda *needs, cpus=cpus: cpus)
+        fds = open_fds()
+        results.append(run())
+        assert open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == cpus - 1
+    return results
+
+
+def assert_same_run(got, want):
+    """Two anneal results are the same to the bit, trace included."""
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.cost).tobytes() == np.float64(want.cost).tobytes()
+    assert (got.trials, got.acceptances, got.exit_reason) == (
+        want.trials, want.acceptances, want.exit_reason)
+    assert got.trace.tobytes() == want.trace.tobytes()
 
 
 def implied_width(var_level: float, q_target: float, mean: float = 0.0) -> float:

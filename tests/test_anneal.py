@@ -19,8 +19,8 @@ from tailfolio.errors import OutOfDomain
 from tailfolio.modelfile import write_trace_csv
 from tailfolio.rng import UniformStream
 
-from helpers import (candidate, oracle_generate_candidate, oracle_generation_delta,
-                     oracle_minimize)
+from helpers import (assert_same_run, candidate, open_fds, oracle_generate_candidate,
+                     oracle_generation_delta, oracle_minimize)
 
 
 def test_temperature_closed_form():
@@ -154,6 +154,7 @@ def test_trace_file_format(tmp_path):
     assert float(first[2]) > 0.0
 
 
+@pytest.mark.usefixtures("serial")
 def test_best_tracked_over_all_evaluations():
     seen = {}
 
@@ -241,6 +242,7 @@ def _assert_anneal_record(res, anneal):
     assert res.trace == anneal.trace
 
 
+@pytest.mark.usefixtures("serial")
 def test_search_without_refine_calls_skips_the_polish():
     anneal, res, polish_calls = _anneal_and_search(
         _bowl, [(-2.0, 2.0)] * 2, AnnealConfig(seed=1, max_trials=300), 0)
@@ -250,6 +252,7 @@ def test_search_without_refine_calls_skips_the_polish():
     _assert_anneal_record(res, anneal)
 
 
+@pytest.mark.usefixtures("serial")
 def test_search_winning_polish_gives_its_point_and_counts_its_calls():
     bounds, cfg = [(-2.0, 2.0)] * 2, AnnealConfig(seed=1, max_trials=300)
     anneal, res, polish_calls = _anneal_and_search(_bowl, bounds, cfg, 200)
@@ -262,6 +265,7 @@ def test_search_winning_polish_gives_its_point_and_counts_its_calls():
     _assert_anneal_record(res, anneal)
 
 
+@pytest.mark.usefixtures("serial")
 def test_search_flat_cost_keeps_the_annealed_point_and_counts_the_polish():
     anneal, res, polish_calls = _anneal_and_search(
         lambda p: 2.0, [(-2.0, 2.0)] * 2, AnnealConfig(seed=1, max_trials=50), 200)
@@ -272,6 +276,7 @@ def test_search_flat_cost_keeps_the_annealed_point_and_counts_the_polish():
     _assert_anneal_record(res, anneal)
 
 
+@pytest.mark.usefixtures("serial")
 def test_search_polish_never_returns_a_worse_point():
     def wells(p):
         return float(np.sum(p * p) + np.sum(1.0 - np.cos(7.0 * p)))
@@ -282,6 +287,7 @@ def test_search_polish_never_returns_a_worse_point():
         assert res.cost <= anneal.cost
 
 
+@pytest.mark.usefixtures("serial")
 def test_search_skips_the_polish_at_the_sentinel():
     anneal, res, polish_calls = _anneal_and_search(
         lambda p: SENTINEL, [(-1.0, 1.0)] * 2, AnnealConfig(seed=1, max_trials=50), 200)
@@ -292,6 +298,7 @@ def test_search_skips_the_polish_at_the_sentinel():
     _assert_anneal_record(res, anneal)
 
 
+@pytest.mark.usefixtures("serial")
 def test_reanneal_probes_each_free_dimension_once():
     bounds = [(-1.0, 1.0), (0.4, 0.4), (-2.0, 1.0), (0.0, 3.0)]
     for interval in (10, 25):
@@ -526,6 +533,7 @@ def test_minimize_matches_minimize_on_the_oracle_candidate(monkeypatch, d, cost)
     assert res.acceptances >= 2 * cfg.reanneal_interval
 
 
+@pytest.mark.usefixtures("serial")
 @pytest.mark.parametrize("d", [1, 2, 3, 24])
 def test_minimize_trial_temperatures_are_the_schedule_bitwise(monkeypatch, d):
     seen = []
@@ -548,6 +556,7 @@ def test_minimize_trial_temperatures_are_the_schedule_bitwise(monkeypatch, d):
         assert np.maximum(temps, _T_FLOOR).tobytes() == want.tobytes()
 
 
+@pytest.mark.usefixtures("serial")
 def test_the_default_schedule_reaches_the_temperature_ratio_at_the_budget(
         monkeypatch):
     seen = []
@@ -615,21 +624,14 @@ def _loop_case(d, keys, fixed, corner):
     return bounds, AnnealConfig(**keys)
 
 
-def _assert_same_run(got, want):
-    assert got.x.tobytes() == want.x.tobytes()
-    assert np.float64(got.cost).tobytes() == np.float64(want.cost).tobytes()
-    assert (got.trials, got.acceptances, got.exit_reason) == (
-        want.trials, want.acceptances, want.exit_reason)
-    assert got.trace.tobytes() == want.trace.tobytes()
-
-
+@pytest.mark.usefixtures("serial")
 @pytest.mark.parametrize("d, factory, keys, fixed, corner",
                          [c[1:] for c in LOOP_CASES], ids=[c[0] for c in LOOP_CASES])
 def test_minimize_matches_the_per_trial_loop_oracle_bitwise(d, factory, keys, fixed,
                                                             corner):
     bounds, cfg = _loop_case(d, keys, fixed, corner)
     got = minimize(factory(d), bounds, cfg)
-    _assert_same_run(got, oracle_minimize(factory(d), bounds, cfg))
+    assert_same_run(got, oracle_minimize(factory(d), bounds, cfg))
     # each case reaches what it is there for
     if factory is _descending:
         assert got.acceptances == got.trials == cfg.max_trials
@@ -639,14 +641,14 @@ def test_minimize_matches_the_per_trial_loop_oracle_bitwise(d, factory, keys, fi
         assert got.trials == cfg.max_trials and got.trials % B != 0
 
 
-# ------------------------------------------- trials costed in pairs (pure_cost)
+# ------------------------------------------------------ trials costed in pairs
 
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="the cost worker is forked where os.fork exists")
 
 
 def _paired(mp):
-    """Make minimize find two CPUs, so that a pure cost gets a worker, one
+    """Make minimize find two CPUs, so that it forks a cost worker, one
     whose replies are always waited for, so that neither the pairs nor the
     costs the worker gives depend on timing; the points sent to it, and the
     costs taken from it (each a kept trial), from now on."""
@@ -685,7 +687,7 @@ def _holes(p):
 
 
 HOT = {"c": 1.0, "accept_c": 1.0, "reanneal_interval": 40}
-# (id, D, pure cost, config keys, fixed dimension, x0 at the upper corner);
+# (id, D, cost, config keys, fixed dimension, x0 at the upper corner);
 # an accept_t0 of 1e30 accepts every trial, so a reanneal falls after trial
 # k * reanneal_interval and every pair is dropped
 PAIRED_CASES = [
@@ -712,8 +714,8 @@ def test_paired_trials_match_the_per_trial_loop_oracle_bitwise(monkeypatch, d, c
                                                                keys, fixed, corner):
     bounds, cfg = _loop_case(d, keys, fixed, corner)
     sent, kept = _paired(monkeypatch)
-    got = minimize(cost, bounds, cfg, pure_cost=True)
-    _assert_same_run(got, oracle_minimize(cost, bounds, cfg))
+    got = minimize(cost, bounds, cfg)
+    assert_same_run(got, oracle_minimize(cost, bounds, cfg))
     # each case reaches what it is there for
     assert sent
     if "accept_t0" in keys:
@@ -746,7 +748,7 @@ def test_a_cost_that_raises_on_one_candidate_raises_there_when_paired(monkeypatc
         with pytest.raises(ValueError, match=f"at trial {trial}"):
             oracle_minimize(raising, bounds, cfg)
         with pytest.raises(ValueError, match=f"at trial {trial}"):
-            minimize(raising, bounds, cfg, pure_cost=True)
+            minimize(raising, bounds, cfg)
     assert sum(any(np.array_equal(p, seen[COST_SAMPLES + t]) for p in sent)
                for t in (300, 301)) == 1
 
@@ -756,7 +758,7 @@ def test_a_dropped_trial_is_never_judged_even_when_its_cost_raised(monkeypatch):
     bounds, cfg = _loop_case(8, {"accept_t0": 1e30, "reanneal_interval": 37}, False,
                              False)
     sent, _ = _paired(monkeypatch)
-    want = minimize(_interior, bounds, cfg, pure_cost=True)
+    want = minimize(_interior, bounds, cfg)
     dropped = sent[len(sent) // 2]
 
     def raising(p):
@@ -764,8 +766,8 @@ def test_a_dropped_trial_is_never_judged_even_when_its_cost_raised(monkeypatch):
             raise ValueError("a dropped trial was costed here")
         return _interior(p)
 
-    _assert_same_run(minimize(raising, bounds, cfg, pure_cost=True), want)
-    _assert_same_run(want, oracle_minimize(_interior, bounds, cfg))
+    assert_same_run(minimize(raising, bounds, cfg), want)
+    assert_same_run(want, oracle_minimize(_interior, bounds, cfg))
 
 
 @needs_fork
@@ -783,8 +785,8 @@ def test_a_worker_that_exits_mid_run_leaves_the_rest_to_this_process(monkeypatch
         return _interior(p)
 
     sent, _ = _paired(monkeypatch)
-    got = minimize(dying, bounds, cfg, pure_cost=True)
-    _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
+    got = minimize(dying, bounds, cfg)
+    assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
     # pairs until the worker died (a whole run pairs about half its trials)
     assert 50 <= len(sent) < cfg.max_trials // 4
 
@@ -806,8 +808,8 @@ def test_a_worker_killed_before_it_reads_a_point_leaves_the_rest_to_this_process
         os.kill(self.pid, signal.SIGKILL)
 
     monkeypatch.setattr(anneal._CostWorker, "send", killing)
-    got = minimize(_interior, bounds, cfg, pure_cost=True)
-    _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
+    got = minimize(_interior, bounds, cfg)
+    assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
     assert len(sent) == 51
 
 
@@ -816,7 +818,7 @@ def test_a_paired_run_with_sigchld_ignored_gives_the_unpaired_run(monkeypatch):
     """Under SIGCHLD ignored the worker is reaped as it exits, and closing
     it finds no child to wait for."""
     bounds, cfg = _loop_case(8, {}, False, False)
-    want = minimize(_interior, bounds, cfg)
+    want = oracle_minimize(_interior, bounds, cfg)
     sent, _ = _paired(monkeypatch)
     pids, fork = [], os.fork
 
@@ -829,10 +831,10 @@ def test_a_paired_run_with_sigchld_ignored_gives_the_unpaired_run(monkeypatch):
     monkeypatch.setattr(anneal.os, "fork", counting)
     before = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        got = minimize(_interior, bounds, cfg, pure_cost=True)
+        got = minimize(_interior, bounds, cfg)
     finally:
         signal.signal(signal.SIGCHLD, before)
-    _assert_same_run(got, want)
+    assert_same_run(got, want)
     assert sent and len(pids) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(pids[0], os.WNOHANG)
@@ -856,8 +858,8 @@ def test_a_late_worker_is_taken_over_with_the_same_run(monkeypatch):
         return pairs[-1]
 
     monkeypatch.setattr(anneal._CostWorker, "ready", counting)
-    got = minimize(slow, bounds, cfg, pure_cost=True)
-    _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
+    got = minimize(slow, bounds, cfg)
+    assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
     # every reply is late, and no trial is paired until it has come
     assert 0 < pairs.count(True) < len(pairs) // 4
 
@@ -884,20 +886,16 @@ def test_a_run_that_drops_every_pair_never_fills_a_pipe(monkeypatch):
     before = signal.signal(signal.SIGALRM, stalled)
     signal.alarm(120)
     try:
-        got = minimize(_interior, bounds, cfg, pure_cost=True)
+        got = minimize(_interior, bounds, cfg)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, before)
     assert got.acceptances == got.trials == cfg.max_trials and sent
-    _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
-
-
-def _open_fds():
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+    assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
 
 
 @pytest.mark.parametrize("platform", ["one-cpu", "no-fork", "fork-fails", "threaded"])
-def test_a_pure_cost_without_a_worker_gives_the_same_run(monkeypatch, platform):
+def test_a_run_without_a_worker_gives_the_same_run(monkeypatch, platform):
     bounds, cfg = _loop_case(8, HOT, False, False)
     forks, fork = [], os.fork
 
@@ -921,13 +919,13 @@ def test_a_pure_cost_without_a_worker_gives_the_same_run(monkeypatch, platform):
     if platform == "threaded":
         other.start()
     try:
-        fds = _open_fds()
-        got = minimize(_interior, bounds, cfg, pure_cost=True)
+        fds = open_fds()
+        got = minimize(_interior, bounds, cfg)
     finally:
         done.set()
         if other.ident is not None:
             other.join(60.0)
     assert not other.is_alive()
-    _assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
+    assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
     assert forks == ([1] if platform == "fork-fails" else [])
-    assert _open_fds() == fds
+    assert open_fds() == fds

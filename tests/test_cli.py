@@ -942,13 +942,13 @@ def _indicators_case(tmp_path, *methods):
             "--out", str(tmp_path / "o")]
 
 
-def _eeg_fit_case(tmp_path, free, bounds):
+def _eeg_fit_case(tmp_path, free, bounds, edit=lambda d: None):
     net_path = tmp_path / "net.json"
     save_net(net_path, two_site_net())
     series = tmp_path / "series.csv"
     write_series_csv(series, np.random.default_rng(2).normal(size=(20, 2)),
                      ("Fz", "Cz"))
-    return ["eeg", "fit", str(net_path), str(series), "--config",
+    return ["eeg", "fit", _edited(net_path, edit), str(series), "--config",
             write_config(tmp_path, {"free": free, "bounds": bounds,
                                     "anneal": {"max_trials": 20}}),
             "--out", str(tmp_path / "o")]
@@ -1058,6 +1058,12 @@ INPUT_FAULTS = [
                                            "--n", "0", "--out", str(t / "o")]),
     ("--n must be >= 2, got 1", lambda t: ["risk", str(_two_channel_model(t)),
                                            "--n", "1", "--out", str(t / "o")]),
+    # columns whose excitatory source cannot be centered, whatever is free
+    ("excitatory-source centering term is zero", lambda t: _eeg_fit_case(
+        t, ["Fz.offset"], {"Fz.offset": [-1.0, 1.0]},
+        lambda d: d["columns"]["pol_mean"][0].__setitem__(0, 0.0))),
+    ("free parameter 'Fz.offset' is repeated", lambda t: _eeg_fit_case(
+        t, ["Fz.offset", "Fz.offset"], {"Fz.offset": [-1.0, 1.0]})),
 ]
 
 

@@ -17,9 +17,10 @@ from tailfolio.eeg import (ColumnParams, Coupling, ElectrodeSite, RegionNet,
 from tailfolio.errors import DegenerateData, OutOfDomain, SingularNet
 from tailfolio.rng import NormalStream
 
-from helpers import (centered_columns, conditional_logprob, delayed_afferents,
-                     drifts_diffusions, electrode_moments, p300_free_params,
-                     p300_net, threshold_factor, two_site_net)
+from helpers import (alone_and_paired, assert_same_run, centered_columns,
+                     conditional_logprob, delayed_afferents, drifts_diffusions,
+                     electrode_moments, p300_free_params, p300_net, threshold_factor,
+                     two_site_net)
 
 
 def hand_columns(**overrides) -> ColumnParams:
@@ -535,10 +536,6 @@ def test_the_firing_bound_is_its_first_form_bitwise(case):
     assert bound.tobytes() == oracle_firing_bound(cols, slopes[:, None]).tobytes()
 
 
-def _open_fds():
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"),
                     reason="the fit's cost worker is forked where os.fork exists")
 def test_fit_net_leaves_no_worker_behind_and_fits_the_same_with_one(monkeypatch):
@@ -549,46 +546,27 @@ def test_fit_net_leaves_no_worker_behind_and_fits_the_same_with_one(monkeypatch)
               "Cz.trough_slope": (0.1, 1.0), "Fz->Cz.weight": (0.0, 0.3)}
     template = apply_params(truth, {"Fz.offset": 0.0, "Cz.gain_e": 1.0,
                                     "Cz.trough_slope": 0.4, "Fz->Cz.weight": 0.1})
-    forks, fork = [], os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
     pins = []
     monkeypatch.setattr(os, "sched_setaffinity", lambda *args: pins.append(args),
                         raising=False)
-    fits = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(eeg.anneal, "fork_cpus", lambda *needs, cpus=cpus: cpus)
-        fds = _open_fds()
-        fits.append(fit_net(phi, template, keys, bounds,
-                            AnnealConfig(seed=5, max_trials=600), refine_calls=50))
-        assert _open_fds() == fds
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert len(forks) == cpus - 1
+    alone, paired = alone_and_paired(monkeypatch, lambda: fit_net(
+        phi, template, keys, bounds, AnnealConfig(seed=5, max_trials=600),
+        refine_calls=50))
     assert pins == []
-    alone, paired = fits
     assert (alone.net, alone.loglik, alone.clamp_fraction, alone.out_of_range) == (
         paired.net, paired.loglik, paired.clamp_fraction, paired.out_of_range)
-    a, b = alone.result, paired.result
-    assert a.x.tobytes() == b.x.tobytes()
-    assert np.float64(a.cost).tobytes() == np.float64(b.cost).tobytes()
-    assert (a.trials, a.acceptances, a.exit_reason) == (
-        b.trials, b.acceptances, b.exit_reason)
-    assert a.trace.tobytes() == b.trace.tobytes()
+    assert_same_run(paired.result, alone.result)
 
 
 def test_fit_net_error_parity(monkeypatch):
     net = two_site_net()
     phi = simulate(net, 50, seed=8)
     uncenterable = replace(net, columns=ColumnParams(pol_mean=((0.0, -0.1), (0.1, -0.1))))
-    with pytest.raises(OutOfDomain, match="initial point"):
+    with pytest.raises(SingularNet, match="centering term is zero"):
         fit_net(phi, uncenterable, free=["Fz.offset"], bounds={"Fz.offset": (0.0, 2.0)})
+    with pytest.raises(OutOfDomain, match="free parameter 'Fz.offset' is repeated"):
+        fit_net(phi, net, free=["Fz.offset", "Fz.offset"],
+                bounds={"Fz.offset": (0.0, 2.0)})
 
     def no_search(*args, **kwargs):
         raise AssertionError("cost evaluated before the keys were checked")
@@ -597,6 +575,9 @@ def test_fit_net_error_parity(monkeypatch):
     for key in ("Qz.offset", "Cz->Fz.weight"):
         with pytest.raises(OutOfDomain, match="unknown"):
             fit_net(phi, net, free=[key], bounds={key: (0.0, 1.0)})
+        # before the columns are centered
+        with pytest.raises(OutOfDomain, match="unknown"):
+            fit_net(phi, uncenterable, free=[key], bounds={key: (0.0, 1.0)})
     with pytest.raises(OutOfDomain, match="need at least 2 epochs"):
         fit_net(phi[:1], net, free=["Fz.offset"], bounds={"Fz.offset": (0.0, 2.0)})
 

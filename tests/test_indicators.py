@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from tailfolio.indicators import (MethodStream, fit_indicator_weights,
                                   indicator_report, stream_from_net)
 from tailfolio.marginals import sample, ExponentialMarginal
 
-from helpers import two_site_net
+from helpers import alone_and_paired, assert_same_run, two_site_net
 
 
 def make_streams(t=400, seed=0):
@@ -140,6 +142,17 @@ def test_fit_weights_short_run_on_an_informative_surface_is_not_flat():
                                          AnnealConfig(seed=4, max_trials=150))
     assert len(res.trace) // 2 < 200
     assert not flat
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="the cost worker is forked where os.fork exists")
+def test_fit_weights_are_the_same_on_one_cpu_and_on_two(monkeypatch):
+    train, holdout = _informative()
+    alone, paired = alone_and_paired(monkeypatch, lambda: fit_indicator_weights(
+        train, holdout, AnnealConfig(seed=4, max_trials=1500)))
+    assert alone[0].tobytes() == paired[0].tobytes()
+    assert alone[1] == paired[1]
+    assert_same_run(paired[2], alone[2])
 
 
 def test_fit_weights_prefers_informative_direction():

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 from unittest import mock
 
@@ -19,7 +20,7 @@ from tailfolio.risk import (ContractPortfolio, LinearPortfolio, RiskConfig,
                             q_analytic, q_empirical, returns_from_contracts,
                             risk_report)
 
-from helpers import oracle_contract_returns
+from helpers import alone_and_paired, assert_same_run, oracle_contract_returns
 
 
 def test_linear_returns_manual():
@@ -308,6 +309,30 @@ def test_optimize_positions_contract_template():
     assert opt.q == pytest.approx(q_empirical(dm, 0.05), rel=1e-12)
     with pytest.raises(OutOfDomain):
         optimize_positions(dx, object(), [(0.0, 1.0)])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="the cost worker is forked where os.fork exists")
+@pytest.mark.parametrize("template, box", [
+    (LinearPortfolio(weights=(0.0, 0.0), offsets=(0.0, 0.01)), (0.0, 5.0)),
+    (ContractPortfolio(counts=(0.0, 0.0), prices=(50.0, 40.0),
+                       entry_prices=(50.0, 41.0), cash=1000.0,
+                       prev_counts=(2.0, 0.0), slippage=0.01), (0.0, 40.0)),
+], ids=["linear", "contracts"])
+def test_optimize_positions_is_the_same_on_one_cpu_and_on_two(monkeypatch, template,
+                                                              box):
+    model = CopulaModel(marginals=(ExponentialMarginal(m=0.002, chi=0.01),
+                                   ExponentialMarginal(m=0.001, chi=0.012)),
+                        correlation=CorrelationMatrix.from_matrix(
+                            np.array([[1.0, 0.3], [0.3, 1.0]])))
+    dx = sample_events(model, 4000, seed=8)
+    alone, paired = alone_and_paired(monkeypatch, lambda: optimize_positions(
+        dx, template, [box] * 2, config=AnnealConfig(seed=2, max_trials=1500),
+        refine_calls=50))
+    assert alone.portfolio == paired.portfolio
+    assert (alone.objective_value, alone.q, alone.cost_q, alone.feasible) == (
+        paired.objective_value, paired.q, paired.cost_q, paired.feasible)
+    assert_same_run(paired.result, alone.result)
 
 
 class _Compiled(Exception):
