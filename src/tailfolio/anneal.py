@@ -1,17 +1,17 @@
 """Adaptive simulated annealing with per-parameter reannealing.
 
-Generation temperatures follow T_i(k_i) = T0 exp(-c k_i^(1/D)) where D is the
+Generation temperatures follow T_i(k_i) = exp(-c k_i^(1/D)) where D is the
 search dimension and each parameter carries its own annealing-time counter
 k_i. Candidate steps use the heavy-tailed generating law
 
     delta = sgn(u - 1/2) T [(1 + 1/T)^{|2u - 1|} - 1] * (hi - lo)
 
 whose occasional full-range jumps are what lets the schedule cool this fast.
-Out-of-bounds coordinates are re-drawn (up to a retry cap) and finally
-clamped, using uniforms in round-major order (see generate_candidate); that
-order, and computing the law and the generation temperatures with numpy's
-array power and exp (scalar math can differ in the last bit), are part of
-the byte contract. Acceptance is Metropolis on a separate temperature
+Out-of-bounds coordinates are re-drawn (up to REGEN_ATTEMPTS rounds) and
+finally clamped, using uniforms in round-major order (see
+generate_candidate); that order, and computing the law and the generation
+temperatures with numpy's array power and exp (scalar math can differ in
+the last bit), are part of the byte contract. Acceptance is Metropolis on a separate temperature
 annealed by the same law with its own counter that advances once per
 accepted point.
 
@@ -23,25 +23,25 @@ k += 1.0, and numpy's ufuncs give each element the bits they give it in a
 (D,) array, whatever the array's shape. A reanneal drops the block.
 
 The schedule is sized to the budget, as ASA's Temperature_Ratio_Scale and
-Temperature_Anneal_Scale do: unless set, c and accept_c are
--ln(TEMPERATURE_RATIO) max_trials^(-1/D), so a counter that reaches
+Temperature_Anneal_Scale do: the generation and acceptance constants c are
+both -ln(TEMPERATURE_RATIO) max_trials^(-1/D), so a counter that reaches
 max_trials has cooled its temperature to TEMPERATURE_RATIO (1e-8) of its
-start; an explicit c or accept_c overrides it.
-Before the first trial the cost is sampled at four points drawn uniformly
-from the box (ASA's Number_Cost_Samples). The mean absolute deviation of
-those costs and the cost at x0 is the cost scale (1 where it is 0): the
-acceptance temperature starts there unless accept_t0 is set, and the exit
-measures improvements in it. A spread is offset-invariant. Generation,
-acceptance and the cost samples each draw from their own UniformStream, so
-an uphill decision does not shift later candidates.
+start. Before the first trial the cost is sampled at four points drawn
+uniformly from the box (ASA's Number_Cost_Samples). The mean absolute
+deviation of those costs and the cost at x0 is the cost scale (1 where it
+is 0): the generation temperatures start at 1, the acceptance temperature
+starts at the cost scale, and the exit measures improvements in it. A
+spread is offset-invariant. Generation, acceptance and the cost samples
+each draw from their own UniformStream, so an uphill decision does not
+shift later candidates.
 
-Every reanneal interval (counted in acceptances) the parameter counters are
-rescaled from cost sensitivities at the best point (x, C) of that moment.
-As in ASA, each is a one-sided tangent, s_i = |C(x + h_i e_i) - C| / |h_i|,
-one evaluation per free parameter: h_i is sensitivity_step times the range,
+Every REANNEAL_INTERVAL acceptances the parameter counters are rescaled
+from cost sensitivities at the best point (x, C) of that moment. As in ASA,
+each is a one-sided tangent, s_i = |C(x + h_i e_i) - C| / |h_i|, one
+evaluation per free parameter: h_i is SENSITIVITY_STEP times the range,
 negated where x_i + h_i would pass the upper bound. Only cost differences
 enter, so a constant offset in the cost does not move them. The new k_i solves
-T_i(k_i) = T_i(old) * s_max/s_i, clamped to [1, k_max], so directions the
+T_i(k_i) = T_i(old) * s_max/s_i, clamped to [1, K_MAX], so directions the
 cost barely feels are re-heated relative to sensitive ones.
 
 The run stops at the trial budget (default 20000), or once max_trials // 10
@@ -90,15 +90,19 @@ GRAD_TOL = 1e-8      # local_refine's gradient tolerance, times 1 + |start cost|
 COST_SAMPLES = 4     # box points sampled for the cost scale, besides x0
 TEMPERATURE_RATIO = 1e-8    # final/initial temperature of the sized schedule
 TEMPERATURE_BLOCK = 64      # trials whose generation temperatures share one pass
+REANNEAL_INTERVAL = 100     # acceptances between sensitivity rescales
+K_MAX = 1e12                # the highest counter a reanneal sets
+REGEN_ATTEMPTS = 100        # rounds that redraw a candidate's out-of-bounds dims
+SENSITIVITY_STEP = 1e-4     # a reanneal probe's step, times the parameter's range
 _REPLY = struct.Struct("d")     # a cost worker's reply: the cost
 _SPIN = 0.002       # seconds a cost worker polls for a request before it sleeps
 _PATIENCE = 1.0     # a reply's wait, over the time worked since its request
 
 
-def temperature(k, t0=1.0, c=1.0, d: int = 1):
-    """Annealing schedule T(k) = t0 exp(-c k^(1/d))."""
+def temperature(k, c=1.0, d: int = 1):
+    """Annealing schedule T(k) = exp(-c k^(1/d))."""
     k = np.asarray(k, dtype=float)
-    out = t0 * np.exp(-c * k ** (1.0 / d))
+    out = np.exp(-c * k ** (1.0 / d))
     return float(out) if out.ndim == 0 else out
 
 
@@ -116,16 +120,8 @@ def _delta(u, t, base):
 class AnnealConfig:
     """Knobs for minimize(); defaults follow the protocol in the module doc."""
 
-    t0: float = 1.0
-    c: float | None = None             # default: sized to max_trials and D
-    accept_t0: float | None = None     # default: the cost scale
-    accept_c: float | None = None      # default: as c
-    reanneal_interval: int = 100       # acceptances between sensitivity rescales
     window_repeat_tol: float = 1e-6    # times the cost scale; negative: no exit
     max_trials: int = 20000
-    k_max: float = 1e12
-    regen_attempts: int = 100
-    sensitivity_step: float = 1e-4     # times parameter range
     seed: int = 0
     x0: np.ndarray | None = None
 
@@ -157,7 +153,7 @@ def _check_bounds(bounds):
 
 
 def generate_candidate(x, temps, lo, hi, uniforms: UniformStream,
-                       regen_attempts: int = 100, *, base) -> np.ndarray:
+                       regen_attempts: int = REGEN_ATTEMPTS, *, base) -> np.ndarray:
     """One candidate from the generating law, redrawing out-of-bounds dims.
 
     Uniforms are used round-major: round 0 draws every coordinate once, in
@@ -264,8 +260,11 @@ class _CostWorker:
 
     The worker spins up to _SPIN for a request before it sleeps, and this
     process spins for a reply, since waking a sleeping process can take
-    longer than a cost; so no wakeup leads the scheduler to put both on one
-    CPU, and pinning them measured as no faster. When other work holds the
+    longer than a cost. Spinning does not keep the two on separate CPUs: in
+    5 runs of a 259-trial linear optimize_positions anneal on two CPUs they
+    ran almost only on one, and 17 of 246 trials were paired, while the
+    benchmark's 2 s linear optimize spread over both. Pinning each to a CPU
+    of its own measured as no faster. When other work holds the
     worker's CPU, a reply can come milliseconds late: this process waits
     at most _PATIENCE times as long as it has worked since the request,
     then costs the point itself, and pairs no trial until the late reply
@@ -362,21 +361,12 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     free = rangev > 0.0
     inv_d = 1.0 / d
 
-    # the bounds of docs/schemas, all checked before anything is derived from
-    # them; NaN fails every one
-    for key, value in (("t0", cfg.t0), ("c", cfg.c), ("accept_c", cfg.accept_c),
-                       ("accept_t0", cfg.accept_t0)):
-        if value is not None and not 0.0 < value < math.inf:    # None: derived below
-            raise OutOfDomain(f"{key!r} must be positive and finite, got {value!r}")
+    # the bounds of docs/schemas, checked before anything is derived from them
     if math.isnan(cfg.window_repeat_tol):
         raise OutOfDomain(f"'window_repeat_tol' must be a number, "
                           f"got {cfg.window_repeat_tol!r}")
-    if not cfg.sensitivity_step > 0.0:
-        raise OutOfDomain(f"'sensitivity_step' must be positive, "
-                          f"got {cfg.sensitivity_step!r}")
-    for key in ("reanneal_interval", "max_trials", "regen_attempts", "k_max"):
-        if not getattr(cfg, key) >= 1:
-            raise OutOfDomain(f"{key!r} must be >= 1, got {getattr(cfg, key)!r}")
+    if not cfg.max_trials >= 1:
+        raise OutOfDomain(f"'max_trials' must be >= 1, got {cfg.max_trials!r}")
 
     x = 0.5 * (lo + hi) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
     if x.shape != (d,):
@@ -409,10 +399,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     spread = float(np.mean(np.abs(np.subtract(diffs, np.mean(diffs)))))
     scale = spread if 0.0 < spread < math.inf else 1.0
 
-    sized_c = -math.log(TEMPERATURE_RATIO) * cfg.max_trials ** -inv_d
-    c = sized_c if cfg.c is None else cfg.c
-    accept_c = sized_c if cfg.accept_c is None else cfg.accept_c
-    accept_t0 = scale if cfg.accept_t0 is None else cfg.accept_t0
+    c = -math.log(TEMPERATURE_RATIO) * cfg.max_trials ** -inv_d
 
     uniforms = UniformStream(cfg.seed, stream=0)
     accepts = UniformStream(cfg.seed, stream=1)
@@ -420,7 +407,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     k_acc = 0.0
     trials = 0
     acceptances = 0
-    next_reanneal = cfg.reanneal_interval
+    next_reanneal = REANNEAL_INTERVAL
     # the exit: a run of stall trials none of which lowered the best trial
     # cost by more than gain_tol; the first finite trial sets trial_best
     exit_on = cfg.window_repeat_tol >= 0.0
@@ -431,19 +418,19 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     exit_reason = "trial-limit"
 
     def acceptance_temperature():
-        return max(accept_t0 * math.exp(-accept_c * k_acc ** inv_d), _T_FLOOR)
+        return max(scale * math.exp(-c * k_acc ** inv_d), _T_FLOOR)
 
     def reanneal():
         sens = tangents(evaluate, best_x.copy(), best_f,
-                        cfg.sensitivity_step * rangev, lo, hi, free)
+                        SENSITIVITY_STEP * rangev, lo, hi, free)
         s_max = sens.max()
         if s_max <= 0.0:
             return
-        cur_t = temperature(np.maximum(k_gen, 0.0), cfg.t0, c, d)
+        cur_t = temperature(np.maximum(k_gen, 0.0), c, d)
         active = free & (sens > 0.0)
         t_new = cur_t[active] * (s_max / sens[active])
-        arg = np.maximum(np.log(cfg.t0 / np.maximum(t_new, _T_FLOOR)) / c, 0.0)
-        k_gen[active] = np.clip(arg ** d, 1.0, cfg.k_max)
+        arg = np.maximum(np.log(1.0 / np.maximum(t_new, _T_FLOOR)) / c, 0.0)
+        k_gen[active] = np.clip(arg ** d, 1.0, K_MAX)
 
     def judge(cand, fc) -> bool:
         """Book the next trial, candidate cand of cost fc, in trial order;
@@ -476,7 +463,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
                 # new block
                 k_gen, row = ks[row].copy(), rows
                 reanneal()
-                next_reanneal += cfg.reanneal_interval
+                next_reanneal += REANNEAL_INTERVAL
         if exit_on and trials - last_gain >= stall:
             exit_reason = "cost-repeat"
             return True
@@ -500,12 +487,12 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
                 ks = np.ones((rows + 1, d))
                 ks[0] = k_gen
                 np.add.accumulate(ks, axis=0, out=ks)
-                temps = np.maximum(temperature(ks[:rows], cfg.t0, c, d), _T_FLOOR)
+                temps = np.maximum(temperature(ks[:rows], c, d), _T_FLOOR)
                 bases = 1.0 / temps
                 bases += 1.0
                 k_gen, row = ks[rows], 0
             cand = generate_candidate(x, temps[row], lo, hi, uniforms,
-                                      cfg.regen_attempts, base=bases[row])
+                                      REGEN_ATTEMPTS, base=bases[row])
             # a pair: the block's next trial is made from the same x and
             # costed by the worker while this one is costed here; it is
             # judged only if this one leaves the chain where it was, and
@@ -514,7 +501,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
             if worker is not None and worker.ready() and row + 1 < rows:
                 mark = uniforms.tell()
                 spec = generate_candidate(x, temps[row + 1], lo, hi, uniforms,
-                                          cfg.regen_attempts, base=bases[row + 1])
+                                          REGEN_ATTEMPTS, base=bases[row + 1])
                 worker.send(spec)
             if judge(cand, evaluate(cand)):
                 if spec is not None:

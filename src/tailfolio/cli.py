@@ -85,8 +85,8 @@ def _fit_series(path, cfg):
 
 def cmd_fit_marginals(args) -> int:
     cfg = read_config(args.config)
-    out = ensure_out_dir(args.out)
     names, rows, marginals, entries = _fit_series(args.csv, cfg)
+    out = ensure_out_dir(args.out)
     model = CopulaModel(marginals=marginals,
                         correlation=CorrelationMatrix.from_matrix(entries),
                         channels=tuple(names))
@@ -177,7 +177,6 @@ def _template_of(cfg: dict, dim: int):
 
 def cmd_optimize(args) -> int:
     cfg = read_config(args.config)
-    out = ensure_out_dir(args.out)
     model = load_model(args.model)
     dim = len(model.channels)
     template = _template_of(cfg, dim)
@@ -188,10 +187,10 @@ def cmd_optimize(args) -> int:
     n = cfg.get("n", 10000)
     if n < 2:
         raise ParseError(f"'n' must be >= 2, got {n!r}")
+    risk = RiskConfig(**cfg.get("risk", {}))
+    out = ensure_out_dir(args.out)
     dx = sample_events(model, n, args.seed)
-    opt = optimize_positions(dx, template, bounds,
-                             RiskConfig(**cfg.get("risk", {})),
-                             _anneal_config(cfg, args.seed),
+    opt = optimize_positions(dx, template, bounds, risk, _anneal_config(cfg, args.seed),
                              **_present(cfg, "refine_calls"))
     if args.verbose:
         write_trace_csv(os.path.join(out, "trace_optimize.csv"), opt.result)
@@ -222,21 +221,23 @@ def _series_for_net(net, csv_path):
         raise ParseError(f"{csv_path}: columns {list(names)} do not match "
                          f"net sites {list(net.names)}")
     order = [names.index(n) for n in net.names]
-    return data[:, order]
+    # the checks every EEG path makes of a series, naming the CSV
+    with modelfile._naming(csv_path):
+        return eeg._series(net, data[:, order])
 
 
 def cmd_eeg(args) -> int:
     cfg = read_config(args.config)
-    out = ensure_out_dir(args.out)
     net = load_net(args.net)
     if args.mode == "simulate":
         phi = eeg.simulate(net, args.epochs, args.seed)
-        path = os.path.join(out, "series.csv")
+        path = os.path.join(ensure_out_dir(args.out), "series.csv")
         write_series_csv(path, phi, net.names, index_name="epoch")
         print(f"simulated {args.epochs} epochs x {len(net.names)} site(s)")
         print(f"wrote {path}")
         return EXIT_OK
     data = _series_for_net(net, args.series)
+    out = ensure_out_dir(args.out)
     if args.mode == "fit":
         free = cfg.get("free", ())
         fit = eeg.fit_net(data, net, free, cfg.get("bounds", {}),
@@ -275,7 +276,6 @@ def cmd_eeg(args) -> int:
 
 def cmd_indicators(args) -> int:
     cfg = read_config(args.config)
-    out = ensure_out_dir(args.out)
     methods = cfg.get("methods")
     if not methods or len(methods) < 2:
         raise ParseError("indicators config needs >= 2 'methods'")
@@ -299,6 +299,7 @@ def cmd_indicators(args) -> int:
             streams.append(indicators.stream_from_net(name, net, data))
         else:
             raise ParseError(f"unknown method kind {kind!r}")
+    out = ensure_out_dir(args.out)
     # the weight fit anneals at its own fixed seed unless the block sets one;
     # --seed does not reach it
     acfg = _anneal_config(cfg, indicators.WEIGHT_SEED,

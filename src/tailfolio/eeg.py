@@ -338,6 +338,10 @@ def _series(net: RegionNet, series, min_epochs: int = 0) -> np.ndarray:
         raise OutOfDomain("series must be (epochs, sites)")
     if phi.shape[0] < min_epochs:
         raise OutOfDomain(f"need at least {min_epochs} epochs")
+    if not np.isfinite(phi).all():
+        epoch, site = np.argwhere(~np.isfinite(phi))[0]
+        raise OutOfDomain(f"series values must be finite, got {phi[epoch, site]} "
+                          f"at epoch {epoch} of site {net.names[site]!r}")
     return phi
 
 

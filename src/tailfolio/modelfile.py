@@ -546,18 +546,9 @@ _dict = _plain((dict,), "a JSON object")
 _label = _plain((str, int, float), "a string or a number")
 
 
-def _number(v, finite=False) -> float:
-    """A JSON number as a float; with finite, not inf or NaN (JSON's 1e400
-    loads as inf)."""
-    name = "a finite number" if finite else "a number"
-    x = float(_plain((int, float), name)(v))
-    if finite and not np.isfinite(x):
-        raise TypeError(f"must be {name}, got {v!r}")
-    return x
-
-
-def _finite(v) -> float:
-    return _number(v, finite=True)
+def _number(v) -> float:
+    """A JSON number as a float; inf (JSON's 1e400) and NaN included."""
+    return float(_plain((int, float), "a number")(v))
 
 
 def _integer(v) -> int:
@@ -616,12 +607,9 @@ def _bounds(v):
 
 # One table per block of docs/schemas, in the schemas' key order.
 _PAIR, _NUMBERS = _array(_number, 2), _array(_number)
-_ANNEAL = _object({
-    "t0": _finite, "c": _finite, "accept_t0": _nullable(_finite), "accept_c": _finite,
-    "reanneal_interval": _integer, "window_repeat_tol": _number,
-    "max_trials": _integer, "k_max": _number, "regen_attempts": _integer,
-    "sensitivity_step": _number, "seed": _u64,
-    "x0": _nullable(_NUMBERS)}, "annealer option")
+_ANNEAL_CASTS = {"window_repeat_tol": _number, "max_trials": _integer, "seed": _u64,
+                "x0": _nullable(_NUMBERS)}
+_ANNEAL = _object(_ANNEAL_CASTS, "annealer option")
 _CONFIG = _object({
     "marginal_window": _nullable(_integer), "asymmetric": _boolean,
     "pre_average_window": _integer,

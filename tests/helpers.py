@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from tailfolio import anneal, eeg
-from tailfolio.anneal import (COST_SAMPLES, TEMPERATURE_RATIO, OptResult, _check_bounds,
-                              generate_candidate, tangents, temperature)
+from tailfolio.anneal import (COST_SAMPLES, OptResult, _check_bounds, generate_candidate,
+                              tangents, temperature)
 from tailfolio.errors import DegenerateData, OutOfDomain, SingularNet
 from tailfolio.rng import UniformStream
 
@@ -312,7 +312,8 @@ def oracle_generate_candidate(x, temps, lo, hi, uniforms, regen_attempts=100, **
 # generation temperatures computed afresh every trial from counters advanced
 # by += 1.0 and the candidate from oracle_generate_candidate. Kept frozen,
 # so that the blocked loop of minimize is held to it bit for bit. Configs
-# are assumed valid.
+# are assumed valid. The schedule constants are read from anneal at each
+# call, so that a value a test sets there reaches both loops.
 
 def oracle_minimize(cost, bounds, cfg):
     lo, hi = _check_bounds(bounds)
@@ -320,7 +321,6 @@ def oracle_minimize(cost, bounds, cfg):
     rangev = hi - lo
     free = rangev > 0.0
     inv_d = 1.0 / d
-    t0v = np.broadcast_to(np.asarray(cfg.t0, dtype=float), (d,)).copy()
     x = 0.5 * (lo + hi) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
     x = np.clip(x, lo, hi)
 
@@ -347,11 +347,8 @@ def oracle_minimize(cost, bounds, cfg):
     spread = float(np.mean(np.abs(np.subtract(diffs, np.mean(diffs)))))
     scale = spread if 0.0 < spread < math.inf else 1.0
 
-    sized_c = -math.log(TEMPERATURE_RATIO) * cfg.max_trials ** -inv_d
-    cv = np.broadcast_to(np.asarray(sized_c if cfg.c is None else cfg.c, dtype=float),
-                         (d,)).copy()
-    accept_c = sized_c if cfg.accept_c is None else cfg.accept_c
-    accept_t0 = scale if cfg.accept_t0 is None else cfg.accept_t0
+    sized_c = -math.log(anneal.TEMPERATURE_RATIO) * cfg.max_trials ** -inv_d
+    cv = np.full(d, sized_c)
 
     uniforms = UniformStream(cfg.seed, stream=0)
     accepts = UniformStream(cfg.seed, stream=1)
@@ -360,7 +357,7 @@ def oracle_minimize(cost, bounds, cfg):
     k_acc = 0.0
     trials = 0
     acceptances = 0
-    next_reanneal = cfg.reanneal_interval
+    next_reanneal = anneal.REANNEAL_INTERVAL
     exit_on = cfg.window_repeat_tol >= 0.0
     gain_tol = cfg.window_repeat_tol * scale
     stall = max(cfg.max_trials // 10, 1)
@@ -370,23 +367,23 @@ def oracle_minimize(cost, bounds, cfg):
 
     def reanneal():
         sens = tangents(evaluate, best_x.copy(), best_f,
-                        cfg.sensitivity_step * rangev, lo, hi, free)
+                        anneal.SENSITIVITY_STEP * rangev, lo, hi, free)
         s_max = sens.max()
         if s_max <= 0.0:
             return
-        cur_t = temperature(np.maximum(k_gen, 0.0), t0v, cv, d)
+        cur_t = temperature(np.maximum(k_gen, 0.0), cv, d)
         active = free & (sens > 0.0)
         t_new = cur_t[active] * (s_max / sens[active])
-        arg = np.maximum(np.log(t0v[active] / np.maximum(t_new, _T_FLOOR)) / cv[active], 0.0)
-        k_gen[active] = np.clip(arg ** d, 1.0, cfg.k_max)
+        arg = np.maximum(np.log(1.0 / np.maximum(t_new, _T_FLOOR)) / cv[active], 0.0)
+        k_gen[active] = np.clip(arg ** d, 1.0, anneal.K_MAX)
 
     while trials < cfg.max_trials:
         trials += 1
         temps = k_gen ** inv_d
         np.multiply(neg_c, temps, out=temps)
         np.exp(temps, out=temps)
-        np.multiply(t0v, temps, out=temps)
-        cand = oracle_generate_candidate(x, temps, lo, hi, uniforms, cfg.regen_attempts)
+        cand = oracle_generate_candidate(x, temps, lo, hi, uniforms,
+                                         anneal.REGEN_ATTEMPTS)
         fc = evaluate(cand)
         k_gen += 1.0
         if fc < trial_best:
@@ -394,7 +391,7 @@ def oracle_minimize(cost, bounds, cfg):
                 last_gain = trials
             trial_best = fc
 
-        t_acc = max(accept_t0 * math.exp(-accept_c * k_acc ** inv_d), _T_FLOOR)
+        t_acc = max(scale * math.exp(-sized_c * k_acc ** inv_d), _T_FLOOR)
         trace.append(fc)
         trace.append(t_acc)
 
@@ -410,7 +407,7 @@ def oracle_minimize(cost, bounds, cfg):
             k_acc += 1.0
             if acceptances >= next_reanneal:
                 reanneal()
-                next_reanneal += cfg.reanneal_interval
+                next_reanneal += anneal.REANNEAL_INTERVAL
         if exit_on and trials - last_gain >= stall:
             exit_reason = "cost-repeat"
             break

@@ -163,7 +163,7 @@ def test_05b_annealer_finds_the_shifted_rastrigin_minimum_the_polish_misses():
 
 def test_06_schedule_ordering():
     k = np.arange(1024, 1000001, dtype=float)
-    t_exp = temperature(k, t0=1.0, c=1.0, d=1)
+    t_exp = temperature(k, c=1.0, d=1)
     inv_k = 1.0 / k
     inv_log = 1.0 / np.log(k)
     ok = bool(np.all(t_exp < inv_k) and np.all(inv_k < inv_log))

@@ -25,15 +25,15 @@ from helpers import (assert_same_run, candidate, open_fds, oracle_generate_candi
 
 def test_temperature_closed_form():
     assert temperature(0.0) == 1.0
-    assert temperature(4.0, t0=2.0, c=0.5, d=2) == pytest.approx(2.0 * np.exp(-1.0))
+    assert temperature(4.0, c=0.5, d=2) == pytest.approx(np.exp(-1.0))
     k = np.array([1.0, 8.0, 27.0])
-    got = temperature(k, t0=3.0, c=2.0, d=3)
-    assert np.allclose(got, 3.0 * np.exp(-2.0 * np.array([1.0, 2.0, 3.0])))
+    got = temperature(k, c=2.0, d=3)
+    assert np.allclose(got, np.exp(-2.0 * np.array([1.0, 2.0, 3.0])))
 
 
 def test_temperature_beats_slow_schedules():
     k = np.arange(1024.0, 1e6, 997.0)
-    t_fast = temperature(k, t0=1.0, c=1.0, d=1)
+    t_fast = temperature(k, c=1.0, d=1)
     assert np.all(t_fast < 1.0 / k)
     assert np.all(t_fast < 1.0 / np.log(k))
 
@@ -104,20 +104,8 @@ def test_minimize_guards():
         minimize(lambda p: 0.0, [(1.0, 0.0)])
     with pytest.raises(OutOfDomain, match="bounds must be finite"):
         minimize(lambda p: 0.0, [(0.0, np.inf)])
-    with pytest.raises(OutOfDomain, match="'t0' must be positive and finite"):
-        minimize(lambda p: 0.0, [(0.0, 1.0)], AnnealConfig(t0=-1.0))
-    # an infinite t0 would make every candidate NaN and return the start point
-    for bad in ({"t0": np.inf}, {"t0": np.nan}, {"c": np.inf}, {"c": np.nan},
-                {"accept_t0": np.inf}, {"accept_t0": np.nan}, {"accept_c": np.inf},
-                {"accept_c": np.nan}):
-        with pytest.raises(OutOfDomain, match="finite"):
-            minimize(lambda p: 0.0, [(0.0, 1.0)] * 2, AnnealConfig(**bad))
-    # the schema's bounds on the other knobs; NaN fails each of them
-    for key, bad in (("reanneal_interval", 0), ("max_trials", 0),
-                     ("regen_attempts", 0), ("k_max", 0.5),
-                     ("k_max", np.nan), ("sensitivity_step", 0.0),
-                     ("sensitivity_step", np.nan), ("accept_t0", -1.0),
-                     ("accept_t0", 0.0), ("accept_c", 0.0), ("c", 0.0),
+    # the schema's bounds on the knobs; NaN fails each of them
+    for key, bad in (("max_trials", 0), ("max_trials", np.nan),
                      # a negative tolerance turns the exit off; NaN must not
                      ("window_repeat_tol", np.nan)):
         with pytest.raises(OutOfDomain, match=f"'{key}'"):
@@ -130,13 +118,13 @@ def test_minimize_guards():
         minimize(lambda p: np.nan, [(0.0, 1.0)])
 
 
-def test_minimize_reanneal_anisotropic():
+def test_minimize_reanneal_anisotropic(monkeypatch):
     # one stiff and one sloppy direction; reannealing should not break descent
     def f(p):
         return float(1e4 * (p[0] - 0.2) ** 2 + (p[1] + 0.4) ** 2)
 
-    res = minimize(f, [(-1.0, 1.0)] * 2,
-                   AnnealConfig(seed=6, max_trials=8000, reanneal_interval=50))
+    monkeypatch.setattr(anneal, "REANNEAL_INTERVAL", 50)
+    res = minimize(f, [(-1.0, 1.0)] * 2, AnnealConfig(seed=6, max_trials=8000))
     assert res.cost < 1e-2
     assert abs(res.x[0] - 0.2) < 1e-2
 
@@ -299,13 +287,13 @@ def test_search_skips_the_polish_at_the_sentinel():
 
 
 @pytest.mark.usefixtures("serial")
-def test_reanneal_probes_each_free_dimension_once():
+def test_reanneal_probes_each_free_dimension_once(monkeypatch):
     bounds = [(-1.0, 1.0), (0.4, 0.4), (-2.0, 1.0), (0.0, 3.0)]
     for interval in (10, 25):
         cost = _Counted(lambda p: float(np.sum((p - 0.3) ** 2) + np.sin(4.0 * p).sum()))
+        monkeypatch.setattr(anneal, "REANNEAL_INTERVAL", interval)
         # no convergence exit, so every multiple of the interval reanneals
         res = minimize(cost, bounds, AnnealConfig(seed=3, max_trials=1500,
-                                                  reanneal_interval=interval,
                                                   window_repeat_tol=-1.0))
         reanneals = res.acceptances // interval
         assert reanneals >= 5
@@ -337,28 +325,11 @@ def test_tangents_probe_one_side_and_skip_fixed_dimensions():
     assert sens[:3] == pytest.approx([1.0, 2.0, 4.0], rel=1e-9)
 
 
-def test_minimize_is_offset_invariant_with_explicit_accept_t0():
-    # costs on a 2^-20 grid plus an offset exact in binary: every cost
-    # difference the annealer takes is the same with and without it
-    def f(p):
-        return math.floor(float(np.sum((p - 0.3) ** 2) + np.sin(5.0 * p).sum())
-                          * 2.0 ** 20) / 2.0 ** 20
-
-    bounds = [(-1.0, 1.0)] * 4
-    for seed in (1, 2):
-        cfg = AnnealConfig(seed=seed, max_trials=4000, accept_t0=1.0,
-                           reanneal_interval=40)
-        a = minimize(f, bounds, cfg)
-        b = minimize(lambda p: f(p) + 1024.0, bounds, cfg)
-        assert np.array_equal(a.x, b.x)
-        assert (a.trials, a.acceptances, a.exit_reason) == (
-            b.trials, b.acceptances, b.exit_reason)
-        assert b.cost == a.cost + 1024.0
-
-
 def test_minimize_is_offset_invariant_with_the_default_config():
-    # the cost scale that sets accept_t0 and the exit's precision is a spread
-    # of cost differences, so the offset cancels in it too
+    # costs on a 2^-20 grid plus an offset exact in binary: every cost
+    # difference the annealer takes is the same with and without it; the
+    # cost scale that sets the acceptance temperature and the exit's
+    # precision is a spread of cost differences, so the offset cancels in it
     def f(p):
         return math.floor(float(np.sum((p - 0.3) ** 2) + np.sin(5.0 * p).sum())
                           * 2.0 ** 20) / 2.0 ** 20
@@ -515,14 +486,20 @@ def _interior(p):
                  + 0.1 * np.sin(5.0 * p).sum())
 
 
+# a hot chain: its temperatures fall only to 0.9 of their start over the
+# budget, and it reanneals every 40 acceptances
+HOT_RATIO = 0.9
+HOT = {"TEMPERATURE_RATIO": HOT_RATIO, "REANNEAL_INTERVAL": 40}
+
+
 @pytest.mark.parametrize("d, cost", [(8, _corner_linear), (24, _interior)])
 def test_minimize_matches_minimize_on_the_oracle_candidate(monkeypatch, d, cost):
     bounds = [(-1.0, 1.0)] * d
     bounds[1] = (0.25, 0.25)
-    # a hot chain (the schedule of c = accept_c = 1) on the whole budget, so
-    # that it reanneals
-    cfg = AnnealConfig(seed=d, max_trials=3000, reanneal_interval=40, c=1.0,
-                       accept_c=1.0, window_repeat_tol=-1.0)
+    # a hot chain on the whole budget, so that it reanneals
+    for key, value in HOT.items():
+        monkeypatch.setattr(anneal, key, value)
+    cfg = AnnealConfig(seed=d, max_trials=3000, window_repeat_tol=-1.0)
     res = minimize(cost, bounds, cfg)
     monkeypatch.setattr(anneal, "generate_candidate", oracle_generate_candidate)
     oracle = minimize(cost, bounds, cfg)
@@ -530,7 +507,7 @@ def test_minimize_matches_minimize_on_the_oracle_candidate(monkeypatch, d, cost)
     assert (res.cost, res.trials, res.acceptances, res.exit_reason) == (
         oracle.cost, oracle.trials, oracle.acceptances, oracle.exit_reason)
     assert res.trace.tobytes() == oracle.trace.tobytes()
-    assert res.acceptances >= 2 * cfg.reanneal_interval
+    assert res.acceptances >= 2 * anneal.REANNEAL_INTERVAL
 
 
 @pytest.mark.usefixtures("serial")
@@ -543,16 +520,18 @@ def test_minimize_trial_temperatures_are_the_schedule_bitwise(monkeypatch, d):
         return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts, **kw)
 
     monkeypatch.setattr(anneal, "generate_candidate", recording)
-    t0, c = 1.7, 0.45
+    # a schedule sized to a ratio other than the default's
+    monkeypatch.setattr(anneal, "TEMPERATURE_RATIO", 0.3)
     # no reanneal and no exit, so trial k runs at annealing time k in every
     # dimension, for every trial of three blocks and part of a fourth
+    monkeypatch.setattr(anneal, "REANNEAL_INTERVAL", 10 ** 6)
     trials = 3 * TEMPERATURE_BLOCK + 7
     minimize(_interior, [(-1.0, 1.0)] * d,
-             AnnealConfig(seed=1, max_trials=trials, t0=t0, c=c,
-                          reanneal_interval=10 ** 6, window_repeat_tol=-1.0))
+             AnnealConfig(seed=1, max_trials=trials, window_repeat_tol=-1.0))
+    c = -math.log(0.3) * trials ** -(1.0 / d)
     assert len(seen) == trials
     for k, temps in enumerate(seen):
-        want = np.maximum(temperature(np.full(d, float(k)), t0, c, d), _T_FLOOR)
+        want = np.maximum(temperature(np.full(d, float(k)), c, d), _T_FLOOR)
         assert np.maximum(temps, _T_FLOOR).tobytes() == want.tobytes()
 
 
@@ -566,16 +545,15 @@ def test_the_default_schedule_reaches_the_temperature_ratio_at_the_budget(
         return generate_candidate(x, temps, lo, hi, uniforms, regen_attempts, **kw)
 
     monkeypatch.setattr(anneal, "generate_candidate", recording)
+    monkeypatch.setattr(anneal, "REANNEAL_INTERVAL", 10 ** 6)
     d, trials = 3, 200
     res = minimize(_interior, [(-1.0, 1.0)] * d,
-                   AnnealConfig(seed=1, max_trials=trials, reanneal_interval=10 ** 6,
-                                window_repeat_tol=-1.0))
+                   AnnealConfig(seed=1, max_trials=trials, window_repeat_tol=-1.0))
     assert TEMPERATURE_RATIO == 1e-8
     c = -math.log(TEMPERATURE_RATIO) * trials ** (-1.0 / d)
-    assert temperature(trials, 1.0, c, d) == pytest.approx(TEMPERATURE_RATIO,
-                                                          rel=1e-12)
+    assert temperature(trials, c, d) == pytest.approx(TEMPERATURE_RATIO, rel=1e-12)
     for k, temps in enumerate(seen):
-        want = np.maximum(temperature(np.full(d, float(k)), 1.0, c, d), _T_FLOOR)
+        want = np.maximum(temperature(np.full(d, float(k)), c, d), _T_FLOOR)
         assert np.maximum(temps, _T_FLOOR).tobytes() == want.tobytes()
     # the acceptance temperature cools by the same law, one step per acceptance
     k_acc = np.concatenate([[0.0], np.cumsum(np.diff(res.trace[1::2]) != 0.0)])
@@ -585,7 +563,7 @@ def test_the_default_schedule_reaches_the_temperature_ratio_at_the_budget(
 
 def _descending(d):
     """A cost that every trial lowers, so that every trial is accepted and a
-    reanneal falls after trial k * reanneal_interval; the call count makes
+    reanneal falls after trial k * REANNEAL_INTERVAL; the call count makes
     the tangents differ by direction."""
     calls = [0]
 
@@ -597,39 +575,43 @@ def _descending(d):
 
 
 B = TEMPERATURE_BLOCK
-# (id, D, cost factory, config keys, fixed dimension, x0 at the upper corner)
+REGEN_ONCE = {"REGEN_ATTEMPTS": 1, "TEMPERATURE_RATIO": HOT_RATIO}
+# (id, D, cost factory, keys, fixed dimension, x0 at the upper corner)
 LOOP_CASES = [
-    *((f"hot-d{d}", d, lambda d: _interior, {"c": 1.0, "accept_c": 1.0,
-                                              "reanneal_interval": 40}, d > 2, False)
-      for d in (1, 2, 3, 8, 24)),
+    *((f"hot-d{d}", d, lambda d: _interior, HOT, d > 2, False) for d in (1, 2, 3, 8, 24)),
     ("default-d8", 8, lambda d: _interior, {}, False, False),
-    ("reanneal-on-block-edges", 3, _descending, {"reanneal_interval": B}, False, False),
-    ("reanneal-mid-block", 8, _descending, {"reanneal_interval": 37}, True, False),
-    ("reanneal-every-trial", 2, _descending, {"reanneal_interval": 1}, False, False),
-    ("regen-once-from-the-corner", 8, lambda d: _corner_linear,
-     {"regen_attempts": 1, "c": 1.0}, False, True),
+    ("reanneal-on-block-edges", 3, _descending, {"REANNEAL_INTERVAL": B}, False, False),
+    ("reanneal-mid-block", 8, _descending, {"REANNEAL_INTERVAL": 37}, True, False),
+    ("reanneal-every-trial", 2, _descending, {"REANNEAL_INTERVAL": 1}, False, False),
+    ("regen-once-from-the-corner", 8, lambda d: _corner_linear, REGEN_ONCE, False, True),
     ("exit-fires", 24, lambda d: _bowl, {"window_repeat_tol": 1e-6}, False, False),
 ]
 
 
-def _loop_case(d, keys, fixed, corner):
+def _loop_case(mp, d, keys, fixed, corner):
     """Bounds and config of a loop case: 15 blocks and 40 trials, no exit
-    unless keys turn it on."""
+    unless keys turn it on. An upper-case key sets that constant of anneal
+    (through mp, a pytest MonkeyPatch), any other one the config's field."""
     bounds = [(-1.0, 1.0)] * d
     if fixed:
         bounds[1] = (0.25, 0.25)
-    keys = {"seed": d, "max_trials": 15 * B + 40, "window_repeat_tol": -1.0, **keys}
+    fields = {"seed": d, "max_trials": 15 * B + 40, "window_repeat_tol": -1.0}
+    for key, value in keys.items():
+        if key.isupper():
+            mp.setattr(anneal, key, value)
+        else:
+            fields[key] = value
     if corner:
-        keys["x0"] = np.ones(d)
-    return bounds, AnnealConfig(**keys)
+        fields["x0"] = np.ones(d)
+    return bounds, AnnealConfig(**fields)
 
 
 @pytest.mark.usefixtures("serial")
 @pytest.mark.parametrize("d, factory, keys, fixed, corner",
                          [c[1:] for c in LOOP_CASES], ids=[c[0] for c in LOOP_CASES])
-def test_minimize_matches_the_per_trial_loop_oracle_bitwise(d, factory, keys, fixed,
-                                                            corner):
-    bounds, cfg = _loop_case(d, keys, fixed, corner)
+def test_minimize_matches_the_per_trial_loop_oracle_bitwise(monkeypatch, d, factory,
+                                                            keys, fixed, corner):
+    bounds, cfg = _loop_case(monkeypatch, d, keys, fixed, corner)
     got = minimize(factory(d), bounds, cfg)
     assert_same_run(got, oracle_minimize(factory(d), bounds, cfg))
     # each case reaches what it is there for
@@ -686,39 +668,36 @@ def _holes(p):
     return _interior(p)
 
 
-HOT = {"c": 1.0, "accept_c": 1.0, "reanneal_interval": 40}
-# (id, D, cost, config keys, fixed dimension, x0 at the upper corner);
-# an accept_t0 of 1e30 accepts every trial, so a reanneal falls after trial
-# k * reanneal_interval and every pair is dropped
+# (id, D, cost factory, keys, fixed dimension, x0 at the upper corner);
+# _descending accepts every trial, so a reanneal falls after trial
+# k * REANNEAL_INTERVAL and every pair is dropped
 PAIRED_CASES = [
-    ("hot-d1", 1, _interior, HOT, False, False),
-    ("hot-d8", 8, _interior, HOT, True, False),
-    ("hot-d24", 24, _interior, HOT, True, False),
-    ("default-d8", 8, _interior, {}, False, False),
-    ("default-d24", 24, _interior, {}, False, False),
-    ("reanneal-on-block-edges", 8, _interior,
-     {"accept_t0": 1e30, "reanneal_interval": B}, False, False),
-    ("reanneal-mid-block", 8, _interior,
-     {"accept_t0": 1e30, "reanneal_interval": 37}, True, False),
-    ("regen-once-from-the-corner", 8, _corner_linear,
-     {"regen_attempts": 1, "c": 1.0}, False, True),
-    ("exit-fires", 24, _bowl, {"window_repeat_tol": 1e-6}, False, False),
-    ("non-finite-costs", 8, _holes, {"c": 1.0}, False, False),
+    ("hot-d1", 1, lambda d: _interior, HOT, False, False),
+    ("hot-d8", 8, lambda d: _interior, HOT, True, False),
+    ("hot-d24", 24, lambda d: _interior, HOT, True, False),
+    ("default-d8", 8, lambda d: _interior, {}, False, False),
+    ("default-d24", 24, lambda d: _interior, {}, False, False),
+    ("reanneal-on-block-edges", 8, _descending, {"REANNEAL_INTERVAL": B}, False, False),
+    ("reanneal-mid-block", 8, _descending, {"REANNEAL_INTERVAL": 37}, True, False),
+    ("regen-once-from-the-corner", 8, lambda d: _corner_linear, REGEN_ONCE, False, True),
+    ("exit-fires", 24, lambda d: _bowl, {"window_repeat_tol": 1e-6}, False, False),
+    ("non-finite-costs", 8, lambda d: _holes, {"TEMPERATURE_RATIO": HOT_RATIO}, False, False),
 ]
 
 
 @needs_fork
-@pytest.mark.parametrize("d, cost, keys, fixed, corner",
+@pytest.mark.parametrize("d, factory, keys, fixed, corner",
                          [c[1:] for c in PAIRED_CASES], ids=[c[0] for c in PAIRED_CASES])
-def test_paired_trials_match_the_per_trial_loop_oracle_bitwise(monkeypatch, d, cost,
+def test_paired_trials_match_the_per_trial_loop_oracle_bitwise(monkeypatch, d, factory,
                                                                keys, fixed, corner):
-    bounds, cfg = _loop_case(d, keys, fixed, corner)
+    bounds, cfg = _loop_case(monkeypatch, d, keys, fixed, corner)
     sent, kept = _paired(monkeypatch)
+    cost = factory(d)
     got = minimize(cost, bounds, cfg)
-    assert_same_run(got, oracle_minimize(cost, bounds, cfg))
+    assert_same_run(got, oracle_minimize(factory(d), bounds, cfg))
     # each case reaches what it is there for
     assert sent
-    if "accept_t0" in keys:
+    if factory is _descending:
         assert got.acceptances == got.trials == cfg.max_trials and not kept
     elif not keys:
         assert len(kept) > got.trials // 3
@@ -731,8 +710,8 @@ def test_paired_trials_match_the_per_trial_loop_oracle_bitwise(monkeypatch, d, c
 @needs_fork
 def test_a_cost_that_raises_on_one_candidate_raises_there_when_paired(monkeypatch):
     d, bounds = 8, [(-1.0, 1.0)] * 8
-    cfg = AnnealConfig(seed=3, max_trials=1000, reanneal_interval=10 ** 6,
-                       window_repeat_tol=-1.0)
+    monkeypatch.setattr(anneal, "REANNEAL_INTERVAL", 10 ** 6)
+    cfg = AnnealConfig(seed=3, max_trials=1000, window_repeat_tol=-1.0)
     seen = []
     oracle_minimize(lambda p: seen.append(p.copy()) or _interior(p), bounds, cfg)
     sent, _ = _paired(monkeypatch)
@@ -755,24 +734,23 @@ def test_a_cost_that_raises_on_one_candidate_raises_there_when_paired(monkeypatc
 
 @needs_fork
 def test_a_dropped_trial_is_never_judged_even_when_its_cost_raised(monkeypatch):
-    bounds, cfg = _loop_case(8, {"accept_t0": 1e30, "reanneal_interval": 37}, False,
-                             False)
+    bounds, cfg = _loop_case(monkeypatch, 8, {"REANNEAL_INTERVAL": 37}, False, False)
     sent, _ = _paired(monkeypatch)
-    want = minimize(_interior, bounds, cfg)
-    dropped = sent[len(sent) // 2]
+    want = minimize(_descending(8), bounds, cfg)
+    dropped, cost = sent[len(sent) // 2], _descending(8)
 
     def raising(p):
         if np.array_equal(p, dropped):
             raise ValueError("a dropped trial was costed here")
-        return _interior(p)
+        return cost(p)
 
     assert_same_run(minimize(raising, bounds, cfg), want)
-    assert_same_run(want, oracle_minimize(_interior, bounds, cfg))
+    assert_same_run(want, oracle_minimize(_descending(8), bounds, cfg))
 
 
 @needs_fork
 def test_a_worker_that_exits_mid_run_leaves_the_rest_to_this_process(monkeypatch):
-    bounds, cfg = _loop_case(8, {}, False, False)
+    bounds, cfg = _loop_case(monkeypatch, 8, {}, False, False)
     parent, calls = os.getpid(), [0]
 
     def dying(p):
@@ -796,7 +774,7 @@ def test_a_worker_killed_before_it_reads_a_point_leaves_the_rest_to_this_process
         monkeypatch):
     """A socket whose peer closed with a request unread reads as reset, not
     as the end of the stream; the run goes on the same way either way."""
-    bounds, cfg = _loop_case(8, {}, False, False)
+    bounds, cfg = _loop_case(monkeypatch, 8, {}, False, False)
     sent, _ = _paired(monkeypatch)
     send = anneal._CostWorker.send
 
@@ -817,7 +795,7 @@ def test_a_worker_killed_before_it_reads_a_point_leaves_the_rest_to_this_process
 def test_a_paired_run_with_sigchld_ignored_gives_the_unpaired_run(monkeypatch):
     """Under SIGCHLD ignored the worker is reaped as it exits, and closing
     it finds no child to wait for."""
-    bounds, cfg = _loop_case(8, {}, False, False)
+    bounds, cfg = _loop_case(monkeypatch, 8, {}, False, False)
     want = oracle_minimize(_interior, bounds, cfg)
     sent, _ = _paired(monkeypatch)
     pids, fork = [], os.fork
@@ -842,7 +820,7 @@ def test_a_paired_run_with_sigchld_ignored_gives_the_unpaired_run(monkeypatch):
 
 @needs_fork
 def test_a_late_worker_is_taken_over_with_the_same_run(monkeypatch):
-    bounds, cfg = _loop_case(8, {}, False, False)
+    bounds, cfg = _loop_case(monkeypatch, 8, {}, False, False)
     parent = os.getpid()
 
     def slow(p):
@@ -870,8 +848,7 @@ def test_a_run_that_drops_every_pair_never_fills_a_pipe(monkeypatch):
     reply is read by no cost(); over 20 000 trials, replies left unread
     would fill the reply buffer, the worker would stop reading requests and
     both processes would wait on each other."""
-    bounds, cfg = _loop_case(24, {"accept_t0": 1e30, "max_trials": 20_000}, False,
-                             False)
+    bounds, cfg = _loop_case(monkeypatch, 24, {"max_trials": 20_000}, False, False)
     monkeypatch.setattr(anneal, "fork_cpus", lambda *needs: 2)
     sent, send = [], anneal._CostWorker.send
 
@@ -886,17 +863,17 @@ def test_a_run_that_drops_every_pair_never_fills_a_pipe(monkeypatch):
     before = signal.signal(signal.SIGALRM, stalled)
     signal.alarm(120)
     try:
-        got = minimize(_interior, bounds, cfg)
+        got = minimize(_descending(24), bounds, cfg)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, before)
     assert got.acceptances == got.trials == cfg.max_trials and sent
-    assert_same_run(got, oracle_minimize(_interior, bounds, cfg))
+    assert_same_run(got, oracle_minimize(_descending(24), bounds, cfg))
 
 
 @pytest.mark.parametrize("platform", ["one-cpu", "no-fork", "fork-fails", "threaded"])
 def test_a_run_without_a_worker_gives_the_same_run(monkeypatch, platform):
-    bounds, cfg = _loop_case(8, HOT, False, False)
+    bounds, cfg = _loop_case(monkeypatch, 8, HOT, False, False)
     forks, fork = [], os.fork
 
     def counting():

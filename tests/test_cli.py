@@ -518,9 +518,10 @@ def _weight_fit(tmp_path, monkeypatch, seed=0, **extra):
 
 def test_weight_fit_keeps_its_budget_under_an_unrelated_anneal_key(tmp_path,
                                                                     monkeypatch):
-    _, config, res = _weight_fit(tmp_path, monkeypatch, anneal={"k_max": 1e11})
+    _, config, res = _weight_fit(tmp_path, monkeypatch,
+                                 anneal={"window_repeat_tol": 1e-7})
     assert config.max_trials == 4000
-    assert config.k_max == 1e11
+    assert config.window_repeat_tol == 1e-7
     assert res.trials <= 4000
 
 
@@ -530,7 +531,8 @@ def test_weight_fit_is_seeded_by_its_block_not_the_seed_flag(tmp_path, monkeypat
     assert (config0.seed, config1.seed) == (7, 7)
     assert report0 == report1
     # an anneal block without a seed keeps the fit's own
-    _, config, _ = _weight_fit(tmp_path, monkeypatch, seed=1, anneal={"k_max": 1e11})
+    _, config, _ = _weight_fit(tmp_path, monkeypatch, seed=1,
+                               anneal={"window_repeat_tol": 1e-7})
     assert config.seed == 7
     report5, config, _ = _weight_fit(tmp_path, monkeypatch, seed=1, anneal={"seed": 5})
     assert config.seed == 5
@@ -775,16 +777,6 @@ def test_integral_config_values_keep_their_bytes(tmp_path):
         (tmp_path / "b" / "o" / "model.json").read_bytes()
 
 
-def test_optimize_rejects_an_infinite_anneal_t0(tmp_path, capsys):
-    # JSON 1e400 loads as inf; without the check every candidate is NaN
-    cfg = tmp_path / "inf.json"
-    cfg.write_text('{"bounds": [[0.0, 1.0]], "n": 10, "anneal": {"t0": 1e400}}\n')
-    code = cli.main(["optimize", make_model_json(tmp_path), "--config", str(cfg),
-                     "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "'t0' must be a finite number" in capsys.readouterr().err
-
-
 def test_optimize_rejects_a_nan_window_repeat_tol(tmp_path, capsys):
     # JSON's NaN literal loads and passes the number cast; without the check
     # the cost-repeat exit is silently off
@@ -954,6 +946,17 @@ def _eeg_fit_case(tmp_path, free, bounds, edit=lambda d: None):
             "--out", str(tmp_path / "o")]
 
 
+def _nonfinite_series_case(tmp_path, mode, free, cells):
+    """eeg fit or check of a series with a non-finite value at each (epoch,
+    site, value) of cells."""
+    argv = _eeg_fit_case(tmp_path, free, dict.fromkeys(free, [-1.0, 1.0]))
+    data = np.random.default_rng(2).normal(size=(20, 2))
+    for epoch, site, value in cells:
+        data[epoch, site] = value
+    write_series_csv(argv[3], data, ("Fz", "Cz"))
+    return ["eeg", mode, *argv[2:]]
+
+
 def _zero_efficacy(d):
     zero = [[0.0, 0.0], [0.0, 0.0]]
     d["columns"].update(gain=zero, background=zero, lr_gain=0.0, lr_background=0.0)
@@ -1064,6 +1067,13 @@ INPUT_FAULTS = [
         lambda d: d["columns"]["pol_mean"][0].__setitem__(0, 0.0))),
     ("free parameter 'Fz.offset' is repeated", lambda t: _eeg_fit_case(
         t, ["Fz.offset", "Fz.offset"], {"Fz.offset": [-1.0, 1.0]})),
+    # a series value that is not finite, named with the CSV
+    *((f"series.csv: series values must be finite, got {got} at epoch {at}",
+       lambda t, mode=mode, free=free, cells=cells: _nonfinite_series_case(
+           t, mode, free, cells))
+      for mode, free in (("check", []), ("fit", []), ("fit", ["Fz.offset"]))
+      for got, at, cells in (("nan", "3 of site 'Fz'", [(3, 0, math.nan), (7, 1, INF)]),
+                             ("inf", "5 of site 'Cz'", [(5, 1, INF)]))),
 ]
 
 
@@ -1097,7 +1107,7 @@ def test_errors_building_a_model_or_net_name_the_file(tmp_path, capsys, code, ca
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
-# every command, with inputs it runs on
+# every command, with inputs it runs on to its end
 OUT_CASES = [
     ("fit-marginals", _fit_marginals_case),
     ("sample", lambda t: _model_case(t, lambda d: None)),
@@ -1107,7 +1117,7 @@ OUT_CASES = [
     ("eeg-simulate", lambda t: _net_case(t, lambda d: None)),
     ("eeg-fit", lambda t: _eeg_fit_case(t, ["Fz.offset"], {"Fz.offset": [-1.0, 1.0]})),
     ("eeg-check", lambda t: ["eeg", "check", *_eeg_fit_case(t, [], {})[2:]]),
-    ("indicators", lambda t: _indicators_case(t, {}, {})),
+    ("indicators", lambda t: _indicators_case(t, {"column": "a"}, {"column": "b"})),
 ]
 
 
@@ -1143,9 +1153,6 @@ def test_an_out_that_cannot_be_made_exits_2_with_its_reason(tmp_path, capsys,
     assert err == f"error: --out {out}: Permission denied\n"
 
 
-# every command, with inputs it runs on to its end
-WRITING_CASES = {**dict(OUT_CASES), "indicators": lambda t: _indicators_case(
-    t, {"column": "a"}, {"column": "b"})}
 # every output a command writes: (command, output name, --verbose)
 OUTPUT_NAMES = [
     ("fit-marginals", "model.json", False),
@@ -1168,7 +1175,7 @@ OUTPUT_NAMES = [
                          ids=[f"{c}-{n}" for c, n, _ in OUTPUT_NAMES])
 def test_an_output_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, command,
                                                          name, verbose):
-    argv = WRITING_CASES[command](tmp_path)
+    argv = dict(OUT_CASES)[command](tmp_path)
     taken = Path(argv[argv.index("--out") + 1]) / name
     taken.mkdir(parents=True)
     assert cli.main([*argv, *["--verbose"] * verbose]) == 2
@@ -1390,15 +1397,26 @@ def test_sample_and_risk_keep_their_bytes_in_parts(tmp_path, threads):
     (["risk", "{model}", "--n", "1"], "--n must be >= 2, got 1"),
     (["risk", "{model}", "--weights", "1,2"], "--weights needs 8 value(s), got 2"),
     (["risk", "{model}", "--var", "-1"], "'var_level' must be > 0"),
+    (["fit-marginals", "{missing}"], "cannot read"),
+    (["optimize", "{missing}"], "cannot read"),
+    (["optimize", "{model}"], "optimize config needs 8 'bounds' pair(s), got 0"),
+    (["optimize", "{model}", "--config", "{risk}"], "'var_level' must be > 0"),
+    (["eeg", "simulate", "{missing}"], "cannot read"),
+    (["eeg", "simulate", "{net}", "--epochs", "0"], "epochs must be >= 1"),
+    (["eeg", "fit", "{net}", "{missing}"], "cannot read"),
+    (["eeg", "check", "{net}", "{missing}"], "cannot read"),
+    (["indicators"], "indicators config needs >= 2 'methods'"),
 ])
-def test_sample_and_risk_create_no_out_dir_when_they_refuse(tmp_path, capsys, args,
-                                                            message):
-    model = tmp_path / "model.json"
+def test_a_command_that_refuses_creates_no_out_dir(tmp_path, capsys, args, message):
+    model, net = tmp_path / "model.json", tmp_path / "net.json"
     save_model(model, CopulaModel(
         marginals=(ExponentialMarginal(m=0.0, chi=0.01),) * 8,
         correlation=CorrelationMatrix.from_matrix(np.eye(8))))
+    save_net(net, two_site_net())
+    risk = write_config(tmp_path, {"bounds": [[0.0, 1.0]] * 8, "risk": {"var_level": -1}})
     out = tmp_path / "out"
-    argv = [a.format(model=model, missing=tmp_path / "missing.json") for a in args]
+    argv = [a.format(model=model, net=net, risk=risk, missing=tmp_path / "missing.json")
+            for a in args]
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

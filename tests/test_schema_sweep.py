@@ -11,13 +11,13 @@ import copy
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from tailfolio import cli
+from tailfolio import cli, modelfile
 from tailfolio.anneal import AnnealConfig, minimize, search
 from tailfolio.copula import CopulaModel, CorrelationMatrix
 from tailfolio.eeg import ColumnParams, RegionNet, fit_net
@@ -160,6 +160,27 @@ def _out_of_bounds(node):
 
 
 ANNEAL = _schema("config.schema.json")["properties"]["anneal"]["properties"]
+
+
+def test_the_reader_the_config_type_and_the_schema_name_the_same_annealer_keys():
+    # a key the reader took but AnnealConfig lacked would fail AnnealConfig(**block)
+    # as an internal error
+    assert (set(modelfile._ANNEAL_CASTS) == {f.name for f in fields(AnnealConfig)}
+            == set(ANNEAL))
+
+
+# schedule settings that are constants of anneal, not keys of the anneal
+# block
+DELETED_ANNEAL_KEYS = ("t0", "c", "accept_t0", "accept_c", "reanneal_interval", "k_max",
+                       "regen_attempts", "sensitivity_step")
+
+
+@pytest.mark.parametrize("key", DELETED_ANNEAL_KEYS)
+def test_a_deleted_annealer_key_exits_2_naming_it(tmp_path, capsys, key):
+    argv = _optimize(tmp_path, anneal={"max_trials": 20, key: 1.0})
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert f"unknown annealer option(s): ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, bad", [(k, v) for k, node in ANNEAL.items()
