@@ -11,6 +11,7 @@ import copy
 import json
 import math
 import os
+import re
 from dataclasses import fields, replace
 
 import jsonschema
@@ -181,6 +182,20 @@ def test_a_deleted_annealer_key_exits_2_naming_it(tmp_path, capsys, key):
     assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert f"unknown annealer option(s): ['{key}']" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# every value the sweep once refused for these keys, by type or by bound: the
+# key is refused as unknown before its value is read, so no cast's message
+# stands in for it
+@pytest.mark.parametrize("key, value", [
+    pytest.param(k, v, id=f"{k}={v!r}") for k in DELETED_ANNEAL_KEYS
+    for v in (*WRONG, 0, math.nan)])
+def test_a_deleted_annealer_key_is_unknown_whatever_its_value(tmp_path, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"anneal": {"max_trials": 5, key: value}}))
+    with pytest.raises(ParseError, match=re.escape(f"unknown annealer option(s): "
+                                                   f"['{key}']")):
+        read_config(path)
 
 
 @pytest.mark.parametrize("key, bad", [(k, v) for k, node in ANNEAL.items()
