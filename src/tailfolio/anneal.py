@@ -362,9 +362,9 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     inv_d = 1.0 / d
 
     # the bounds of docs/schemas, checked before anything is derived from them
-    if math.isnan(cfg.window_repeat_tol):
-        raise OutOfDomain(f"'window_repeat_tol' must be a number, "
-                          f"got {cfg.window_repeat_tol!r}")
+    if not cfg.window_repeat_tol < math.inf:    # NaN too
+        raise OutOfDomain(f"'window_repeat_tol' must be finite, or negative to turn "
+                          f"the exit off, got {cfg.window_repeat_tol!r}")
     if not cfg.max_trials >= 1:
         raise OutOfDomain(f"'max_trials' must be >= 1, got {cfg.max_trials!r}")
 

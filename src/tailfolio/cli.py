@@ -28,9 +28,9 @@ from .copula import CopulaModel, CorrelationMatrix, correlation_in_place, to_gau
 from .errors import EngineError, IllConditioned, ParseError
 from .events import EventBatch, sample_events
 from .marginals import fit_channels
-from .modelfile import (ensure_out_dir, fmt, load_model, load_net, read_config,
-                        reduce_rows, save_json, save_model, save_net,
-                        write_bins_csv, write_series_csv, write_trace_csv)
+from .modelfile import (fmt, load_model, load_net, read_config, reduce_rows,
+                        save_json, save_model, save_net, write_bins_csv,
+                        write_series_csv, write_trace_csv)
 from .risk import (Q_TARGET, VAR_LEVEL, ContractPortfolio, LinearPortfolio,
                    RiskConfig, optimize_positions, portfolio_returns, risk_report)
 
@@ -86,15 +86,14 @@ def _fit_series(path, cfg):
 def cmd_fit_marginals(args) -> int:
     cfg = read_config(args.config)
     names, rows, marginals, entries = _fit_series(args.csv, cfg)
-    out = ensure_out_dir(args.out)
     model = CopulaModel(marginals=marginals,
                         correlation=CorrelationMatrix.from_matrix(entries),
                         channels=tuple(names))
-    save_model(os.path.join(out, "model.json"), model)
+    save_model(os.path.join(args.out, "model.json"), model)
     print(f"fitted {len(names)} channel(s) from {rows} rows")
     for name, mg in zip(names, marginals):
         print(f"  {name}: m={fmt(mg.m)} chi={fmt(mg.chi)}")
-    print(f"wrote {os.path.join(out, 'model.json')}")
+    print(f"wrote {os.path.join(args.out, 'model.json')}")
     return EXIT_OK
 
 
@@ -102,7 +101,7 @@ def cmd_sample(args) -> int:
     model = load_model(args.model)
     if args.n < 1:
         raise ParseError("--n must be >= 1")
-    path = os.path.join(ensure_out_dir(args.out), "events.csv")
+    path = os.path.join(args.out, "events.csv")
     # each part of the CSV makes the rows it formats; no table is held
     write_series_csv(path, EventBatch(model, args.n, args.seed), model.channels,
                      index_name="event_index")
@@ -143,19 +142,18 @@ def cmd_risk(args) -> int:
     if args.n < 2:
         raise ParseError(f"--n must be >= 2, got {args.n}")
     config = RiskConfig(var_level=args.var, q_target=args.q)
-    out = ensure_out_dir(args.out)
     dm = _streamed_returns(model, args.n, args.seed,
                            LinearPortfolio(weights=weights, offsets=(0.0,) * dim))
     report, dist = risk_report(dm, config)
-    save_json(os.path.join(out, "risk.json"),
+    save_json(os.path.join(args.out, "risk.json"),
               {"kind": "risk_report", **asdict(report), "weights": list(weights)})
-    write_bins_csv(os.path.join(out, "bins.csv"), dist)
+    write_bins_csv(os.path.join(args.out, "bins.csv"), dist)
     print(f"portfolio over {report.n} events: mean={fmt(report.mean)} "
           f"width={fmt(report.width)}")
     print(f"  q_analytic={fmt(report.q_analytic)} "
           f"q_empirical={fmt(report.q_empirical)}")
-    print(f"wrote {os.path.join(out, 'risk.json')} and "
-          f"{os.path.join(out, 'bins.csv')}")
+    print(f"wrote {os.path.join(args.out, 'risk.json')} and "
+          f"{os.path.join(args.out, 'bins.csv')}")
     return EXIT_OK
 
 
@@ -188,15 +186,14 @@ def cmd_optimize(args) -> int:
     if n < 2:
         raise ParseError(f"'n' must be >= 2, got {n!r}")
     risk = RiskConfig(**cfg.get("risk", {}))
-    out = ensure_out_dir(args.out)
     dx = sample_events(model, n, args.seed)
     opt = optimize_positions(dx, template, bounds, risk, _anneal_config(cfg, args.seed),
                              **_present(cfg, "refine_calls"))
     if args.verbose:
-        write_trace_csv(os.path.join(out, "trace_optimize.csv"), opt.result)
+        write_trace_csv(os.path.join(args.out, "trace_optimize.csv"), opt.result)
     values = (opt.portfolio.weights if isinstance(opt.portfolio, LinearPortfolio)
               else opt.portfolio.counts)
-    save_json(os.path.join(out, "positions.json"), {
+    save_json(os.path.join(args.out, "positions.json"), {
         "kind": "positions",
         "template": "linear" if isinstance(opt.portfolio, LinearPortfolio)
                     else "contracts",
@@ -207,7 +204,7 @@ def cmd_optimize(args) -> int:
     })
     print(f"optimized {dim} position(s) over {n} events: "
           f"objective={fmt(opt.objective_value)} q={fmt(opt.q)}")
-    print(f"wrote {os.path.join(out, 'positions.json')}")
+    print(f"wrote {os.path.join(args.out, 'positions.json')}")
     if not opt.feasible:
         print("error: tail constraint infeasible at the best point found",
               file=sys.stderr)
@@ -231,13 +228,12 @@ def cmd_eeg(args) -> int:
     net = load_net(args.net)
     if args.mode == "simulate":
         phi = eeg.simulate(net, args.epochs, args.seed)
-        path = os.path.join(ensure_out_dir(args.out), "series.csv")
+        path = os.path.join(args.out, "series.csv")
         write_series_csv(path, phi, net.names, index_name="epoch")
         print(f"simulated {args.epochs} epochs x {len(net.names)} site(s)")
         print(f"wrote {path}")
         return EXIT_OK
     data = _series_for_net(net, args.series)
-    out = ensure_out_dir(args.out)
     if args.mode == "fit":
         free = cfg.get("free", ())
         fit = eeg.fit_net(data, net, free, cfg.get("bounds", {}),
@@ -245,11 +241,11 @@ def cmd_eeg(args) -> int:
                           **_present(cfg, "penalty_weight", "refine_calls"))
         res = fit.result
         if args.verbose and res is not None:
-            write_trace_csv(os.path.join(out, "trace_fit.csv"), res)
+            write_trace_csv(os.path.join(args.out, "trace_fit.csv"), res)
         # the penalized cost the search minimized; -loglik when nothing is free
         final_cost = -fit.loglik if res is None else res.cost
-        save_net(os.path.join(out, "net.json"), fit.net)
-        save_json(os.path.join(out, "fit_report.json"), {
+        save_net(os.path.join(args.out, "net.json"), fit.net)
+        save_json(os.path.join(args.out, "fit_report.json"), {
             "kind": "fit_report",
             "loglik": fit.loglik,
             "clamp_fraction": fit.clamp_fraction,
@@ -259,18 +255,18 @@ def cmd_eeg(args) -> int:
             "exit_reason": None if res is None else res.exit_reason,
         })
         print(f"fitted {len(free)} parameter(s): final cost {fmt(final_cost)}")
-        print(f"wrote {os.path.join(out, 'net.json')} and "
-              f"{os.path.join(out, 'fit_report.json')}")
+        print(f"wrote {os.path.join(args.out, 'net.json')} and "
+              f"{os.path.join(args.out, 'fit_report.json')}")
         return EXIT_OK
     # check, the one mode left: argparse takes no other
     rows = eeg.centering_check(net, data)
-    save_json(os.path.join(out, "centering.json"),
+    save_json(os.path.join(args.out, "centering.json"),
               {"kind": "centering_report", "rows": rows})
     for row in rows:
         flag = " FLAGGED" if row["flagged"] else ""
         print(f"  {row['site']}: mean_e={fmt(row['mean_e'])} "
               f"rms_e={fmt(row['rms_e'])}{flag}")
-    print(f"wrote {os.path.join(out, 'centering.json')}")
+    print(f"wrote {os.path.join(args.out, 'centering.json')}")
     return EXIT_OK
 
 
@@ -299,7 +295,6 @@ def cmd_indicators(args) -> int:
             streams.append(indicators.stream_from_net(name, net, data))
         else:
             raise ParseError(f"unknown method kind {kind!r}")
-    out = ensure_out_dir(args.out)
     # the weight fit anneals at its own fixed seed unless the block sets one;
     # --seed does not reach it
     acfg = _anneal_config(cfg, indicators.WEIGHT_SEED,
@@ -308,12 +303,12 @@ def cmd_indicators(args) -> int:
         streams, weights=cfg.get("weights"), state_labels=cfg.get("state_labels"),
         config=acfg, **_present(cfg, "holdout_fraction", "fit_weights",
                                 "pre_average_window"))
-    save_json(os.path.join(out, "indicators.json"), report)
+    save_json(os.path.join(args.out, "indicators.json"), report)
     if model is not None:
-        save_model(os.path.join(out, "indicator_model.json"), model)
+        save_model(os.path.join(args.out, "indicator_model.json"), model)
     print(f"joined {len(streams)} stream(s) over {report['epochs']} epochs: "
           f"status {report['status']}")
-    print(f"wrote {os.path.join(out, 'indicators.json')}")
+    print(f"wrote {os.path.join(args.out, 'indicators.json')}")
     if report["status"] == "degenerate_pairing":
         print("error: duplicated indicator streams make the copula singular",
               file=sys.stderr)

@@ -3,7 +3,8 @@
 CSV dialect: comma separated, one header row, '.' decimal point, UTF-8,
 LF line endings, numbers printed with 17 significant digits. JSON files
 carry a "kind" tag; floats keep full precision through Python's shortest
-round-trip repr.
+round-trip repr. Every file is written whole or not at all: as a
+temporary beside it, which replaces it once written (_create).
 
 Config, model and net files are read against one key -> cast table per
 block of docs/schemas, with one cast per JSON type (number, integer,
@@ -77,15 +78,33 @@ def _numpy_to_json(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+@contextmanager
 def _create(path):
-    """path opened for UTF-8 text with LF line endings, created or emptied;
-    a ParseError naming path where it cannot be, as where it is a directory.
-    A write that fails once the file is open is not an input fault, and its
-    OSError stays."""
+    """A file for UTF-8 text with LF line endings that becomes path whole or
+    not at all: the temporary path.<pid>.tmp beside it, which replaces path
+    when the with block ends and is removed when the block raises. path's
+    directory is made first, with its parents; a ParseError names --out and
+    that directory where it cannot be, and path where it is a directory or
+    cannot be opened. A write that fails once the file is open is not an
+    input fault, and its OSError stays."""
+    folder, tmp = os.path.dirname(path) or ".", f"{path}.{os.getpid()}.tmp"
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        os.makedirs(folder, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"--out {folder}: {exc.strerror}") from exc
+    if os.path.isdir(path):
+        raise ParseError(f"cannot write {path}: Is a directory")
+    try:
+        fh = open(tmp, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_json(path, payload: dict) -> None:
@@ -195,8 +214,8 @@ def write_table(path, header, values, first_index=None) -> None:
     a repeated "%.17g,...\\n" row template. A large table is split into
     contiguous row ranges, of whole blocks for a table of blocks, each made
     where it is formatted: the first is written here and each other one by
-    a forked child into its own in-memory file, appended to path in order
-    once all are done; no other file is created. The part count never
+    a forked child into its own in-memory file, appended in order to path's
+    temporary (_create) once all are done. The part count never
     changes a byte; when a part fails, the table is made and written again
     from the start as one part.
     """
@@ -729,12 +748,3 @@ def read_config(path) -> dict:
     """A --config file's keys, each read to its schema type; {} for None."""
     return {} if path is None else _CONFIG(load_json(path))
 
-
-def ensure_out_dir(path) -> str:
-    """path, made a directory with its parents; a ParseError naming --out
-    and path where it cannot be one, as where it or a parent is a file."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ParseError(f"--out {path}: {exc.strerror}") from exc
-    return str(path)

@@ -106,10 +106,15 @@ def test_minimize_guards():
         minimize(lambda p: 0.0, [(0.0, np.inf)])
     # the schema's bounds on the knobs; NaN fails each of them
     for key, bad in (("max_trials", 0), ("max_trials", np.nan),
-                     # a negative tolerance turns the exit off; NaN must not
-                     ("window_repeat_tol", np.nan)):
+                     # a negative tolerance turns the exit off; NaN must not,
+                     # and +inf would end every run after max_trials // 10 trials
+                     ("window_repeat_tol", np.nan), ("window_repeat_tol", np.inf)):
         with pytest.raises(OutOfDomain, match=f"'{key}'"):
             minimize(lambda p: 0.0, [(0.0, 1.0)] * 2, AnnealConfig(**{key: bad}))
+    # -inf, as any negative tolerance, turns the exit off
+    res = minimize(lambda p: float(np.sum(p ** 2)), [(-1.0, 1.0)] * 3,
+                   AnnealConfig(seed=1, max_trials=300, window_repeat_tol=-np.inf))
+    assert res.trials == 300 and res.exit_reason == "trial-limit"
     # x0 must hold one value per bound, before any clipping could broadcast it
     for x0 in ([0.5], [0.1, 0.2, 0.3, 0.4], [[0.5, 0.5]]):
         with pytest.raises(OutOfDomain, match="x0"):

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import weakref
@@ -786,7 +787,8 @@ def test_optimize_rejects_a_nan_window_repeat_tol(tmp_path, capsys):
     code = cli.main(["optimize", make_model_json(tmp_path), "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "'window_repeat_tol' must be a number, got nan" in capsys.readouterr().err
+    assert ("'window_repeat_tol' must be finite, or negative to turn the exit off, "
+            "got nan") in capsys.readouterr().err
 
 
 def test_eeg_fit_on_one_epoch_exits_2(tmp_path, capsys):
@@ -832,8 +834,8 @@ def _edited(path, edit):
 def _optimize_case(tmp_path, **extra):
     cfg = write_config(tmp_path, {"bounds": [[0.0, 1.0]] * 2, "n": 10,
                                   "anneal": {"max_trials": 20}, **extra})
-    return ["optimize", str(_two_channel_model(tmp_path)), "--config", cfg,
-            "--out", str(tmp_path / "o")]
+    return ["optimize", str(_two_channel_model(tmp_path)), "--config",
+            _edited(Path(cfg), lambda d: None), "--out", str(tmp_path / "o")]
 
 
 def _net_case(tmp_path, edit):
@@ -1034,6 +1036,9 @@ INPUT_FAULTS = [
      lambda t: _model_case(t, lambda d: d["marginals"].pop())),
     ("'correlation' must be 2x2 for the channels, got 3x3",
      lambda t: _model_case(t, lambda d: d.update(correlation=np.eye(3).tolist()))),
+    # an infinite tolerance would end every anneal after a tenth of its trials
+    ("'window_repeat_tol' must be finite, or negative to turn the exit off, got inf",
+     lambda t: _optimize_case(t, anneal={"max_trials": 20, "window_repeat_tol": INF})),
     # a retired annealer key is an unknown one
     ("unknown annealer option(s): ['acceptance_window']", lambda t: _optimize_case(
         t, anneal={"max_trials": 20, "acceptance_window": 100})),
@@ -1406,6 +1411,16 @@ def test_sample_and_risk_keep_their_bytes_in_parts(tmp_path, threads):
     (["eeg", "fit", "{net}", "{missing}"], "cannot read"),
     (["eeg", "check", "{net}", "{missing}"], "cannot read"),
     (["indicators"], "indicators config needs >= 2 'methods'"),
+    # checks a fit or a search makes as it starts
+    (["eeg", "fit", "{net}", "{series}", "--config", "{twice}"],
+     "free parameter 'Fz.offset' is repeated"),
+    (["eeg", "fit", "{net}", "{series}", "--config", "{unbounded}"],
+     "missing bounds for parameter 'Fz.offset'"),
+    (["eeg", "fit", "{net}", "{series}", "--config", "{x0}"],
+     "'x0' needs one value per bound, got shape (2,)"),
+    (["eeg", "fit", "{net}", "{series}", "--config", "{penalty}"],
+     "'penalty_weight' must be >= 0, got -1.0"),
+    (["indicators", "--config", "{holdout}"], "holdout_fraction must be in (0, 1)"),
 ])
 def test_a_command_that_refuses_creates_no_out_dir(tmp_path, capsys, args, message):
     model, net = tmp_path / "model.json", tmp_path / "net.json"
@@ -1413,10 +1428,63 @@ def test_a_command_that_refuses_creates_no_out_dir(tmp_path, capsys, args, messa
         marginals=(ExponentialMarginal(m=0.0, chi=0.01),) * 8,
         correlation=CorrelationMatrix.from_matrix(np.eye(8))))
     save_net(net, two_site_net())
-    risk = write_config(tmp_path, {"bounds": [[0.0, 1.0]] * 8, "risk": {"var_level": -1}})
+    series = tmp_path / "series.csv"
+    write_series_csv(series, np.random.default_rng(2).normal(size=(20, 2)), ("Fz", "Cz"))
+    bounds = {"Fz.offset": [-1.0, 1.0]}
+    configs = {name: write_config(tmp_path, cfg, f"{name}.json") for name, cfg in {
+        "risk": {"bounds": [[0.0, 1.0]] * 8, "risk": {"var_level": -1}},
+        "twice": {"free": ["Fz.offset"] * 2, "bounds": bounds},
+        "unbounded": {"free": ["Fz.offset"]},
+        "x0": {"free": ["Fz.offset"], "bounds": bounds, "anneal": {"x0": [0.5, 0.5]}},
+        "penalty": {"free": ["Fz.offset"], "bounds": bounds, "penalty_weight": -1},
+        "holdout": {"methods": [{"name": "m0", "csv": str(series), "column": "Fz"},
+                                {"name": "m1", "csv": str(series), "column": "Cz"}],
+                    "holdout_fraction": 2.0},
+    }.items()}
     out = tmp_path / "out"
-    argv = [a.format(model=model, net=net, risk=risk, missing=tmp_path / "missing.json")
-            for a in args]
+    argv = [a.format(model=model, net=net, series=series, **configs,
+                     missing=tmp_path / "missing.json") for a in args]
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_missing_nested_out_is_made_and_a_rerun_keeps_its_bytes(tmp_path):
+    model, out = make_model_json(tmp_path), tmp_path / "a" / "b"
+    runs = []
+    for _ in range(2):
+        assert cli.main(["sample", model, "--n", "50", "--out", str(out)]) == 0
+        assert os.listdir(out) == ["events.csv"]
+        runs.append((out / "events.csv").read_bytes())
+    assert runs[0] == runs[1]
+
+
+def _file_size_limit():
+    """In a child before it runs Python: writes past 1 MB fail with EFBIG,
+    rather than ending the child with SIGXFSZ."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no SIGXFSZ")
+@pytest.mark.parametrize("one_part", [False, True], ids=["in-parts", "one-part"])
+def test_a_write_that_fails_partway_leaves_no_file(tmp_path, one_part):
+    """sample writes an 18 MB events.csv under a 1 MB file size limit: the
+    write fails once the file is open, in parts where this machine has more
+    than one CPU, and again as one part; exit 10, with neither events.csv
+    nor its temporary left in --out."""
+    model, out = tmp_path / "model.json", tmp_path / "out"
+    save_model(model, CopulaModel(
+        marginals=(ExponentialMarginal(m=0.0, chi=0.01),) * 8,
+        correlation=CorrelationMatrix.from_matrix(np.eye(8))))
+    script = ("import sys; from tailfolio import cli, modelfile; "
+              + "modelfile._PART_VALUES = 1 << 62; " * one_part
+              + "sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "sample", str(model), "--n", "100000",
+         "--out", str(out)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC}, preexec_fn=_file_size_limit)
+    assert proc.returncode == 10, proc.stderr
+    assert "File too large" in proc.stderr
+    assert os.listdir(out) == []

@@ -712,20 +712,58 @@ def test_only_a_split_write_makes_part_files(tmp_path, monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize("path_of", [lambda d: d, lambda d: d / "missing" / "t.csv"],
-                         ids=["a-directory", "under-a-missing-directory"])
+@pytest.mark.parametrize("under", [False, True], ids=["a-directory", "under-a-file"])
 def test_a_table_path_that_cannot_be_made_fails_before_its_parts(tmp_path, monkeypatch,
-                                                                path_of):
-    """A path that cannot be opened for writing is an input fault: a
-    ParseError naming it, before any part runs and without the redo as one
-    part."""
+                                                                under):
+    """A path that cannot be opened for writing, or whose directory cannot
+    be made, is an input fault: a ParseError naming it, or --out and the
+    directory, before any part runs and without the redo as one part."""
     split_into(monkeypatch, 4)
     runs, pids = counted_runs(monkeypatch), counted_forks(monkeypatch)
-    (tmp_path / "t.csv").mkdir()
-    path = path_of(tmp_path / "t.csv")
-    with pytest.raises(ParseError, match=f"^cannot write {re.escape(str(path))}: "):
+    taken = tmp_path / "t.csv"
+    if under:
+        taken.write_text("kept\n")
+    else:
+        taken.mkdir()
+    path = taken / "t.csv" if under else taken
+    named = f"--out {taken}" if under else f"cannot write {path}"
+    with pytest.raises(ParseError, match=f"^{re.escape(named)}: "):
         write_table(path, ("x", "y"), np.ones((400, 2)))
     assert runs == [] and pids == []
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_a_json_file_that_fails_while_written_leaves_no_file(tmp_path):
+    """json.dump raises partway through, once '{"x": ' is written: neither
+    the file nor its temporary is left, and a file written before is kept."""
+    path = tmp_path / "x.json"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_json(path, {"x": object()})
+    assert os.listdir(tmp_path) == []
+    save_json(path, {"x": 1})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_json(path, {"x": object()})
+    assert os.listdir(tmp_path) == ["x.json"] and load_json(path) == {"x": 1}
+
+
+@needs_fork
+def test_a_table_whose_block_fails_leaves_no_file(tmp_path, monkeypatch):
+    """A block that raises in a forked part fails the split, and again in
+    the redo as one part, whose error stays: no table, and no temporary."""
+    batch = _split_batch(monkeypatch)[0]
+    runs, real = counted_runs(monkeypatch), batch.blocks
+
+    def blocks(first, last):
+        for k, block in enumerate(real(first, last), first):
+            if k == 6:
+                raise ValueError("block 6 failed")
+            yield block
+
+    batch.blocks = blocks
+    with pytest.raises(ValueError, match="block 6 failed"):
+        _write_read_reduce(batch, tmp_path / "t.csv")
+    assert runs == [[4, False], [1, False]]
+    assert os.listdir(tmp_path) == []
 
 
 def test_a_table_is_one_part_without_memfd_create(tmp_path, monkeypatch):
@@ -1141,11 +1179,3 @@ def test_anneal_block_reads_to_an_anneal_config(tmp_path):
             _anneal_block(tmp_path, {"seed": seed})
     assert _anneal_block(tmp_path, {"seed": 2 ** 64 - 1}).seed == 2 ** 64 - 1
 
-
-def test_ensure_out_dir(tmp_path):
-    target = tmp_path / "a" / "b"
-    got = modelfile.ensure_out_dir(target)
-    assert got == str(target)
-    assert target.is_dir()
-    # second call is a no-op
-    assert modelfile.ensure_out_dir(target) == str(target)
