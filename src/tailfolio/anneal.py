@@ -52,7 +52,7 @@ toward that exit, measured from the first trial, so a start point better
 than every trial does not end the run; x0, the samples and reanneal probes
 still update the returned best.
 
-Where fork_cpus finds a second CPU, a forked worker costs the block's
+Where forks.fork_cpus finds a second CPU, a forked worker costs the block's
 next trial, made from the same point, while this process costs the
 current one, as ASA_PARALLEL does; so the cost must be a pure function of
 the point (minimize). A cold chain rejects most
@@ -71,10 +71,8 @@ from __future__ import annotations
 import math
 import os
 import select
-import signal
 import socket
 import struct
-import threading
 import time
 from array import array
 from dataclasses import dataclass, field, replace
@@ -82,6 +80,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import OutOfDomain
+from .forks import fork_child, fork_cpus, reap
 from .rng import UniformStream
 
 _T_FLOOR = 1e-300
@@ -198,43 +197,6 @@ def tangents(cost, x, fx, step, lo, hi, free) -> np.ndarray:
     return sens
 
 
-def fork_cpus(*needs: str) -> int:
-    """CPUs this process may run on, for work split across os.fork children;
-    1 where os.fork, os.sched_getaffinity or an os function named in needs
-    is missing (Windows, macOS), and while another Python thread runs: fork
-    copies only the calling thread, so a lock another thread held would stay
-    held in the child."""
-    if threading.active_count() > 1 or not all(
-            hasattr(os, name) for name in ("fork", "sched_getaffinity", *needs)):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def fork_child(work) -> int:
-    """Fork a child that runs work() and leaves through os._exit however
-    work ends, so that it never unwinds into the caller's frames, runs
-    atexit handlers or flushes the parent's buffers; the child's pid."""
-    pid = os.fork()
-    if pid == 0:
-        try:
-            work()
-        finally:
-            os._exit(0)
-    return pid
-
-
-def reap(pids, kill=False) -> None:
-    """Wait for every child in pids, killing each first when kill is set;
-    one already gone, as under SIGCHLD ignored, is passed over."""
-    for pid in pids:
-        try:
-            if kill:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ChildProcessError, ProcessLookupError):
-            pass
-
-
 def _poll(sock, until: float) -> bool:
     """Whether sock has data by perf_counter time until; spins, so that a
     process whose peer answers within microseconds is never put to sleep."""
@@ -254,7 +216,7 @@ class _CostWorker:
     itself, so that the same exception is raised at the same trial. At most
     one request is owed a reply: no point is sent while the reply to the
     last one, a dropped or taken-over trial's, is still to come, so neither
-    direction ever holds more than one message. The child (fork_child)
+    direction ever holds more than one message. The child (forks.fork_child)
     serves until its end of the pair closes or fails, and close() reaps it
     (reap). Once the pair fails here the worker is gone.
 
@@ -365,8 +327,10 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     if not cfg.window_repeat_tol < math.inf:    # NaN too
         raise OutOfDomain(f"'window_repeat_tol' must be finite, or negative to turn "
                           f"the exit off, got {cfg.window_repeat_tol!r}")
-    if not cfg.max_trials >= 1:
-        raise OutOfDomain(f"'max_trials' must be >= 1, got {cfg.max_trials!r}")
+    # an integral float counts as its int, as the config reader reads 2000.0
+    if not (cfg.max_trials >= 1 and cfg.max_trials % 1 == 0):     # NaN and inf too
+        raise OutOfDomain(f"'max_trials' must be an integer >= 1, got {cfg.max_trials!r}")
+    max_trials = int(cfg.max_trials)
 
     x = 0.5 * (lo + hi) if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
     if x.shape != (d,):
@@ -399,7 +363,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     spread = float(np.mean(np.abs(np.subtract(diffs, np.mean(diffs)))))
     scale = spread if 0.0 < spread < math.inf else 1.0
 
-    c = -math.log(TEMPERATURE_RATIO) * cfg.max_trials ** -inv_d
+    c = -math.log(TEMPERATURE_RATIO) * max_trials ** -inv_d
 
     uniforms = UniformStream(cfg.seed, stream=0)
     accepts = UniformStream(cfg.seed, stream=1)
@@ -412,7 +376,7 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
     # cost by more than gain_tol; the first finite trial sets trial_best
     exit_on = cfg.window_repeat_tol >= 0.0
     gain_tol = cfg.window_repeat_tol * scale
-    stall = max(cfg.max_trials // 10, 1)
+    stall = max(max_trials // 10, 1)
     trial_best, last_gain = math.inf, 0
     trace = array("d")
     exit_reason = "trial-limit"
@@ -478,12 +442,12 @@ def minimize(cost, bounds, config: AnnealConfig | None = None) -> OptResult:
         except OSError:     # no fork: the trials are costed one by one
             pass
     try:
-        while trials < cfg.max_trials and exit_reason == "trial-limit":
+        while trials < max_trials and exit_reason == "trial-limit":
             if row == rows:
                 # the block's rows are k_gen and k_gen + 1.0, + 1.0, ...:
                 # trial row j runs at counters ks[j], and ks[rows] follows
                 # the block
-                rows = min(TEMPERATURE_BLOCK, cfg.max_trials - trials)
+                rows = min(TEMPERATURE_BLOCK, max_trials - trials)
                 ks = np.ones((rows + 1, d))
                 ks[0] = k_gen
                 np.add.accumulate(ks, axis=0, out=ks)
@@ -562,11 +526,12 @@ def search(cost, bounds, config: AnnealConfig | None = None,
     and trials counts the anneal's trials plus the polish's cost calls;
     acceptances, exit_reason and trace stay the anneal's. When
     refine_calls is 0 or the annealed cost is not below SENTINEL, the polish
-    is skipped and the anneal's result is returned unchanged; a negative or
-    NaN refine_calls raises OutOfDomain. cost must be pure, as minimize's.
+    is skipped and the anneal's result is returned unchanged; a negative,
+    infinite or NaN refine_calls raises OutOfDomain. cost must be pure, as
+    minimize's.
     """
-    if not refine_calls >= 0:   # NaN fails too
-        raise OutOfDomain(f"'refine_calls' must be >= 0, got {refine_calls!r}")
+    if not 0 <= refine_calls < math.inf:     # NaN fails too
+        raise OutOfDomain(f"'refine_calls' must be finite and >= 0, got {refine_calls!r}")
     res = minimize(cost, bounds, config)
     if refine_calls <= 0 or res.cost >= SENTINEL:
         return res

@@ -9,6 +9,10 @@ Every command is deterministic given (inputs, config, seed); reruns write
 byte-identical files. Exit codes: 0 success, 2 input or config parse,
 3 degenerate data, 4 ill-conditioned correlation, 5 infeasible constraint,
 10 internal failure.
+
+Importing this module loads no layer beyond modelfile and errors: each
+command imports the layers it runs where it first calls them, so that a
+command which never anneals, say, never loads the annealer.
 """
 
 from __future__ import annotations
@@ -17,22 +21,20 @@ import argparse
 import os
 import sys
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 # a table is read as modelfile.read_table, looked up at each call, so that
 # a wrapper set on it (bench/trace_child.py) sees every read
-from . import eeg, indicators, modelfile
-from .anneal import AnnealConfig
-from .copula import CopulaModel, CorrelationMatrix, correlation_in_place, to_gaussian
+from . import modelfile
 from .errors import EngineError, IllConditioned, ParseError
-from .events import EventBatch, sample_events
-from .marginals import fit_channels
 from .modelfile import (fmt, load_model, load_net, read_config, reduce_rows,
                         save_json, save_model, save_net, write_bins_csv,
                         write_series_csv, write_trace_csv)
-from .risk import (Q_TARGET, VAR_LEVEL, ContractPortfolio, LinearPortfolio,
-                   RiskConfig, optimize_positions, portfolio_returns, risk_report)
+
+if TYPE_CHECKING:
+    from .anneal import AnnealConfig
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 5
@@ -53,6 +55,7 @@ def _present(cfg: dict, *keys) -> dict:
 def _anneal_config(cfg: dict, seed: int, **defaults) -> AnnealConfig:
     """The config's anneal block laid over the caller's defaults (else
     AnnealConfig's), seeded by seed unless the block sets its own."""
+    from .anneal import AnnealConfig
     return AnnealConfig(**{"seed": seed, **defaults, **cfg.get("anneal", {})})
 
 
@@ -63,6 +66,8 @@ def _fit_series(path, cfg):
     entries (copula.correlation_in_place) of the series CSV at path. No
     reference to the table outlives this call, so it is freed before the
     caller factors the correlation, the refit's first scipy.linalg call."""
+    from .copula import correlation_in_place, to_gaussian
+    from .marginals import fit_channels
     names, data = modelfile.read_table(path)
     if not names:
         raise ParseError(f"{path}: no channel column beside the index")
@@ -84,6 +89,7 @@ def _fit_series(path, cfg):
 
 
 def cmd_fit_marginals(args) -> int:
+    from .copula import CopulaModel, CorrelationMatrix
     cfg = read_config(args.config)
     names, rows, marginals, entries = _fit_series(args.csv, cfg)
     model = CopulaModel(marginals=marginals,
@@ -98,6 +104,7 @@ def cmd_fit_marginals(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .events import EventBatch
     model = load_model(args.model)
     if args.n < 1:
         raise ParseError("--n must be >= 1")
@@ -131,17 +138,20 @@ def _streamed_returns(model, n, seed, portfolio) -> np.ndarray:
     product on one BLAS thread, on any thread count (see
     risk.portfolio_returns); on two threads such a product differs in a
     few rows' last bits for n off the 8-row grid."""
+    from .events import EventBatch
+    from .risk import portfolio_returns
     return reduce_rows(EventBatch(model, n, seed),
                        lambda rows: portfolio_returns(rows, portfolio))
 
 
 def cmd_risk(args) -> int:
+    from .risk import LinearPortfolio, RiskConfig, risk_report
     model = load_model(args.model)
     dim = len(model.channels)
     weights = _parse_weights(args.weights, dim)
     if args.n < 2:
         raise ParseError(f"--n must be >= 2, got {args.n}")
-    config = RiskConfig(var_level=args.var, q_target=args.q)
+    config = RiskConfig(**_present(vars(args), "var_level", "q_target"))
     dm = _streamed_returns(model, args.n, args.seed,
                            LinearPortfolio(weights=weights, offsets=(0.0,) * dim))
     report, dist = risk_report(dm, config)
@@ -158,6 +168,7 @@ def cmd_risk(args) -> int:
 
 
 def _template_of(cfg: dict, dim: int):
+    from .risk import ContractPortfolio, LinearPortfolio
     block = cfg.get("template", {})
     kind = block.pop("type", "linear")
     offsets = block.pop("offsets", (0.0,) * dim)
@@ -174,6 +185,8 @@ def _template_of(cfg: dict, dim: int):
 
 
 def cmd_optimize(args) -> int:
+    from .events import sample_events
+    from .risk import LinearPortfolio, RiskConfig, optimize_positions
     cfg = read_config(args.config)
     model = load_model(args.model)
     dim = len(model.channels)
@@ -213,6 +226,7 @@ def cmd_optimize(args) -> int:
 
 
 def _series_for_net(net, csv_path):
+    from . import eeg
     names, data = modelfile.read_table(csv_path)
     if set(names) != set(net.names):
         raise ParseError(f"{csv_path}: columns {list(names)} do not match "
@@ -224,6 +238,7 @@ def _series_for_net(net, csv_path):
 
 
 def cmd_eeg(args) -> int:
+    from . import eeg
     cfg = read_config(args.config)
     net = load_net(args.net)
     if args.mode == "simulate":
@@ -271,6 +286,7 @@ def cmd_eeg(args) -> int:
 
 
 def cmd_indicators(args) -> int:
+    from . import indicators
     cfg = read_config(args.config)
     methods = cfg.get("methods")
     if not methods or len(methods) < 2:
@@ -349,8 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model JSON")
     p.add_argument("--weights", default=None,
                    help="comma-separated channel weights (default all 1)")
-    p.add_argument("--var", type=float, default=VAR_LEVEL, help="VaR level")
-    p.add_argument("--q", type=float, default=Q_TARGET, help="target tail mass")
+    # absent, they keep RiskConfig's defaults
+    p.add_argument("--var", dest="var_level", type=float, default=argparse.SUPPRESS,
+                   help="VaR level")
+    p.add_argument("--q", dest="q_target", type=float, default=argparse.SUPPRESS,
+                   help="target tail mass")
     p.add_argument("--n", type=int, default=100000, help="number of events")
     p.set_defaults(handler=cmd_risk)
 

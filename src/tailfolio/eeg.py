@@ -40,12 +40,15 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import anneal
 from .errors import DegenerateData, OutOfDomain, SingularNet
 from .rng import NormalStream
+
+if TYPE_CHECKING:
+    from . import anneal
 
 CLAMP_FLAG_FRACTION = 0.01
 _PI = float(np.pi)
@@ -600,8 +603,10 @@ def fit_net(series, net: RegionNet, free, bounds,
             raise OutOfDomain(f"missing bounds for parameter {exc.args[0]!r}") from exc
         except TypeError as exc:
             raise OutOfDomain("bounds must map each free key to (lo, hi)") from exc
+        # the one EEG path that anneals: simulate and check load no annealer
+        from .anneal import search
         cost = _fit_cost(net, keys, _series(net, phi, min_epochs=2), penalty_weight)
-        res = anneal.search(cost, box, config, refine_calls)
+        res = search(cost, box, config, refine_calls)
         fitted = apply_params(net, dict(zip(keys, res.x)))
         fitted = replace(fitted, columns=centering_shift(fitted.columns))
     det = loglikelihood_details(fitted, phi)

@@ -12,15 +12,18 @@ distribution overlaps between epoch groups as Bhattacharyya coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import anneal
 from .copula import CopulaModel, estimate_correlation, pre_average, to_gaussian
-from .eeg import RegionNet, innovation_stream
 from .errors import DegenerateData, IllConditioned, OutOfDomain
 from .marginals import fit_channels, fit_exponential
 from .risk import bhattacharyya_overlap
+
+if TYPE_CHECKING:
+    from .eeg import RegionNet
 
 FLATNESS_TOL = 1e-9
 DEGENERATE_RHO = 0.999
@@ -42,6 +45,8 @@ class MethodStream:
 
 def stream_from_net(name: str, net: RegionNet, series) -> MethodStream:
     """Combine a fitted net's per-site innovations into one unit-scale stream."""
+    # the one indicators path through the EEG model: value streams load none
+    from .eeg import innovation_stream
     z = innovation_stream(net, series)
     combined = z.sum(axis=1) / np.sqrt(z.shape[1])
     return MethodStream(name=name, values=combined)

@@ -27,7 +27,7 @@ is not UTF-8 or not one number per column by its line number in the file.
 
 A large table is written and read in contiguous parts, one per CPU this
 process may run on: the first part here, each other one in a forked
-child (anneal.fork_child). A table made on demand in row blocks (an
+child (forks.fork_child). A table made on demand in row blocks (an
 events.EventBatch) is split into runs of whole blocks, and each part makes
 the rows it handles: write_table formats them, and reduce_rows reduces
 each block to one value a row, so no process holds the whole table. A
@@ -55,14 +55,16 @@ import warnings
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .anneal import fork_child, fork_cpus, reap
-from .copula import CopulaModel, CorrelationMatrix
-from .eeg import ColumnParams, Coupling, ElectrodeSite, RegionNet
 from .errors import EngineError, OutOfDomain, ParseError
-from .marginals import ExponentialMarginal
+from .forks import fork_child, fork_cpus, reap
+
+if TYPE_CHECKING:
+    from .copula import CopulaModel
+    from .eeg import RegionNet
 
 INDEX_NAMES = ("epoch", "event_index", "index", "t")
 
@@ -685,6 +687,10 @@ def save_model(path, model: CopulaModel) -> None:
 
 
 def load_model(path) -> CopulaModel:
+    # a model's types are loaded by the commands that read one, not by every
+    # command that reads or writes a table
+    from .copula import CopulaModel, CorrelationMatrix
+    from .marginals import ExponentialMarginal
     d = load_json(path)
     if d.get("kind") != "copula_model":
         raise ParseError(f"{path}: 'kind' must be 'copula_model'")
@@ -725,6 +731,7 @@ def save_net(path, net: RegionNet) -> None:
 
 
 def load_net(path) -> RegionNet:
+    from .eeg import ColumnParams, Coupling, ElectrodeSite, RegionNet
     d = load_json(path)
     if d.get("kind") != "region_net":
         raise ParseError(f"{path}: 'kind' must be 'region_net'")

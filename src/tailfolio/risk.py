@@ -31,13 +31,16 @@ return into 0.0, which the sign of a zero cost can show.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import anneal
 from .errors import DegenerateData, OutOfDomain
 from .events import row_cuts
 from .marginals import fit_exponential
+
+if TYPE_CHECKING:
+    from . import anneal
 
 PENALTY_WEIGHT = 1e3
 Q_TARGET = 0.01
@@ -335,7 +338,9 @@ def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig()
         q = float(np.count_nonzero(dm < threshold)) / n
         return objective(dm) + weight * abs(q - q_target)
 
-    res = anneal.search(cost, bounds, config, refine_calls)
+    # the one risk path that anneals: the risk command loads no annealer
+    from .anneal import search
+    res = search(cost, bounds, config, refine_calls)
 
     dm = returns(res.x)
     q = q_empirical(dm, risk.var_level)

@@ -115,6 +115,29 @@ def test_minimize_guards():
     res = minimize(lambda p: float(np.sum(p ** 2)), [(-1.0, 1.0)] * 3,
                    AnnealConfig(seed=1, max_trials=300, window_repeat_tol=-np.inf))
     assert res.trials == 300 and res.exit_reason == "trial-limit"
+    # a budget must be a whole number of trials: an infinite one would never
+    # end (c = 0 holds every temperature at 1), so this cost ends such a run
+    # rather than the suite
+    calls = []
+
+    def bounded(p):
+        calls.append(p)
+        if len(calls) > 300:
+            raise AssertionError("the budget was annealed, not refused")
+        return 0.0
+
+    for bad in (np.inf, 2.5):
+        with pytest.raises(OutOfDomain, match="'max_trials'"):
+            minimize(bounded, [(0.0, 1.0)] * 2, AnnealConfig(max_trials=bad))
+    # an integral float is its int, as the config reader reads 100.0
+    want, got = (minimize(lambda p: float(np.sum(p ** 2)), [(-1.0, 1.0)] * 3,
+                          AnnealConfig(seed=1, max_trials=budget))
+                 for budget in (100, 100.0))
+    assert_same_run(got, want)
+    # and search's polish budget must be finite
+    for bad in (-1, np.nan, np.inf):
+        with pytest.raises(OutOfDomain, match="'refine_calls'"):
+            search(bounded, [(0.0, 1.0)], AnnealConfig(max_trials=5), refine_calls=bad)
     # x0 must hold one value per bound, before any clipping could broadcast it
     for x0 in ([0.5], [0.1, 0.2, 0.3, 0.4], [[0.5, 0.5]]):
         with pytest.raises(OutOfDomain, match="x0"):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailfolio import anneal, cli, copula, eeg, errors, modelfile
+from tailfolio import anneal, cli, copula, eeg, errors, modelfile, risk
 from tailfolio.copula import CopulaModel, CorrelationMatrix
 from tailfolio.errors import OutOfDomain, SingularNet
 from tailfolio.marginals import ExponentialMarginal, sample
@@ -676,6 +676,52 @@ def test_eeg_check_loads_no_scipy(tmp_path):
     assert (tmp_path / "o" / "centering.json").is_file()
 
 
+def _loaded_layers(argv=None):
+    """The tailfolio modules a fresh interpreter has loaded after importing
+    tailfolio.cli and, when argv is given, running that command."""
+    run = "" if argv is None else f"code = main({argv!r}); assert code == 0, code; "
+    script = ("import json, sys; from tailfolio.cli import main; " + run +
+              "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'tailfolio']))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_layer():
+    # each command imports the layers it runs, so that none pays for the
+    # import of a layer it never calls
+    assert _loaded_layers() == {"tailfolio", "tailfolio.cli", "tailfolio.errors",
+                                "tailfolio.forks", "tailfolio.modelfile"}
+
+
+# command -> the layers a run of it must not load
+UNLOADED = [
+    ("fit-marginals", lambda t: ["fit-marginals", make_series_csv(t), "--out", str(t / "o")],
+     ("anneal", "eeg", "indicators")),
+    ("sample", lambda t: _model_case(t, lambda d: None), ("anneal", "eeg", "indicators")),
+    ("risk", lambda t: ["risk", make_model_json(t), "--n", "100", "--out", str(t / "o")],
+     ("anneal", "eeg", "indicators")),
+    # a tolerance any q meets, so that the command exits 0
+    ("optimize", lambda t: _optimize_case(t, risk={"q_tolerance": 1.0}),
+     ("eeg", "indicators")),
+    ("eeg simulate", lambda t: _net_case(t, lambda d: None),
+     ("anneal", "risk", "events", "indicators")),
+    ("eeg check", lambda t: ["eeg", "check", *_eeg_fit_case(t, [], {})[2:]],
+     ("anneal", "risk", "events", "indicators")),
+    ("indicators of values", lambda t: _indicators_case(t, {"column": "a"}, {"column": "b"}),
+     ("eeg",)),
+]
+
+
+@pytest.mark.parametrize("case, unloaded", [c[1:] for c in UNLOADED],
+                         ids=[c[0] for c in UNLOADED])
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, case, unloaded):
+    loaded = _loaded_layers(case(tmp_path))
+    assert "tailfolio.cli" in loaded
+    assert loaded.isdisjoint(f"tailfolio.{layer}" for layer in unloaded)
+
+
 def _capture_kwargs(monkeypatch, owner, name):
     seen = {}
 
@@ -692,7 +738,7 @@ def _capture_kwargs(monkeypatch, owner, name):
     ({"refine_calls": 7.0}, {"refine_calls": 7}),
 ])
 def test_optimize_passes_only_configured_keys(tmp_path, monkeypatch, extra, expected):
-    seen = _capture_kwargs(monkeypatch, cli, "optimize_positions")
+    seen = _capture_kwargs(monkeypatch, risk, "optimize_positions")
     cfg = write_config(tmp_path, {"bounds": [[0.0, 1.0]], "n": 10, **extra})
     code = cli.main(["optimize", make_model_json(tmp_path), "--config", cfg,
                      "--out", str(tmp_path / "o")])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from tailfolio import eeg
+from tailfolio import anneal, eeg
 from tailfolio.anneal import AnnealConfig
 from tailfolio.eeg import (ColumnParams, Coupling, ElectrodeSite, RegionNet,
                            apply_params, centering_check, centering_shift,
@@ -571,7 +571,7 @@ def test_fit_net_error_parity(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("cost evaluated before the keys were checked")
 
-    monkeypatch.setattr(eeg.anneal, "minimize", no_search)
+    monkeypatch.setattr(anneal, "minimize", no_search)
     for key in ("Qz.offset", "Cz->Fz.weight"):
         with pytest.raises(OutOfDomain, match="unknown"):
             fit_net(phi, net, free=[key], bounds={key: (0.0, 1.0)})
