@@ -144,10 +144,12 @@ def _check_bounds(bounds):
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise OutOfDomain("bounds must be a sequence of (lo, hi) pairs")
     lo, hi = arr[:, 0] + 0.0, arr[:, 1] + 0.0      # -0.0 reads as 0.0
-    if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-        raise OutOfDomain("bounds must be finite")
-    if np.any(lo > hi):
-        raise OutOfDomain("each lower bound must not exceed its upper bound")
+    for i, pair in enumerate(arr.tolist()):
+        if not np.all(np.isfinite(pair)):
+            raise OutOfDomain(f"bounds must be finite, got {pair} at pair {i}")
+        if pair[0] > pair[1]:
+            raise OutOfDomain(f"each lower bound must not exceed its upper bound, "
+                              f"got {pair} at pair {i}")
     return lo, hi
 
 

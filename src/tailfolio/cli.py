@@ -52,11 +52,11 @@ def _present(cfg: dict, *keys) -> dict:
     return {key: cfg[key] for key in keys if key in cfg}
 
 
-def _anneal_config(cfg: dict, seed: int, **defaults) -> AnnealConfig:
-    """The config's anneal block laid over the caller's defaults (else
-    AnnealConfig's), seeded by seed unless the block sets its own."""
+def _anneal_config(cfg: dict, seed: int) -> AnnealConfig:
+    """The config's anneal block over AnnealConfig's defaults, seeded by
+    seed unless the block sets its own."""
     from .anneal import AnnealConfig
-    return AnnealConfig(**{"seed": seed, **defaults, **cfg.get("anneal", {})})
+    return AnnealConfig(**{"seed": seed, **cfg.get("anneal", {})})
 
 
 # ------------------------------------------------------------------ commands
@@ -311,14 +311,9 @@ def cmd_indicators(args) -> int:
             streams.append(indicators.stream_from_net(name, net, data))
         else:
             raise ParseError(f"unknown method kind {kind!r}")
-    # the weight fit anneals at its own fixed seed unless the block sets one;
-    # --seed does not reach it
-    acfg = _anneal_config(cfg, indicators.WEIGHT_SEED,
-                          max_trials=indicators.WEIGHT_TRIALS)
     report, model = indicators.indicator_report(
         streams, weights=cfg.get("weights"), state_labels=cfg.get("state_labels"),
-        config=acfg, **_present(cfg, "holdout_fraction", "fit_weights",
-                                "pre_average_window"))
+        **_present(cfg, "holdout_fraction", "fit_weights", "pre_average_window"))
     save_json(os.path.join(args.out, "indicators.json"), report)
     if model is not None:
         save_model(os.path.join(args.out, "indicator_model.json"), model)

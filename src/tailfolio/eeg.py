@@ -603,6 +603,10 @@ def fit_net(series, net: RegionNet, free, bounds,
             raise OutOfDomain(f"missing bounds for parameter {exc.args[0]!r}") from exc
         except TypeError as exc:
             raise OutOfDomain("bounds must map each free key to (lo, hi)") from exc
+        for key, (lo, hi) in zip(keys, box):
+            if not -np.inf < lo <= hi < np.inf:     # NaN fails too
+                raise OutOfDomain(f"bounds of {key!r} must be finite with lo <= hi, "
+                                  f"got [{lo}, {hi}]")
         # the one EEG path that anneals: simulate and check load no annealer
         from .anneal import search
         cost = _fit_cost(net, keys, _series(net, phi, min_epochs=2), penalty_weight)

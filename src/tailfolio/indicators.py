@@ -11,7 +11,7 @@ distribution overlaps between epoch groups as Bhattacharyya coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,8 +27,6 @@ if TYPE_CHECKING:
 
 FLATNESS_TOL = 1e-9
 DEGENERATE_RHO = 0.999
-WEIGHT_TRIALS = 4000    # the weight fit's anneal budget unless its config sets one
-WEIGHT_SEED = 7         # and its anneal seed
 
 
 @dataclass(frozen=True)
@@ -62,22 +60,22 @@ def _stack(streams) -> np.ndarray:
     return np.stack([s.values for s in streams], axis=1)
 
 
-def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
-                          config: anneal.AnnealConfig | None = None):
+def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray):
     """Weights maximizing held-out log-likelihood of the combined stream.
 
-    config defaults to WEIGHT_TRIALS trials at seed WEIGHT_SEED, and the
-    search starts from the equal weights unless config sets x0. The cost
-    takes w and -w to the same bits, so the sign the search lands on is a
-    matter of its path: the weights are reported with their largest-|w|
-    entry positive.
+    A 500-call local_refine runs from each of the equal weights and the
+    axes whose cost is below SENTINEL; the lowest result wins, the first on a
+    tie. cost(-w) is cost(w), so the weights are reported with their
+    largest-|w| entry positive.
 
-    Returns (unit weights, flat flag, search result). flat: every trial of
-    the anneal cost within FLATNESS_TOL * max(1, |lowest|) of the lowest.
+    Returns (unit weights, flat flag, winning polish). With no finite start
+    they are (equal weights, True, None). flat: every cost evaluated within
+    FLATNESS_TOL * max(1, |lowest|) of the lowest.
     """
     k = train.shape[1]
+    costs = []
 
-    def cost(w):
+    def neg_loglik(w):
         norm = float(np.linalg.norm(w))
         if norm < 1e-12:
             return anneal.SENTINEL
@@ -88,24 +86,21 @@ def fit_indicator_weights(train: np.ndarray, holdout: np.ndarray,
             return anneal.SENTINEL
         t = holdout @ wn - marg.m
         widths = marg.side_width(t)
-        ll = float(np.sum(-np.log(2.0 * widths) - np.abs(t) / widths))
-        return -ll
+        return -float(np.sum(-np.log(2.0 * widths) - np.abs(t) / widths))
 
-    if config is None:
-        config = anneal.AnnealConfig(max_trials=WEIGHT_TRIALS, seed=WEIGHT_SEED)
-    x0 = np.full(k, 1.0 / np.sqrt(k))
-    if config.x0 is None:
-        config = replace(config, x0=tuple(x0))
-    res = anneal.search(cost, [(-1.0, 1.0)] * k, config, refine_calls=500)
-    w = np.asarray(res.x)
-    norm = float(np.linalg.norm(w))
-    w = x0 if norm < 1e-12 else w / norm
+    def cost(w):
+        costs.append(neg_loglik(w))
+        return costs[-1]
+
+    equal = np.full(k, 1.0 / np.sqrt(k))
+    polished = [anneal.local_refine(cost, start, [(-1.0, 1.0)] * k, max_calls=500)
+                for start in (equal, *np.eye(k)) if cost(start) < anneal.SENTINEL]
+    best = min(polished, key=lambda res: res.cost, default=None)
+    flat = max(costs) - min(costs) <= FLATNESS_TOL * max(1.0, abs(min(costs)))
+    w = equal if best is None else best.x / np.linalg.norm(best.x)
     if w[np.argmax(np.abs(w))] < 0.0:
         w = -w
-
-    costs = res.trace[0::2]
-    flat = max(costs) - min(costs) <= FLATNESS_TOL * max(1.0, abs(min(costs)))
-    return w, flat, res
+    return w, flat, best
 
 
 def _shape_params(values):
@@ -115,8 +110,7 @@ def _shape_params(values):
 
 def indicator_report(streams, holdout_fraction: float = 0.25,
                      fit_weights: bool = False, weights=None,
-                     state_labels=None, pre_average_window: int = 3,
-                     config: anneal.AnnealConfig | None = None):
+                     state_labels=None, pre_average_window: int = 3):
     """Joint report for two or more indicator streams.
 
     The epoch axis splits into a leading training block and a trailing
@@ -175,10 +169,12 @@ def indicator_report(streams, holdout_fraction: float = 0.25,
         w = np.asarray(weights, dtype=float)
         if w.shape != (k,):
             raise OutOfDomain("weights length must match method count")
+        if not (np.all(np.isfinite(w)) and np.any(w)):
+            raise OutOfDomain(f"'weights' must be finite and not all zero, got {w.tolist()}")
         flat = False
         fitted = False
     elif fit_weights:
-        w, flat, _ = fit_indicator_weights(train, holdout, config)
+        w, flat, _ = fit_indicator_weights(train, holdout)
         fitted = True
     else:
         w = np.full(k, 1.0 / np.sqrt(k))

@@ -488,9 +488,8 @@ def test_indicators_net_method(tmp_path):
     assert payload["epochs"] == 400
 
 
-def _weight_fit(tmp_path, monkeypatch, seed=0, **extra):
-    """Run indicators with fit_weights on two streams; returns the report and
-    the (config, result) of the weight fit's anneal."""
+def _weight_fit(tmp_path, out, seed, **extra):
+    """The bytes of indicators.json from a fit_weights run on two streams."""
     rng = np.random.default_rng(6)
     a = rng.laplace(0.0, 0.5, size=400)
     b = 0.4 * a + rng.laplace(0.0, 0.4, size=400)
@@ -501,50 +500,30 @@ def _weight_fit(tmp_path, monkeypatch, seed=0, **extra):
         "methods": [{"name": "surveys", "csv": str(pa)},
                     {"name": "sensors", "csv": str(pb)}],
         "fit_weights": True, **extra})
-    anneals = []
-    minimize = anneal.minimize
-
-    def recording_minimize(cost, bounds, config=None, **kw):
-        res = minimize(cost, bounds, config, **kw)
-        anneals.append((config, res))
-        return res
-
-    monkeypatch.setattr(anneal, "minimize", recording_minimize)
-    out = tmp_path / f"ind{seed}"
     assert cli.main(["indicators", "--config", cfg, "--seed", str(seed),
-                     "--out", str(out)]) == 0
-    (config, res), = anneals
-    return load_json(out / "indicators.json"), config, res
+                     "--out", str(tmp_path / out)]) == 0
+    return (tmp_path / out / "indicators.json").read_bytes()
 
 
-def test_weight_fit_keeps_its_budget_under_an_unrelated_anneal_key(tmp_path,
-                                                                    monkeypatch):
-    _, config, res = _weight_fit(tmp_path, monkeypatch,
-                                 anneal={"window_repeat_tol": 1e-7})
-    assert config.max_trials == 4000
-    assert config.window_repeat_tol == 1e-7
-    assert res.trials <= 4000
+def test_weight_fit_reads_neither_the_seed_nor_an_anneal_block(tmp_path, monkeypatch):
+    # the fit polishes from fixed starts, so it forks no cost worker even
+    # where two CPUs are found, and the shared anneal block is not its own
+    forks, fork = [], os.fork
 
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-def test_weight_fit_is_seeded_by_its_block_not_the_seed_flag(tmp_path, monkeypatch):
-    report0, config0, _ = _weight_fit(tmp_path, monkeypatch, seed=0)
-    report1, config1, _ = _weight_fit(tmp_path, monkeypatch, seed=1)
-    assert (config0.seed, config1.seed) == (7, 7)
-    assert report0 == report1
-    # an anneal block without a seed keeps the fit's own
-    _, config, _ = _weight_fit(tmp_path, monkeypatch, seed=1,
-                               anneal={"window_repeat_tol": 1e-7})
-    assert config.seed == 7
-    report5, config, _ = _weight_fit(tmp_path, monkeypatch, seed=1, anneal={"seed": 5})
-    assert config.seed == 5
-    assert report5["weights"] != report0["weights"]
-
-
-def test_weight_fit_starts_from_a_block_x0(tmp_path, monkeypatch):
-    _, config, _ = _weight_fit(tmp_path, monkeypatch, anneal={"x0": [0.6, -0.8]})
-    assert list(config.x0) == [0.6, -0.8]
-    _, config, _ = _weight_fit(tmp_path, monkeypatch)
-    assert list(config.x0) == [1.0 / math.sqrt(2.0)] * 2
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(anneal, "fork_cpus", lambda *needs: 2)
+    block = {"window_repeat_tol": 1e-7, "max_trials": 50, "seed": 5, "x0": [0.6, -0.8]}
+    runs = [_weight_fit(tmp_path, "seed0", 0), _weight_fit(tmp_path, "seed1", 1),
+            _weight_fit(tmp_path, "block", 0, anneal=block)]
+    assert json.loads(runs[0])["weights"]["fitted"]
+    assert runs[0] == runs[1] == runs[2]
+    assert forks == []
 
 
 def test_indicators_config_required(tmp_path, capsys):
@@ -974,11 +953,12 @@ def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, case, at,
     assert named in err and "can't decode byte 0xff" in err
 
 
-def _indicators_case(tmp_path, *methods):
+def _indicators_case(tmp_path, *methods, **extra):
     path = tmp_path / "two.csv"
     write_series_csv(path, np.random.default_rng(3).normal(size=(50, 2)), ("a", "b"))
     blocks = [{"name": f"m{i}", "csv": str(path), **m} for i, m in enumerate(methods)]
-    return ["indicators", "--config", write_config(tmp_path, {"methods": blocks}),
+    return ["indicators", "--config",
+            write_config(tmp_path, {"methods": blocks, **extra}),
             "--out", str(tmp_path / "o")]
 
 
@@ -1125,6 +1105,21 @@ INPUT_FAULTS = [
       for mode, free in (("check", []), ("fit", []), ("fit", ["Fz.offset"]))
       for got, at, cells in (("nan", "3 of site 'Fz'", [(3, 0, math.nan), (7, 1, INF)]),
                              ("inf", "5 of site 'Cz'", [(5, 1, INF)]))),
+    # fixed indicator weights must make a combination
+    *((f"'weights' must be finite and not all zero, got {got}",
+       lambda t, weights=weights: _indicators_case(
+           t, {"column": "a"}, {"column": "b"}, weights=weights))
+      for weights, got in (([1e400, 1.0], "[inf, 1.0]"), ([0, 0], "[0.0, 0.0]"))),
+    # a refused bound is named: by its free key, or by its pair's index
+    ("bounds of 'Fz.offset' must be finite with lo <= hi, got [1.0, -1.0]",
+     lambda t: _eeg_fit_case(t, ["Fz.offset"], {"Fz.offset": [1.0, -1.0]})),
+    ("bounds of 'Cz.offset' must be finite with lo <= hi, got [-1.0, inf]",
+     lambda t: _eeg_fit_case(t, ["Fz.offset", "Cz.offset"],
+                             {"Fz.offset": [-1.0, 1.0], "Cz.offset": [-1.0, 1e400]})),
+    ("each lower bound must not exceed its upper bound, got [1.0, 0.0] at pair 1",
+     lambda t: _optimize_case(t, bounds=[[0.0, 1.0], [1.0, 0.0]])),
+    ("bounds must be finite, got [0.0, inf] at pair 1",
+     lambda t: _optimize_case(t, bounds=[[0.0, 1.0], [0.0, 1e400]])),
 ]
 
 
