@@ -10,9 +10,9 @@ byte-identical files. Exit codes: 0 success, 2 input or config parse,
 3 degenerate data, 4 ill-conditioned correlation, 5 infeasible constraint,
 10 internal failure.
 
-Importing this module loads no layer beyond modelfile and errors: each
-command imports the layers it runs where it first calls them, so that a
-command which never anneals, say, never loads the annealer.
+Importing this module loads no layer beyond errors, modelfile and forks:
+each command imports the layers it runs where it first calls them, so that
+a command which never anneals, say, never loads the annealer.
 """
 
 from __future__ import annotations

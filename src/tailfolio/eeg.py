@@ -590,6 +590,8 @@ def fit_net(series, net: RegionNet, free, bounds,
     """
     if not penalty_weight >= 0.0:   # NaN fails too
         raise OutOfDomain(f"'penalty_weight' must be >= 0, got {penalty_weight!r}")
+    if not math.isfinite(penalty_weight):
+        raise OutOfDomain(f"'penalty_weight' must be finite, got {penalty_weight!r}")
     phi = np.asarray(series, dtype=float)
     keys = list(free)
     fitted, res = net, None

@@ -238,7 +238,10 @@ class RiskConfig:
         for key, bound, ok in (("var_level", "> 0", self.var_level > 0.0),
                                ("q_target", "in (0, 1]", 0.0 < self.q_target <= 1.0),
                                ("q_tolerance", "> 0", self.q_tolerance > 0.0),
-                               ("penalty_weight", ">= 0", self.penalty_weight >= 0.0)):
+                               ("penalty_weight", ">= 0", self.penalty_weight >= 0.0),
+                               ("var_level", "finite", np.isfinite(self.var_level)),
+                               ("q_tolerance", "finite", np.isfinite(self.q_tolerance)),
+                               ("penalty_weight", "finite", np.isfinite(self.penalty_weight))):
             if not ok:
                 raise OutOfDomain(f"{key!r} must be {bound}, got {getattr(self, key)!r}")
 
@@ -346,6 +349,6 @@ def optimize_positions(events, template, bounds, risk: RiskConfig = RiskConfig()
     q = q_empirical(dm, risk.var_level)
     cq = cost_q(q, risk.q_target)
     return PositionOptimization(
-        portfolio=replace(template, **{free: tuple(res.x)}),
+        portfolio=replace(template, **{free: tuple(res.x.tolist())}),
         objective_value=objective(dm), q=q, cost_q=cq,
         feasible=bool(cq < risk.q_tolerance), result=res)

@@ -26,7 +26,8 @@ from helpers import (SRC, command_peak_mb, traced_peak, two_site_net,
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(payload) + "\n")
+    # an infinite value is written as the overflowing literal JSON loads as inf
+    path.write_text(json.dumps(payload).replace("Infinity", "1e400") + "\n")
     return str(path)
 
 
@@ -859,8 +860,8 @@ def _edited(path, edit):
 def _optimize_case(tmp_path, **extra):
     cfg = write_config(tmp_path, {"bounds": [[0.0, 1.0]] * 2, "n": 10,
                                   "anneal": {"max_trials": 20}, **extra})
-    return ["optimize", str(_two_channel_model(tmp_path)), "--config",
-            _edited(Path(cfg), lambda d: None), "--out", str(tmp_path / "o")]
+    return ["optimize", str(_two_channel_model(tmp_path)), "--config", cfg,
+            "--out", str(tmp_path / "o")]
 
 
 def _net_case(tmp_path, edit):
@@ -1447,6 +1448,13 @@ def test_sample_and_risk_keep_their_bytes_in_parts(tmp_path, threads):
     (["optimize", "{missing}"], "cannot read"),
     (["optimize", "{model}"], "optimize config needs 8 'bounds' pair(s), got 0"),
     (["optimize", "{model}", "--config", "{risk}"], "'var_level' must be > 0"),
+    # an infinite setting is named, where 0 * inf would make the cost NaN
+    (["risk", "{model}", "--var", "inf"], "'var_level' must be finite, got inf"),
+    (["risk", "{model}", "--var", "1e400"], "'var_level' must be finite, got inf"),
+    (["optimize", "{model}", "--config", "{tolerance}"],
+     "'q_tolerance' must be finite, got inf"),
+    (["optimize", "{model}", "--config", "{risk_penalty}"],
+     "'penalty_weight' must be finite, got inf"),
     (["eeg", "simulate", "{missing}"], "cannot read"),
     (["eeg", "simulate", "{net}", "--epochs", "0"], "epochs must be >= 1"),
     (["eeg", "fit", "{net}", "{missing}"], "cannot read"),
@@ -1461,6 +1469,8 @@ def test_sample_and_risk_keep_their_bytes_in_parts(tmp_path, threads):
      "'x0' needs one value per bound, got shape (2,)"),
     (["eeg", "fit", "{net}", "{series}", "--config", "{penalty}"],
      "'penalty_weight' must be >= 0, got -1.0"),
+    (["eeg", "fit", "{net}", "{series}", "--config", "{infinite_penalty}"],
+     "'penalty_weight' must be finite, got inf"),
     (["indicators", "--config", "{holdout}"], "holdout_fraction must be in (0, 1)"),
 ])
 def test_a_command_that_refuses_creates_no_out_dir(tmp_path, capsys, args, message):
@@ -1474,10 +1484,14 @@ def test_a_command_that_refuses_creates_no_out_dir(tmp_path, capsys, args, messa
     bounds = {"Fz.offset": [-1.0, 1.0]}
     configs = {name: write_config(tmp_path, cfg, f"{name}.json") for name, cfg in {
         "risk": {"bounds": [[0.0, 1.0]] * 8, "risk": {"var_level": -1}},
+        "tolerance": {"bounds": [[0.0, 1.0]] * 8, "risk": {"q_tolerance": math.inf}},
+        "risk_penalty": {"bounds": [[0.0, 1.0]] * 8, "risk": {"penalty_weight": math.inf}},
         "twice": {"free": ["Fz.offset"] * 2, "bounds": bounds},
         "unbounded": {"free": ["Fz.offset"]},
         "x0": {"free": ["Fz.offset"], "bounds": bounds, "anneal": {"x0": [0.5, 0.5]}},
         "penalty": {"free": ["Fz.offset"], "bounds": bounds, "penalty_weight": -1},
+        "infinite_penalty": {"free": ["Fz.offset"], "bounds": bounds,
+                             "penalty_weight": math.inf},
         "holdout": {"methods": [{"name": "m0", "csv": str(series), "column": "Fz"},
                                 {"name": "m1", "csv": str(series), "column": "Cz"}],
                     "holdout_fraction": 2.0},
